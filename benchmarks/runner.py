@@ -10,13 +10,10 @@ function — no copy-paste of argument parsing, timing or serialization.
 Current suites:
 
 * ``merge_engine`` — the engine against the preserved pre-engine
-  reference (``join_all`` scalability, memoized ``is_sub`` /
-  ``compatible``, lower merge with ``annotated_leq``) and the dense
-  bitset kernels against the preserved set-based engine
-  (:mod:`repro.perf.setwise`), plus, in full mode, every ``bench_*.py``
-  via pytest.  Acceptance: 200-schema ``join_all`` ≥ ``--min-speedup``
-  (5x) over the reference AND 320-schema ``join_all`` ≥
-  ``--min-kernel-speedup`` (5x) over the set-based engine.
+  reference (``join_all`` scalability up to 320 schemas, lower merge
+  with ``annotated_leq``), plus, in full mode, every ``bench_*.py`` via
+  pytest.  Acceptance: 200-schema ``join_all`` ≥ ``--min-speedup`` (5x)
+  over the reference.
 * ``service`` — the long-lived :class:`repro.service.MergeService`
   replaying named request streams (:mod:`repro.generators.workloads`).
   Acceptance: warm ``merged_view`` ≥ ``--min-view-speedup`` (10x) over
@@ -66,20 +63,18 @@ for _candidate in (os.path.join(_ROOT, "src"),):
 from _timing import record, time_call, write_trajectory  # noqa: E402
 
 from repro.core.lower import annotated_leq, lower_merge  # noqa: E402
-from repro.core.ordering import compatible, is_sub, join_all  # noqa: E402
+from repro.core.ordering import join_all  # noqa: E402
 from repro.generators.random_schemas import (  # noqa: E402
     random_annotated_schema,
     random_schema_family,
 )
 from repro.perf import clear_caches, engine_stats  # noqa: E402
 from repro.perf.reference import (  # noqa: E402
-    reference_is_sub,
     reference_join_all,
     reference_lower_merge,
 )
 
 ACCEPTANCE_SIZE = 200
-KERNEL_ACCEPTANCE_SIZE = 320
 
 # Suites whose bench_*.py files time through the conftest ``perf_record``
 # fixture (--bench-json) rather than pytest-benchmark.
@@ -174,90 +169,6 @@ def run_scalability(sizes: List[int], repeat: int) -> List[Dict[str, Any]]:
     return records
 
 
-def run_kernels(sizes: List[int], repeat: int) -> List[Dict[str, Any]]:
-    """Dense bitset join_all versus the preserved set-based engine.
-
-    Same protocol as :func:`run_scalability`, but the baseline is the
-    pre-bitset :mod:`repro.perf.setwise` engine rather than the cold
-    reference: both sides intern and memoize, so the ratio isolates
-    what the dense-id kernels themselves buy.
-    """
-    from repro.perf.setwise import setwise_join_all
-
-    records: List[Dict[str, Any]] = []
-    for size in sizes:
-        family = _family(size)
-        results: Dict[str, Any] = {}
-        dense = time_call(
-            lambda: results.__setitem__("dense", join_all(family)),
-            repeat=repeat,
-            setup=clear_caches,
-        )
-        setwise = time_call(
-            lambda: results.__setitem__("setwise", setwise_join_all(family)),
-            repeat=repeat,
-            setup=clear_caches,
-        )
-        if results["dense"] != results["setwise"]:
-            raise AssertionError(
-                f"dense kernels disagree with setwise engine at size {size}"
-            )
-        speedup = setwise["best_s"] / dense["best_s"]
-        print(
-            f"  kernel_join_all/{size}: dense {dense['best_s'] * 1000:.1f} ms, "
-            f"setwise {setwise['best_s'] * 1000:.1f} ms "
-            f"({speedup:.1f}x)"
-        )
-        records.append(
-            record(
-                f"kernel_join_all/{size}",
-                "kernels",
-                dense,
-                schemas=size,
-                acceptance=(size == KERNEL_ACCEPTANCE_SIZE),
-                speedup_vs_setwise=speedup,
-            )
-        )
-        records.append(
-            record(
-                f"setwise_join_all/{size}",
-                "kernels",
-                setwise,
-                schemas=size,
-            )
-        )
-    return records
-
-
-def run_memoization(repeat: int) -> List[Dict[str, Any]]:
-    """Warm is_sub / compatible versus the unmemoized containment test."""
-    family = _family(80)
-    merged = join_all(family)
-    pairs = [(g, merged) for g in family]
-
-    def probe() -> int:
-        return sum(1 for left, right in pairs if is_sub(left, right))
-
-    def probe_reference() -> int:
-        return sum(1 for left, right in pairs if reference_is_sub(left, right))
-
-    def probe_compatible() -> int:
-        return sum(1 for left, right in pairs if compatible(left, right))
-
-    if probe() != probe_reference():
-        raise AssertionError("memoized is_sub disagrees with reference")
-    warm = time_call(probe, repeat=repeat)
-    cold = time_call(probe_reference, repeat=repeat)
-    compat_warm = time_call(probe_compatible, repeat=repeat)
-    return [
-        record("is_sub/warm", "memoization", warm, pairs=len(pairs)),
-        record("is_sub/cold", "memoization", cold, pairs=len(pairs)),
-        record(
-            "compatible/warm", "memoization", compat_warm, pairs=len(pairs)
-        ),
-    ]
-
-
 def run_lower(repeat: int, count: int) -> List[Dict[str, Any]]:
     """lower_merge versus the pre-engine per-arrow-lookup version."""
     schemas = [
@@ -275,13 +186,13 @@ def run_lower(repeat: int, count: int) -> List[Dict[str, Any]]:
 
     engine = time_call(lambda: lower_merge(*schemas), repeat=repeat)
     reference = time_call(lambda: reference_lower_merge(*schemas), repeat=repeat)
-    leq_warm = time_call(probe_leq, repeat=repeat)
+    leq = time_call(probe_leq, repeat=repeat)
     return [
         record(f"lower_merge/{count}", "lower", engine, schemas=count),
         record(
             f"reference_lower_merge/{count}", "lower", reference, schemas=count
         ),
-        record("annotated_leq/warm", "lower", leq_warm, schemas=count),
+        record(f"annotated_leq/{count}", "lower", leq, schemas=count),
     ]
 
 
@@ -380,36 +291,28 @@ def run_pytest_suites(skip: List[str]) -> List[Dict[str, Any]]:
 
 @suite("merge_engine", "BENCH_merge_engine.json")
 def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
-    """The engine + kernel cases plus (full mode) the pytest sweep."""
+    """The engine cases plus (full mode) the pytest sweep."""
     sizes = [40, 80] if args.smoke else [50, 100, ACCEPTANCE_SIZE, 320]
-    kernel_sizes = [80] if args.smoke else [100, KERNEL_ACCEPTANCE_SIZE]
     repeat = 3 if args.smoke else 5
 
     print("merge-engine scalability:")
     records = run_scalability(sizes, repeat)
-    print("dense kernels:")
-    records += run_kernels(kernel_sizes, repeat)
-    print("memoization:")
-    records += run_memoization(repeat)
     print("lower merge:")
     records += run_lower(repeat, count=10 if args.smoke else 30)
     if not args.smoke and not args.skip_pytest_suite:
         print("pytest suites:")
         # bench_service belongs to the service suite's artifact (timing
-        # its heavy workloads here too would double-measure them), and
-        # bench_http owns its own server subprocesses — it is driven by
-        # the http suite, not collectable as pytest tests.
-        records += run_pytest_suites(skip=["bench_service", "bench_http"])
+        # its heavy workloads here too would double-measure them);
+        # bench_http and bench_persistence are driven by their own
+        # suites and hold no pytest tests.
+        records += run_pytest_suites(
+            skip=["bench_service", "bench_http", "bench_persistence"]
+        )
 
     acceptance = [
         r
         for r in records
         if r.get("acceptance") and r.get("speedup_vs_reference") is not None
-    ]
-    kernel_acceptance = [
-        r
-        for r in records
-        if r.get("acceptance") and r.get("speedup_vs_setwise") is not None
     ]
     summary: Dict[str, Any] = {"smoke": args.smoke}
     if acceptance:
@@ -424,25 +327,6 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
             print(
                 f"FAIL: join_all speedup {summary['join_all_speedup']:.2f}x "
                 f"< required {args.min_speedup}x",
-                file=sys.stderr,
-            )
-    if kernel_acceptance:
-        summary["kernel_speedup"] = kernel_acceptance[0]["speedup_vs_setwise"]
-        summary["min_kernel_speedup_required"] = (
-            None if args.smoke else args.min_kernel_speedup
-        )
-        kernel_pass = args.smoke or (
-            summary["kernel_speedup"] >= args.min_kernel_speedup
-        )
-        summary["acceptance_pass"] = (
-            summary.get("acceptance_pass", True) and kernel_pass
-        )
-        if kernel_pass:
-            print(f"kernel speedup: {summary['kernel_speedup']:.1f}x")
-        else:
-            print(
-                f"FAIL: kernel speedup {summary['kernel_speedup']:.2f}x "
-                f"< required {args.min_kernel_speedup}x vs setwise",
                 file=sys.stderr,
             )
     return records, {"summary": summary, "engine_stats": engine_stats()}
@@ -738,15 +622,6 @@ def main(argv: List[str] = None) -> int:
         type=float,
         default=5.0,
         help="merge_engine acceptance floor for 200-schema join_all",
-    )
-    parser.add_argument(
-        "--min-kernel-speedup",
-        type=float,
-        default=5.0,
-        help=(
-            "merge_engine acceptance floor for 320-schema join_all over "
-            "the set-based engine (repro.perf.setwise)"
-        ),
     )
     parser.add_argument(
         "--min-view-speedup",

@@ -44,13 +44,10 @@ DOCTEST_MODULES = [
     "repro.io.json_io",
     "repro.perf",
     "repro.perf.interning",
-    "repro.perf.memo",
     "repro.perf.closure",
     "repro.perf.namespace",
     "repro.perf.reference",
-    "repro.perf.setwise",
     "repro.perf.timing",
-    "repro.sentinels",
     "repro.service",
     "repro.service.api_types",
     "repro.service.http",

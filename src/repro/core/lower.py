@@ -63,13 +63,6 @@ from repro.exceptions import (
     ParticipationError,
     SchemaValidationError,
 )
-from repro.perf.memo import MemoCache
-
-# Bounded memo for the refined ordering (see repro.perf): annotated
-# schemas are immutable with precomputed hashes, so entries never go
-# stale and the bound is purely a memory ceiling.
-_ANNOTATED_LEQ_CACHE = MemoCache("lower.annotated_leq", maxsize=16384)
-_MISS = MemoCache.MISS
 
 __all__ = [
     "AnnotatedSchema",
@@ -401,20 +394,9 @@ def annotated_leq(left: AnnotatedSchema, right: AnnotatedSchema) -> bool:
     satisfy ``K_left(e) ≤ K_right(e)`` in the Figure 11 order — where an
     arrow absent over known classes means constraint ``0``, which is
     maximal information, not ignorance.
-
-    Memoized on the operand pair; lower-merge pipelines and the GLB
-    property checks probe the same pairs repeatedly.
     """
     if left is right:
         return True
-    key = (left, right)
-    cached = _ANNOTATED_LEQ_CACHE.get(key)
-    if cached is not _MISS:
-        return cached
-    return _ANNOTATED_LEQ_CACHE.put(key, _annotated_leq_cold(left, right))
-
-
-def _annotated_leq_cold(left: AnnotatedSchema, right: AnnotatedSchema) -> bool:
     if not (left.classes <= right.classes and left.spec <= right.spec):
         return False
     table_left = left._participation

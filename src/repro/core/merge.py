@@ -92,7 +92,8 @@ def upper_merge(
     if strip_derived:
         schemas = tuple(strip_implicits(g) for g in schemas)
     weak = weak_merge(*schemas, assertions=assertions)
-    check_consistency(implicit_sets(weak), consistency)
+    if consistency is not None:
+        check_consistency(implicit_sets(weak), consistency)
     return properize(weak)
 
 

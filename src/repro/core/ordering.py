@@ -24,19 +24,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import relations
 from repro.core.names import ClassName
-from repro.core.schema import Schema, _schema_token
+from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError
 from repro.perf.closure import ClosureBuilder
-from repro.perf.memo import MemoCache
-
-# Bounded memo caches (see repro.perf).  Schemas are immutable and
-# interned, so a per-instance token (see schema._schema_token) is an
-# honest memo key: hashing costs one int hash instead of re-hashing
-# frozenset triples, results can never go stale, and the bound is
-# purely a memory ceiling.
-_IS_SUB_CACHE = MemoCache("ordering.is_sub", maxsize=32768)
-_COMPAT_CACHE = MemoCache("ordering.compatible", maxsize=8192)
-_MISS = MemoCache.MISS
 
 __all__ = [
     "is_sub",
@@ -54,28 +44,19 @@ __all__ = [
 
 
 def is_sub(left: Schema, right: Schema) -> bool:
-    """Does ``left ⊑ right`` hold in the information ordering?
-
-    Memoized on the (interned) operand pair — merge pipelines and
-    bound checks ask the same containment questions repeatedly.
-    """
+    """Does ``left ⊑ right`` hold in the information ordering?"""
     if left is right:
         return True
-    key = (_schema_token(left), _schema_token(right))
-    cached = _IS_SUB_CACHE.get(key)
-    if cached is not _MISS:
-        return cached
-    result = left.classes <= right.classes and left.spec <= right.spec
-    if result:
-        # E1 ⊆ E2 checked row-wise on the reach indexes — the grouped
-        # form of the same relation, and free on engine-built schemas
-        # (their flat arrow set materializes lazily; no need to here).
-        right_index = right._reach_index()
-        result = all(
-            targets <= right_index.get(row, frozenset())
-            for row, targets in left._reach_index().items()
-        )
-    return _IS_SUB_CACHE.put(key, result)
+    if not (left.classes <= right.classes and left.spec <= right.spec):
+        return False
+    # E1 ⊆ E2 checked row-wise on the reach indexes — the grouped form of
+    # the same relation, and free on engine-built schemas (their flat
+    # arrow set materializes lazily; no need to here).
+    right_index = right._reach_index()
+    return all(
+        targets <= right_index.get(row, frozenset())
+        for row, targets in left._reach_index().items()
+    )
 
 
 def is_strict_sub(left: Schema, right: Schema) -> bool:
@@ -124,16 +105,8 @@ def compatibility_cycle(
 
 
 def compatible(*schemas: Schema) -> bool:
-    """Is the collection compatible (i.e. does the upper merge exist)?
-
-    Memoized on the operand tuple; the same families are probed over
-    and over by interactive sessions and the analysis layer.
-    """
-    key = tuple(_schema_token(g) for g in schemas)
-    cached = _COMPAT_CACHE.get(key)
-    if cached is not _MISS:
-        return cached
-    return _COMPAT_CACHE.put(key, compatibility_cycle(list(schemas)) is None)
+    """Is the collection compatible (i.e. does the upper merge exist)?"""
+    return compatibility_cycle(list(schemas)) is None
 
 
 def join(left: Schema, right: Schema) -> Schema:

@@ -40,10 +40,8 @@ __all__ = [
     "reflexive_closure",
     "transitive_closure",
     "reflexive_transitive_closure",
-    "closure_insert",
     "iter_bits",
     "closure_insert_bits",
-    "closure_undo_bits",
     "is_reflexive",
     "is_transitive",
     "is_antisymmetric",
@@ -115,52 +113,6 @@ def reflexive_transitive_closure(
     return reflexive_closure(transitive_closure(relation), universe)
 
 
-def closure_insert(
-    succ: Dict[T, Set[T]],
-    pred: Dict[T, Set[T]],
-    sub: T,
-    sup: T,
-    undo: Optional[List[Pair]] = None,
-) -> None:
-    """Insert ``(sub, sup)`` into a reflexive-transitively-closed relation.
-
-    The relation is held *mutably* as successor/predecessor maps in
-    which every registered element maps to a set containing at least
-    itself.  The closure is delta-updated: every predecessor of *sub*
-    gains every successor of *sup* — ``O(|down(sub)| · |up(sup)|)`` for
-    one edge instead of re-closing the whole relation.  This is the
-    primitive under :class:`repro.perf.closure.ClosureBuilder` and the
-    reason folding n schemas costs one closure, not n.
-
-    When *undo* is given, every pair actually added is appended to it,
-    so a caller composing several inserts can roll the maps back to
-    their prior state by discarding exactly those pairs — rollback cost
-    proportional to the work done, not the relation size.
-
-    Raises :class:`ValueError` if the edge would create a non-trivial
-    cycle (``sup`` already strictly reaches ``sub``); callers translate
-    this into their domain error.
-    """
-    succ_sub = succ.setdefault(sub, {sub})
-    pred.setdefault(sub, {sub})
-    succ.setdefault(sup, {sup})
-    pred.setdefault(sup, {sup})
-    if sup in succ_sub:
-        return
-    if sub in succ[sup]:
-        raise ValueError(f"inserting ({sub!r}, {sup!r}) creates a cycle")
-    sups = succ[sup]
-    for lower in tuple(pred[sub]):
-        gained = sups - succ[lower]
-        if not gained:
-            continue
-        succ[lower] |= gained
-        for upper in gained:
-            pred[upper].add(lower)
-        if undo is not None:
-            undo.extend((lower, upper) for upper in gained)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """The set bit positions of *mask*, ascending.
 
@@ -182,22 +134,17 @@ def closure_insert_bits(
     pred: List[int],
     sub: int,
     sup: int,
-    undo: Optional[List[Tuple[bool, int, int]]] = None,
 ) -> None:
     """Insert ``(sub, sup)`` into a closed relation held as bitmasks.
 
-    The dense-id counterpart of :func:`closure_insert`: node *i*'s
-    up-set is the int ``succ[i]`` (bit *j* set ⇔ ``i ==> j``) and its
-    down-set is ``pred[i]``, both reflexive (own bit always set).  The
-    delta is the same ``down(sub) × up(sup)`` rectangle, but each inner
-    set union is one ``|`` on a Python int — the whole row is updated
-    word-parallel instead of element-by-element, which is where the
-    bitset engine's constant factor comes from.
-
-    When *undo* is given, every mask actually changed is recorded as
-    ``(is_succ, node, gained_bits)``; :func:`closure_undo_bits` replays
-    the log to restore the prior state exactly (the gained bits were by
-    construction absent before, so ``&= ~gained`` is a perfect inverse).
+    Node *i*'s up-set is the int ``succ[i]`` (bit *j* set ⇔ ``i ==> j``)
+    and its down-set is ``pred[i]``, both reflexive (own bit always set).
+    The closure is delta-updated: every node in ``down(sub)`` gains all of
+    ``up(sup)`` — one edge costs that rectangle instead of re-closing the
+    whole relation, and each inner set union is one ``|`` on a Python int,
+    so a whole row is updated word-parallel.  This is the primitive under
+    :class:`repro.perf.closure.ClosureBuilder` and the reason folding n
+    schemas costs one closure, not n.
 
     Raises :class:`ValueError` if the edge would create a non-trivial
     cycle (``sup`` already strictly reaches ``sub``), leaving the masks
@@ -217,8 +164,6 @@ def closure_insert_bits(
         gained = up & ~succ[lower]
         if gained:
             succ[lower] |= gained
-            if undo is not None:
-                undo.append((True, lower, gained))
     mask = up
     while mask:
         low = mask & -mask
@@ -227,27 +172,6 @@ def closure_insert_bits(
         gained = down & ~pred[upper]
         if gained:
             pred[upper] |= gained
-            if undo is not None:
-                undo.append((False, upper, gained))
-
-
-def closure_undo_bits(
-    succ: List[int],
-    pred: List[int],
-    undo: List[Tuple[bool, int, int]],
-) -> None:
-    """Roll back a sequence of :func:`closure_insert_bits` calls.
-
-    Each record's gained bits were absent before its insert and no two
-    records overlap on the same (side, node) bits, so clearing them in
-    any order restores the exact prior masks — rollback cost is
-    proportional to the work done, not the relation size.
-    """
-    for is_succ, node, gained in reversed(undo):
-        if is_succ:
-            succ[node] &= ~gained
-        else:
-            pred[node] &= ~gained
 
 
 def is_reflexive(relation: AbstractSet[Pair], universe: Iterable[T]) -> bool:

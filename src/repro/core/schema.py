@@ -39,7 +39,6 @@ True
 
 from __future__ import annotations
 
-import itertools
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -47,6 +46,7 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Tuple,
@@ -91,34 +91,6 @@ SpecLike = Tuple[NameLike, NameLike]
 # constructions of the same value skip validation entirely.
 _ARROW_INTERN = InternTable("schema.arrows", maxsize=1 << 17)
 _SCHEMA_INTERN = InternTable("schema.schemas", maxsize=4096)
-
-# Per-process identity tokens for memo keys (see _schema_token): a small
-# int per Schema *instance*, monotonic in creation order.
-_TOKEN_COUNTER = itertools.count()
-
-
-def _schema_token(schema: "Schema") -> int:
-    """A small per-process int identifying this Schema instance.
-
-    Memo caches (``repro.core.ordering``, ``repro.core.lower``) key on
-    tokens instead of the schemas themselves: hashing a token is one
-    int hash rather than a (possibly large) frozenset-triple hash, and
-    interning makes pointer identity the common case for equal schemas,
-    so the token is an honest proxy.  Distinct-but-equal instances get
-    distinct tokens — that only costs a duplicate cache line, never a
-    wrong answer.
-
-    The fallback path serves instances created through
-    ``object.__new__`` without the slot populated (the
-    :mod:`repro.perf.reference` oracle); tokens are assigned on first
-    use, which is observationally pure on an immutable value.
-    """
-    try:
-        return schema._token
-    except AttributeError:
-        token = next(_TOKEN_COUNTER)
-        object.__setattr__(schema, "_token", token)
-        return token
 
 
 def _coerce_arrow(edge: ArrowLike) -> Arrow:
@@ -237,7 +209,6 @@ class Schema:
         "_reach_cache",
         "_dense",
         "_strict_cache",
-        "_token",
     )
 
     def __new__(
@@ -264,7 +235,6 @@ class Schema:
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_reach_cache", None)
         object.__setattr__(self, "_dense", None)
-        object.__setattr__(self, "_token", next(_TOKEN_COUNTER))
         if cls is Schema:
             _SCHEMA_INTERN.put(key, self)
         return self
@@ -351,7 +321,6 @@ class Schema:
         object.__setattr__(instance, "_hash", hash_value)
         object.__setattr__(instance, "_reach_cache", reach_index)
         object.__setattr__(instance, "_dense", dense)
-        object.__setattr__(instance, "_token", next(_TOKEN_COUNTER))
         if cls is Schema:
             _SCHEMA_INTERN.put(key, instance)
         return instance

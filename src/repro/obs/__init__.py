@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from repro.obs import _state
 from repro.obs.exporters import JsonlExporter, parse_jsonl, prometheus_text
-from repro.obs.instrument import register_cache_gauges, timed, traced
+from repro.obs.instrument import timed, traced
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -80,7 +80,6 @@ __all__ = [
     "is_enabled",
     "parse_jsonl",
     "prometheus_text",
-    "register_cache_gauges",
     "registry",
     "render_spans",
     "span",

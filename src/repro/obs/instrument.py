@@ -1,4 +1,4 @@
-"""Instrumentation glue: decorators and cache-to-registry bindings.
+"""Instrumentation glue: decorators that thread telemetry through code.
 
 The pieces that thread telemetry through existing code without that
 code growing registry boilerplate:
@@ -6,10 +6,7 @@ code growing registry boilerplate:
 * :func:`traced` — wrap a function in a :func:`~repro.obs.tracing.span`
   (no-op while the global switch is off);
 * :func:`timed` — record a function's duration into a histogram, only
-  while telemetry is enabled (the call itself always proceeds);
-* :func:`register_cache_gauges` — publish an existing structure's live
-  counters as callback gauges, the zero-hot-path-cost way stats-bearing
-  caches (:class:`repro.perf.memo.MemoCache`) join the registry.
+  while telemetry is enabled (the call itself always proceeds).
 
 >>> from repro.obs import _state
 >>> from repro.obs.metrics import MetricsRegistry
@@ -27,25 +24,19 @@ code growing registry boilerplate:
 4950
 >>> registry.get("doc.work.duration").count
 1
->>> hits = {"hits": 7}
->>> gauges = register_cache_gauges(
-...     "doc.cache", "example", {"hits": lambda: hits["hits"]},
-...     registry=registry)
->>> registry.value("doc.cache.hits", cache="example")
-7
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs import _state
-from repro.obs.metrics import REGISTRY, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
 from repro.obs.tracing import span
 
-__all__ = ["register_cache_gauges", "timed", "traced"]
+__all__ = ["timed", "traced"]
 
 
 def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
@@ -99,24 +90,3 @@ def timed(
 
     return decorate
 
-
-def register_cache_gauges(
-    prefix: str,
-    cache_name: str,
-    fields: Dict[str, Callable[[], Any]],
-    registry: Optional[MetricsRegistry] = None,
-) -> List[Gauge]:
-    """Publish live counters as ``<prefix>.<field>{cache=<name>}`` gauges.
-
-    Each field maps to a callback gauge reading the owner's counter at
-    snapshot time, so the owner's hot path never touches the registry.
-    Registration is last-wins: re-creating a cache under the same name
-    re-points the gauges at the new instance.
-    """
-    registry = REGISTRY if registry is None else registry
-    return [
-        registry.register(
-            Gauge(f"{prefix}.{field}", fn=reader, cache=cache_name)
-        )
-        for field, reader in sorted(fields.items())
-    ]

@@ -8,7 +8,7 @@ Three instrument kinds, all cheap enough to leave permanently enabled:
   lock).
 * :class:`Gauge` — a point-in-time value, either set directly (``set``)
   or computed on read from a callback (``fn=...``).  Callback gauges
-  are how existing structures (memo caches, the service registry)
+  are how existing structures (the service registry, for one)
   publish their live state without a write on *their* hot path.
 * :class:`Histogram` — a streaming latency distribution over fixed
   log-spaced buckets.  Observations cost a bisect plus two adds and

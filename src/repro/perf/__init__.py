@@ -15,31 +15,25 @@ preserved cold-path reference implementations in
   mutable reach/specialization index and closes arrows once at the
   end, instead of n full re-closures; ``Schema.with_arrows`` /
   ``with_spec`` delta-update in the same spirit;
-* **bounded memoization** (:mod:`repro.perf.memo`) — ``is_sub``,
-  ``compatible`` and ``annotated_leq`` results are cached keyed on the
-  interned operands.  Immutability means there is no invalidation
-  protocol, only an LRU memory bound;
 * **dense-id bitset kernels** (:mod:`repro.perf.namespace` +
   :mod:`repro.perf.closure`) — each component's interned names map to
   dense integer ids, class sets become Python-int bitmasks, and the
-  closure kernels run as bulk word-parallel OR/AND.  The pre-bitset
-  set-based engine is preserved verbatim in :mod:`repro.perf.setwise`
-  as the benchmark baseline and secondary test oracle.
+  closure kernels run as bulk word-parallel OR/AND.
 
 ``engine_stats()`` / ``clear_caches()`` are the operational surface:
 benchmarks report the former, tests use the latter to force cold paths.
 
 This ``__init__`` imports only the core-free primitives; the builder
 (which imports ``repro.core.schema``) loads lazily via PEP 562 so that
-the core modules themselves can import ``repro.perf.interning`` and
-``repro.perf.memo`` without a cycle.
+the core modules themselves can import ``repro.perf.interning``
+without a cycle.
 
->>> from repro.core import ordering  # registers its memo caches
+>>> from repro.core.schema import Schema  # registers its intern tables
 >>> from repro.perf import ClosureBuilder, clear_caches, engine_stats
 >>> sorted(engine_stats())
-['intern', 'memo']
+['intern']
 >>> clear_caches()  # cold-start; never changes any result
->>> engine_stats()["memo"]["ordering.is_sub"]["size"]
+>>> engine_stats()["intern"]["schema.schemas"]["size"]
 0
 >>> builder = ClosureBuilder().add_spec_edge("Puppy", "Dog")
 >>> builder.is_spec("Puppy", "Dog")
@@ -55,39 +49,33 @@ from repro.perf.interning import (
     clear_intern_tables,
     intern_stats,
 )
-from repro.perf.memo import MemoCache, cache_stats, clear_memo_caches
 
 __all__ = [
     "InternTable",
-    "MemoCache",
     "NameSpace",
     "ClosureBuilder",
     "DenseClosure",
-    "SetwiseClosureBuilder",
     "intern_stats",
-    "cache_stats",
     "engine_stats",
     "clear_caches",
     "clear_intern_tables",
-    "clear_memo_caches",
 ]
 
 
 def engine_stats() -> Dict[str, Dict[str, Any]]:
-    """One merged view of every intern table and memo cache."""
-    return {"intern": intern_stats(), "memo": cache_stats()}
+    """One merged view of every intern table."""
+    return {"intern": intern_stats()}
 
 
 def clear_caches() -> None:
     """Reset the whole engine to a cold state.
 
-    Safe at any point: interning and memoization are transparent, so
-    clearing only costs the next calls their warm-up.  Used by property
+    Safe at any point: interning is transparent, so clearing only costs
+    the next calls their warm-up.  Used by property
     tests to compare cold and warm paths, and by long-running services
     to shed memory between workloads.
     """
     clear_intern_tables()
-    clear_memo_caches()
 
 
 def __getattr__(attr: str) -> Any:
@@ -99,8 +87,4 @@ def __getattr__(attr: str) -> Any:
         from repro.perf.namespace import NameSpace
 
         return NameSpace
-    if attr == "SetwiseClosureBuilder":
-        from repro.perf.setwise import SetwiseClosureBuilder
-
-        return SetwiseClosureBuilder
     raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")

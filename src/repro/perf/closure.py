@@ -30,10 +30,9 @@ without re-walking schema object graphs (``repro.io.json_io``).
 The builder is the engine room of ``repro.core.ordering.join_all`` and
 is public API for callers that accumulate schemas over time (sessions,
 streaming merges): add schemas as they arrive, ``build()`` when a
-closed value is needed, keep adding afterwards.  The pre-rewrite
-set-based engine survives verbatim in :mod:`repro.perf.setwise` as the
-benchmark baseline, and :mod:`repro.perf.reference` remains the
-pre-engine property-test oracle.
+closed value is needed, keep adding afterwards.
+:mod:`repro.perf.reference` remains the pre-engine property-test
+oracle.
 
 Process-wide work counters (``closure.inserts``,
 ``closure.arrows_swept``, ``closure.components_rebuilt``) report into

@@ -16,7 +16,7 @@ objects alone cannot:
 
 A ``NameSpace`` is append-only in normal operation — an id, once
 assigned, always denotes the same name, which is what makes masks
-stored anywhere (closure rows, memo keys, snapshots) stable.  The one
+stored anywhere (closure rows, snapshots) stable.  The one
 sanctioned exception is :meth:`truncate`, which rolls back a *freshly
 interned tail* during the atomic-``add_schema`` failure path of
 :class:`repro.perf.closure.ClosureBuilder`.

@@ -7,7 +7,7 @@ two jobs:
   :func:`reference_join_all` against the engine's ``join_all`` and
   records the speedup in ``BENCH_merge_engine.json``;
 * the **property-test oracle** — ``tests/test_perf_engine.py`` asserts
-  on randomized schemas that the interned/memoized/incremental paths
+  on randomized schemas that the interned/incremental paths
   return values *equal* to these direct computations.
 
 They intentionally re-derive everything from scratch: the naive
@@ -94,7 +94,7 @@ def reference_join_all(schemas: Iterable[Schema]) -> Schema:
 
 
 def reference_is_sub(left: Schema, right: Schema) -> bool:
-    """The unmemoized component-wise containment test."""
+    """The component-wise containment test on flat arrow sets."""
     return (
         left.classes <= right.classes
         and left.arrows <= right.arrows
@@ -103,7 +103,7 @@ def reference_is_sub(left: Schema, right: Schema) -> bool:
 
 
 def reference_compatible(*schemas: Schema) -> bool:
-    """The unmemoized compatibility check (full union closure)."""
+    """The compatibility check by full union closure."""
     all_classes: Set = set()
     union_spec: Set = set()
     for g in schemas:
@@ -116,7 +116,7 @@ def reference_compatible(*schemas: Schema) -> bool:
 def reference_annotated_leq(
     left: AnnotatedSchema, right: AnnotatedSchema
 ) -> bool:
-    """The unmemoized refined ordering of section 6."""
+    """The refined ordering of section 6, by per-arrow lookups."""
     if not (left.classes <= right.classes and left.spec <= right.spec):
         return False
     table_left = left.participation_table()

@@ -1,34 +1,24 @@
 """Typed results for the public :class:`~repro.service.MergeService` API.
 
-Historically ``register()`` and ``query()`` returned raw dictionaries;
-callers indexed them by string key and nothing documented (or froze)
-the shape.  This module replaces those with frozen dataclasses —
-:class:`RegisterReceipt` and :class:`QueryResult` — that are immutable
-(safe to cache and to share across threads without copying), carry the
-wire-format version, and still *read* like the old dicts through a
-one-release deprecation shim: ``receipt["generation"]`` works but warns;
-``receipt.generation`` is the supported spelling.  ``to_dict()`` is the
-blessed conversion for JSON serialization and never warns.
+``register()``, ``retire()`` and ``query()`` return frozen dataclasses —
+:class:`RegisterReceipt`, :class:`RetireReceipt` and
+:class:`QueryResult` — that are immutable (safe to cache and to share
+across threads without copying) and compare by value.  Fields are read
+as attributes; ``to_dict()`` is the conversion for JSON serialization.
 
 >>> receipt = RegisterReceipt(accepted=2, components=2, generation=1)
 >>> receipt.generation
 1
 >>> receipt.to_dict()
 {'accepted': 2, 'components': 2, 'generation': 1}
->>> receipt == {"accepted": 2, "components": 2, "generation": 1}
+>>> receipt == RegisterReceipt(accepted=2, components=2, generation=1)
 True
->>> import warnings
->>> with warnings.catch_warnings(record=True) as caught:
-...     warnings.simplefilter("always")
-...     receipt["generation"], caught[0].category.__name__
-(1, 'DeprecationWarning')
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterator, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from repro.core.names import ClassName
 from repro.core.schema import Schema
@@ -39,66 +29,8 @@ __all__ = ["API_FORMAT", "RegisterReceipt", "QueryResult", "RetireReceipt"]
 API_FORMAT = "repro.api/1"
 
 
-def _warn_dict_access(type_name: str) -> None:
-    warnings.warn(
-        f"dict-style access on {type_name} is deprecated and will be "
-        f"removed next release; use the attribute, or .to_dict() for a "
-        f"plain mapping",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class _DictCompat:
-    """The deprecation shim: mapping-style reads over a frozen dataclass.
-
-    Subscripting and iteration warn; equality against a mapping is
-    silent (it asserts nothing about how the caller will *access* the
-    value).  ``to_dict()`` is the supported conversion.
-    """
-
-    def to_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def __getitem__(self, key: str) -> Any:
-        _warn_dict_access(type(self).__name__)
-        return self.to_dict()[key]
-
-    def keys(self) -> Iterator[str]:
-        _warn_dict_access(type(self).__name__)
-        return iter(self.to_dict().keys())
-
-    def __iter__(self) -> Iterator[str]:
-        _warn_dict_access(type(self).__name__)
-        return iter(self.to_dict())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_dict()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return all(
-                getattr(self, f.name) == getattr(other, f.name)
-                for f in fields(self)  # type: ignore[arg-type]
-            )
-        if isinstance(other, Mapping):
-            return self.to_dict() == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:
-        return hash(
-            tuple(getattr(self, f.name) for f in fields(self))  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RegisterReceipt(_DictCompat):
+@dataclass(frozen=True)
+class RegisterReceipt:
     """The outcome of one atomic ``register()`` batch.
 
     *accepted* counts every schema in the batch (empty schemas are
@@ -120,8 +52,8 @@ class RegisterReceipt(_DictCompat):
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RetireReceipt(_DictCompat):
+@dataclass(frozen=True)
+class RetireReceipt:
     """The outcome of one ``retire()`` call.
 
     *versions* lists the version numbers withdrawn by this call (already
@@ -145,8 +77,8 @@ class RetireReceipt(_DictCompat):
         }
 
 
-@dataclass(frozen=True, eq=False)
-class QueryResult(_DictCompat):
+@dataclass(frozen=True)
+class QueryResult:
     """Everything the merged view asserts about one class name.
 
     All sequence fields are sorted tuples, so two results over the same

@@ -1,8 +1,6 @@
 """Generation-stamped snapshot caches for the merge service.
 
-The engine-level caches (:mod:`repro.perf.memo`) never invalidate —
-their keys are immutable values.  A *service* cache is different: the
-answer to ``merged_view("Dog")`` depends on which schemas have been
+The answer to ``merged_view("Dog")`` depends on which schemas have been
 registered so far, so every entry is stamped with the generation it was
 computed at and checked against the current generation on lookup.
 
@@ -45,12 +43,29 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, NamedTuple, Opt
 
 from repro.obs.metrics import REGISTRY, Counter
 from repro.perf.closure import DenseClosure
-from repro.sentinels import Sentinel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.schema import Schema
 
 __all__ = ["ComponentSnapshot", "SnapshotCache"]
+
+
+class Sentinel:
+    """A unique marker object with a readable repr.
+
+    Distinct from every cacheable value (``None`` and ``False`` are
+    legitimate cache entries).  Equality is identity (inherited from
+    ``object``), so callers compare with ``is`` against the specific
+    instance; two sentinels with the same name are still distinct.
+    """
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return f"<{self._name}>"
 
 
 class ComponentSnapshot(NamedTuple):

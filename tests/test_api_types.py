@@ -1,16 +1,14 @@
-"""Tests for repro.service.api_types — typed results and the compat shim.
+"""Tests for repro.service.api_types — typed results.
 
-The API redesign's contract: ``register`` and ``query`` return frozen
-dataclasses that (a) are immutable and hashable, (b) compare equal to
-the dict shape they replaced without warning, and (c) still *subscript*
-like those dicts for exactly one release, loudly.
+The API contract: ``register``, ``retire`` and ``query`` return frozen
+dataclasses that are immutable, hashable and compare by value; fields
+are read as attributes and ``to_dict()`` gives the JSON-ready shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -66,16 +64,6 @@ class TestRegisterReceipt:
         doc = json.loads(json.dumps(receipt.to_dict()))
         assert doc == {"accepted": 2, "components": 2, "generation": 1}
 
-    def test_equality_with_mapping_is_silent(self, receipt):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert receipt == {
-                "accepted": 2,
-                "components": 2,
-                "generation": 1,
-            }
-            assert receipt != {"accepted": 0, "components": 2, "generation": 1}
-
     def test_equality_with_same_type(self, receipt):
         twin = RegisterReceipt(accepted=2, components=2, generation=1)
         other = RegisterReceipt(accepted=2, components=2, generation=9)
@@ -83,19 +71,10 @@ class TestRegisterReceipt:
         assert receipt != other
         assert hash(receipt) == hash(twin)
 
-    def test_subscription_works_but_warns(self, receipt):
-        with pytest.deprecated_call():
-            assert receipt["generation"] == 1
-
-    def test_iteration_warns(self, receipt):
-        with pytest.deprecated_call():
-            assert sorted(receipt) == ["accepted", "components", "generation"]
-
-    def test_contains_is_silent(self, receipt):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert "generation" in receipt
-            assert "nope" not in receipt
+    def test_no_mapping_access(self, receipt):
+        with pytest.raises(TypeError):
+            receipt["generation"]
+        assert receipt != receipt.to_dict()
 
 
 class TestRetireReceipt:
@@ -123,20 +102,6 @@ class TestRetireReceipt:
             "generation": 7,
         }
 
-    def test_equality_with_mapping_is_silent(self, retirement):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert retirement == {
-                "name": "pets",
-                "versions": [1, 2],
-                "components": 3,
-                "generation": 7,
-            }
-
-    def test_subscription_works_but_warns(self, retirement):
-        with pytest.warns(DeprecationWarning):
-            assert retirement["versions"] == [1, 2]
-
     def test_hashable(self, retirement):
         assert hash(retirement) == hash(
             RetireReceipt(name="pets", versions=(1, 2), components=3,
@@ -156,15 +121,6 @@ class TestQueryResult:
         assert doc["class"] == "Dog"
         assert doc["component"] == result.component
         assert doc["arrows_out"] == (("owner", "Person"),)
-
-    def test_equality_with_legacy_dict_shape(self, result):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert result == result.to_dict()
-
-    def test_subscription_warns_once_per_access(self, result):
-        with pytest.deprecated_call():
-            assert result["class"] == "Dog"
 
     def test_hashable_and_cache_safe(self, result):
         assert {result: "cached"}[result] == "cached"

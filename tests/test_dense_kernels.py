@@ -2,10 +2,9 @@
 
 The dense representation (``repro.perf.namespace`` ids + Python-int
 bitmask kernels in ``repro.perf.closure``) must be observationally
-identical to both preserved oracles: the cold pre-engine reference
-(:mod:`repro.perf.reference`) and the pre-bitset set-based engine
-(:mod:`repro.perf.setwise`).  Every test here drives the same workload
-through all implementations and asserts equality — on results, on the
+identical to the cold pre-engine reference (:mod:`repro.perf.reference`).
+Every test here drives the same workload through both implementations
+and asserts equality — on results, on the
 cycle-detection failure path (including atomic rollback of the id
 table), and on the dense snapshot codec that serializes a component
 without re-walking its object graph.
@@ -27,7 +26,6 @@ from repro.perf.reference import (
     reference_is_sub,
     reference_join_all,
 )
-from repro.perf.setwise import SetwiseClosureBuilder, setwise_join_all
 from repro.service import MergeService
 from tests.conftest import schemas
 
@@ -87,13 +85,11 @@ class TestOracleEquality:
         except IncompatibleSchemasError:
             with pytest.raises(IncompatibleSchemasError):
                 reference_join_all(family)
-            with pytest.raises(IncompatibleSchemasError):
-                setwise_join_all(family)
             return
-        assert merged == reference_join_all(family)
-        assert merged == setwise_join_all(family)
-        assert merged.spec == reference_join_all(family).spec
-        assert merged.arrows == reference_join_all(family).arrows
+        oracle = reference_join_all(family)
+        assert merged == oracle
+        assert merged.spec == oracle.spec
+        assert merged.arrows == oracle.arrows
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_families_equal(self, seed):
@@ -106,9 +102,7 @@ class TestOracleEquality:
             spec_density=0.12,
             seed=seed,
         )
-        merged = join_all(family)
-        assert merged == reference_join_all(family)
-        assert merged == setwise_join_all(family)
+        assert join_all(family) == reference_join_all(family)
 
     @pytest.mark.parametrize(
         "family",
@@ -116,9 +110,7 @@ class TestOracleEquality:
         ids=["chain", "diamonds", "label-heavy", "spec-only"],
     )
     def test_pathological_families_equal(self, family):
-        merged = join_all(family)
-        assert merged == reference_join_all(family)
-        assert merged == setwise_join_all(family)
+        assert join_all(family) == reference_join_all(family)
 
     @RELAXED
     @given(schemas(), schemas())
@@ -133,15 +125,15 @@ class TestOracleEquality:
         assert is_sub(merged, left) == reference_is_sub(merged, left)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_reach_rows_equal_setwise(self, seed):
-        """The dense reach decode matches the set-based engine row-wise."""
+    def test_reach_rows_equal_reference(self, seed):
+        """The dense reach decode matches the reference closure row-wise."""
         family = random_schema_family(
             n_schemas=12, pool_size=30, n_classes=8, n_labels=4,
             arrow_density=0.3, spec_density=0.1, seed=seed,
         )
         dense_builder = ClosureBuilder().add_schemas(family)
-        setwise_builder = SetwiseClosureBuilder(family)
-        assert dense_builder.build() == setwise_builder.build()
+        oracle = reference_join_all(family)
+        assert dense_builder.build() == oracle
         state = dense_builder.dense_state()
         decoded = {
             (str(state.names[src]), label): {
@@ -151,12 +143,11 @@ class TestOracleEquality:
             }
             for (src, label), mask in state.reach.items()
         }
-        setwise_index = {
+        oracle_index = {
             (str(src), label): {str(t) for t in targets}
-            for (src, label), targets in
-            setwise_builder.build()._reach_index().items()
+            for (src, label), targets in oracle._reach_index().items()
         }
-        assert decoded == setwise_index
+        assert decoded == oracle_index
 
 
 class TestCycleDetection:
@@ -180,7 +171,7 @@ class TestCycleDetection:
     @RELAXED
     @given(families, st.randoms(use_true_random=False))
     def test_cycle_behavior_matches_reference(self, family, rng):
-        """Randomly reverse spec edges; all engines agree on failure."""
+        """Randomly reverse spec edges; engine and reference agree on failure."""
         edges = sorted(
             {
                 (str(p), str(q))
@@ -199,11 +190,8 @@ class TestCycleDetection:
         except IncompatibleSchemasError:
             with pytest.raises(IncompatibleSchemasError):
                 reference_join_all(family)
-            with pytest.raises(IncompatibleSchemasError):
-                setwise_join_all(family)
             return
         assert merged == reference_join_all(family)
-        assert merged == setwise_join_all(family)
 
     def test_failed_fold_leaves_dense_state_valid(self):
         builder = ClosureBuilder().add_schemas(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import implicit, merge
 from repro.core.assertions import isa
 from repro.core.consistency import ConsistencyRelation
 from repro.core.implicit import implicit_classes_of
@@ -12,6 +13,7 @@ from repro.core.proper import is_proper
 from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError, InconsistentSchemasError
 from repro.figures import figure3_schemas, figure4_schemas
+from repro.generators.workloads import get_workload
 
 
 class TestWeakMerge:
@@ -107,6 +109,20 @@ class TestUpperMerge:
             one, two, consistency=ConsistencyRelation.permissive()
         )
         assert ImplicitName(["B1", "B2"]) in merged.classes
+
+    def test_imp_computed_once_without_consistency(self, monkeypatch):
+        calls = []
+
+        def counting(schema):
+            calls.append(schema)
+            return original(schema)
+
+        original = implicit.implicit_sets
+        monkeypatch.setattr(implicit, "implicit_sets", counting)
+        monkeypatch.setattr(merge, "implicit_sets", counting)
+        views = get_workload("views-small").schemas()
+        upper_merge(*views)
+        assert len(calls) == 1
 
     def test_user_assertion_changes_merge(self):
         # Asserting B1 ==> B2 removes the need for an implicit class.

@@ -30,9 +30,8 @@ from repro.obs import _state
 from repro.obs.exporters import JsonlExporter, parse_jsonl, prometheus_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import _NULL_SPAN, render_spans, span, tracer
-from repro.sentinels import Sentinel
 from repro.service import MergeService
-from repro.service.snapshots import SnapshotCache
+from repro.service.snapshots import Sentinel, SnapshotCache
 
 
 @pytest.fixture(autouse=True)
@@ -319,11 +318,8 @@ class TestExporters:
 
 class TestSentinels:
     def test_shared_sentinel_class(self):
-        from repro.perf.memo import MemoCache
-
-        assert isinstance(MemoCache.MISS, Sentinel)
         assert isinstance(SnapshotCache.MISS, Sentinel)
-        assert MemoCache.MISS is not SnapshotCache.MISS
+        assert Sentinel("SnapshotCache.MISS") is not SnapshotCache.MISS
         assert repr(SnapshotCache.MISS) == "<SnapshotCache.MISS>"
 
 
@@ -532,28 +528,6 @@ class TestSnapshotCacheTelemetry:
         assert registry.value("snapshot.hits", cache="t.reporting") == 1
         assert (
             registry.value("snapshot.revalidations", cache="t.reporting") == 0
-        )
-
-
-class TestMemoGauges:
-    def test_memo_caches_publish_gauges(self):
-        from repro.core.ordering import is_sub
-
-        registry = obs.registry()
-        hits_before = registry.value("memo.hits", cache="ordering.is_sub")
-        misses_before = registry.value("memo.misses", cache="ordering.is_sub")
-        left = _schema(("Dog", "owner", "Person"))
-        right = _schema(
-            ("Dog", "owner", "Person"), ("Dog", "walks", "Park")
-        )
-        assert is_sub(left, right) and is_sub(left, right)
-        assert (
-            registry.value("memo.misses", cache="ordering.is_sub")
-            >= misses_before + 1
-        )
-        assert (
-            registry.value("memo.hits", cache="ordering.is_sub")
-            >= hits_before + 1
         )
 
 
