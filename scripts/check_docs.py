@@ -14,13 +14,18 @@ with no arguments::
    repo path in ``README.md`` and ``docs/*.md`` must exist on disk.
    Only tokens under the known source roots are treated as paths, so
    prose code spans (``repro.service``, shell invocations, generated
-   artifacts) are not false positives.
+   artifacts) are not false positives.  A ``path.py:symbol`` span
+   (the path repo-relative or under ``src/repro/``) must also name a
+   ``def``, a ``class`` or a top-level assignment in that file (a
+   dotted ``Class.method`` is resolved class by class), so a doc
+   citing a deleted or moved function fails.
 
 Exit code: 0 all green, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import re
@@ -84,6 +89,7 @@ TOP_LEVEL_FILES = {
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
+SYMBOL_SPAN = re.compile(r"`([\w./-]+\.py):([\w.]+)`")
 
 
 def check_doctests() -> int:
@@ -107,11 +113,60 @@ def _candidate_paths(text: str):
         yield target.split("#", 1)[0], "link"
     for match in CODE_SPAN.finditer(text):
         # First shell word only: `benchmarks/runner.py --suite service`
-        # names the file, the rest is invocation.
+        # names the file, the rest is invocation.  `path.py:symbol`
+        # spans are checked by check_symbols.
         token = match.group(1).split()[0] if match.group(1).split() else ""
-        token = token.split(":", 1)[0]  # `core/schema.py:_closure_index`
         if token.startswith(PATH_ROOTS) or token in TOP_LEVEL_FILES:
-            yield token, "code span"
+            yield token.split(":", 1)[0], "code span"
+
+
+def _definitions(body: list) -> dict:
+    """The defs, classes and assignments of one module or class body."""
+    found = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def resolves(path: Path, symbol: str) -> bool:
+    """Does dotted *symbol* name a definition in *path*?
+
+    The first part is looked up among the module's top-level names,
+    each later part in the body of the class the previous part named,
+    so ``Class.method`` passes only if ``method`` is defined in
+    ``Class`` itself.
+    """
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for part in symbol.split("."):
+        node = _definitions(body).get(part)
+        if node is None:
+            return False
+        body = node.body if isinstance(node, ast.ClassDef) else []
+    return True
+
+
+def check_symbols() -> int:
+    """Every `path.py:symbol` span names a definition in that file."""
+    failures = 0
+    for doc in DOC_FILES:
+        for match in SYMBOL_SPAN.finditer(doc.read_text(encoding="utf-8")):
+            target, symbol = match.groups()
+            path = next(
+                (p for p in (ROOT / target, ROOT / "src/repro" / target)
+                 if p.is_file()),
+                None,
+            )
+            if path is None or not resolves(path, symbol):
+                print(
+                    f"  BROKEN symbol in {doc.relative_to(ROOT)}: "
+                    f"{target}:{symbol}"
+                )
+                failures += 1
+    return failures
 
 
 def check_links() -> int:
@@ -140,7 +195,7 @@ def main() -> int:
     print("doctests:")
     doctest_failures = check_doctests()
     print("doc links:")
-    link_failures = check_links()
+    link_failures = check_links() + check_symbols()
     if doctest_failures or link_failures:
         print(
             f"FAIL: {doctest_failures} doctest failure(s), "

@@ -50,8 +50,7 @@ def is_sub(left: Schema, right: Schema) -> bool:
     if not (left.classes <= right.classes and left.spec <= right.spec):
         return False
     # E1 ⊆ E2 checked row-wise on the reach indexes — the grouped form of
-    # the same relation, and free on engine-built schemas (their flat
-    # arrow set materializes lazily; no need to here).
+    # the same relation, so the flat arrow sets are never decoded.
     right_index = right._reach_index()
     return all(
         targets <= right_index.get(row, frozenset())

@@ -80,17 +80,23 @@ def properness_violations(
     The returned minimal-target sets are exactly the witnesses that the
     properization of section 4.2 turns into implicit classes.
     """
-    found = []
-    spec = schema.spec
-    for (cls, label), targets in sorted(
-        schema._reach_index().items(),
-        key=lambda item: (sort_key(item[0][0]), item[0][1]),
-    ):
-        if relations.least_element(targets, spec) is None:
-            found.append(
-                (cls, label, relations.minimal_elements(targets, spec))
-            )
-    return found
+    # Reach rows are W2-closed (upward closed), so a row has a least
+    # target exactly when it *is* that target's up-set: one set lookup
+    # per row on the masks, and nothing decodes unless a row fails.
+    dense = schema._dense
+    up_sets = set(dense.succ)
+    failing = sorted(
+        (
+            (dense.names[src], label)
+            for (src, label), tmask in dense.reach.items()
+            if tmask not in up_sets
+        ),
+        key=lambda row: (sort_key(row[0]), row[1]),
+    )
+    return [
+        (cls, label, schema.min_classes(schema.reach(cls, label)))
+        for cls, label in failing
+    ]
 
 
 def is_proper(schema: Schema) -> bool:

@@ -21,6 +21,11 @@ already is a weak schema; the far more convenient classmethod
 missing reflexive edges, un-inherited arrows) and computes the closures,
 which is how every example in the paper is written down.
 
+Internally a schema is one :class:`DenseClosure`: the classes as a
+dense id table, ``S`` as one up-set bitmask per class and ``E`` as one
+target bitmask per ``(source, label)`` row.  The name-level relations
+are views decoded from those masks on first use.
+
 Proper schemas (section 2) are weak schemas satisfying an extra
 canonicality condition; see :mod:`repro.core.proper`.
 
@@ -49,16 +54,17 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
+    Set,
     Tuple,
     Union,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.perf.closure import DenseClosure
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from repro.perf.closure import ClosureBuilder
 
 from repro.core import relations
 from repro.core.names import (
-    BaseName,
     ClassName,
     GenName,
     ImplicitName,
@@ -68,13 +74,10 @@ from repro.core.names import (
     names,
     sort_key,
 )
-from repro.exceptions import (
-    IncompatibleSchemasError,
-    SchemaValidationError,
-)
+from repro.exceptions import SchemaValidationError
 from repro.perf.interning import InternTable
 
-__all__ = ["Arrow", "SpecEdge", "Schema"]
+__all__ = ["Arrow", "SpecEdge", "Schema", "DenseClosure"]
 
 
 Arrow = Tuple[ClassName, Label, ClassName]
@@ -84,11 +87,15 @@ NameLike = Union[ClassName, str]
 ArrowLike = Tuple[NameLike, Label, NameLike]
 SpecLike = Tuple[NameLike, NameLike]
 
+#: Closed arrow rows on dense ids: ``(source_id, label) → bitset of
+#: target ids`` — the arrow relation as :class:`DenseClosure` holds it.
+RowTable = Dict[Tuple[int, Label], int]
+
 # Hash-consing tables (see repro.perf).  Arrows entering through the
 # public coercion path share one canonical tuple per (source, label,
-# target), and every closed schema is interned on its component triple,
-# so structurally equal schemas are usually pointer-equal and repeated
-# constructions of the same value skip validation entirely.
+# target), and every schema is interned on its masks, so structurally
+# equal schemas built from name-level data are pointer-equal and
+# repeated constructions of the same value skip validation entirely.
 _ARROW_INTERN = InternTable("schema.arrows", maxsize=1 << 17)
 _SCHEMA_INTERN = InternTable("schema.schemas", maxsize=4096)
 
@@ -117,74 +124,219 @@ def _coerce_spec(edge: SpecLike) -> SpecEdge:
     return (name(sub), name(sup))
 
 
-def _closure_index(
-    arrows: Iterable[Arrow],
-    below: Mapping[ClassName, AbstractSet[ClassName]],
-    above: Mapping[ClassName, AbstractSet[ClassName]],
-) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
-    """The W1/W2-closed reach index ``{(p, a): R(p, a)}`` of an arrow set.
+def _builder_of(dense: "DenseClosure") -> "ClosureBuilder":
+    """*dense* revived as a closure builder, to extend or re-close it."""
+    from repro.perf.closure import ClosureBuilder  # imports this module
 
-    *below*/*above* map each class to its down-/up-set in an already
-    reflexive, transitive specialization (a class absent from a map is
-    treated as related only to itself).
+    return ClosureBuilder.from_dense(dense)
 
-    The naive closure enumerates ``below(source) × above(target)`` per
-    input arrow, re-adding the same closed arrow once per derivation —
-    ~4.2M ``set.add`` calls for an output of 19k arrows on the 200-schema
-    benchmark.  This version deduplicates first (group raw arrows by
-    ``(source, label)``, expand targets upward once) and then pushes each
-    group down the specialization with bulk ``set.update``, so the work
-    is proportional to the number of *distinct* (class, label) rows, not
-    the number of derivations.
+
+class DenseClosure:
+    """A closed weak schema on dense ids — the representation of :class:`Schema`.
+
+    *names* is the id table (position = dense id), *succ* the
+    reflexive-transitive specialization closure (``succ[i]`` bit *j*
+    set ⇔ ``i ==> j``), *reach* the W1/W2-closed arrow rows keyed on
+    ``(source_id, label)``.  Every relation is integers, so a snapshot
+    encoder writes each name exactly once and never walks a schema
+    object graph (``repro.io.json_io``), and the name-level views of a
+    ``Schema`` decode lazily, on first use.
+
+    >>> from repro.perf.closure import ClosureBuilder
+    >>> state = (ClosureBuilder().add_spec_edge("Puppy", "Dog")
+    ...          .add_arrow("Dog", "owner", "Person").dense_state())
+    >>> len(state.names), state.to_schema().has_arrow("Puppy", "owner", "Person")
+    (3, True)
     """
-    expanded: Dict[Tuple[ClassName, Label], set] = {}
-    for source, label, target in arrows:
-        bucket = expanded.get((source, label))
-        if bucket is None:
-            bucket = expanded[(source, label)] = set()
-        sups = above.get(target)
-        if sups:
-            bucket.update(sups)
-        else:
-            bucket.add(target)
-    out: Dict[Tuple[ClassName, Label], set] = {}
-    for (source, label), targets in expanded.items():
-        for sub in below.get(source) or (source,):
-            existing = out.get((sub, label))
-            if existing is None:
-                out[(sub, label)] = set(targets)
-            else:
-                existing.update(targets)
-    return {key: frozenset(targets) for key, targets in out.items()}
 
+    __slots__ = ("names", "succ", "reach")
 
-def _index_arrows(
-    index: Dict[Tuple[ClassName, Label], FrozenSet[ClassName]],
-) -> FrozenSet[Arrow]:
-    """Flatten a reach index back into the closed arrow relation."""
-    return frozenset(
-        (source, label, target)
-        for (source, label), targets in index.items()
-        for target in targets
-    )
+    def __init__(
+        self,
+        names: Tuple[ClassName, ...],
+        succ: Tuple[int, ...],
+        reach: RowTable,
+    ) -> None:
+        self.names = names  # frozen-after-init
+        self.succ = succ  # frozen-after-init
+        self.reach = reach  # frozen-after-init
 
+    def validate(self) -> None:
+        """Check the weak-schema invariants; raise :class:`ValueError` if broken.
 
-def _arrow_closure(
-    arrows: AbstractSet[Arrow], spec: AbstractSet[SpecEdge]
-) -> FrozenSet[Arrow]:
-    """Close an arrow set under W1 and W2 given a transitive, reflexive spec.
+        Used on untrusted input: the snapshot decoder and the validating
+        :class:`Schema` constructor.  Every check runs on masks: id
+        ranges, reflexivity, transitivity and antisymmetry per node and
+        reachable pair, and W1/W2-closedness by re-sweeping through
+        the closure engine (the sweep is idempotent on closed rows, so
+        closed input must re-sweep to itself).
+        """
+        names = self.names
+        succ = self.succ
+        n = len(names)
+        if len(succ) != n:
+            raise ValueError("succ table length differs from the id table")
+        full = (1 << n) - 1
+        for i, mask in enumerate(succ):
+            if mask & ~full:
+                raise ValueError(f"succ[{i}] references ids outside the table")
+        for (src, label), tmask in self.reach.items():
+            if not 0 <= src < n or tmask & ~full or not tmask:
+                raise ValueError(
+                    f"arrow row ({src}, {label!r}) references ids outside "
+                    "the table or is empty"
+                )
+        for i, mask in enumerate(succ):
+            if not (mask >> i) & 1:
+                raise ValueError(
+                    "specialization relation is not reflexive over C; "
+                    f"missing {names[i]} ==> {names[i]}"
+                )
+        for i, mask in enumerate(succ):
+            for j in relations.iter_bits(mask):
+                lost = succ[j] & ~mask
+                if lost:
+                    k = lost.bit_length() - 1
+                    raise ValueError(
+                        "specialization relation is not transitive; "
+                        f"{names[i]} ==> {names[j]} ==> {names[k]} but not "
+                        f"{names[i]} ==> {names[k]}"
+                    )
+                if i != j and (succ[j] >> i) & 1:
+                    raise ValueError(
+                        "specialization relation is not antisymmetric; "
+                        f"cycle: {names[i]} ==> {names[j]} ==> {names[i]}"
+                    )
+        swept = _builder_of(self).dense_state().reach
+        if swept != self.reach:
+            missing = sorted(
+                (sort_key(names[src]), label, sort_key(names[t]), src, t)
+                for (src, label), up in swept.items()
+                for t in relations.iter_bits(up & ~self.reach.get((src, label), 0))
+            )[:3]
+            pretty = ", ".join(
+                f"{names[src]} --{label}--> {names[t]}"
+                for _s, label, _t, src, t in missing
+            )
+            raise ValueError(
+                f"arrow relation is not W1/W2-closed; missing e.g. {pretty}"
+            )
 
-    With ``S`` already reflexive and transitive a single pass suffices:
-    every arrow ``q --a--> s`` induces ``p --a--> r`` for all ``p ==> q``
-    and ``s ==> r``.
-    """
-    return _index_arrows(
-        _closure_index(
-            arrows,
-            relations.predecessors_map(spec),
-            relations.successors_map(spec),
+    def reindexed(self, names: Sequence[ClassName]) -> "DenseClosure":
+        """The same closure over *names*, a permutation of this id table."""
+        pos = {cls: k for k, cls in enumerate(names)}
+        perm = [pos[cls] for cls in self.names]
+        moved: Dict[int, int] = {}
+
+        def move(mask: int) -> int:
+            out = moved.get(mask)
+            if out is None:
+                out = 0
+                for i in relations.iter_bits(mask):
+                    out |= 1 << perm[i]
+                moved[mask] = out
+            return out
+
+        succ = [0] * len(perm)
+        for i, mask in enumerate(self.succ):
+            succ[perm[i]] = move(mask)
+        reach = {
+            (perm[src], label): move(tmask)
+            for (src, label), tmask in self.reach.items()
+        }
+        return DenseClosure(tuple(names), tuple(succ), reach)
+
+    def decode_index(
+        self,
+    ) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
+        """The name-level reach index ``{(p, a): R(p, a)}`` of the rows.
+
+        Masks repeat heavily across rows (W1 pushes the same expanded
+        target set down a whole subtree), so target sets are decoded
+        once per distinct mask.
+        """
+        names = self.names
+        decode: Dict[int, FrozenSet[ClassName]] = {}
+        index: Dict[Tuple[ClassName, Label], FrozenSet[ClassName]] = {}
+        for (src, label), tmask in self.reach.items():
+            targets = decode.get(tmask)
+            if targets is None:
+                targets = decode[tmask] = frozenset(
+                    names[i] for i in relations.iter_bits(tmask)
+                )
+            index[(names[src], label)] = targets
+        return index
+
+    def decode_spec(self) -> FrozenSet[SpecEdge]:
+        """The name-level specialization closure of the ``succ`` table."""
+        names = self.names
+        rows_memo: Dict[int, Tuple[ClassName, ...]] = {}
+        spec: Set[SpecEdge] = set()
+        for i, mask in enumerate(self.succ):
+            ups = rows_memo.get(mask)
+            if ups is None:
+                ups = rows_memo[mask] = tuple(
+                    names[j] for j in relations.iter_bits(mask)
+                )
+            sub = names[i]
+            for sup in ups:
+                spec.add((sub, sup))
+        return frozenset(spec)
+
+    def to_schema(self) -> "Schema":
+        """This closure as an (interned) :class:`Schema`."""
+        return Schema._from_dense(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DenseClosure):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and self.succ == other.succ
+            and self.reach == other.reach
         )
-    )
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.succ))
+
+    def __repr__(self) -> str:
+        return (
+            f"DenseClosure(classes={len(self.names)}, "
+            f"rows={len(self.reach)})"
+        )
+
+
+def _encode(
+    classes: Iterable[ClassName],
+    arrows: Iterable[Arrow],
+    spec: Iterable[SpecEdge],
+) -> DenseClosure:
+    """Name-level components as masks, ids in ``sort_key`` order — no closing.
+
+    The canonical id order makes the encoding a function of the value:
+    equal triples encode to identical masks, hence one intern key.
+    """
+    order = tuple(sorted(frozenset(classes), key=sort_key))
+    pos = {cls: k for k, cls in enumerate(order)}
+    succ = [0] * len(order)
+    for sub, sup in spec:
+        i, j = pos.get(sub), pos.get(sup)
+        if i is None or j is None:
+            raise SchemaValidationError(
+                f"specialization {sub} ==> {sup} mentions a class outside C"
+            )
+        succ[i] |= 1 << j
+    reach: RowTable = {}
+    for source, label, target in arrows:
+        i, j = pos.get(source), pos.get(target)
+        if i is None or j is None:
+            raise SchemaValidationError(
+                f"arrow {source} --{label}--> {target} mentions a class "
+                "outside C"
+            )
+        key = (i, label)
+        reach[key] = reach.get(key, 0) | 1 << j
+    return DenseClosure(order, tuple(succ), reach)
 
 
 class Schema:
@@ -195,21 +347,25 @@ class Schema:
     schema and raises :class:`~repro.exceptions.SchemaValidationError`
     otherwise.
 
-    Equality and hashing are structural, so two independently built
-    schemas with the same classes, arrows and specializations compare
-    equal — which is what lets the test suite assert "our merge equals
-    the paper's figure" directly.
+    Every schema is one :class:`DenseClosure`; the name-level
+    relations (:attr:`arrows`, :attr:`spec`, the reach index) are views
+    decoded from it on first use.  Equality and hashing are structural,
+    so two independently built schemas with the same classes, arrows
+    and specializations compare equal — which is what lets the test
+    suite assert "our merge equals the paper's figure" directly.
     """
 
     __slots__ = (
         "_classes",
+        "_dense",
+        "_hash",
         "_arrows",
         "_spec",
-        "_hash",
         "_reach_cache",
-        "_dense",
-        "_strict_cache",
+        "_layout",
     )
+    _classes: FrozenSet[ClassName]
+    _dense: DenseClosure
 
     def __new__(
         cls,
@@ -217,162 +373,53 @@ class Schema:
         arrows: AbstractSet[Arrow],
         spec: AbstractSet[SpecEdge],
     ):
-        classes = frozenset(classes)
-        arrows = frozenset(arrows)
-        spec = frozenset(spec)
-        key = (classes, arrows, spec)
-        if cls is Schema:
-            cached = _SCHEMA_INTERN.get(key)
-            if cached is not None:
-                # An equal schema was already validated; components equal
-                # to a valid weak schema's are themselves valid.
-                return cached
-        cls._validate(classes, arrows, spec)
-        self = object.__new__(cls)
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_arrows", arrows)
-        object.__setattr__(self, "_spec", spec)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_reach_cache", None)
-        object.__setattr__(self, "_dense", None)
-        if cls is Schema:
-            _SCHEMA_INTERN.put(key, self)
-        return self
-
-    def __init__(
-        self,
-        classes: AbstractSet[ClassName],
-        arrows: AbstractSet[Arrow],
-        spec: AbstractSet[SpecEdge],
-    ):
         # Construction (validation, interning) happens in __new__ so the
         # intern table can return the canonical instance.
-        pass
+        return cls._from_dense(_encode(classes, arrows, spec), validate=True)
 
     @classmethod
     def _from_closed(
         cls,
-        classes: FrozenSet[ClassName],
-        arrows: Optional[FrozenSet[Arrow]],
-        spec: Optional[FrozenSet[SpecEdge]],
-        reach_index: Optional[
-            Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]
-        ] = None,
-        dense: Optional["DenseClosure"] = None,
+        classes: AbstractSet[ClassName],
+        arrows: AbstractSet[Arrow],
+        spec: AbstractSet[SpecEdge],
     ) -> "Schema":
-        """Internal: wrap components already known to be valid.
+        """Internal: wrap name-level components already known to be closed.
 
-        Used by :meth:`build` and the incremental update paths (which
-        have just computed the closures themselves) to avoid re-deriving
-        them during validation — the dominant cost on large merges.
+        Encodes them into masks without closing or validating them.
         Library-internal only; every public path still validates.
-
-        *reach_index*, when supplied, pre-populates the reach cache with
-        the index the closure computation produced as a by-product.
-
-        *arrows* may be ``None`` when *reach_index* or *dense* is given:
-        the flat arrow relation is then materialized lazily, on first
-        access to :attr:`arrows` (or to the structural hash).  The dense
-        closure engine goes one step further and passes *dense* (a
-        ``repro.perf.closure.DenseClosure``) with ``spec=None``: the
-        specialization closure and the whole name-level reach index are
-        decoded lazily too, so ``join_all`` hands back a view over
-        id-space bitmasks without walking a single target set — the
-        zero-copy handoff.  Semantics are unchanged: the dense rows
-        *are* the closed relations, just in id space.  Lazy schemas
-        intern on keys embedding the grouped rows (for dense schemas,
-        the id table plus both mask tables, which determine every
-        component) — key spaces disjoint from the eager
-        ``(classes, arrows, spec)`` key (tuple arities and element
-        shapes differ) except at the empty schema, where all denote the
-        same value.
         """
-        if arrows is None:
-            if dense is not None:
-                key: Tuple[object, ...] = (
-                    classes,
-                    dense.names,
-                    dense.succ,
-                    frozenset(dense.reach.items()),
-                )
-            else:
-                assert reach_index is not None and spec is not None
-                key = (
-                    classes,
-                    spec,
-                    frozenset(reach_index.items()),
-                )
-            hash_value: Optional[int] = None
-        else:
-            key = (classes, arrows, spec)
-            hash_value = hash(key)
-        if cls is Schema:
-            # Same guard as __new__: subclasses must not receive (or
-            # leak) base-class instances through the intern table.
-            cached = _SCHEMA_INTERN.get(key)
-            if cached is not None:
-                if reach_index is not None and cached._reach_cache is None:
-                    object.__setattr__(cached, "_reach_cache", reach_index)
-                return cached
+        return cls._from_dense(_encode(classes, arrows, spec))
+
+    @classmethod
+    def _from_dense(
+        cls, dense: DenseClosure, validate: bool = False
+    ) -> "Schema":
+        """The schema represented by *dense* — interned on its masks.
+
+        An equal key was validated when first seen, so a hit skips
+        validation entirely.  *validate* maps the dense checks onto
+        :class:`~repro.exceptions.SchemaValidationError`.
+        """
+        key = (dense.names, dense.succ, frozenset(dense.reach.items()))
+        cached = _SCHEMA_INTERN.get(key)
+        if cached is not None:
+            return cached
+        if validate:
+            for label in {label for _src, label in dense.reach}:
+                check_label(label)
+            try:
+                dense.validate()
+            except ValueError as exc:
+                raise SchemaValidationError(str(exc)) from None
         instance = object.__new__(cls)
-        object.__setattr__(instance, "_classes", classes)
-        object.__setattr__(instance, "_arrows", arrows)
-        object.__setattr__(instance, "_spec", spec)
-        object.__setattr__(instance, "_hash", hash_value)
-        object.__setattr__(instance, "_reach_cache", reach_index)
+        object.__setattr__(instance, "_classes", frozenset(dense.names))
         object.__setattr__(instance, "_dense", dense)
-        if cls is Schema:
-            _SCHEMA_INTERN.put(key, instance)
-        return instance
+        return _SCHEMA_INTERN.put(key, instance)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _validate(
-        classes: FrozenSet[ClassName],
-        arrows: FrozenSet[Arrow],
-        spec: FrozenSet[SpecEdge],
-    ) -> None:
-        for cls in classes:
-            if not isinstance(cls, (BaseName, ImplicitName, GenName)):
-                raise SchemaValidationError(f"not a class name: {cls!r}")
-        for source, label, target in arrows:
-            check_label(label)
-            if source not in classes or target not in classes:
-                raise SchemaValidationError(
-                    f"arrow {source} --{label}--> {target} mentions a class "
-                    "outside C"
-                )
-        for sub, sup in spec:
-            if sub not in classes or sup not in classes:
-                raise SchemaValidationError(
-                    f"specialization {sub} ==> {sup} mentions a class outside C"
-                )
-        if not relations.is_reflexive(spec, classes):
-            raise SchemaValidationError(
-                "specialization relation is not reflexive over C"
-            )
-        if not relations.is_transitive(spec):
-            raise SchemaValidationError(
-                "specialization relation is not transitive"
-            )
-        if not relations.is_antisymmetric(spec):
-            cycle = relations.find_cycle(spec) or ()
-            raise SchemaValidationError(
-                "specialization relation is not antisymmetric; cycle: "
-                + " ==> ".join(str(c) for c in cycle)
-            )
-        # W1 and W2 in one check: arrows must already be their own closure.
-        closure = _arrow_closure(arrows, spec)
-        if closure != arrows:
-            missing = closure - arrows
-            sample = sorted(missing, key=lambda e: (sort_key(e[0]), e[1]))[:3]
-            pretty = ", ".join(f"{s} --{a}--> {t}" for s, a, t in sample)
-            raise SchemaValidationError(
-                f"arrow relation is not W1/W2-closed; missing e.g. {pretty}"
-            )
 
     @classmethod
     def build(
@@ -393,34 +440,24 @@ class Schema:
 
         This mirrors how the paper draws schemas: "edges in E implied by
         constraint 2 will be omitted" — the reader (here: the builder)
-        restores them.
+        restores them.  The closure is one
+        :class:`~repro.perf.closure.ClosureBuilder` sweep with ids in
+        canonical ``sort_key`` order, so equal inputs intern as one
+        object.
         """
+        from repro.perf.closure import ClosureBuilder  # imports this module
+
         class_set = set(names(classes))
-        arrow_set = {_coerce_arrow(edge) for edge in arrows}
-        spec_set = {_coerce_spec(edge) for edge in spec}
-        for source, _label, target in arrow_set:
+        arrow_list = [_coerce_arrow(edge) for edge in arrows]
+        spec_list = [_coerce_spec(edge) for edge in spec]
+        for source, _label, target in arrow_list:
             class_set.add(source)
             class_set.add(target)
-        for sub, sup in spec_set:
+        for sub, sup in spec_list:
             class_set.add(sub)
             class_set.add(sup)
-        closed_spec = relations.reflexive_transitive_closure(spec_set, class_set)
-        if not relations.is_antisymmetric(closed_spec):
-            cycle = relations.find_cycle(closed_spec) or ()
-            raise IncompatibleSchemasError(
-                "specialization edges form a cycle: "
-                + " ==> ".join(str(c) for c in cycle),
-                cycle=cycle,
-            )
-        index = _closure_index(
-            arrow_set,
-            relations.predecessors_map(closed_spec),
-            relations.successors_map(closed_spec),
-        )
-        closed_arrows = _index_arrows(index)
-        return cls._from_closed(
-            frozenset(class_set), closed_arrows, closed_spec, reach_index=index
-        )
+        order = sorted(class_set, key=sort_key)
+        return cls._from_dense(ClosureBuilder.close(order, arrow_list, spec_list))
 
     @classmethod
     def empty(cls) -> "Schema":
@@ -438,45 +475,35 @@ class Schema:
 
     @property
     def arrows(self) -> FrozenSet[Arrow]:
-        """The full (W1/W2-closed) arrow relation ``E``.
-
-        Schemas produced by the dense closure engine carry the relation
-        as a reach index (or as id-space bitmask rows) and flatten it
-        here, once, on first access — derived data over an immutable
-        value, so the backfill is observationally pure.
-        """
-        cached = self._arrows
-        if cached is None:
-            cached = _index_arrows(self._reach_index())
-            object.__setattr__(self, "_arrows", cached)
-        return cached
+        """The full (W1/W2-closed) arrow relation ``E``, decoded on first use."""
+        try:
+            return self._arrows
+        except AttributeError:
+            arrows = frozenset(
+                (source, label, target)
+                for (source, label), targets in self._reach_index().items()
+                for target in targets
+            )
+            object.__setattr__(self, "_arrows", arrows)
+            return arrows
 
     def _arrow_count(self) -> int:
-        """``|E|`` without forcing lazy materialization."""
-        if self._arrows is not None:
-            return len(self._arrows)
-        if self._reach_cache is not None:
-            return sum(len(targets) for targets in self._reach_cache.values())
+        """``|E|`` without decoding."""
         return sum(mask.bit_count() for mask in self._dense.reach.values())
 
     def _spec_count(self) -> int:
-        """``|S|`` without forcing lazy materialization."""
-        if self._spec is not None:
-            return len(self._spec)
+        """``|S|`` without decoding."""
         return sum(mask.bit_count() for mask in self._dense.succ)
 
     @property
     def spec(self) -> FrozenSet[SpecEdge]:
-        """The specialization partial order ``S`` (reflexive & transitive).
-
-        Dense-engine schemas carry ``S`` as id-space ``succ`` masks and
-        decode it here, once, on first access.
-        """
-        cached = self._spec
-        if cached is None:
-            cached = self._dense.decode_spec()
-            object.__setattr__(self, "_spec", cached)
-        return cached
+        """The specialization partial order ``S`` (reflexive & transitive)."""
+        try:
+            return self._spec
+        except AttributeError:
+            spec = self._dense.decode_spec()
+            object.__setattr__(self, "_spec", spec)
+            return spec
 
     def __setattr__(self, key, val):  # pragma: no cover - immutability guard
         raise AttributeError("Schema is immutable")
@@ -487,37 +514,33 @@ class Schema:
             return True
         if not isinstance(other, Schema):
             return NotImplemented
-        if (
-            self._hash is not None
-            and other._hash is not None
-            and self._hash != other._hash
-        ):
-            return False
         if self._classes != other._classes:
             return False
-        mine = getattr(self, "_dense", None)
-        theirs = getattr(other, "_dense", None)
-        if mine is not None and theirs is not None and mine.names == theirs.names:
-            # Both dense over the same id table: compare the bitmask
-            # tables directly — no decoding at all.
-            return mine.succ == theirs.succ and mine.reach == theirs.reach
-        if self.spec != other.spec:
-            return False
-        if self._arrows is not None and other._arrows is not None:
-            return self._arrows == other._arrows
-        # The grouped indexes determine the flat relation (rows are
-        # never empty), so comparing them avoids flattening.
-        return self._reach_index() == other._reach_index()
+        mine, theirs = self._dense, other._dense
+        if mine.names != theirs.names:
+            theirs = theirs.reindexed(mine.names)
+        return mine.succ == theirs.succ and mine.reach == theirs.reach
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # Lazy schemas hash exactly like eager ones — on the
-            # component triple — so mixed eager/lazy equality keeps the
-            # hash contract.  Computed once, cached.
-            h = hash((self._classes, self.arrows, self.spec))
+        try:
+            return self._hash
+        except AttributeError:
+            # Independent of the id order, like equality: per-row target
+            # counts stand in for the target sets.
+            dense = self._dense
+            names = dense.names
+            h = hash(
+                (
+                    self._classes,
+                    self._spec_count(),
+                    frozenset(
+                        (names[src], label, tmask.bit_count())
+                        for (src, label), tmask in dense.reach.items()
+                    ),
+                )
+            )
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __repr__(self) -> str:
         return (
@@ -562,84 +585,66 @@ class Schema:
         Tuple[Tuple[int, int, Optional[Tuple[int, ...]]], ...],
         Tuple[Tuple[int, Label, int, Optional[Tuple[int, ...]]], ...],
     ]:
-        """A *generating* view of the schema as positions into its classes.
+        """A *generating* view of the schema as positions into its id table.
 
         ``ClosureBuilder`` folds schemas repeatedly; resolving each
         class name to a builder id once per schema (via the *order*
-        tuple) and then walking spec edges and reach rows as plain
+        tuple) and then walking spec covers and reach rows as plain
         index tuples keeps name hashing out of the per-element hot
-        loops entirely.  Because a schema's own ``S`` and reach index
-        are already W1/W2-closed, the fold does not need all of them:
-        any generating subset yields the identical union closure
-        (closing is monotone and idempotent, so
-        ``close(∪ Eᵢ) = close(∪ Gᵢ)`` whenever ``close(Gᵢ) = Eᵢ``).
-        Three parts: *order* (the classes), the spec *covers* grouped
-        per subclass as ``(sub_pos, first_sup_pos, rest)`` (transitive
-        and reflexive pairs are regenerated by the builder's rectangle
-        updates), and the reach *generator* rows as flat
-        ``(source_pos, label, first_target_pos, rest)`` quads — for
-        each ``(source, label)`` only the minimal targets not already
-        inherited from a strict superclass's row, since W2 restores
-        the upward target closure and W1 the downward source copies.
-        Cover groups and generator rows are overwhelmingly singular,
-        so the first position rides unwrapped and *rest* is ``None``
-        unless the entry genuinely holds more.
-        Populated on first use — derived data over an immutable value.
+        loops entirely.  Because a schema's own ``S`` and rows are
+        already W1/W2-closed, the fold does not need all of them: any
+        generating subset yields the identical union closure (closing
+        is monotone and idempotent, so ``close(∪ Eᵢ) = close(∪ Gᵢ)``
+        whenever ``close(Gᵢ) = Eᵢ``).  Three parts, all read off the
+        masks: *order* (the id table), the Hasse *covers* grouped per
+        subclass as ``(sub_pos, first_sup_pos, rest)``, superclasses
+        first (transitive and reflexive pairs are regenerated by the
+        builder's rectangle updates), and the *generator* rows as flat
+        ``(source_pos, label, first_target_pos, rest)`` quads — per row
+        only the minimal targets not already inherited from an
+        immediate superclass's row, since W2 restores the upward target
+        closure and W1 the downward source copies.  Cover groups and
+        generator rows are overwhelmingly singular, so the first
+        position rides unwrapped and *rest* is ``None`` unless the
+        entry genuinely holds more.  Populated on first use — derived
+        data over an immutable value.
         """
         try:
-            return self._strict_cache
+            return self._layout
         except AttributeError:
-            order = tuple(self._classes)
-            pos = {cls: k for k, cls in enumerate(order)}
-            strict = {(p, q) for p, q in self.spec if p != q}
-            depth: Dict[ClassName, int] = {}
-            for p, _q in strict:
-                depth[p] = depth.get(p, 0) + 1
-            ups: Dict[int, List[int]] = {}
-            for p, q in relations.covers(self.spec):
-                ups.setdefault(pos[p], []).append(pos[q])
-            # Superclasses first (ascending strict up-set size): each
-            # class's rectangle then propagates its fully-updated
-            # ancestor set in one shot instead of re-pushing later.
-            groups = tuple(
-                (i, sups[0], tuple(sups[1:]) if len(sups) > 1 else None)
-                for i, sups in sorted(
-                    ups.items(), key=lambda g: depth[order[g[0]]]
-                )
-            )
-            sup_names: Dict[ClassName, List[ClassName]] = {}
-            for p, q in strict:
-                sup_names.setdefault(p, []).append(q)
-            index = self._reach_index()
-            index_get = index.get
-            row_list: List[
-                Tuple[int, Label, int, Optional[Tuple[int, ...]]]
-            ] = []
-            for (source, label), targets in index.items():
-                extra = set(targets)
-                for q in sup_names.get(source, ()):
-                    inherited = index_get((q, label))
-                    if inherited:
-                        extra -= inherited
-                if not extra:
-                    continue
-                gen = tuple(
-                    pos[t]
-                    for t in extra
-                    if not any(e is not t and (e, t) in strict for e in extra)
-                )
-                row_list.append(
-                    (
-                        pos[source],
-                        label,
-                        gen[0],
-                        gen[1:] if len(gen) > 1 else None,
-                    )
-                )
-            rows = tuple(row_list)
-            layout = (order, groups, rows)
-            object.__setattr__(self, "_strict_cache", layout)
-            return layout
+            pass
+        dense = self._dense
+        succ = dense.succ
+        reach = dense.reach
+        iter_bits = relations.iter_bits
+        parents: List[int] = []
+        for i, mask in enumerate(succ):
+            ups = mask ^ (1 << i)
+            above = 0
+            for j in iter_bits(ups):
+                above |= succ[j] ^ (1 << j)
+            parents.append(ups & ~above)
+        groups = []
+        for i in sorted(range(len(succ)), key=lambda k: succ[k].bit_count()):
+            sups = list(iter_bits(parents[i]))
+            if sups:
+                groups.append((i, sups[0], tuple(sups[1:]) or None))
+        rows = []
+        for (src, label), tmask in reach.items():
+            inherited = 0
+            for p in iter_bits(parents[src]):
+                inherited |= reach.get((p, label), 0)
+            extra = tmask & ~inherited
+            if not extra:
+                continue
+            above = 0
+            for t in iter_bits(extra):
+                above |= succ[t] ^ (1 << t)
+            gen = list(iter_bits(extra & ~above))
+            rows.append((src, label, gen[0], tuple(gen[1:]) or None))
+        layout = (dense.names, tuple(groups), tuple(rows))
+        object.__setattr__(self, "_layout", layout)
+        return layout
 
     def spec_covers(self) -> FrozenSet[SpecEdge]:
         """The Hasse edges of ``S`` — what the paper's figures draw."""
@@ -647,31 +652,21 @@ class Schema:
 
     def labels(self) -> FrozenSet[Label]:
         """Every arrow label used in the schema."""
-        return frozenset(label for _s, label in self._reach_index())
+        return frozenset(label for _src, label in self._dense.reach)
 
     def _reach_index(self) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
-        """``R(p, a)`` for every populated pair, built once per schema.
+        """``R(p, a)`` for every populated pair, decoded once per schema.
 
-        The index is derived data over an immutable value, so caching
-        it is observationally pure; it turns the hot ``reach`` queries
-        of properization and satisfaction checking from O(|E|) scans
-        into dictionary lookups.
+        Derived data over an immutable value, so caching it is
+        observationally pure; it turns the hot ``reach`` queries of
+        properization and satisfaction checking into dictionary lookups.
         """
-        cached = self._reach_cache
-        if cached is None:
-            dense = getattr(self, "_dense", None)
-            if dense is not None:
-                cached = dense.decode_index()
-            else:
-                collected: Dict[Tuple[ClassName, Label], set] = {}
-                for source, label, target in self._arrows:
-                    collected.setdefault((source, label), set()).add(target)
-                cached = {
-                    key: frozenset(targets)
-                    for key, targets in collected.items()
-                }
-            object.__setattr__(self, "_reach_cache", cached)
-        return cached
+        try:
+            return self._reach_cache
+        except AttributeError:
+            index = self._dense.decode_index()
+            object.__setattr__(self, "_reach_cache", index)
+            return index
 
     def out_labels(self, cls: NameLike) -> FrozenSet[Label]:
         """Labels of arrows leaving *cls* — the candidate key components of §5."""
@@ -809,92 +804,34 @@ class Schema:
         return self.with_arrows([(source, label, target)])
 
     def with_arrows(self, edges: Iterable[ArrowLike]) -> "Schema":
-        """A new schema with extra arrows, closed by *delta update*.
+        """A new schema with extra arrows, re-closed by the engine.
 
-        Because ``S`` is unchanged and ``E`` is already W1/W2-closed,
-        the closure of the extended arrow set is ``E`` plus the one-pass
-        closure of just the additions — ``below(source) × above(target)``
-        per new arrow — so cost scales with the delta, not the schema.
         Endpoints not yet in ``C`` are added (with their reflexive
         specialization), mirroring :meth:`build`.
         """
-        additions = {_coerce_arrow(edge) for edge in edges} - self.arrows
-        if not additions:
-            return self
-        classes = self._classes
-        spec = self.spec
-        new_classes = frozenset(
-            endpoint
-            for source, _label, target in additions
-            for endpoint in (source, target)
-            if endpoint not in classes
-        )
-        if new_classes:
-            classes = classes | new_classes
-            spec = spec | frozenset((c, c) for c in new_classes)
-        delta = _index_arrows(
-            _closure_index(
-                additions,
-                relations.predecessors_map(spec),
-                relations.successors_map(spec),
-            )
-        )
-        return Schema._from_closed(classes, self.arrows | delta, spec)
+        builder = _builder_of(self._dense)
+        for edge in edges:
+            builder.add_arrow(*_coerce_arrow(edge))
+        return Schema._from_dense(builder.dense_state())
 
     def with_spec(self, sub: NameLike, sup: NameLike) -> "Schema":
-        """A new schema with one more specialization edge (delta-closed).
+        """A new schema with one more specialization edge, re-closed.
 
-        The transitive closure gains exactly ``down(sub) × up(sup)``;
-        antisymmetry breaks iff ``sup ==> sub`` already held (the
-        witness cycle is then ``sub ==> sup ==> sub``).  Arrows are
-        re-derived only for the classes whose down-/up-sets changed —
-        every other arrow's W1/W2 consequences are already present.
+        Raises :class:`~repro.exceptions.IncompatibleSchemasError` if
+        ``sup ==> sub`` already held (the witness cycle is then
+        ``sub ==> sup ==> sub``).
         """
-        p, q = name(sub), name(sup)
-        classes = self._classes
-        spec = self.spec
-        added = frozenset(c for c in (p, q) if c not in classes)
-        if added:
-            classes = classes | added
-            spec = spec | frozenset((c, c) for c in added)
-        if (p, q) in spec:
-            if not added:
-                return self
-            return Schema._from_closed(classes, self.arrows, spec)
-        if (q, p) in spec:
-            raise IncompatibleSchemasError(
-                "specialization edges form a cycle: "
-                + " ==> ".join(str(c) for c in (p, q, p)),
-                cycle=(p, q, p),
-            )
-        down = frozenset(x for x, y in spec if y == p) | {p}
-        up = frozenset(y for x, y in spec if x == q) | {q}
-        new_spec = spec | frozenset((x, y) for x in down for y in up)
-        # Down-sets grew for classes above sup; up-sets for those below
-        # sub.  Only arrows touching those classes can close further.
-        affected = [
-            arrow
-            for arrow in self.arrows
-            if arrow[0] in up or arrow[2] in down
-        ]
-        delta = _index_arrows(
-            _closure_index(
-                affected,
-                relations.predecessors_map(new_spec),
-                relations.successors_map(new_spec),
-            )
+        return Schema._from_dense(
+            _builder_of(self._dense).add_spec_edge(sub, sup).dense_state()
         )
-        return Schema._from_closed(classes, self.arrows | delta, new_spec)
 
     def with_class(self, cls: NameLike) -> "Schema":
         """A new schema with one more (isolated) class."""
         extra = name(cls)
         if extra in self._classes:
             return self
-        return Schema(
-            self._classes | {extra},
-            self.arrows,
-            self.spec | {(extra, extra)},
+        return Schema._from_dense(
+            _builder_of(self._dense).add_class(extra).dense_state()
         )
 
     # ------------------------------------------------------------------
@@ -924,6 +861,6 @@ class Schema:
             "implicit_classes": implicit,
             "generalization_classes": general,
             "arrows": self._arrow_count(),
-            "spec_edges": len(self.strict_spec()),
+            "spec_edges": self._spec_count() - len(self._classes),
             "labels": len(self.labels()),
         }

@@ -12,7 +12,7 @@ values, encoded recursively as ``{"implicit": [...]}`` /
 
 Component snapshots (``repro.snapshot/1``) are the exception to the
 "walk the object graph" rule: they encode a
-:class:`~repro.perf.closure.DenseClosure` directly — the id table
+:class:`~repro.core.schema.DenseClosure` directly — the id table
 writes each name exactly once and every relation row is integers (hex
 bitmask strings), so serializing a service component never re-walks
 schema objects.  The decoder validates the dense invariants before
@@ -34,12 +34,12 @@ from repro.core.names import (
     sort_key,
 )
 from repro.core.participation import Participation
-from repro.core.schema import Schema
+from repro.core.relations import iter_bits
+from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import SerializationError
 from repro.instances.instance import Instance
 from repro.models.er import ERAttribute, ERDiagram, EREntity, ERRelationship
 from repro.models.oo import OOAttribute, OOClass, OODiagram
-from repro.perf.closure import DenseClosure
 
 __all__ = [
     "name_to_json",
@@ -105,20 +105,30 @@ def _sorted_names(classes: Any) -> List:
 
 
 def schema_to_dict(schema: Schema) -> Dict[str, Any]:
-    """Encode a schema (full closed relations, deterministic order)."""
+    """Encode a schema (full closed relations, deterministic order).
+
+    Read straight off the schema's masks with ids in ``sort_key`` order,
+    so each class name is encoded once, the rows come out already
+    sorted, and the name-level views are never decoded.
+    """
+    dense = schema._dense
+    order = tuple(sorted(dense.names, key=sort_key))
+    if order != dense.names:
+        dense = dense.reindexed(order)
+    encoded = [name_to_json(c) for c in order]
     return {
         "format": FORMAT_SCHEMA,
-        "classes": _sorted_names(schema.classes),
+        "classes": encoded,
         "arrows": [
-            [name_to_json(s), label, name_to_json(t)]
-            for s, label, t in schema.sorted_arrows()
+            [encoded[src], label, encoded[t]]
+            for (src, label), tmask in sorted(dense.reach.items())
+            for t in iter_bits(tmask)
         ],
         "spec": [
-            [name_to_json(a), name_to_json(b)]
-            for a, b in sorted(
-                schema.strict_spec(),
-                key=lambda e: (sort_key(e[0]), sort_key(e[1])),
-            )
+            [encoded[i], encoded[j]]
+            for i, mask in enumerate(dense.succ)
+            for j in iter_bits(mask)
+            if j != i
         ],
     }
 
@@ -189,7 +199,7 @@ def snapshot_from_dict(doc: Dict[str, Any]) -> DenseClosure:
     documents are welcome), a snapshot claims to *be* closed — the
     decoder checks reflexivity, transitivity, antisymmetry, id ranges
     and W1/W2-closedness via :meth:`DenseClosure.validate
-    <repro.perf.closure.DenseClosure.validate>` and refuses documents
+    <repro.core.schema.DenseClosure.validate>` and refuses documents
     that fail, mapping the domain error onto
     :class:`~repro.exceptions.SerializationError`.
     """

@@ -10,15 +10,16 @@ preserved cold-path reference implementations in
   values are pointer-equal; equality short-circuits on identity and
   hashes are precomputed, which removes the dominant cost of the
   closure computations (element comparison inside big sets of tuples);
-* **incremental closure** (:mod:`repro.perf.closure`) —
-  :class:`ClosureBuilder` folds any number of schemas through one
-  mutable reach/specialization index and closes arrows once at the
-  end, instead of n full re-closures; ``Schema.with_arrows`` /
-  ``with_spec`` delta-update in the same spirit;
+* **incremental closure** (:mod:`repro.perf.closure`) — the one
+  closure engine: :class:`ClosureBuilder` folds any number of schemas
+  through one mutable specialization index and closes arrows once at
+  the end, instead of n full re-closures; ``Schema.build`` and
+  ``Schema.with_*`` close through it too;
 * **dense-id bitset kernels** (:mod:`repro.perf.namespace` +
   :mod:`repro.perf.closure`) — each component's interned names map to
   dense integer ids, class sets become Python-int bitmasks, and the
-  closure kernels run as bulk word-parallel OR/AND.
+  closure kernels run as bulk word-parallel OR/AND.  Every ``Schema``
+  is such a mask table (``repro.core.schema.DenseClosure``).
 
 ``engine_stats()`` / ``clear_caches()`` are the operational surface:
 benchmarks report the former, tests use the latter to force cold paths.

@@ -1,54 +1,54 @@
-"""Incremental closure on dense ids: bitset kernels end to end.
+"""The one closure engine: W1/W2 closure on dense ids, as bitmasks.
 
-``join_all`` folds many schemas through one mutable builder; the first
-engine generation did so with Python sets of interned names.  This
-generation re-represents everything on **dense integer ids**
-(:class:`repro.perf.namespace.NameSpace`): each node's up-/down-set in
-the specialization closure is one Python int used as a bitset, and the
-accumulated arrow pool becomes a table of ``(source_id, label) →
-target bitset`` rows.  The two closure kernels become per-node bulk
-int operations:
+Every :class:`~repro.core.schema.Schema` is a
+:class:`~repro.core.schema.DenseClosure` (an id table, one up-set mask
+per class, one target mask per ``(source_id, label)`` row), and every
+closure in the library is computed here.  A :class:`ClosureBuilder`
+holds the same three things mutably, over a per-component
+:class:`repro.perf.namespace.NameSpace`, and closes them with two
+kernels:
 
 * **edge insertion** (:func:`repro.core.relations.closure_insert_bits`)
   delta-updates the ``down(sub) × up(sup)`` rectangle with one ``|``
-  per affected node — cycles still surface at insertion time, so there
-  is no separate compatibility pass;
-* the **grouped W1/W2 sweep** at :meth:`ClosureBuilder.build` expands
-  each arrow row's targets upward (OR of ``succ`` masks, memoized per
-  distinct target set) and pushes each row down the specialization
-  with one ``|`` per subclass.
+  per affected node — cycles surface at insertion time, so there is
+  no separate compatibility pass;
+* the **grouped W1/W2 sweep** (:meth:`ClosureBuilder._fold_sweep`)
+  expands each raw arrow row's targets upward (OR of ``succ`` masks)
+  and inherits rows down the Hasse diagram of the specialization.
 
 Bulk int OR/AND is *word-parallel*: CPython operates on the limbs of a
 big int in C, so a 60-class component's whole row updates in a couple
-of machine words instead of ~60 hash-and-probe set operations.  The
-swept rows are handed to the finished :class:`~repro.core.schema.Schema`
-*still in dense form* (:class:`DenseClosure`): the name-level reach
-index, the flat arrow relation and their hashes all materialize lazily,
-on first use — which is also what lets a component view serialize
-without re-walking schema object graphs (``repro.io.json_io``).
+of machine words instead of ~60 hash-and-probe set operations.
 
-The builder is the engine room of ``repro.core.ordering.join_all`` and
-is public API for callers that accumulate schemas over time (sessions,
+Entry points: ``Schema.build`` is the one-shot :meth:`ClosureBuilder.close`
+(ids in canonical ``sort_key`` order); ``join_all`` folds whole
+families through one builder (:meth:`ClosureBuilder.add_schemas`,
+reading each schema's generating layout straight off its masks);
+``Schema.with_*`` and the service's warm restart revive a closed value
+as a builder (:meth:`ClosureBuilder.from_dense`).  The builder is also
+public API for callers that accumulate schemas over time (sessions,
 streaming merges): add schemas as they arrive, ``build()`` when a
 closed value is needed, keep adding afterwards.
-:mod:`repro.perf.reference` remains the pre-engine property-test
-oracle.
+:mod:`repro.perf.reference` keeps its own naive set-based closure as
+the property-test oracle.
 
 Process-wide work counters (``closure.inserts``,
 ``closure.arrows_swept``, ``closure.components_rebuilt``) report into
 :data:`repro.obs.metrics.REGISTRY`; they are plain integer adds per
-*structural* operation (edge insertion, full build), far off the
-per-lookup hot paths.
+*structural* builder operation (edge insertion, full build), far off
+the per-lookup hot paths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import relations
 from repro.core.names import ClassName, Label, name
 from repro.core.schema import (
     Arrow,
+    DenseClosure,
+    RowTable,
     Schema,
     SpecEdge,
     _coerce_arrow,
@@ -63,10 +63,6 @@ _INSERTS = REGISTRY.counter("closure.inserts")
 _ARROWS_SWEPT = REGISTRY.counter("closure.arrows_swept")
 _REBUILDS = REGISTRY.counter("closure.components_rebuilt")
 
-#: One closed arrow-row table: ``(source_id, label) → bitset of target
-#: ids`` — the flat form carried by :class:`DenseClosure`.
-RowTable = Dict[Tuple[int, Label], int]
-
 #: Accumulated raw rows, grouped by source id: ``source_id → {label →
 #: OR of every asserted target bitset}``.  Two levels so the hot fold
 #: hashes one small int per source and one label string per row — no
@@ -74,192 +70,14 @@ RowTable = Dict[Tuple[int, Label], int]
 RawRows = Dict[int, Dict[Label, int]]
 
 
-def _sweep(succ: List[int], pred: List[int], rows: RowTable) -> RowTable:
-    """The grouped W1/W2 closure of id-keyed *rows*, entirely on bitmasks.
-
-    W2 first: each row's target set grows to the union of its targets'
-    up-sets (``succ`` masks, OR'd; memoized per distinct input mask —
-    rows repeat target sets heavily across a family).  W1 second: each
-    expanded row is pushed down to every subclass of its source with
-    one OR per subclass.  The result maps every populated
-    ``(class_id, label)`` to the closed reach bitset.
-
-    This standalone form serves :meth:`DenseClosure.validate` (closed
-    rows are a fixpoint of the sweep); the builder's build path runs
-    the same computation fused with target-set encoding in
-    :meth:`ClosureBuilder._fold_sweep`.
-    """
-    up_memo: Dict[int, int] = {}
-    out: RowTable = {}
-    for (src, label), tmask in rows.items():
-        up = up_memo.get(tmask)
-        if up is None:
-            acc = 0
-            mask = tmask
-            while mask:
-                low = mask & -mask
-                acc |= succ[low.bit_length() - 1]
-                mask ^= low
-            up = up_memo[tmask] = acc
-        mask = pred[src]
-        while mask:
-            low = mask & -mask
-            sub = low.bit_length() - 1
-            mask ^= low
-            key = (sub, label)
-            prev = out.get(key)
-            out[key] = up if prev is None else prev | up
-    return out
-
-
-def _decode_spec(
-    names: Tuple[ClassName, ...], succ: Iterable[int]
-) -> FrozenSet[SpecEdge]:
-    """The name-level specialization closure of a ``succ`` mask table."""
-    rows_memo: Dict[int, Tuple[ClassName, ...]] = {}
-    spec: Set[SpecEdge] = set()
-    for i, mask in enumerate(succ):
-        ups = rows_memo.get(mask)
-        if ups is None:
-            ups = rows_memo[mask] = tuple(
-                names[j] for j in relations.iter_bits(mask)
-            )
-        sub = names[i]
-        for sup in ups:
-            spec.add((sub, sup))
-    return frozenset(spec)
-
-
-class DenseClosure:
-    """One component's closed relations in dense form — a value.
-
-    The zero-copy unit of the engine: *names* is the id table (position
-    = dense id), *succ* the reflexive-transitive specialization closure
-    (``succ[i]`` bit *j* set ⇔ ``i ==> j``), *reach* the W1/W2-closed
-    arrow rows keyed on ``(source_id, label)``.  Every relation is
-    integers, so a snapshot encoder writes each name exactly once and
-    never walks a schema object graph (``repro.io.json_io``), and a
-    ``Schema`` backed by one of these decodes the name-level index
-    lazily, on first reach query.
-
-    >>> from repro.perf.closure import ClosureBuilder
-    >>> state = (ClosureBuilder().add_spec_edge("Puppy", "Dog")
-    ...          .add_arrow("Dog", "owner", "Person").dense_state())
-    >>> len(state.names), state.to_schema().has_arrow("Puppy", "owner", "Person")
-    (3, True)
-    """
-
-    __slots__ = ("names", "succ", "reach")
-
-    def __init__(
-        self,
-        names: Tuple[ClassName, ...],
-        succ: Tuple[int, ...],
-        reach: RowTable,
-    ) -> None:
-        self.names = names  # frozen-after-init
-        self.succ = succ  # frozen-after-init
-        self.reach = reach  # frozen-after-init
-
-    def validate(self) -> None:
-        """Check the dense invariants; raise :class:`ValueError` if broken.
-
-        Used by the snapshot decoder on untrusted documents.  All four
-        checks run on masks: reflexivity and range per node, transitivity
-        and antisymmetry per reachable pair, id-range of every arrow
-        row, and W1/W2-closedness by re-sweeping (the sweep is idempotent
-        on closed rows, so closed input must re-sweep to itself).
-        """
-        n = len(self.names)
-        if len(self.succ) != n:
-            raise ValueError("succ table length differs from the id table")
-        full = (1 << n) - 1 if n else 0
-        for i, mask in enumerate(self.succ):
-            if mask & ~full:
-                raise ValueError(f"succ[{i}] references ids outside the table")
-            if not (mask >> i) & 1:
-                raise ValueError(f"specialization not reflexive at id {i}")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                if self.succ[j] & ~mask:
-                    raise ValueError("specialization not transitive")
-                if i != j and (self.succ[j] >> i) & 1:
-                    raise ValueError("specialization not antisymmetric")
-        pred = [0] * n
-        for i, mask in enumerate(self.succ):
-            bit = 1 << i
-            rest = mask
-            while rest:
-                low = rest & -rest
-                pred[low.bit_length() - 1] |= bit
-                rest ^= low
-        for (src, label), tmask in self.reach.items():
-            if not 0 <= src < n or tmask & ~full or not tmask:
-                raise ValueError(
-                    f"arrow row ({src}, {label!r}) references ids outside "
-                    "the table or is empty"
-                )
-        if _sweep(list(self.succ), pred, dict(self.reach)) != self.reach:
-            raise ValueError("arrow rows are not W1/W2-closed")
-
-    def decode_index(
-        self,
-    ) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
-        """The name-level reach index ``{(p, a): R(p, a)}`` of the rows.
-
-        Masks repeat heavily across rows (W1 pushes the same expanded
-        target set down a whole subtree), so target sets are decoded
-        once per distinct mask.
-        """
-        names = self.names
-        decode: Dict[int, FrozenSet[ClassName]] = {}
-        index: Dict[Tuple[ClassName, Label], FrozenSet[ClassName]] = {}
-        for (src, label), tmask in self.reach.items():
-            targets = decode.get(tmask)
-            if targets is None:
-                targets = decode[tmask] = frozenset(
-                    names[i] for i in relations.iter_bits(tmask)
-                )
-            index[(names[src], label)] = targets
-        return index
-
-    def decode_spec(self) -> FrozenSet[SpecEdge]:
-        """The name-level specialization closure of the ``succ`` table."""
-        return _decode_spec(self.names, self.succ)
-
-    def to_schema(self) -> Schema:
-        """The component view as a (lazily materializing) :class:`Schema`."""
-        return Schema._from_closed(frozenset(self.names), None, None, dense=self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseClosure):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.succ == other.succ
-            and self.reach == other.reach
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.succ))
-
-    def __repr__(self) -> str:
-        return (
-            f"DenseClosure(classes={len(self.names)}, "
-            f"rows={len(self.reach)})"
-        )
-
-
 class ClosureBuilder:
     """A mutable accumulator whose ``build()`` is the LUB of everything added.
 
     Invariants: the per-component :class:`NameSpace` assigns dense ids
-    in first-appearance order; ``_succ[i]``/``_pred[i]`` always hold the
-    reflexive-transitive closure of the specialization edges seen so
-    far as bitsets (every registered node's own bit is set), and
+    in first-appearance order (in the given order for :meth:`close`);
+    ``_succ[i]``/``_pred[i]`` always hold the reflexive-transitive
+    closure of the specialization edges seen so far as bitsets (every
+    registered node's own bit is set), and
     ``_rows`` holds the un-closed input arrows as one raw target
     bitset per ``(source_id, label)`` key (the OR of every asserted
     row under that key).  Arrows are closed once, at build time —
@@ -494,6 +312,44 @@ class ClosureBuilder:
         return self
 
     @classmethod
+    def close(
+        cls,
+        order: Sequence[ClassName],
+        arrows: Iterable[Arrow],
+        spec: Sequence[SpecEdge],
+    ) -> DenseClosure:
+        """The one-shot closure behind ``Schema.build``, ids in *order*.
+
+        *order* lists every class exactly once and fixes the id table
+        (``Schema.build`` passes canonical ``sort_key`` order, so equal
+        inputs close to identical masks); *arrows* and *spec* are
+        coerced edges between those classes.  Spec edges insert as
+        rectangle updates, arrows OR into raw rows, and one sweep
+        closes them.  A cycle raises
+        :class:`~repro.exceptions.IncompatibleSchemasError` whose
+        witness is a chain of the given *spec* edges.  Work counters
+        are left alone: they account component folds and rebuilds.
+        """
+        builder = cls.from_dense(
+            DenseClosure(tuple(order), tuple(1 << i for i in range(len(order))), {})
+        )
+        ids = builder._ns._ids
+        try:
+            for sub, sup in spec:
+                builder._insert_edge(ids[sub], ids[sup])
+        except IncompatibleSchemasError:
+            cycle = relations.find_cycle(frozenset(spec)) or ()
+            raise IncompatibleSchemasError(
+                "specialization edges form a cycle: "
+                + " ==> ".join(str(c) for c in cycle),
+                cycle=cycle,
+            ) from None
+        rows = builder._rows
+        for source, label, target in arrows:
+            builder._add_row(rows, source, label, target)
+        return builder.dense_state()
+
+    @classmethod
     def from_dense(cls, dense: DenseClosure) -> "ClosureBuilder":
         """A builder whose accumulated state *is* the given closed value.
 
@@ -584,7 +440,7 @@ class ClosureBuilder:
 
     def spec_pairs(self) -> FrozenSet[SpecEdge]:
         """The current reflexive-transitive specialization closure."""
-        return _decode_spec(self._ns.names(), self._succ)
+        return DenseClosure(self._ns.names(), tuple(self._succ), {}).decode_spec()
 
     def _fold_sweep(
         self,
@@ -726,6 +582,4 @@ class ClosureBuilder:
             out, swept = self._fold_sweep(succ, rows)
         _REBUILDS.inc()
         _ARROWS_SWEPT.inc(swept)
-        names = ns.names()
-        dense = DenseClosure(names, tuple(succ), out)
-        return Schema._from_closed(frozenset(names), None, None, dense=dense)
+        return Schema._from_dense(DenseClosure(ns.names(), tuple(succ), out))

@@ -80,17 +80,9 @@ def reference_join_all(schemas: Iterable[Schema]) -> Schema:
     # Pass 2: the old Schema.build recomputed the very same closure.
     closed_spec = relations.reflexive_transitive_closure(union_spec, all_classes)
     closed_arrows = reference_arrow_closure(all_arrows, closed_spec)
-    # The old build path wrapped validated components directly (no
-    # validation, no interning); bypass Schema.__new__ so the baseline
-    # neither pays the new validation nor benefits from the intern table.
-    classes = frozenset(all_classes)
-    instance = object.__new__(Schema)
-    object.__setattr__(instance, "_classes", classes)
-    object.__setattr__(instance, "_arrows", closed_arrows)
-    object.__setattr__(instance, "_spec", closed_spec)
-    object.__setattr__(instance, "_hash", hash((classes, closed_arrows, closed_spec)))
-    object.__setattr__(instance, "_reach_cache", None)
-    return instance
+    # Wrap the closed components without validating them: every schema
+    # is masks, so this only encodes what the closure above computed.
+    return Schema._from_closed(all_classes, closed_arrows, closed_spec)
 
 
 def reference_is_sub(left: Schema, right: Schema) -> bool:

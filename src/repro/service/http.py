@@ -249,28 +249,38 @@ class HttpFrontend:
         self._writers.add(writer)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
+                # readline raises ValueError past the reader's line limit.
                 try:
+                    request_line = await reader.readline()
+                    if not request_line:
+                        break
                     method, target, version = (
                         request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
                     )
-                except ValueError:
+                    headers: Dict[str, str] = {}
+                    while True:
+                        line = await reader.readline()
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        key, _, value = line.decode("latin-1").partition(":")
+                        headers[key.strip().lower()] = value.strip()
+                    length = int(headers.get("content-length") or 0)
+                    if length < 0:
+                        raise ValueError(f"negative Content-Length {length}")
+                except ValueError as exc:
                     writer.write(
-                        self._encode(400, {"error": "malformed request line"},
-                                     "application/json", False)
+                        self._encode(
+                            400,
+                            {
+                                "error": f"malformed request head: {exc}",
+                                "type": "InvalidRequestError",
+                            },
+                            "application/json",
+                            False,
+                        )
                     )
                     await writer.drain()
                     break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = (
                     version == "HTTP/1.1"

@@ -84,7 +84,7 @@ from pathlib import Path
 
 from repro.check.witness import LockLike, WitnessedLock, witness_active
 from repro.core.names import ClassName, name
-from repro.core.schema import Schema
+from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import (
     CorruptLogError,
     IncompatibleSchemasError,
@@ -261,6 +261,26 @@ class _GroupPlan:
         self.reserved: List[ClassName] = reserved
         self.is_new: bool = is_new
 
+
+def _disjoint_union(parts: List[Schema]) -> Schema:
+    """The union of class-disjoint closed schemas, without re-closing.
+
+    A union of class-disjoint closed schemas is itself closed, so the
+    id tables chain and each part's masks shift past the ids before it.
+    """
+    names: List[ClassName] = []
+    succ: List[int] = []
+    reach: Dict[Tuple[int, str], int] = {}
+    for part in parts:
+        dense = part._dense
+        shift = len(names)
+        names.extend(dense.names)
+        succ.extend(mask << shift for mask in dense.succ)
+        reach.update(
+            ((src + shift, label), tmask << shift)
+            for (src, label), tmask in dense.reach.items()
+        )
+    return DenseClosure(tuple(names), tuple(succ), reach).to_schema()
 
 class MergeService:
     """A thread-safe registry of schemas serving merged views and queries.
@@ -1294,8 +1314,10 @@ class MergeService:
         concurrent commit can only make the assembled view fresher than
         its stamp (a later lookup re-misses; never serves stale).  A
         mid-commit copy can briefly hold both a merged shard and one it
-        absorbed — the absorbed content is a subset of the merge (the
-        join is an upper bound), so the union is unchanged.
+        absorbed.  Such a copy holds a shard stamped past the generation
+        read, and its parts are joined instead of chained: the absorbed
+        content is a subset of the merge (the join is an upper bound),
+        so the result is unchanged.
         """
         tel = self._telemetry
         generation = self._generation
@@ -1314,12 +1336,13 @@ class MergeService:
                 if part_outcome is tel.view_misses:
                     outcome = tel.view_misses
                 parts.append(part)
-            classes = frozenset().union(*(p.classes for p in parts))
-            arrows = frozenset().union(*(p.arrows for p in parts))
-            spec = frozenset().union(*(p.spec for p in parts))
-            # Shards are class-disjoint, so the union of their closed
-            # components is itself closed — no re-closure needed.
-            merged = Schema._from_closed(classes, arrows, spec)
+            if any(shard.generation > generation for shard in shards.values()):
+                # Copied mid-commit: a merged shard (stamped with the
+                # unpublished generation) may sit beside a shard it
+                # absorbed, so the parts overlap — join them.
+                merged = ClosureBuilder(parts).build()
+            else:
+                merged = _disjoint_union(parts)
         return (
             self._snapshot_cache.store(("view", None), merged, generation),
             outcome,
@@ -1434,17 +1457,11 @@ class MergeService:
         if cached is not _MISS:
             return cast(ComponentSnapshot, cached)
         merged, _outcome = self._component_schema(shard)
-        # Engine-built component views carry their dense state; fall
-        # back to re-deriving it from the shard's builder when the view
-        # came out of the intern table as a pre-existing eager schema.
-        dense = getattr(merged, "_dense", None)
-        if dense is None:
-            dense = shard.builder.dense_state()
         snapshot = ComponentSnapshot(
             sid=shard.sid,
             generation=shard.generation,
             schemas=len(shard.schemas),
-            dense=dense,
+            dense=merged._dense,
         )
         self._snapshot_cache.store(
             key, snapshot, generation, stamp=(shard.sid, shard.generation)

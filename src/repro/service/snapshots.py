@@ -39,13 +39,10 @@ True
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, NamedTuple, Optional
+from typing import Any, Callable, Dict, Hashable, NamedTuple, Optional
 
+from repro.core.schema import DenseClosure, Schema
 from repro.obs.metrics import REGISTRY, Counter
-from repro.perf.closure import DenseClosure
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.schema import Schema
 
 __all__ = ["ComponentSnapshot", "SnapshotCache"]
 

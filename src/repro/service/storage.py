@@ -91,7 +91,7 @@ from typing import (
     Union,
 )
 
-from repro.core.schema import Schema
+from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
@@ -107,7 +107,6 @@ from repro.io.json_io import (
     snapshot_to_dict,
 )
 from repro.obs.metrics import REGISTRY
-from repro.perf.closure import DenseClosure
 
 __all__ = [
     "LIFECYCLES",

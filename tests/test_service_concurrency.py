@@ -259,6 +259,47 @@ class TestReadersNeverBlock:
         )
 
 
+class _MidCommitReader(dict):
+    """A shard table that reads the global view at the first ``pop``.
+
+    ``_commit`` installs the merged shard before it drops the shards it
+    absorbed, so the first ``pop`` is the moment a lock-free reader can
+    copy a table that holds both.
+    """
+
+    def __init__(self, table, service):
+        super().__init__(table)
+        self.service = service
+        self.views = []
+
+    def pop(self, *args):
+        if not self.views:
+            self.views.append(self.service.merged_view())
+        return super().pop(*args)
+
+
+class TestGlobalViewMidCommit:
+    def test_view_read_while_a_bridge_commits_equals_join_all(self):
+        pods = [
+            Schema.build(
+                arrows=[(f"Pod{pod}_A", "link", f"Pod{pod}_B")],
+                spec=[(f"Pod{pod}_C", f"Pod{pod}_A")],
+            )
+            for pod in range(3)
+        ]
+        bridge = Schema.build(arrows=[("Pod0_A", "bridge", "Pod1_A")])
+        service = MergeService(pods)
+        assert len(service.components()) == 3
+        table = _MidCommitReader(service._shards, service)
+        service._shards = table
+        service.register([bridge])
+        assert len(table.views) == 1
+        expected = join_all(pods + [bridge])
+        assert table.views[0] == expected
+        assert len(table.views[0].sorted_classes()) == len(expected.classes)
+        assert service.merged_view() == expected
+
+
 class TestFailureModes:
     def test_rollback_under_contention_leaves_no_reservations(self):
         service = MergeService([Schema.build(spec=[("X", "Y")])])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -217,6 +218,29 @@ class TestStatusMapping:
         doc = json.loads(response.read())
         assert response.status == 400
         assert doc["type"] == "InvalidRequestError"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /v1/schemas HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /v1/schemas HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /v1/" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /v1/stats HTTP/1.1\r\nX-Big: " + b"y" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["non-integer-length", "negative-length", "long-line", "long-header"],
+    )
+    def test_malformed_head_is_400_and_closes(self, frontend, head):
+        with socket.create_connection(frontend.address, timeout=10) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400 ")
+        _, _, body = rest.partition(b"\r\n\r\n")
+        doc = json.loads(body)
+        assert doc["type"] == "InvalidRequestError"
+        assert doc["error"].startswith("malformed request head")
 
     def test_wrong_wire_format_is_400(self, conn):
         status, doc = post(conn, "/v1/schemas", {"format": "nope", "schemas": []})
