@@ -38,7 +38,9 @@ rolled back; the registry is unchanged),
 withdrawn, as opposed to never registered),
 :class:`~repro.exceptions.StorageError` → 500 (persistence trouble is
 the server's problem, never the client's request),
-:class:`~repro.exceptions.ServiceShutdownError` → 503.
+:class:`~repro.exceptions.ServiceShutdownError` → 503.  A request
+head that cannot be parsed is answered 400, and one declaring a body
+over :data:`MAX_BODY_BYTES` is answered 413; both close the connection.
 
 >>> import http.client, json
 >>> from repro.service import MergeService
@@ -83,6 +85,10 @@ from repro.service.storage import RegistrationEntry
 
 __all__ = ["HttpFrontend", "serve_http", "status_for"]
 
+#: The largest request body the server reads.  A longer declared
+#: ``Content-Length`` is answered 413 before any body byte is buffered.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 #: Exception → HTTP status, checked in order (most specific first).
 #: The terminal ``SchemaError`` entry is the taxonomy-wide fallback:
 #: every library error is a client-input problem (400) unless a more
@@ -107,6 +113,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     410: "Gone",
+    413: "Content Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -157,7 +164,8 @@ class HttpFrontend:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._writers: set = set()
+        #: Open connections: handler task → its writer.
+        self._connections: Dict[Any, asyncio.StreamWriter] = {}
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -192,9 +200,12 @@ class HttpFrontend:
                 ready.set()
             async with server:
                 await self._stop.wait()
-                # Unpark keep-alive handlers so wait_closed() returns.
-                for writer in list(self._writers):
+                # Unpark keep-alive handlers (their readline sees EOF) and
+                # let them finish, so none is left for asyncio.run to cancel.
+                for writer in list(self._connections.values()):
                     writer.close()
+                if self._connections:
+                    await asyncio.wait(list(self._connections), timeout=10)
         finally:
             self._pool.shutdown(wait=False)
             if ready is not None:
@@ -246,7 +257,8 @@ class HttpFrontend:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 # readline raises ValueError past the reader's line limit.
@@ -268,18 +280,15 @@ class HttpFrontend:
                     if length < 0:
                         raise ValueError(f"negative Content-Length {length}")
                 except ValueError as exc:
-                    writer.write(
-                        self._encode(
-                            400,
-                            {
-                                "error": f"malformed request head: {exc}",
-                                "type": "InvalidRequestError",
-                            },
-                            "application/json",
-                            False,
-                        )
+                    await self._refuse(writer, 400, f"malformed request head: {exc}")
+                    break
+                if length > MAX_BODY_BYTES:
+                    await self._refuse(
+                        writer,
+                        413,
+                        f"request body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit",
                     )
-                    await writer.drain()
                     break
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = (
@@ -302,12 +311,20 @@ class HttpFrontend:
         ):
             pass
         finally:
-            self._writers.discard(writer)
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer a request whose body will not be read (the caller closes)."""
+        error = {"error": message, "type": "InvalidRequestError"}
+        writer.write(self._encode(status, error, "application/json", False))
+        await writer.drain()
 
     @staticmethod
     def _encode(

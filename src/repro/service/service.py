@@ -26,11 +26,11 @@ serializing everything:
   on clones outside the topology lock;
 * **reads take no lock at all.**  Committed :class:`Shard` objects are
   immutable (a mutation publishes a *new* shard object), commits
-  publish in a stale-reads-only order (new shards first, class map
-  second, dead shards dropped third, generation bumped last), and the
-  caches stamp conservatively — so a racing reader sees either the old
-  consistent state or the new one, never a torn one, and a warm
-  ``merged_view`` never waits behind an in-flight ``register``.
+  append their log record first and then publish in a stale-reads-only
+  order (new shards, class map, dead shards dropped, generation bumped
+  last), and the caches stamp conservatively — so a racing reader sees
+  either the old consistent state or the new one, never a torn one,
+  and a warm ``merged_view`` never waits behind an in-flight write.
 
 Writers that race on the same *new* class names are serialized through
 **reservations**: the first validated writer claims the names (mapping
@@ -77,7 +77,7 @@ import itertools
 import threading
 import weakref
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union, cast
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union, cast
 
 from dataclasses import replace as _dc_replace
 from pathlib import Path
@@ -87,7 +87,6 @@ from repro.core.names import ClassName, name
 from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import (
     CorruptLogError,
-    IncompatibleSchemasError,
     InvalidRequestError,
     RetiredSchemaError,
     ServiceShutdownError,
@@ -234,32 +233,33 @@ def _sync_sampling(enabled: bool) -> None:
 _obs_state.subscribe(_sync_sampling)
 
 
-class _GroupPlan:
-    """One validated group of a write plan: where a batch slice lands.
+class _Group:
+    """One component a write touches: planned, then staged, then committed.
 
-    *absorbed* holds the committed shards the group merges (possibly
-    none — then *sid* is freshly allocated), *reserved* the previously
-    unassigned class names this writer claimed for *sid*.  The shard
-    references are captured under the topology lock while the writer
-    holds every involved shard lock, so they cannot change before the
-    commit.
+    *sid* is the component the group commits as, *replaced* the
+    committed shards it supersedes (frozen: the writer holds their
+    locks; none for a fresh sid), *indices* the batch members landing
+    in it, *reserved* the class names this writer claimed for *sid*.
+    Staging sets *builder* (``None`` drops the component) and *members*.
     """
 
-    __slots__ = ("sid", "absorbed", "batch_indices", "reserved", "is_new")
+    __slots__ = ("sid", "replaced", "indices", "reserved", "builder", "members")
 
     def __init__(
-        self,
-        sid: int,
-        absorbed: List[Shard],
-        batch_indices: List[int],
-        reserved: List[ClassName],
-        is_new: bool,
+        self, sid: int, replaced: List[Shard], indices: List[int], reserved: List[ClassName]
     ) -> None:
-        self.sid: int = sid
-        self.absorbed: List[Shard] = absorbed
-        self.batch_indices: List[int] = batch_indices
-        self.reserved: List[ClassName] = reserved
-        self.is_new: bool = is_new
+        self.sid = sid
+        self.replaced = replaced
+        self.indices = indices
+        self.reserved = reserved
+        self.builder: Optional[ClosureBuilder] = None
+        self.members: List[Schema] = []
+
+
+#: ``plan_groups`` output: per group, the shard ids it replaces and its batch indices.
+_Plan = List[Tuple[Set[int], List[int]]]
+#: A write's lifecycle-table delta plus the log record describing it.
+_Delta = Tuple[Dict[str, Tuple[VersionState, ...]], LogRecord]
 
 
 def _disjoint_union(parts: List[Schema]) -> Schema:
@@ -357,11 +357,6 @@ class MergeService:
         #: True only while single-threaded recovery replays the log —
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
-        #: During replay: the component sids the record being applied
-        #: committed, forced onto fresh groups so the recovered registry
-        #: hands out the same component ids the original did (rollbacks
-        #: and plan retries burn ids that committed history never sees).
-        self._replay_sids: Optional[Tuple[int, ...]] = None
         _SERVICES.add(self)
         self._recover()
         initial = list(schemas)
@@ -514,17 +509,17 @@ class MergeService:
         the state it recorded (Hellerstein-style: same log, same state)."""
         try:
             if record.kind == "register":
-                self._replay_sids = record.sids or None
-                try:
-                    self.register(record.entries)
-                finally:
-                    self._replay_sids = None
+                # The recorded sids are forced onto fresh groups so the
+                # recovered registry hands out the component ids the
+                # original did (rollbacks and plan retries burn ids that
+                # committed history never sees).
+                self._register(record.entries, record.sids or None)
             elif record.kind == "retire":
                 if record.name is None:
                     raise CorruptLogError(
                         f"log record {seq} retires without a schema name"
                     )
-                self.retire(record.name)
+                self._retire(record.name, record.versions)
             else:
                 raise CorruptLogError(
                     f"log record {seq} has unknown kind {record.kind!r}"
@@ -545,18 +540,6 @@ class MergeService:
                 f"generation {record.generation} — the log and the "
                 f"registry have diverged"
             )
-
-    def _append_log(self, record: LogRecord) -> None:  # requires-lock: _topology
-        """Append one committed mutation (no-op while replaying).
-
-        Called inside the commit critical section so log order equals
-        commit order — the property that makes replay deterministic.
-        The fsync happens under the topology lock: readers never take
-        that lock, so only concurrent *writers* wait behind the flush.
-        """
-        if self._replaying:
-            return
-        self._log_seq = self._storage.append(record)
 
     def save(self) -> int:
         """Cut a full snapshot set now; returns the covered log position.
@@ -636,22 +619,30 @@ class MergeService:
         folds in cleanly is the new layout swapped in (one generation
         bump for the batch).  On
         :class:`~repro.exceptions.IncompatibleSchemasError` (or a
-        version conflict on a named entry) nothing is committed: shard
-        layout, lifecycle table, generation and every cached answer are
-        exactly as before the call — and nothing reaches the log, which
-        records committed mutations only.
+        version conflict on a named entry, or a failed log append)
+        nothing is committed: shard layout, lifecycle table, generation
+        and every cached answer are exactly as before the call — and
+        nothing reaches the log, which records committed mutations only.
 
         With telemetry enabled the call produces a span tree —
         ``service.register`` → ``service.plan`` → one
         ``service.rebuild`` per touched component → ``service.snapshot``
         — and its duration lands in ``service.register.duration``.
         """
+        return self._register(schemas)
+
+    def _register(
+        self,
+        schemas: Iterable[Union[Schema, RegistrationEntry]],
+        sids: Optional[Tuple[int, ...]] = None,
+    ) -> RegisterReceipt:
+        """:meth:`register`, with replay's recorded component *sids*."""
         incoming = [self._coerce_entry(item) for item in schemas]
         # Empty schemas assert nothing and belong to no component.
-        batch_entries = [e for e in incoming if not e.schema.is_empty()]
-        batch = [e.schema for e in batch_entries]
+        entries = [e for e in incoming if not e.schema.is_empty()]
+        batch = [e.schema for e in entries]
         tel = self._telemetry
-        with span("service.register", schemas=len(incoming)) as register_span:
+        with span("service.register", schemas=len(incoming)) as root:
             self._check_open()
             tel.calls.inc()
             if not batch:
@@ -663,47 +654,23 @@ class MergeService:
                     )
             timing = _obs_state.enabled
             start = perf_counter() if timing else 0.0
-            with span("service.plan", batch=len(batch)):
-                groups, held = self._plan_and_lock(batch)
-            try:
-                try:
-                    staged = self._rebuild(groups, batch)
-                except IncompatibleSchemasError:
-                    tel.rollbacks.inc()
-                    register_span.set(rolled_back=True)
-                    with self._topology:
-                        self._abandon(groups)
-                    raise
-                with span("service.snapshot"):
-                    with self._topology:
-                        try:
-                            series_update, logged = self._stage_series(
-                                batch_entries
-                            )
-                        except InvalidRequestError:
-                            tel.rollbacks.inc()
-                            register_span.set(rolled_back=True)
-                            self._abandon(groups)
-                            raise
-                        generation, components = self._commit(
-                            staged, len(batch)
-                        )
-                        self._series.update(series_update)
-                        self._append_log(
-                            LogRecord(
-                                kind="register",
-                                generation=generation,
-                                entries=logged,
-                                sids=tuple(plan.sid for plan in groups),
-                            )
-                        )
-            finally:
-                for lock in reversed(held):
-                    lock.release()
-            self._maybe_cut()
+
+            def delta(generation: int, groups: List[_Group], _key: Any) -> _Delta:
+                update, logged = self._stage_series(entries)
+                committed = tuple(group.sid for group in groups)
+                return update, LogRecord("register", generation, logged, committed)
+
+            generation, components, _key = self._write(
+                root,
+                lambda: (self._plan_register(batch), None),
+                batch,
+                lambda groups, _key: self._rebuild(groups, batch),
+                delta,
+                sids,
+            )
             if timing:
                 tel.register_duration.observe(perf_counter() - start)
-            register_span.set(components=components, generation=generation)
+            root.set(components=components, generation=generation)
             return RegisterReceipt(
                 accepted=len(incoming),
                 components=components,
@@ -787,36 +754,80 @@ class MergeService:
             )
         return update, tuple(logged)
 
+    def _plan_register(self, batch: List[Schema]) -> _Plan:  # requires-lock: _topology
+        """Register's plan: the batch over the committed and reserved layout."""
+        return plan_groups(batch, self._class_to_sid, self._reserved)
+
+    def _write(
+        self,
+        root: Any,
+        plan: Callable[[], Tuple[_Plan, Any]],
+        batch: List[Schema],
+        stage: Callable[[List[_Group], Any], None],
+        delta: Callable[[int, List[_Group], Any], _Delta],
+        sids: Optional[Tuple[int, ...]],
+    ) -> Tuple[int, int, Any]:
+        """The one write path: plan → lock → stage → commit.
+
+        :meth:`register` and :meth:`retire` both edit the member
+        multisets of some components and re-close them (the merge is
+        associative and commutative, so members determine the view).
+        They differ only in *plan* (the touched components plus a key
+        that must survive re-validation; runs under the topology lock),
+        *stage* (the closure work, outside the topology lock) and
+        *delta* (the lifecycle-table change and the log record; runs in
+        the commit).  Returns the generation, the component count at
+        the commit, and the plan key.  A failed stage or commit is
+        abandoned — counted in ``service.register.rollbacks``, nothing
+        published.
+        """
+        with span("service.plan", batch=len(batch)):
+            groups, key, held = self._plan_and_lock(plan, batch, sids)
+        try:
+            stage(groups, key)
+            with span("service.snapshot"):
+                with self._topology:
+                    generation, components = self._commit(
+                        groups, lambda g: delta(g, groups, key)
+                    )
+        except BaseException:
+            with self._topology:
+                self._abandon(groups)
+            self._telemetry.rollbacks.inc()
+            root.set(rolled_back=True)
+            raise
+        finally:
+            for lock in reversed(held):
+                lock.release()
+        self._maybe_cut()
+        return generation, components, key
+
     def _plan_and_lock(
-        self, batch: List[Schema]
-    ) -> Tuple[List[_GroupPlan], List[LockLike]]:
-        """Plan the batch and acquire exactly the locks it needs.
+        self,
+        plan: Callable[[], Tuple[_Plan, Any]],
+        batch: List[Schema],
+        sids: Optional[Tuple[int, ...]],
+    ) -> Tuple[List[_Group], Any, List[LockLike]]:
+        """Plan a write and acquire exactly the locks it needs.
 
-        The optimistic loop: plan under the topology lock, *release it*,
-        acquire the planned shard locks in ascending sid order (blocking
-        on contended components without stalling disjoint writers), then
-        re-validate the plan under the topology lock.  A plan can go
-        stale while we waited — a contended shard was absorbed into
-        another, a rolled-back reservation vanished — in which case
-        everything is released and the loop replans.  Each pass either
-        returns or observed another writer's commit/rollback, so the
-        loop terminates.
-
-        On success the involved shards are frozen (we hold their locks),
-        every previously-unassigned batch class is reserved to its
-        target sid, and fresh components' sids + locks exist and are
-        held.  Returns the group plans and every held lock (sorted by
-        sid — release order is the reverse).
+        The optimistic loop: *plan* under the topology lock, *release
+        it*, acquire the planned shard locks in ascending sid order
+        (blocking on contended components without stalling disjoint
+        writers), then re-plan under the topology lock.  If the plan
+        went stale while we waited — a contended shard was absorbed, a
+        rolled-back reservation vanished, the key changed — everything
+        is released and the loop replans; each pass either returns or
+        observed another writer's commit/rollback, so the loop
+        terminates.  If re-planning raises, the held locks are released
+        and the error propagates.  On success :meth:`_reserve` claims
+        the plan; returns the groups, the key, and every held lock
+        (sorted by sid — release order is the reverse).
         """
         while True:
             with self._topology:
-                plans = plan_groups(batch, self._class_to_sid, self._reserved)
-                needed = sorted(
-                    {sid for existing, _ in plans for sid in existing}
-                )
-                found = [
-                    (sid, self._shard_locks.get(sid)) for sid in needed
-                ]
+                plans, key = plan()
+                needed = sorted({sid for existing, _ in plans for sid in existing})
+                found = [(sid, self._shard_locks.get(sid)) for sid in needed]
             lock_for: Dict[int, LockLike] = {
                 sid: lock for sid, lock in found if lock is not None
             }
@@ -830,41 +841,43 @@ class MergeService:
             for sid in needed:
                 lock_for[sid].acquire()
                 held.append(lock_for[sid])
-            with self._topology:
-                current = plan_groups(
-                    batch, self._class_to_sid, self._reserved
-                )
-                current_needed = sorted(
-                    {sid for existing, _ in current for sid in existing}
-                )
-                valid = current_needed == needed and all(
-                    self._shard_locks.get(sid) is lock_for[sid]
-                    for sid in needed
-                )
-                if valid:
-                    return self._reserve(current, batch, held), held
+            try:
+                with self._topology:
+                    current, current_key = plan()
+                    if (
+                        current_key == key
+                        and sorted({sid for existing, _ in current for sid in existing})
+                        == needed
+                        and all(self._shard_locks.get(sid) is lock_for[sid] for sid in needed)
+                    ):
+                        return self._reserve(current, batch, held, sids), key, held
+            except BaseException:
+                for lock in reversed(held):
+                    lock.release()
+                raise
             for lock in reversed(held):
                 lock.release()
             self._telemetry.retries.inc()
 
     def _reserve(  # requires-lock: _topology
         self,
-        plans: List[Tuple[Any, List[int]]],
+        plans: _Plan,
         batch: List[Schema],
         held: List[LockLike],
-    ) -> List[_GroupPlan]:
+        forced: Optional[Tuple[int, ...]],
+    ) -> List[_Group]:
         """Claim sids and class names for a validated plan.
 
         Topology lock held by the caller.  Fresh groups get a new sid
-        whose lock is created *pre-acquired* (appended to *held*; no
-        other writer can know the sid before we publish the reservation,
-        so acquiring it cannot block and the ascending-sid lock order is
+        (or, during replay, the *forced* sid the log recorded) whose
+        lock is created *pre-acquired* (appended to *held*; no other
+        writer can know the sid before we publish the reservation, so
+        acquiring it cannot block and the ascending-sid lock order is
         preserved — fresh sids sort after every existing one).  Every
         batch class with no committed assignment is reserved to its
         group's target sid so contending writers plan onto our lock.
         """
-        groups: List[_GroupPlan] = []
-        forced = self._replay_sids
+        groups: List[_Group] = []
         if forced is not None and len(forced) != len(plans):
             raise CorruptLogError(
                 f"log record committed {len(forced)} component groups, "
@@ -873,20 +886,18 @@ class MergeService:
             )
         # The loop's only acquire targets a fresh, unpublished lock (see
         # below) — no ordering constraint applies.
-        for group_index, (existing_sids, batch_indices) in enumerate(  # check: ignore[lock-order]
+        for group_index, (existing_sids, indices) in enumerate(  # check: ignore[lock-order]
             plans
         ):
-            absorbed_sids = sorted(existing_sids)
-            if absorbed_sids:
-                sid = min(absorbed_sids)
+            replaced_sids = sorted(existing_sids)
+            if replaced_sids:
+                sid = replaced_sids[0]
                 if forced is not None and forced[group_index] != sid:
                     raise CorruptLogError(
                         f"log record committed into component "
                         f"{forced[group_index]}, but replay resolves the "
                         f"group to component {sid}"
                     )
-                absorbed = [self._shards[old] for old in absorbed_sids]
-                is_new = False
             else:
                 if forced is not None:
                     sid = forced[group_index]
@@ -899,8 +910,6 @@ class MergeService:
                 else:
                     sid = self._next_sid
                     self._next_sid += 1
-                absorbed = []
-                is_new = True
                 lock = _new_shard_lock(sid)
                 # Acquiring under the planner lock is sanctioned here
                 # only because the lock is fresh: no other thread can
@@ -913,7 +922,7 @@ class MergeService:
                 self._shard_locks[sid] = lock
                 held.append(lock)
             reserved = []
-            for index in batch_indices:
+            for index in indices:
                 for cls in batch[index].classes:
                     if (
                         cls not in self._class_to_sid
@@ -922,35 +931,37 @@ class MergeService:
                         self._reserved[cls] = sid
                         reserved.append(cls)
             groups.append(
-                _GroupPlan(sid, absorbed, batch_indices, reserved, is_new)
+                _Group(
+                    sid,
+                    [self._shards[old] for old in replaced_sids],
+                    indices,
+                    reserved,
+                )
             )
         return groups
 
-    def _rebuild(
-        self, groups: List[_GroupPlan], batch: List[Schema]
-    ) -> List[Tuple[_GroupPlan, ClosureBuilder, List[Schema]]]:
-        """The expensive half: fold each group on clones, no global lock.
+    def _rebuild(self, groups: List[_Group], batch: List[Schema]) -> None:
+        """Register's stage: fold each group on clones, no global lock.
 
         Only the involved shard locks are held, so disjoint writers run
         their closure work concurrently.  Raises
         :class:`IncompatibleSchemasError` with nothing published.
         """
-        staged = []
-        for plan in groups:
+        for group in groups:
             with span(
                 "service.rebuild",
-                component=plan.sid,
-                schemas=len(plan.batch_indices),
+                component=group.sid,
+                schemas=len(group.indices),
             ):
-                if plan.absorbed:
+                if group.replaced:
                     # Grow the largest member in place (on a clone) and
                     # fold the others' schemas in.
                     primary = max(
-                        plan.absorbed, key=lambda shard: len(shard.schemas)
+                        group.replaced, key=lambda shard: len(shard.schemas)
                     )
                     builder = primary.builder.clone()
                     members = list(primary.schemas)
-                    for shard in plan.absorbed:
+                    for shard in group.replaced:
                         if shard is primary:
                             continue
                         for schema in shard.schemas:
@@ -959,47 +970,67 @@ class MergeService:
                 else:
                     builder = ClosureBuilder()
                     members = []
-                for index in plan.batch_indices:
+                for index in group.indices:
                     builder.add_schema(batch[index])
                     members.append(batch[index])
-            staged.append((plan, builder, members))
-        return staged
+            group.builder = builder
+            group.members = members
 
     def _commit(  # requires-lock: _topology
         self,
-        staged: List[Tuple[_GroupPlan, ClosureBuilder, List[Schema]]],
-        batch_size: int,
+        groups: List[_Group],
+        delta: Callable[[int], _Delta],
     ) -> Tuple[int, int]:  # publishes: _shards, _class_to_sid, _generation
-        """Swap the rebuilt shards in.  Topology lock held by the caller.
+        """Log a staged write, then publish it.  Topology lock held.
 
-        Publication order matters for the lock-free readers: (1) the new
-        shard objects, (2) the class map, (3) dropping absorbed shards,
-        (4) the generation bump.  At every intermediate point a reader
-        resolves to *some* committed shard whose content is current or a
-        subset of current, and data can only ever be *fresher* than the
-        generation it is stamped with — so a race costs at worst a cache
-        miss, never a stale answer served as current.
+        *delta* validates the lifecycle-table change and builds the log
+        record for the new generation; the record is appended (and
+        fsync'd) *before* anything is published, so no reader can ever
+        observe a state the log does not describe.  If either step
+        raises, nothing has been published and the caller abandons the
+        write.  Appending under the topology lock makes log order commit
+        order (deterministic replay); readers never take that lock, so
+        only concurrent *writers* wait behind the flush.
+
+        Publication order matters for the lock-free readers: the new
+        shard objects, the class map, dropping replaced shards, the
+        lifecycle table, the generation bump last.  At every
+        intermediate point a reader resolves to *some* committed shard
+        whose content is current or a subset of current, and data can
+        only ever be *fresher* than its generation stamp — so a race
+        costs at worst a cache miss, never a stale answer served as
+        current.  Returns the new generation and the component count.
         """
         generation = self._generation + 1
-        for plan, builder, members in staged:
-            self._shards[plan.sid] = Shard(
-                plan.sid, builder, members, generation
-            )
-        for plan, builder, _members in staged:
-            for cls in builder.classes:
-                self._class_to_sid[cls] = plan.sid
-            for cls in plan.reserved:
+        series, record = delta(generation)
+        if not self._replaying:
+            self._log_seq = self._storage.append(record)
+        for group in groups:
+            if group.builder is not None:
+                self._shards[group.sid] = Shard(
+                    group.sid, group.builder, group.members, generation
+                )
+        for group in groups:
+            kept = group.builder.classes if group.builder is not None else frozenset()
+            for cls in kept:
+                self._class_to_sid[cls] = group.sid
+            for shard in group.replaced:
+                for cls in shard.builder.classes - kept:
+                    if self._class_to_sid.get(cls) == shard.sid:
+                        del self._class_to_sid[cls]
+            for cls in group.reserved:
                 self._reserved.pop(cls, None)
-        for plan, _builder, _members in staged:
-            for shard in plan.absorbed:
-                if shard.sid != plan.sid:
+        for group in groups:
+            for shard in group.replaced:
+                if shard.sid != group.sid or group.builder is None:
                     self._shards.pop(shard.sid, None)
                     self._shard_locks.pop(shard.sid, None)
+        self._series.update(series)
         self._generation = generation
-        self._telemetry.schemas.inc(batch_size)
+        self._telemetry.schemas.inc(len(record.entries))
         return generation, len(self._shards)
 
-    def _abandon(self, groups: List[_GroupPlan]) -> None:  # requires-lock: _topology
+    def _abandon(self, groups: List[_Group]) -> None:  # requires-lock: _topology
         """Undo a failed write's claims.  Topology lock held by caller.
 
         Reservations disappear and fresh sids' locks are deregistered
@@ -1007,11 +1038,11 @@ class MergeService:
         identity re-validation, and replan).  Committed shards were
         never touched — their builders were only cloned.
         """
-        for plan in groups:
-            for cls in plan.reserved:
+        for group in groups:
+            for cls in group.reserved:
                 self._reserved.pop(cls, None)
-            if plan.is_new:
-                self._shard_locks.pop(plan.sid, None)
+            if not group.replaced:
+                self._shard_locks.pop(group.sid, None)
 
     # ------------------------------------------------------------------
     # Schema lifecycle (named versions, retire)
@@ -1041,18 +1072,6 @@ class MergeService:
             if candidates:
                 return max(candidates, key=lambda v: v.version)
         return max(live, key=lambda v: v.version)
-
-    def _owning_sids(  # requires-lock: _topology
-        self, versions: List[VersionState]
-    ) -> List[int]:
-        """The shard ids the given versions' classes live in, ascending."""
-        sids: set[int] = set()
-        for version in versions:
-            for cls in version.schema.classes:
-                sid = self._class_to_sid.get(cls)
-                if sid is not None:
-                    sids.add(sid)
-        return sorted(sids)
 
     def resolve_schema(self, schema_name: str) -> Schema:
         """The version the supersede chain currently recommends.
@@ -1110,140 +1129,77 @@ class MergeService:
         members is dropped outright.  The retirement is logged like any
         other mutation, so restarts replay it.
 
-        Locking mirrors :meth:`register`: plan under the topology lock,
-        acquire the owning shard locks in ascending sid order, rebuild
-        outside the topology lock, commit under it.  Raises
+        Retire shares :meth:`register`'s write path and its
+        all-or-nothing failure behaviour.  Raises
         :class:`~repro.exceptions.UnknownSchemaError` /
         :class:`~repro.exceptions.RetiredSchemaError` like
         :meth:`resolve_schema`.
         """
-        tel = self._telemetry
-        with span("service.retire", schema=schema_name) as retire_span:
+        return self._retire(schema_name)
+
+    def _retire(
+        self, schema_name: str, versions: Optional[Tuple[int, ...]] = None
+    ) -> RetireReceipt:
+        """:meth:`retire`, or during replay exactly the logged *versions*."""
+        with span("service.retire", schema=schema_name) as root:
             self._check_open()
-            while True:
-                with self._topology:
-                    live = self._live_versions(schema_name)
-                    sids = sorted(self._owning_sids(live))
-                    maybe_locks = [
-                        (sid, self._shard_locks.get(sid)) for sid in sids
-                    ]
-                lock_for: Dict[int, LockLike] = {
-                    sid: lock for sid, lock in maybe_locks if lock is not None
-                }
-                if len(lock_for) != len(sids):
-                    tel.retries.inc()
-                    continue
-                held: List[LockLike] = []
-                for sid in sids:
-                    lock_for[sid].acquire()
-                    held.append(lock_for[sid])
-                with self._topology:
-                    try:
-                        current_live = self._live_versions(schema_name)
-                    except RetiredSchemaError:
-                        # A racing retire won; surface it as already done.
-                        for lock in reversed(held):
-                            lock.release()
-                        raise
-                    valid = (
-                        current_live == live
-                        and sorted(self._owning_sids(current_live)) == sids
-                        and all(
-                            self._shard_locks.get(sid) is lock_for[sid]
-                            for sid in sids
-                        )
-                    )
-                    shards = (
-                        [self._shards[sid] for sid in sids] if valid else []
-                    )
-                if valid:
-                    break
-                for lock in reversed(held):
-                    lock.release()
-                tel.retries.inc()
-            try:
-                drop = [v.schema for v in live]
-                rebuilt: List[
-                    Tuple[int, Optional[ClosureBuilder], List[Schema]]
-                ] = []
-                for shard in shards:
-                    remaining = list(shard.schemas)
-                    for schema in drop:
-                        try:
-                            remaining.remove(schema)
-                        except ValueError:
-                            pass
-                    with span(
-                        "service.rebuild",
-                        component=shard.sid,
-                        schemas=len(remaining),
-                    ):
-                        builder = (
-                            ClosureBuilder(remaining) if remaining else None
-                        )
-                    rebuilt.append((shard.sid, builder, remaining))
-                with self._topology:
-                    generation = self._commit_retire(
-                        schema_name, live, shards, rebuilt
-                    )
-                    self._append_log(
-                        LogRecord(
-                            kind="retire",
-                            generation=generation,
-                            name=schema_name,
-                            versions=tuple(v.version for v in live),
-                        )
-                    )
-            finally:
-                for lock in reversed(held):
-                    lock.release()
-            self._maybe_cut()
-            retire_span.set(generation=generation)
+
+            def delta(generation: int, _groups: List[_Group], live: Any) -> _Delta:
+                retired = tuple(v.version for v in live)
+                series = tuple(
+                    _dc_replace(v, lifecycle="obsolete", retired=True)
+                    if v.version in retired
+                    else v
+                    for v in self._series[schema_name]
+                )
+                record = LogRecord(
+                    "retire", generation, name=schema_name, versions=retired
+                )
+                return {schema_name: series}, record
+
+            generation, components, live = self._write(
+                root,
+                lambda: self._plan_retire(schema_name, versions),
+                [],
+                self._rebuild_without,
+                delta,
+                None,
+            )
+            root.set(generation=generation)
             return RetireReceipt(
                 name=schema_name,
                 versions=tuple(v.version for v in live),
-                components=len(self._shards),
+                components=components,
                 generation=generation,
             )
 
-    def _commit_retire(  # requires-lock: _topology
-        self,
-        schema_name: str,
-        live: List[VersionState],
-        shards: List[Shard],
-        rebuilt: List[Tuple[int, Optional[ClosureBuilder], List[Schema]]],
-    ) -> int:  # publishes: _shards, _class_to_sid, _generation
-        """Publish a retirement.  Topology lock held by the caller.
+    def _plan_retire(  # requires-lock: _topology
+        self, schema_name: str, versions: Optional[Tuple[int, ...]]
+    ) -> Tuple[_Plan, List[VersionState]]:
+        """Retire's plan: one group per owning component, keyed by the
+        live versions it withdraws (a racing retire changes the key)."""
+        live = self._live_versions(schema_name)
+        if versions is not None:
+            live = [v for v in live if v.version in versions]
+        owners = {self._class_to_sid.get(cls) for v in live for cls in v.schema.classes}
+        return [({sid}, []) for sid in sorted(o for o in owners if o is not None)], live
 
-        Same stale-reads-only publication order as :meth:`_commit`:
-        (1) rebuilt shard objects, (2) class-map removals, (3) emptied
-        shards dropped, (4) the lifecycle table, (5) the generation
-        bump last.
-        """
-        generation = self._generation + 1
-        for sid, builder, remaining in rebuilt:
-            if builder is not None:
-                self._shards[sid] = Shard(sid, builder, remaining, generation)
-        for (sid, builder, _remaining), old in zip(rebuilt, shards):
-            kept = (
-                builder.classes if builder is not None else frozenset()
-            )
-            for cls in old.builder.classes - kept:
-                if self._class_to_sid.get(cls) == sid:
-                    del self._class_to_sid[cls]
-        for sid, builder, _remaining in rebuilt:
-            if builder is None:
-                self._shards.pop(sid, None)
-                self._shard_locks.pop(sid, None)
-        retired = {v.version for v in live}
-        self._series[schema_name] = tuple(
-            _dc_replace(v, lifecycle="obsolete", retired=True)
-            if v.version in retired
-            else v
-            for v in self._series[schema_name]
-        )
-        self._generation = generation
-        return generation
+    @staticmethod
+    def _rebuild_without(groups: List[_Group], live: List[VersionState]) -> None:
+        """Retire's stage: rebuild each owning component from the members
+        left once one occurrence of each retired version is dropped."""
+        drop = [v.schema for v in live]
+        for group in groups:
+            (shard,) = group.replaced
+            remaining = list(shard.schemas)
+            for schema in drop:
+                try:
+                    remaining.remove(schema)
+                except ValueError:
+                    pass
+            with span("service.rebuild", component=group.sid, schemas=len(remaining)):
+                group.builder = ClosureBuilder(remaining) if remaining else None
+            group.members = remaining
 
     # ------------------------------------------------------------------
     # Queries (lock-free readers)

@@ -511,9 +511,10 @@ class FileBackend:
     eagerly, before the service trusts anything) and truncates a torn
     final line left by a crash mid-append.  Appends write one line,
     flush, and — unless *fsync* is disabled for throughput experiments —
-    fsync before returning.  Snapshot and manifest writes go through a
-    temp file and an atomic rename, manifest last, so readers never see
-    a half-written cut.
+    fsync before returning; a failed append is cut back out of the file
+    before its error propagates.  Snapshot and manifest writes go
+    through a temp file and an atomic rename, manifest last, so readers
+    never see a half-written cut.
     """
 
     LOG_NAME = "registry.log"
@@ -587,10 +588,22 @@ class FileBackend:
                 fh = self._fh = open(
                     self._dir / self.LOG_NAME, "a", encoding="utf-8"
                 )
-            fh.write(line)
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
+            size = os.fstat(fh.fileno()).st_size
+            try:
+                fh.write(line)
+                fh.flush()
+                if self._fsync:
+                    os.fsync(fh.fileno())
+            except BaseException:
+                # The record never committed, so its bytes must go:
+                # left in place, the next append would reuse its seq.
+                self._fh = None
+                try:
+                    fh.close()
+                except OSError:
+                    pass
+                os.truncate(self._dir / self.LOG_NAME, size)
+                raise
             self._seq = seq
         APPENDS.inc()
         return seq

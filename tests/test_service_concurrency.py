@@ -10,12 +10,15 @@ The three claims the locking redesign makes, each exercised directly:
 * **readers never block** — a warm ``merged_view`` completes while a
   writer holds the very shard lock the view reads through.
 
-The heavier storm variants carry ``@pytest.mark.slow`` so the CI
-matrix (``-m "not slow"``) runs the fast versions on every push.
+Retires run through the same write path as registrations, so the
+storms also mix ``retire`` lanes into racing ``register`` lanes.  The
+heavier storm variants carry ``@pytest.mark.slow`` (select or skip
+them with ``-m``); the CI matrix runs them on every interpreter.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +27,10 @@ import pytest
 
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
+from repro.perf.reference import reference_join_all
 from repro.exceptions import (
     IncompatibleSchemasError,
+    RetiredSchemaError,
     ServiceShutdownError,
     UnknownClassError,
 )
@@ -36,7 +41,7 @@ from repro.check.witness import (
     witness_stats,
 )
 from repro.generators.workloads import get_concurrent_stream
-from repro.service import MergeService
+from repro.service import MergeService, RegistrationEntry
 
 #: Generous watchdog: a deadlock hangs forever, a healthy run takes
 #: well under a second.
@@ -44,16 +49,23 @@ JOIN_TIMEOUT = 30.0
 
 
 def run_writers(service, lanes, barrier_timeout=JOIN_TIMEOUT):
-    """Run one thread per lane; returns per-lane exception lists."""
+    """Run one thread per lane; returns per-lane exception lists.
+
+    A lane is a list of ``("register", schema)`` and ``("retire", name)``
+    steps.
+    """
     barrier = threading.Barrier(len(lanes))
     errors = [[] for _ in lanes]
 
     def writer(index, lane):
         barrier.wait(timeout=barrier_timeout)
-        for kind, schema in lane:
-            assert kind == "register"
+        for kind, item in lane:
+            assert kind in ("register", "retire")
             try:
-                service.register([schema])
+                if kind == "register":
+                    service.register([item])
+                else:
+                    service.retire(item)
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors[index].append(exc)
 
@@ -425,4 +437,113 @@ class TestLockOrderWitness:
             errors = run_writers(service, lanes)
             assert not any(errors), errors
             assert len(service.components()) == 1
+        assert witness_stats()["checked"] > 0
+
+
+class TestRetireRacesRegister:
+    """``retire`` lanes racing ``register`` lanes through one write path.
+
+    Every case checks the same end state: no deadlock, no leftover
+    reservation, a merged view equal to the reference join of exactly
+    the surviving members, and a log that replays to the live registry.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fine_interleaving(self):
+        """Switch threads every microsecond so the lanes interleave finely."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _hub(self, i: int) -> Schema:
+        return Schema.build(arrows=[("Hub", f"spoke{i}", f"Rim{i}")])
+
+    def _pod(self, pod: int) -> Schema:
+        return Schema.build(arrows=[(f"Pod{pod}_A", "link", f"Pod{pod}_B")])
+
+    def _bridge(self, left: int, right: int, tag: int) -> Schema:
+        return Schema.build(
+            arrows=[(f"Pod{left}_A", f"bridge{tag}", f"Pod{right}_A")]
+        )
+
+    def _check(self, service, data, survivors):
+        assert service._reserved == {}
+        view = service.merged_view()
+        assert view == reference_join_all(survivors)
+        reopened = MergeService.open(data, fsync=False)
+        try:
+            assert reopened.service_stats()["generation"] == (
+                service.service_stats()["generation"]
+            )
+            assert reopened.merged_view() == view
+            assert reopened.components() == service.components()
+            for cls in view.classes:
+                assert reopened.component_of(cls) == service.component_of(cls)
+        finally:
+            reopened.close()
+
+    def _same_component(self, data):
+        named = [self._hub(i) for i in range(8)]
+        extra = [
+            Schema.build(arrows=[("Hub", f"extra{j}", f"Leaf{j}")])
+            for j in range(8)
+        ]
+        service = MergeService.open(data, fsync=False)
+        service.register(
+            [RegistrationEntry(g, name=f"hub{i}") for i, g in enumerate(named)]
+        )
+        lanes = [
+            [("retire", f"hub{i}") for i in (0, 2, 4, 6)],
+            [("retire", f"hub{i}") for i in (1, 3, 5)],
+            # Races lane 0 for hub0: exactly one of them must lose.
+            [("retire", "hub0")],
+            [("register", g) for g in extra[:4]],
+            [("register", g) for g in extra[4:]],
+        ]
+        errors = run_writers(service, lanes)
+        lost = [exc for lane in errors for exc in lane]
+        assert len(lost) == 1 and isinstance(lost[0], RetiredSchemaError), errors
+        assert len(service.components()) == 1
+        self._check(service, data, [named[7]] + extra)
+        service.close()
+
+    def _bridging(self, data):
+        pods = 6
+        service = MergeService.open(data, fsync=False)
+        service.register(
+            [RegistrationEntry(self._pod(p), name=f"pod{p}") for p in range(pods)]
+        )
+        forward = [
+            ("register", self._bridge(p, p + 1, 100 + p)) for p in range(pods - 1)
+        ]
+        backward = [
+            ("register", self._bridge(p, p + 1, 200 + p))
+            for p in reversed(range(pods - 1))
+        ]
+        retires = [("retire", f"pod{p}") for p in range(0, pods, 2)]
+        errors = run_writers(service, [forward, backward, retires])
+        assert not any(errors), errors
+        survivors = [self._pod(p) for p in range(1, pods, 2)] + [
+            schema for _kind, schema in forward + backward
+        ]
+        self._check(service, data, survivors)
+        service.close()
+
+    def test_same_component_retire_and_register(self, tmp_path):
+        self._same_component(tmp_path / "registry")
+
+    def test_bridging_retire_and_register(self, tmp_path):
+        self._bridging(tmp_path / "registry")
+
+    def test_witnessed_same_component_retire_and_register(
+        self, tmp_path, lock_witness
+    ):
+        self._same_component(tmp_path / "registry")
+        assert witness_stats()["checked"] > 0
+
+    def test_witnessed_bridging_retire_and_register(self, tmp_path, lock_witness):
+        self._bridging(tmp_path / "registry")
         assert witness_stats()["checked"] > 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import socket
 
 import pytest
@@ -28,7 +29,7 @@ from repro.exceptions import (
 )
 from repro.io.json_io import schema_from_dict, schema_to_dict
 from repro.service import API_FORMAT, HttpFrontend, MergeService
-from repro.service.http import status_for
+from repro.service.http import MAX_BODY_BYTES, status_for
 
 
 def schema_doc(schema: Schema) -> dict:
@@ -242,6 +243,23 @@ class TestStatusMapping:
         assert doc["type"] == "InvalidRequestError"
         assert doc["error"].startswith("malformed request head")
 
+    def test_oversized_body_is_413_before_the_body_is_read(self, frontend, service):
+        head = (
+            "POST /v1/schemas HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("latin-1")
+        generation = service.service_stats()["generation"]
+        with socket.create_connection(frontend.address, timeout=10) as sock:
+            sock.sendall(head)  # and no body: the answer must not wait for it
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 413 ")
+        doc = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert str(MAX_BODY_BYTES) in doc["error"]
+        assert service.service_stats()["generation"] == generation
+
     def test_wrong_wire_format_is_400(self, conn):
         status, doc = post(conn, "/v1/schemas", {"format": "nope", "schemas": []})
         assert status == 400
@@ -314,6 +332,18 @@ class TestLifecycle:
         server = HttpFrontend(service, port=0).start()
         server.stop()
         server.stop()
+
+    def test_stop_with_an_idle_keep_alive_connection_logs_nothing(
+        self, service, caplog
+    ):
+        server = HttpFrontend(service, port=0).start()
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        status, _doc = get(connection, "/v1/query/Dog")
+        assert status == 200
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            server.stop()  # the connection is open and idle in readline
+        connection.close()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_address_before_start_raises(self, service):
         with pytest.raises(RuntimeError):

@@ -22,6 +22,7 @@ Three layers of assurance, from the wire up:
 
 from __future__ import annotations
 
+import errno
 import json
 import tempfile
 from pathlib import Path
@@ -39,6 +40,7 @@ from repro.exceptions import (
     UnknownSchemaError,
 )
 from repro.perf.reference import reference_join_all
+from repro.service import storage as storage_module
 from repro.service import (
     FileBackend,
     MemoryBackend,
@@ -475,6 +477,27 @@ class TestRestartEquivalence:
         finally:
             after.close()
 
+    def test_retire_replays_only_the_logged_versions(self):
+        # A retire that validated v1 can commit after a racing register
+        # added v2 in another component; replay must retire v1 only.
+        backend = MemoryBackend()
+        service = MergeService(storage=backend)
+        service.register([RegistrationEntry(pets(), name="pets")])
+        service.close()
+        v2 = RegistrationEntry(court(), name="pets", version=2,
+                               lifecycle="recommended")
+        backend.append(LogRecord("register", 2, (v2,), sids=(1,)))
+        backend.append(LogRecord("retire", 3, name="pets", versions=(1,)))
+        recovered = MergeService(storage=backend)
+        info = recovered.schema_info("pets")
+        assert [(v["version"], v["retired"]) for v in info["versions"]] == [
+            (1, True),
+            (2, False),
+        ]
+        assert recovered.resolve_schema("pets") == court()
+        assert recovered.component_of("Dog") is None
+        assert recovered.merged_view() == court()
+
     def test_rolled_back_batches_are_never_logged(self, tmp_path):
         data = tmp_path / "registry"
         service = MergeService.open(data)
@@ -510,3 +533,119 @@ class TestRestartEquivalence:
         finally:
             warm.close()
             cold.close()
+
+
+# ----------------------------------------------------------------------
+# Failed appends: the log record is durable before anything is published
+# ----------------------------------------------------------------------
+
+
+class FlakyBackend(MemoryBackend):
+    """A memory backend whose next *failures* appends raise ``OSError``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failures = 0
+
+    def append(self, record: LogRecord) -> int:
+        if self.failures:
+            self.failures -= 1
+            raise OSError(errno.EIO, "injected append failure")
+        return super().append(record)
+
+
+def observable_state(service: MergeService) -> dict:
+    """Everything a failed write must leave exactly as it was."""
+    view = service.merged_view()
+    names = ["Dog", "Person", "Puppy", "Case", "Court", "Fresh"]
+    return {
+        "generation": service.service_stats()["generation"],
+        "view": view,
+        "component_of": {cls: service.component_of(cls) for cls in names},
+        "series": dict(service._series),
+        "reserved": dict(service._reserved),
+    }
+
+
+class TestFailedAppend:
+    def make_service(self) -> Tuple[FlakyBackend, MergeService]:
+        backend = FlakyBackend()
+        service = MergeService(storage=backend)
+        service.register([RegistrationEntry(pets(), name="pets")])
+        service.register([court()])
+        return backend, service
+
+    def assert_replays_equal(self, backend: FlakyBackend, live: MergeService):
+        reopened = MergeService(storage=backend)
+        try:
+            assert_equivalent(live, reopened)
+            assert reopened._series == live._series
+        finally:
+            reopened.close()
+
+    def test_failed_register_append_publishes_nothing(self):
+        backend, service = self.make_service()
+        before = observable_state(service)
+        backend.failures = 1
+        bridging = [
+            RegistrationEntry(bridge(), name="bridge"),
+            RegistrationEntry(Schema.build(arrows=[("Fresh", "near", "Dog")])),
+        ]
+        with pytest.raises(OSError):
+            service.register(bridging)
+        assert observable_state(service) == before
+        assert service.telemetry.rollbacks.value == 1
+
+        receipt = service.register(bridging)
+        assert receipt.generation == before["generation"] + 1
+        assert service.component_of("Fresh") == service.component_of("Court")
+        self.assert_replays_equal(backend, service)
+
+    def test_failed_retire_append_publishes_nothing(self):
+        backend, service = self.make_service()
+        before = observable_state(service)
+        backend.failures = 1
+        with pytest.raises(OSError):
+            service.retire("pets")
+        assert observable_state(service) == before
+        assert service.resolve_schema("pets") == pets()
+
+        receipt = service.retire("pets")
+        assert receipt.versions == (1,)
+        assert receipt.components == 1
+        assert service.component_of("Dog") is None
+        self.assert_replays_equal(backend, service)
+
+    def test_file_backend_cuts_a_failed_fsync_back_out(self, tmp_path, monkeypatch):
+        data = tmp_path / "registry"
+        service = MergeService.open(data)
+        service.register([pets()])
+        before = observable_state(service)
+        size = log_path(data).stat().st_size
+        real_fsync = storage_module.os.fsync
+        calls = {"n": 0}
+
+        def failing_once(fd):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise OSError(errno.EIO, "injected fsync failure")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(storage_module.os, "fsync", failing_once)
+        with pytest.raises(OSError):
+            service.register([court()])
+        assert log_path(data).stat().st_size == size
+        assert observable_state(service) == before
+        service.register([court()])
+        service.register([bridge()])
+        monkeypatch.undo()
+        service.close()
+
+        reopened = MergeService.open(data)
+        try:
+            assert reopened.service_stats()["storage"]["log_seq"] == 3
+            assert reopened.merged_view() == reference_join_all(
+                [pets(), court(), bridge()]
+            )
+        finally:
+            reopened.close()
