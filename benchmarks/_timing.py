@@ -1,16 +1,17 @@
-"""The one trajectory-JSON helper shared by conftest and runner.
+"""The one wall-clock timer and trajectory-JSON writer of the runner suites.
 
-The timing kernel itself lives in :mod:`repro.perf.timing` (re-exported
-here) so that in-package callers (:mod:`repro.service.bench`) measure
-identically without importing the benchmarks tree.
+``benchmarks/runner.py`` and the suite drivers it calls
+(``bench_service.py``, ``bench_persistence.py``) time through
+:func:`time_call`, and so does ``bench_obs_overhead.py``; the
+paper-figure benches time through pytest-benchmark.  A change to timing
+semantics (warmup handling, per-run setup, what "best" means) therefore
+lands in every ratio gate at once.
 
-``benchmarks/conftest.py`` (pytest runs) and ``benchmarks/runner.py``
-(the CI harness) both emit trajectory files through :func:`write_trajectory`,
-so the two paths produce byte-compatible artifacts: same schema version,
-same record shape, same serialization (sorted keys, two-space indent,
-trailing newline, no timestamps — wall-clock values are data, not
-metadata, and nothing else in the file varies between runs of identical
-measurements).
+Every suite's artifact goes through :func:`write_trajectory`: same
+schema version, same record shape, same serialization (sorted keys,
+two-space indent, trailing newline, no timestamps — wall-clock values
+are data, not metadata, and nothing else in the file varies between
+runs of identical measurements).
 
 Record shape (``TRAJECTORY_SCHEMA_VERSION`` guards it)::
 
@@ -25,9 +26,8 @@ Record shape (``TRAJECTORY_SCHEMA_VERSION`` guards it)::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Optional
-
-from repro.perf.timing import time_call
+import time
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -38,6 +38,39 @@ __all__ = [
     "trajectory",
     "write_trajectory",
 ]
+
+
+def time_call(
+    fn: Callable[[], Any],
+    repeat: int = 5,
+    warmup: int = 1,
+    setup: Optional[Callable[[], Any]] = None,
+) -> Dict[str, Any]:
+    """Best-of-*repeat* wall-clock timing of ``fn()``.
+
+    *setup* (when given) runs before every timed call, outside the
+    clock — used e.g. to clear the engine caches so a benchmark measures
+    the cold path on purpose.
+    """
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    for _ in range(warmup):
+        if setup is not None:
+            setup()
+        fn()
+    runs: List[float] = []
+    for _ in range(repeat):
+        if setup is not None:
+            setup()
+        start = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - start)
+    return {
+        "best_s": min(runs),
+        "mean_s": sum(runs) / len(runs),
+        "repeat": repeat,
+        "runs": runs,
+    }
 
 
 def record(name: str, group: str, timing: Dict[str, Any], **extra: Any) -> Dict[str, Any]:

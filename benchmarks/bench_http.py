@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """HTTP — front-end throughput and latency under concurrent writers.
 
 Drives a real ``schema-merge serve --http`` subprocess over loopback
@@ -18,13 +17,12 @@ component), and measures:
 * **read latency under write load** — a deliberately huge register
   batch (calibrated to take ≥ ~100 ms server-side) is posted in the
   background while warm ``query`` reads hammer the same server; the
-  non-blocking gate is ``read p95 < in-flight-write duration / 4``.
+  non-blocking gate is ``read p50 < in-flight-write duration / 4``.
   If reads queued behind the writer's lock (the old single-RLock
   design), every read under write load would cost the write's
   remaining duration and the gate fails by an order of magnitude.
 
-Emits ``BENCH_http.json`` via ``benchmarks/runner.py --suite http``;
-run standalone with ``PYTHONPATH=src python benchmarks/bench_http.py``.
+Emits ``BENCH_http.json`` via ``benchmarks/runner.py --suite http``.
 This module is driven by the runner, not collected by the pytest
 sweep (it owns its own subprocess lifecycle).
 """
@@ -42,18 +40,19 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_ROOT = os.path.dirname(_HERE)
-if os.path.join(_ROOT, "src") not in sys.path:
-    sys.path.insert(0, os.path.join(_ROOT, "src"))
+from repro.generators.random_schemas import random_schema_family
+from repro.generators.workloads import get_concurrent_stream
+from repro.io.json_io import dumps as io_dumps, schema_to_dict
+from repro.service.api_types import API_FORMAT
 
-from repro.generators.random_schemas import random_schema_family  # noqa: E402
-from repro.generators.workloads import get_concurrent_stream  # noqa: E402
-from repro.io.json_io import dumps as io_dumps, schema_to_dict  # noqa: E402
-from repro.service.api_types import API_FORMAT  # noqa: E402
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WRITER_LEVELS = (1, 4, 16)
 HOST = "127.0.0.1"
+# The largest register batch the read-under-write check fires.
+MAX_BIG_BATCH = 640
+# The fewest mid-write reads the non-blocking median is taken over.
+MIN_READS_DURING_WRITE = 5
 
 
 def _percentiles(samples: List[float]) -> Dict[str, Optional[float]]:
@@ -218,42 +217,91 @@ def run_writer_level(
     }
 
 
+def _big_batch(size: int, seed: int, prefix: str) -> List[Dict[str, Any]]:
+    """A *size*-schema register batch that lands in a fresh pod."""
+    family = random_schema_family(
+        n_schemas=size,
+        pool_size=30,
+        n_classes=16,
+        n_labels=6,
+        arrow_density=0.25,
+        spec_density=0.1,
+        seed=seed,
+        prefix=prefix,
+    )
+    return [schema_to_dict(schema) for schema in family]
+
+
 def _calibrate_big_batch(
     conn: http.client.HTTPConnection, target_s: float
 ) -> Tuple[int, float]:
     """Grow a fresh-pod register batch until it takes ≥ *target_s*."""
     size = 40
     while True:
-        family = random_schema_family(
-            n_schemas=size,
-            pool_size=30,
-            n_classes=16,
-            n_labels=6,
-            arrow_density=0.25,
-            spec_density=0.1,
-            seed=97 + size,
-            prefix=f"Big{size}_",
-        )
-        docs = [schema_to_dict(schema) for schema in family]
+        docs = _big_batch(size, seed=97 + size, prefix=f"Big{size}_")
         start = time.perf_counter()
         status = _post(conn, docs)
         duration = time.perf_counter() - start
         assert status == 200, f"calibration register failed: {status}"
-        if duration >= target_s or size >= 640:
+        if duration >= target_s or size >= MAX_BIG_BATCH:
             return size, duration
         size *= 2
+
+
+def _reads_during_write(
+    write_conn: http.client.HTTPConnection,
+    read_conn: http.client.HTTPConnection,
+    read_path: str,
+    docs: List[Dict[str, Any]],
+) -> Tuple[float, List[float]]:
+    """Post *docs* in the background and read until the write returns.
+
+    Returns the write's duration and the latencies of the reads that
+    ran entirely inside it.
+    """
+    window: Dict[str, float] = {}
+
+    def write() -> None:
+        window["start"] = time.perf_counter()
+        status = _post(write_conn, docs)
+        window["end"] = time.perf_counter()
+        window["status"] = status
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    during: List[Tuple[float, float]] = []
+    while thread.is_alive():
+        start = time.perf_counter()
+        assert _get(read_conn, read_path) == 200
+        during.append((start, time.perf_counter()))
+    thread.join(timeout=300)
+    assert window.get("status") == 200, f"big write failed: {window}"
+    inside = [
+        end - start
+        for start, end in during
+        if start >= window["start"] and end <= window["end"]
+    ]
+    return window["end"] - window["start"], inside
 
 
 def run_read_latency_under_write(target_write_s: float = 0.1) -> Dict[str, Any]:
     """Warm-read latency while a long register is in flight.
 
     The gate is the **median** read latency under ``duration / 4``,
-    with a minimum sample count.  The median is the statistic that
-    actually discriminates the two designs: a service that serialized
-    reads behind the writer's lock would hold the first mid-write read
-    for the write's whole remaining duration — the sample count
-    collapses toward 1 and that sample costs ~``duration`` — while
-    lock-free reads land a steady stream of sub-millisecond samples.
+    with at least :data:`MIN_READS_DURING_WRITE` samples.  The median
+    is the statistic that actually discriminates the two designs: a
+    service that serialized reads behind the writer's lock would hold
+    the first mid-write read for the write's whole remaining duration —
+    the sample count collapses toward 1 and that sample costs
+    ~``duration`` — while lock-free reads land a steady stream of
+    sub-millisecond samples.
+
+    The measurement has a precondition: the fired write must last at
+    least *target_write_s* and hold enough reads to take a median of.
+    A calibrated batch can come in shorter when fired again, so while
+    the precondition fails the batch doubles and fires again (up to
+    :data:`MAX_BIG_BATCH` schemas); every attempt is recorded.  The
+    verdict is taken on the last attempt and never retried.
 
     The tail (p95/max, reported but not gated) is *not* a lock-freedom
     signal on a single-core host: when the writer thread executes a
@@ -291,56 +339,50 @@ def run_read_latency_under_write(target_write_s: float = 0.1) -> Dict[str, Any]:
                     write_conn, target_write_s
                 )
 
-                # Fire a second big batch (a fresh pod again) and read
-                # against it; keep only reads fully inside the write.
-                family = random_schema_family(
-                    n_schemas=batch_size,
-                    pool_size=30,
-                    n_classes=16,
-                    n_labels=6,
-                    arrow_density=0.25,
-                    spec_density=0.1,
-                    seed=1297,
-                    prefix="BigW_",
-                )
-                docs = [schema_to_dict(schema) for schema in family]
-                window: Dict[str, float] = {}
-
-                def write() -> None:
-                    window["start"] = time.perf_counter()
-                    status = _post(write_conn, docs)
-                    window["end"] = time.perf_counter()
-                    window["status"] = status
-
-                thread = threading.Thread(target=write, daemon=True)
-                thread.start()
-                during: List[Tuple[float, float]] = []
-                while thread.is_alive():
-                    start = time.perf_counter()
-                    assert _get(read_conn, read_path) == 200
-                    during.append((start, time.perf_counter()))
-                thread.join(timeout=300)
+                # Fire a big batch (a fresh pod each time) and read
+                # against it, until the write meets the precondition.
+                attempts: List[Dict[str, Any]] = []
+                while True:
+                    docs = _big_batch(
+                        batch_size,
+                        seed=1297 + len(attempts),
+                        prefix=f"BigW{len(attempts)}_",
+                    )
+                    write_s, inside = _reads_during_write(
+                        write_conn, read_conn, read_path, docs
+                    )
+                    attempts.append(
+                        {
+                            "write_batch_schemas": batch_size,
+                            "write_duration_s": write_s,
+                            "reads_during_write": len(inside),
+                        }
+                    )
+                    measurable = (
+                        write_s >= target_write_s
+                        and len(inside) >= MIN_READS_DURING_WRITE
+                    )
+                    if measurable or batch_size >= MAX_BIG_BATCH:
+                        break
+                    batch_size *= 2
             finally:
                 write_conn.close()
                 read_conn.close()
 
-    assert window.get("status") == 200, f"big write failed: {window}"
-    write_s = window["end"] - window["start"]
-    inside = [
-        end - start
-        for start, end in during
-        if start >= window["start"] and end <= window["end"]
-    ]
     during_stats = _percentiles(inside)
     bar_s = write_s / 4
     p50 = during_stats["p50"]
-    nonblocking = p50 is not None and len(inside) >= 5 and p50 < bar_s
+    nonblocking = (
+        p50 is not None and len(inside) >= MIN_READS_DURING_WRITE and p50 < bar_s
+    )
     return {
         "read_class": read_class,
         "idle_latency_s": _percentiles(idle),
+        "target_write_s": target_write_s,
+        "calibration_duration_s": calibrated_s,
+        "attempts": attempts,
         "write_batch_schemas": batch_size,
         "write_duration_s": write_s,
-        "calibration_duration_s": calibrated_s,
         "reads_during_write": len(inside),
         "latency_during_write_s": during_stats,
         "stalled_reads": sum(1 for sample in inside if sample >= bar_s),
@@ -398,47 +440,3 @@ def run_http_bench(smoke: bool = False) -> Dict[str, Any]:
         "read_latency_under_write": read_under_write,
         "summary": summary,
     }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument(
-        "--json", default=os.path.join(_ROOT, "BENCH_http.json")
-    )
-    args = parser.parse_args(argv)
-    result = run_http_bench(smoke=args.smoke)
-    for name, level in result["levels"].items():
-        latency = level["latency_s"]
-        print(
-            f"  {name:>2} writer(s): {level['rps']:8.0f} req/s   "
-            f"p50 {latency['p50'] * 1e3:6.2f} ms   "
-            f"p95 {latency['p95'] * 1e3:6.2f} ms"
-        )
-    ruw = result["read_latency_under_write"]
-    print(
-        f"  reads during a {ruw['write_duration_s'] * 1e3:.0f} ms write: "
-        f"p95 {ruw['latency_during_write_s']['p95'] * 1e3:.2f} ms "
-        f"({'non-blocking' if ruw['reads_nonblocking_ok'] else 'BLOCKED'})"
-    )
-    summary = result["summary"]
-    gate_note = (
-        ""
-        if summary["scaling_gate_active"]
-        else f", not gated: {summary['scaling_not_gated_reason']}"
-    )
-    print(
-        f"  scaling 16v1: {summary['scaling_16_vs_1']:.2f}x "
-        f"(required ≥ {summary['scaling_required']}x{gate_note})"
-    )
-    with open(args.json, "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.json}")
-    return 0 if summary["acceptance_pass"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,36 +21,26 @@ service acceptance family (the ``service-sharded-200`` workload):
   filesystem, not bookkeeping the log format can shrink, so it is
   reported, not gated.
 
-Run via the suite runner::
+Run via the suite runner, which reads the two verdicts
+(``restart_ok``, ``append_overhead_ok``) from the summary::
 
     PYTHONPATH=src python benchmarks/runner.py --suite persistence
-
-or standalone::
-
-    PYTHONPATH=src python benchmarks/bench_persistence.py [--smoke]
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import sys
 import tempfile
 import time
 from typing import Any, Dict, List, Tuple
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_ROOT = os.path.dirname(_HERE)
-for _candidate in (_HERE, os.path.join(_ROOT, "src")):
-    if _candidate not in sys.path:
-        sys.path.insert(0, _candidate)
+from _timing import time_call
 
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
-from repro.generators.workloads import get_request_stream
+from repro.generators.workloads import get_request_stream, replay
 from repro.perf import clear_caches
-from repro.perf.timing import time_call
-from repro.service.bench import replay
 from repro.service.service import MergeService
 from repro.service.storage import (
     FileBackend,
@@ -232,36 +222,3 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
         },
         "summary": summary,
     }
-
-
-def main(argv: List[str] = None) -> int:
-    smoke = "--smoke" in (argv if argv is not None else sys.argv[1:])
-    result = run_persistence_bench(smoke=smoke)
-    summary = result["summary"]
-    timings = result["timings"]
-    print(
-        f"persistence ({summary['workload']}, {summary['schemas']} schemas):"
-    )
-    print(
-        f"  restart: cold join_all {timings['join_all_cold']['best_s'] * 1e3:.2f} ms, "
-        f"first view after restart "
-        f"{timings['first_view_after_restart']['best_s'] * 1e6:.1f} us "
-        f"({summary['restart_speedup_vs_cold_join_all']:.0f}x); recovery "
-        f"{summary['recovery_wall_s'] * 1e3:.1f} ms from snapshot, "
-        f"{summary['replay_recovery_wall_s'] * 1e3:.1f} ms from full replay"
-    )
-    print(
-        f"  write path: {summary['stream_registers']} register(s) in "
-        f"{summary['stream_requests']} requests; append software cost "
-        f"{summary['append_cost_soft_s'] * 1e3:.2f} ms "
-        f"({summary['stream_overhead_soft'] * 100:.1f}% of the stream), "
-        f"with fsync {summary['append_cost_fsync_s'] * 1e3:.2f} ms "
-        f"({summary['stream_overhead_fsync'] * 100:.1f}%)"
-    )
-    ok = summary["append_overhead_ok"] and summary["restart_ok"]
-    print(f"  acceptance: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,69 +1,15 @@
-"""Shared helpers for the benchmark harness.
+"""Shared setup for the benchmark harness.
 
-Every benchmark both *times* its kernel (pytest-benchmark fixture) and
-*asserts* the paper's qualitative claim, so `pytest benchmarks/
---benchmark-only` doubles as the reproduction run recorded in
-EXPERIMENTS.md.
-
-Engine benchmarks (``bench_merge_engine.py``) use the lighter
-``perf_record`` fixture instead: it times through
-:mod:`benchmarks._timing` — the same helper ``benchmarks/runner.py``
-uses — and, when ``--bench-json PATH`` is passed, the session writes
-the collected records as a trajectory file byte-compatible with the
-runner's output.
+Every paper-figure benchmark both *times* its kernel (pytest-benchmark
+fixture) and *asserts* the paper's qualitative claim, so `pytest
+benchmarks/ --benchmark-only` doubles as the reproduction run recorded
+in EXPERIMENTS.md.  The benchmarks directory goes on ``sys.path`` so
+bench files can import the runner's :mod:`_timing` helper.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Callable, Dict, List
-
-import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-from _timing import record, time_call, write_trajectory  # noqa: E402
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        help="write perf_record measurements to PATH as a trajectory file",
-    )
-
-
-_RECORDS: List[Dict[str, Any]] = []
-
-
-@pytest.fixture
-def perf_record() -> Callable[..., Dict[str, Any]]:
-    """Time a callable and collect the measurement into the session.
-
-    Usage::
-
-        timing = perf_record("join_all/200", "scalability",
-                             lambda: join_all(family), repeat=5)
-    """
-
-    def _measure(
-        name: str,
-        group: str,
-        fn: Callable[[], Any],
-        repeat: int = 5,
-        setup: Callable[[], Any] = None,
-        **extra: Any,
-    ) -> Dict[str, Any]:
-        timing = time_call(fn, repeat=repeat, setup=setup)
-        _RECORDS.append(record(name, group, timing, **extra))
-        return timing
-
-    return _measure
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--bench-json")
-    if path and _RECORDS:
-        write_trajectory(path, _RECORDS, suite="merge_engine")

@@ -10,24 +10,28 @@ function — no copy-paste of argument parsing, timing or serialization.
 Current suites:
 
 * ``merge_engine`` — the engine against the preserved pre-engine
-  reference (``join_all`` scalability up to 320 schemas, lower merge
-  with ``annotated_leq``), plus, in full mode, every ``bench_*.py`` via
-  pytest.  Acceptance: 200-schema ``join_all`` ≥ ``--min-speedup`` (5x)
-  over the reference.
+  reference (``join_all`` scalability up to 320 schemas, ``is_sub`` and
+  ``compatible`` over the 200-schema family, incremental
+  ``with_arrows`` against a rebuild, lower merge with
+  ``annotated_leq``), plus, in full mode, every paper-figure
+  ``bench_*.py`` via pytest-benchmark.  Acceptance: 200-schema
+  ``join_all`` ≥ :data:`MIN_SPEEDUP` (5x) over the reference, and
+  incremental ``with_arrows`` ≤ :data:`MAX_WITH_ARROWS_RATIO` (1.5x)
+  the rebuild's time.
 * ``service`` — the long-lived :class:`repro.service.MergeService`
-  replaying named request streams (:mod:`repro.generators.workloads`).
-  Acceptance: warm ``merged_view`` ≥ ``--min-view-speedup`` (10x) over
-  cold ``join_all`` on the 200-schema sharded workload, and a
-  registration must invalidate only its own component.  Replays run
+  replaying named request streams (``benchmarks/bench_service.py``).
+  Acceptance: warm ``merged_view`` ≥ ``bench_service.MIN_VIEW_SPEEDUP``
+  (10x) over cold ``join_all`` on the 200-schema sharded workload, and
+  a registration must invalidate only its own component.  Replays run
   with telemetry on, so records carry p50/p95/p99 request latencies and
   cache hit rates, and the acceptance workload's spans + metrics land
   in ``TELEMETRY_service.jsonl`` (uploaded by the CI smoke job).
 * ``persistence`` — the durable registry
   (``benchmarks/bench_persistence.py``): snapshot-led warm restarts
-  and the write path's log-append cost.  Acceptance: the first
-  ``merged_view`` after restart ≥ ``--min-restart-speedup`` (10x) over
-  a cold ``join_all``, and the appends' software cost ≤ 10% of the
-  acceptance request stream (fsync reported separately).
+  and the write path's log-append cost.  Acceptance, judged there: the
+  first ``merged_view`` after restart ≥ 10x over a cold ``join_all``,
+  and the appends' software cost ≤ 10% of the acceptance request
+  stream (fsync reported separately).
 * ``http`` — the asyncio front end (``benchmarks/bench_http.py``): a
   real ``serve --http`` subprocess under 1/4/16 concurrent writer
   connections.  Acceptance (full mode, multi-core hosts): 16-writer
@@ -63,26 +67,29 @@ for _candidate in (os.path.join(_ROOT, "src"),):
 from _timing import record, time_call, write_trajectory  # noqa: E402
 
 from repro.core.lower import annotated_leq, lower_merge  # noqa: E402
-from repro.core.ordering import join_all  # noqa: E402
+from repro.core.ordering import compatible, is_sub, join_all  # noqa: E402
+from repro.core.schema import Schema  # noqa: E402
 from repro.generators.random_schemas import (  # noqa: E402
     random_annotated_schema,
     random_schema_family,
+    random_weak_schema,
 )
 from repro.perf import clear_caches, engine_stats  # noqa: E402
 from repro.perf.reference import (  # noqa: E402
+    reference_is_sub,
     reference_join_all,
     reference_lower_merge,
 )
 
 ACCEPTANCE_SIZE = 200
+# merge_engine acceptance (full mode): 200-schema join_all against the
+# reference, and incremental with_arrows against a rebuild.
+MIN_SPEEDUP = 5.0
+MAX_WITH_ARROWS_RATIO = 1.5
 
-# Suites whose bench_*.py files time through the conftest ``perf_record``
-# fixture (--bench-json) rather than pytest-benchmark.
-_CONFTEST_TIMER_SUITES = {
-    "bench_merge_engine",
-    "bench_obs_overhead",
-    "bench_service",
-}
+# bench_*.py files that drive a runner suite or time with their own
+# timer, so the pytest-benchmark sweep leaves them out.
+_NOT_SWEPT = ("bench_http", "bench_obs_overhead", "bench_persistence", "bench_service")
 
 SuiteResult = Tuple[List[Dict[str, Any]], Dict[str, Any]]
 
@@ -196,12 +203,71 @@ def run_lower(repeat: int, count: int) -> List[Dict[str, Any]]:
     ]
 
 
-def run_pytest_suites(skip: List[str]) -> List[Dict[str, Any]]:
-    """Run every bench_*.py through pytest, folding its JSON output.
+def run_ordering(size: int, repeat: int) -> List[Dict[str, Any]]:
+    """is_sub and compatible of every family member against the join."""
+    family = _family(size)
+    merged = join_all(family)
+    pairs = [(g, merged) for g in family]
 
-    Legacy suites use pytest-benchmark (``--benchmark-json``); suites in
-    :data:`_CONFTEST_TIMER_SUITES` use the conftest's ``--bench-json``.
-    Either way the stats land in the same trajectory records.
+    def count(test: Callable[[Any, Any], bool]) -> Callable[[], int]:
+        return lambda: sum(1 for left, right in pairs if test(left, right))
+
+    probes = {
+        "is_sub": count(is_sub),
+        "reference_is_sub": count(reference_is_sub),
+        "compatible": count(compatible),
+    }
+    # Every member is below, and joins into, the family's merge.
+    for name, probe in probes.items():
+        if probe() != len(pairs):
+            raise AssertionError(f"{name} rejects a member of the family")
+    records = []
+    for name, probe in probes.items():
+        timing = time_call(probe, repeat=repeat)
+        print(f"  {name}/{size}: {timing['best_s'] * 1000:.2f} ms")
+        records.append(record(f"{name}/{size}", "ordering", timing, schemas=size))
+    return records
+
+
+def run_with_arrows(repeat: int) -> List[Dict[str, Any]]:
+    """Incremental Schema.with_arrows versus a from-scratch rebuild."""
+    base = random_weak_schema(
+        n_classes=40, n_labels=8, arrow_density=0.3, spec_density=0.1, seed=3
+    )
+    extra = [(cls, "zz", cls) for cls in list(base.sorted_classes())[:5]]
+
+    def incremental() -> Schema:
+        return base.with_arrows(extra)
+
+    def rebuild() -> Schema:
+        return Schema.build(
+            classes=base.classes,
+            arrows=set(base.arrows) | {(str(a), b, str(c)) for a, b, c in extra},
+            spec=base.spec,
+        )
+
+    if incremental() != rebuild():
+        raise AssertionError("with_arrows disagrees with a rebuild")
+    fast = time_call(incremental, repeat=repeat)
+    slow = time_call(rebuild, repeat=repeat)
+    ratio = fast["best_s"] / slow["best_s"]
+    print(
+        f"  incremental {fast['best_s'] * 1e6:.1f} us, rebuild "
+        f"{slow['best_s'] * 1e6:.1f} us (ratio {ratio:.3f})"
+    )
+    return [
+        record(
+            "with_arrows/incremental", "incremental", fast, ratio_vs_rebuild=ratio
+        ),
+        record("with_arrows/rebuild", "incremental", slow),
+    ]
+
+
+def run_pytest_suites() -> List[Dict[str, Any]]:
+    """Run every paper-figure bench_*.py through pytest-benchmark.
+
+    Each file's ``--benchmark-json`` stats fold into trajectory records;
+    a file that fails lands as a record carrying the error.
     """
     records: List[Dict[str, Any]] = []
     env = dict(os.environ)
@@ -210,16 +276,14 @@ def run_pytest_suites(skip: List[str]) -> List[Dict[str, Any]]:
     )
     for path in sorted(glob.glob(os.path.join(_HERE, "bench_*.py"))):
         stem = os.path.splitext(os.path.basename(path))[0]
-        if stem in skip:
+        if stem in _NOT_SWEPT:
             continue
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             out_path = tmp.name
-        uses_conftest_timer = stem in _CONFTEST_TIMER_SUITES
-        cmd = [sys.executable, "-m", "pytest", path, "-q"]
-        if uses_conftest_timer:
-            cmd += ["--bench-json", out_path]
-        else:
-            cmd += ["--benchmark-only", f"--benchmark-json={out_path}"]
+        cmd = [
+            sys.executable, "-m", "pytest", path, "-q",
+            "--benchmark-only", f"--benchmark-json={out_path}",
+        ]
         print(f"  pytest {stem} ...", flush=True)
         try:
             proc = subprocess.run(
@@ -266,26 +330,20 @@ def run_pytest_suites(skip: List[str]) -> List[Dict[str, Any]]:
                 os.unlink(out_path)
             except OSError:
                 pass
-        if uses_conftest_timer:
-            for entry in payload.get("records", []):
-                entry = dict(entry)
-                entry["group"] = f"pytest/{stem}"
-                records.append(entry)
-        else:
-            for bench in payload.get("benchmarks", []):
-                stats = bench.get("stats", {})
-                records.append(
-                    record(
-                        bench.get("name", stem),
-                        f"pytest/{stem}",
-                        {
-                            "best_s": stats.get("min"),
-                            "mean_s": stats.get("mean"),
-                            "repeat": stats.get("rounds", 0),
-                            "runs": [],
-                        },
-                    )
+        for bench in payload.get("benchmarks", []):
+            stats = bench.get("stats", {})
+            records.append(
+                record(
+                    bench.get("name", stem),
+                    f"pytest/{stem}",
+                    {
+                        "best_s": stats.get("min"),
+                        "mean_s": stats.get("mean"),
+                        "repeat": stats.get("rounds", 0),
+                        "runs": [],
+                    },
                 )
+            )
     return records
 
 
@@ -297,45 +355,47 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
 
     print("merge-engine scalability:")
     records = run_scalability(sizes, repeat)
+    print("ordering:")
+    records += run_ordering(sizes[-1] if args.smoke else ACCEPTANCE_SIZE, repeat)
+    print("incremental with_arrows:")
+    arrows = run_with_arrows(repeat)
+    records += arrows
     print("lower merge:")
     records += run_lower(repeat, count=10 if args.smoke else 30)
     if not args.smoke and not args.skip_pytest_suite:
         print("pytest suites:")
-        # bench_service belongs to the service suite's artifact (timing
-        # its heavy workloads here too would double-measure them);
-        # bench_http and bench_persistence are driven by their own
-        # suites and hold no pytest tests.
-        records += run_pytest_suites(
-            skip=["bench_service", "bench_http", "bench_persistence"]
-        )
+        records += run_pytest_suites()
 
-    acceptance = [
-        r
-        for r in records
-        if r.get("acceptance") and r.get("speedup_vs_reference") is not None
-    ]
-    summary: Dict[str, Any] = {"smoke": args.smoke}
-    if acceptance:
-        summary["join_all_speedup"] = acceptance[0]["speedup_vs_reference"]
-        summary["min_speedup_required"] = None if args.smoke else args.min_speedup
-        summary["acceptance_pass"] = args.smoke or (
-            acceptance[0]["speedup_vs_reference"] >= args.min_speedup
+    ratio = arrows[0]["ratio_vs_rebuild"]
+    summary: Dict[str, Any] = {"smoke": args.smoke, "with_arrows_ratio": ratio}
+    if args.smoke:
+        # Smoke sizes are too small to time fairly on shared runners:
+        # the equality asserts above still ran, the ratio gates do not.
+        return records, {"summary": summary, "engine_stats": engine_stats()}
+    speedup = next(r for r in records if r.get("acceptance"))["speedup_vs_reference"]
+    print(f"join_all speedup: {speedup:.1f}x")
+    summary.update(
+        join_all_speedup=speedup,
+        min_speedup_required=MIN_SPEEDUP,
+        max_with_arrows_ratio=MAX_WITH_ARROWS_RATIO,
+        acceptance_pass=(
+            speedup >= MIN_SPEEDUP and ratio <= MAX_WITH_ARROWS_RATIO
+        ),
+    )
+    if not summary["acceptance_pass"]:
+        print(
+            f"FAIL: merge_engine acceptance: join_all speedup {speedup:.2f}x "
+            f"(need ≥ {MIN_SPEEDUP}x), with_arrows ratio {ratio:.3f} "
+            f"(need ≤ {MAX_WITH_ARROWS_RATIO})",
+            file=sys.stderr,
         )
-        if summary["acceptance_pass"]:
-            print(f"join_all speedup: {summary['join_all_speedup']:.1f}x")
-        else:
-            print(
-                f"FAIL: join_all speedup {summary['join_all_speedup']:.2f}x "
-                f"< required {args.min_speedup}x",
-                file=sys.stderr,
-            )
     return records, {"summary": summary, "engine_stats": engine_stats()}
 
 
 @suite("service", "BENCH_service.json")
 def service_suite(args: argparse.Namespace) -> SuiteResult:
-    """MergeService request-stream workloads (repro.service.bench)."""
-    from repro.service.bench import run_bench
+    """MergeService request-stream workloads (bench_service)."""
+    from bench_service import MIN_VIEW_SPEEDUP, run_bench
 
     acceptance_workload = (
         "service-sharded-small" if args.smoke else "service-sharded-200"
@@ -414,24 +474,21 @@ def service_suite(args: argparse.Namespace) -> SuiteResult:
         "latency": results[acceptance_workload]["latency"],
         "cache_hit_rates": results[acceptance_workload]["cache_hit_rates"],
         "telemetry_jsonl": os.path.basename(telemetry_path),
-        "min_view_speedup_required": (
-            None if args.smoke else args.min_view_speedup
-        ),
+        "min_view_speedup_required": None if args.smoke else MIN_VIEW_SPEEDUP,
         # The invalidation invariant must hold even in smoke mode; the
         # speedup floor only gates full runs (smoke sizes are too small
         # to measure fairly on shared runners).
         "acceptance_pass": accepted["invalidation_ok"]
         and (
             args.smoke
-            or accepted["view_speedup_vs_cold_join_all"]
-            >= args.min_view_speedup
+            or accepted["view_speedup_vs_cold_join_all"] >= MIN_VIEW_SPEEDUP
         ),
     }
     if not summary["acceptance_pass"]:
         print(
             f"FAIL: service acceptance on {acceptance_workload}: "
             f"view speedup {summary['view_speedup']:.1f}x "
-            f"(need ≥ {args.min_view_speedup}x), invalidation_ok="
+            f"(need ≥ {MIN_VIEW_SPEEDUP}x), invalidation_ok="
             f"{summary['invalidation_ok']}",
             file=sys.stderr,
         )
@@ -447,13 +504,14 @@ def service_suite(args: argparse.Namespace) -> SuiteResult:
 def persistence_suite(args: argparse.Namespace) -> SuiteResult:
     """The durable registry: warm restarts and log-append overhead.
 
-    Acceptance (full mode): the first ``merged_view`` after a
-    snapshot-led restart is ≥ ``--min-restart-speedup`` (10x) faster
-    than a cold ``join_all`` over the same 200-schema family, and the
-    software cost of the stream's log appends (encode + write + flush;
-    fsync priced separately as durability rent) stays within 10% of
-    the in-memory stream replay wall.  Restored-view equality with the
-    pre-restart service is asserted in every mode.
+    Acceptance (full mode, judged by ``bench_persistence``): the first
+    ``merged_view`` after a snapshot-led restart is ≥
+    ``MIN_RESTART_SPEEDUP`` (10x) faster than a cold ``join_all`` over
+    the same 200-schema family, and the software cost of the stream's
+    log appends (encode + write + flush; fsync priced separately as
+    durability rent) stays within 10% of the in-memory stream replay
+    wall.  Restored-view equality with the pre-restart service is
+    asserted in every mode.
     """
     from bench_persistence import run_persistence_bench
 
@@ -494,22 +552,14 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
         )
         for name in sorted(timings)
     ]
-    summary["min_restart_speedup_required"] = (
-        None if args.smoke else args.min_restart_speedup
-    )
     summary["acceptance_pass"] = bool(
-        summary["append_overhead_ok"]
-        and (
-            args.smoke
-            or summary["restart_speedup_vs_cold_join_all"]
-            >= args.min_restart_speedup
-        )
+        summary["append_overhead_ok"] and summary["restart_ok"]
     )
     if not summary["acceptance_pass"]:
         print(
             f"FAIL: persistence acceptance: restart speedup "
             f"{summary['restart_speedup_vs_cold_join_all']:.1f}x "
-            f"(need ≥ {args.min_restart_speedup}x), append overhead "
+            f"(need ≥ {summary['min_restart_speedup']}x), append overhead "
             f"{summary['stream_overhead_soft'] * 100:.1f}% "
             f"(budget {summary['append_overhead_budget'] * 100:.0f}%)",
             file=sys.stderr,
@@ -558,11 +608,21 @@ def http_suite(args: argparse.Namespace) -> SuiteResult:
             )
         )
     ruw = result["read_latency_under_write"]
+    for attempt in ruw["attempts"]:
+        print(
+            f"  fired {attempt['write_batch_schemas']} schemas: "
+            f"{attempt['write_duration_s'] * 1e3:.0f} ms write, "
+            f"{attempt['reads_during_write']} reads inside"
+        )
+    during = {
+        key: "n/a" if value is None else f"{value * 1e3:.2f} ms"
+        for key, value in ruw["latency_during_write_s"].items()
+    }
     print(
         f"  reads during a {ruw['write_duration_s'] * 1e3:.0f} ms write: "
-        f"p50 {ruw['latency_during_write_s']['p50'] * 1e3:.2f} ms   "
-        f"p95 {ruw['latency_during_write_s']['p95'] * 1e3:.2f} ms "
-        f"({'non-blocking' if ruw['reads_nonblocking_ok'] else 'BLOCKED'})"
+        f"p50 {during['p50']}   p95 {during['p95']} "
+        f"(bar {ruw['bar_s'] * 1e3:.2f} ms: "
+        f"{'non-blocking' if ruw['reads_nonblocking_ok'] else 'BLOCKED'})"
     )
     summary = result["summary"]
     scaling_note = (
@@ -615,27 +675,6 @@ def main(argv: List[str] = None) -> int:
         help=(
             "trajectory output path (single suite only; default: the "
             "suite's BENCH_<name>.json at the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=5.0,
-        help="merge_engine acceptance floor for 200-schema join_all",
-    )
-    parser.add_argument(
-        "--min-view-speedup",
-        type=float,
-        default=10.0,
-        help="service acceptance floor: warm merged_view vs cold join_all",
-    )
-    parser.add_argument(
-        "--min-restart-speedup",
-        type=float,
-        default=10.0,
-        help=(
-            "persistence acceptance floor: first merged_view after a "
-            "snapshot-led restart vs cold join_all"
         ),
     )
     parser.add_argument(

@@ -18,7 +18,10 @@ with no arguments::
    (the path repo-relative or under ``src/repro/``) must also name a
    ``def``, a ``class`` or a top-level assignment in that file (a
    dotted ``Class.method`` is resolved class by class), so a doc
-   citing a deleted or moved function fails.
+   citing a deleted or moved function fails.  A code span naming a
+   benchmark artifact (``BENCH_<suite>.json``) must name a file git
+   tracks, so a doc cannot cite an ignored or never-recorded result;
+   smoke artifacts and pattern names are not artifacts and are skipped.
 
 Exit code: 0 all green, 1 otherwise.
 """
@@ -29,6 +32,7 @@ import ast
 import doctest
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,7 +56,6 @@ DOCTEST_MODULES = [
     "repro.perf.closure",
     "repro.perf.namespace",
     "repro.perf.reference",
-    "repro.perf.timing",
     "repro.service",
     "repro.service.api_types",
     "repro.service.http",
@@ -90,6 +93,9 @@ TOP_LEVEL_FILES = {
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 SYMBOL_SPAN = re.compile(r"`([\w./-]+\.py):([\w.]+)`")
+# A full-run benchmark artifact: `BENCH_http.json`, not
+# `BENCH_http.smoke.json` or a pattern such as `BENCH_<suite>.json`.
+ARTIFACT = re.compile(r"\bBENCH_\w+\.json\b")
 
 
 def check_doctests() -> int:
@@ -169,6 +175,30 @@ def check_symbols() -> int:
     return failures
 
 
+def check_artifacts() -> int:
+    """Every `BENCH_<suite>.json` a doc names is a tracked file."""
+    tracked = set(
+        subprocess.run(
+            ["git", "ls-files", "BENCH_*.json"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+    )
+    failures = 0
+    for doc in DOC_FILES:
+        for span in CODE_SPAN.finditer(doc.read_text(encoding="utf-8")):
+            for name in ARTIFACT.findall(span.group(1)):
+                if name not in tracked:
+                    print(
+                        f"  UNTRACKED artifact in {doc.relative_to(ROOT)}: "
+                        f"{name}"
+                    )
+                    failures += 1
+    return failures
+
+
 def check_links() -> int:
     failures = 0
     for doc in DOC_FILES:
@@ -195,7 +225,7 @@ def main() -> int:
     print("doctests:")
     doctest_failures = check_doctests()
     print("doc links:")
-    link_failures = check_links() + check_symbols()
+    link_failures = check_links() + check_symbols() + check_artifacts()
     if doctest_failures or link_failures:
         print(
             f"FAIL: {doctest_failures} doctest failure(s), "

@@ -11,22 +11,26 @@ Two kinds of workload live here:
   original benchmark inputs);
 * :class:`RequestStream` — a family of *initial* schemas plus a seeded
   sequence of service requests (``view`` / ``query`` / ``register``)
-  replayed against a long-lived :class:`repro.service.MergeService`.
+  replayed against a long-lived :class:`repro.service.MergeService`
+  by :func:`replay`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.schema import Schema
-from repro.exceptions import UnknownWorkloadError
+from repro.exceptions import InvalidRequestError, UnknownWorkloadError
 from repro.generators.pathological import (
     diamond_chain_schemas,
     nfa_blowup_pair,
 )
 from repro.generators.random_schemas import random_schema_family
+
+if TYPE_CHECKING:
+    from repro.service.service import MergeService
 
 __all__ = [
     "Workload",
@@ -36,6 +40,7 @@ __all__ = [
     "RequestStream",
     "REQUEST_STREAMS",
     "get_request_stream",
+    "replay",
     "ConcurrentStream",
     "CONCURRENT_STREAMS",
     "get_concurrent_stream",
@@ -340,6 +345,22 @@ def get_request_stream(name: str) -> RequestStream:
         raise UnknownWorkloadError(
             f"unknown request stream {name!r}; known: {known}"
         ) from None
+
+
+def replay(service: "MergeService", requests: Iterable[Request]) -> Dict[str, int]:
+    """Run a request stream against *service*; returns per-kind counts."""
+    counts = {"view": 0, "query": 0, "register": 0}
+    for kind, payload in requests:
+        if kind == "view":
+            service.merged_view(payload)
+        elif kind == "query":
+            service.query(payload)
+        elif kind == "register":
+            service.register([payload])
+        else:  # pragma: no cover - malformed streams are a caller bug
+            raise InvalidRequestError(f"unknown request kind {kind!r}")
+        counts[kind] += 1
+    return counts
 
 
 @dataclass(frozen=True)

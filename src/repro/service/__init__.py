@@ -36,11 +36,9 @@ across requests* instead of recomputed per call:
   exposing the registry as ``POST /v1/schemas`` / ``GET /v1/query/...``
   with a versioned JSON wire format.
 
-``schema-merge serve [--http PORT]`` and ``schema-merge bench`` expose
-the service on the command line; ``docs/SERVICE.md`` documents the
-architecture.  (:mod:`repro.service.bench` is the internal measurement
-driver — import it by module path; it is not part of the public
-surface.)
+``schema-merge serve [--http PORT]`` exposes the service on the
+command line; ``docs/SERVICE.md`` documents the architecture, and
+``benchmarks/runner.py --suite service`` measures it.
 
 >>> from repro.core.schema import Schema
 >>> from repro.service import MergeService

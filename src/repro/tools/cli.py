@@ -20,7 +20,6 @@ workflow over JSON schema files and deterministic text/DOT rendering:
                       --source g2.json:i2.json \
                       --value-class SSN            # §5 entity resolution
     schema-merge serve g1.json g2.json             # long-lived service REPL
-    schema-merge bench --workload service-tiny     # service benchmark
     schema-merge stats --workload service-tiny     # telemetry counters
     schema-merge trace --workload service-tiny     # span tree of a replay
 
@@ -325,34 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="measure the merge service against a named request stream",
-    )
-    bench.add_argument(
-        "--workload",
-        default="service-sharded-200",
-        metavar="STREAM",
-        help="request stream to replay (default: the acceptance workload)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=_positive_int,
-        default=3,
-        help="timing repetitions (default 3)",
-    )
-    bench.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="PATH",
-        help="write the full benchmark record here as JSON",
-    )
-    bench.add_argument(
-        "--telemetry-jsonl",
-        metavar="PATH",
-        help="stream replay spans + a metrics snapshot to this JSONL file",
-    )
-
     stats = commands.add_parser(
         "stats",
         help=(
@@ -592,9 +563,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "serve":
         return _serve(args)
 
-    if args.command == "bench":
-        return _bench(args)
-
     if args.command == "stats":
         return _stats(args)
 
@@ -778,65 +746,6 @@ def _serve(args: argparse.Namespace) -> int:
             print(f"error: {message}")
 
 
-def _bench(args: argparse.Namespace) -> int:
-    """The ``bench`` subcommand: run and summarize one request stream."""
-    import json as _json
-
-    from repro.service.bench import run_bench
-
-    result = run_bench(
-        args.workload,
-        repeat=args.repeat,
-        telemetry_jsonl=args.telemetry_jsonl,
-    )
-    summary = result["summary"]
-    timings = result["timings"]
-    print(f"workload: {result['workload']}")
-    print(
-        f"  initial schemas: {result['initial_schemas']}, "
-        f"requests: {result['requests']}, "
-        f"components: {result['invalidation']['components']}"
-    )
-    print(
-        f"  cold join_all:      {timings['join_all_cold']['best_s'] * 1e3:9.2f} ms"
-    )
-    print(
-        f"  warm merged_view:   {timings['merged_view_warm']['best_s'] * 1e6:9.2f} us"
-    )
-    print(
-        f"  view speedup:       {summary['view_speedup_vs_cold_join_all']:9.1f}x"
-    )
-    print(
-        f"  stream throughput:  {summary['requests_per_second']:9.0f} req/s"
-    )
-    print(
-        "  invalidation:       "
-        + (
-            "only the touched component recomputed"
-            if summary["invalidation_ok"]
-            else "FAILED — untouched components recomputed"
-        )
-    )
-    for op in ("merged_view", "query", "register"):
-        block = result["latency"][op]
-        if not block["count"]:
-            continue
-        print(
-            f"  {op + ' latency:':<20}"
-            f"p50 {block['p50'] * 1e6:8.1f} us   "
-            f"p95 {block['p95'] * 1e6:8.1f} us   "
-            f"p99 {block['p99'] * 1e6:8.1f} us"
-        )
-    if args.telemetry_jsonl:
-        print(f"wrote {args.telemetry_jsonl}")
-    if args.json_out:
-        Path(args.json_out).write_text(
-            _json.dumps(result, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json_out}")
-    return 0 if summary["invalidation_ok"] else 1
-
-
 def _telemetry_session(args: argparse.Namespace) -> Tuple[Any, int]:
     """Register the inputs (and replay any workload) with telemetry on.
 
@@ -844,14 +753,12 @@ def _telemetry_session(args: argparse.Namespace) -> Tuple[Any, int]:
     every request timed, every registration traced.  The caller is
     responsible for restoring the previous telemetry state.
     """
+    from repro.generators.workloads import get_request_stream, replay
     from repro.service import MergeService
-    from repro.service.bench import replay
 
     initial = [_load_schema(path) for path in args.schemas]
     requests = []
     if args.workload:
-        from repro.generators.workloads import get_request_stream
-
         workload_initial, requests = get_request_stream(args.workload).make()
         initial = workload_initial + initial
     if not initial:

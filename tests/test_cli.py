@@ -440,30 +440,36 @@ class TestServe:
         assert "registered 12 schemas" in out
 
 
-class TestBench:
-    def test_bench_writes_summary_and_json(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
+class TestWorkloadReplay:
+    """``stats`` and ``trace`` replay a named request stream."""
+
+    @staticmethod
+    def stream_registers() -> int:
+        from repro.generators.workloads import get_request_stream
+
+        _initial, requests = get_request_stream("service-tiny").make()
+        return sum(1 for kind, _payload in requests if kind == "register")
+
+    def test_stats_json_counts_replayed_registers(self, capsys):
         assert (
-            main(
-                [
-                    "bench",
-                    "--workload",
-                    "service-tiny",
-                    "--repeat",
-                    "1",
-                    "--json",
-                    str(out_path),
-                ]
-            )
+            main(["stats", "--workload", "service-tiny", "--format", "json"])
             == 0
         )
-        out = capsys.readouterr().out
-        assert "workload: service-tiny" in out
-        assert "view speedup:" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["summary"]["invalidation_ok"] is True
-        assert payload["service_stats"]["requests_served"] > 0
+        metrics = json.loads(capsys.readouterr().out)
+        calls = [m for m in metrics if m["name"] == "service.register.calls"]
+        assert len(calls) == 1
+        # One register of the initial schemas, then the stream's own.
+        assert calls[0]["value"] == 1 + self.stream_registers()
+
+    def test_trace_prints_register_spans(self, capsys):
+        assert main(["trace", "--workload", "service-tiny"]) == 0
+        roots = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("service.register ")
+        ]
+        assert len(roots) == 1 + self.stream_registers()
 
     def test_unknown_workload_fails_cleanly(self, capsys):
-        assert main(["bench", "--workload", "nope"]) == 1
+        assert main(["stats", "--workload", "nope"]) == 1
         assert "unknown request stream" in capsys.readouterr().err

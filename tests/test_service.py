@@ -17,7 +17,7 @@ from repro.core.ordering import join_all
 from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError
 from repro.generators.random_schemas import random_schema_family
-from repro.generators.workloads import get_request_stream
+from repro.generators.workloads import get_request_stream, replay
 from repro.service import (
     MergeService,
     RegisterReceipt,
@@ -25,7 +25,6 @@ from repro.service import (
     UnionFind,
     plan_groups,
 )
-from repro.service.bench import replay
 
 
 def pets_schema() -> Schema:
