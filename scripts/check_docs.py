@@ -22,6 +22,10 @@ with no arguments::
    benchmark artifact (``BENCH_<suite>.json``) must name a file git
    tracks, so a doc cannot cite an ignored or never-recorded result;
    smoke artifacts and pattern names are not artifacts and are skipped.
+   A code span that is a dotted ``repro.…`` name or a
+   ``MergeService.<attr>`` name (a trailing call such as ``(path)`` is
+   ignored) must resolve by import and ``getattr``, so a doc citing a
+   deleted module, class, function or method fails.
 
 Exit code: 0 all green, 1 otherwise.
 """
@@ -96,6 +100,9 @@ SYMBOL_SPAN = re.compile(r"`([\w./-]+\.py):([\w.]+)`")
 # A full-run benchmark artifact: `BENCH_http.json`, not
 # `BENCH_http.smoke.json` or a pattern such as `BENCH_<suite>.json`.
 ARTIFACT = re.compile(r"\bBENCH_\w+\.json\b")
+# A whole code span naming API: `repro.service.storage.FileBackend`,
+# `MergeService.open(path)`; not `repro.api/1` or `service.query_us`.
+API_SPAN = re.compile(r"`((?:repro|MergeService)(?:\.\w+)+)(?:\([^`]*\))?`")
 
 
 def check_doctests() -> int:
@@ -175,6 +182,40 @@ def check_symbols() -> int:
     return failures
 
 
+def resolves_api(dotted: str) -> bool:
+    """Does *dotted* name a live module attribute (or MergeService member)?
+
+    The longest importable prefix is imported and the rest is read
+    with ``getattr``, part by part.
+    """
+    parts = dotted.split(".")
+    if parts[0] == "MergeService":
+        parts = ["repro", "service", *parts]
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_api_names() -> int:
+    """Every `repro.…` / `MergeService.…` span names live API."""
+    failures = 0
+    for doc in DOC_FILES:
+        text = doc.read_text(encoding="utf-8")
+        for dotted in sorted(set(API_SPAN.findall(text))):
+            if not resolves_api(dotted):
+                print(f"  BROKEN API name in {doc.relative_to(ROOT)}: {dotted}")
+                failures += 1
+    return failures
+
+
 def check_artifacts() -> int:
     """Every `BENCH_<suite>.json` a doc names is a tracked file."""
     tracked = set(
@@ -225,7 +266,9 @@ def main() -> int:
     print("doctests:")
     doctest_failures = check_doctests()
     print("doc links:")
-    link_failures = check_links() + check_symbols() + check_artifacts()
+    link_failures = (
+        check_links() + check_symbols() + check_artifacts() + check_api_names()
+    )
     if doctest_failures or link_failures:
         print(
             f"FAIL: {doctest_failures} doctest failure(s), "

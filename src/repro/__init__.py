@@ -83,6 +83,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceShutdownError,
     StorageError,
+    StorageLockedError,
     UnknownClassError,
     UnknownSchemaError,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "ServiceError",
     "ServiceShutdownError",
     "StorageError",
+    "StorageLockedError",
     "UnknownClassError",
     "UnknownSchemaError",
     "annotated_join",

@@ -12,7 +12,7 @@ a module's comments and enforces them over the AST:
   publication-ordered fields of the merge service are *written* under
   the topology lock but deliberately read lock-free.
 * ``# frozen-after-init`` — the attribute is never written outside
-  ``__init__``; committed shards and cache identities rely on it.
+  ``__init__``; committed shards and their memo identities rely on it.
 * ``# lock: planner`` on a lock attribute — while that lock is held,
   no other lock may be (blockingly) acquired: the planner lock is the
   short critical section everything else waits behind, so blocking

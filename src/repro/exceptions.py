@@ -193,6 +193,14 @@ class CorruptLogError(StorageError):
     """
 
 
+class StorageLockedError(StorageError):
+    """Another process holds the data directory open.
+
+    Two processes appending to one log would interleave its sequence
+    numbers, so a directory has one owning process at a time.
+    """
+
+
 class CorruptSnapshotError(StorageError):
     """A persisted snapshot or manifest fails its integrity checks.
 

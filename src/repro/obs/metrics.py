@@ -19,7 +19,7 @@ Three instrument kinds, all cheap enough to leave permanently enabled:
 :class:`MetricsRegistry` maps ``(name, labels)`` to instruments.  The
 process-global :data:`REGISTRY` is what exporters dump and the CLI
 prints; ``register()`` is last-wins so per-instance owners (a fresh
-``MergeService``'s caches) replace their predecessor's instruments —
+``MergeService``'s telemetry) replace their predecessor's instruments —
 the registry always describes the newest owner of each name.
 
 >>> registry = MetricsRegistry()
@@ -289,8 +289,8 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` get-or-create shared process
     instruments; ``register`` attaches an externally constructed one,
     *replacing* any previous instrument under the same key — the
-    contract per-instance owners (snapshot caches, service telemetry)
-    rely on so the registry always reflects the newest instance.
+    contract per-instance owners (a service's telemetry) rely on so the
+    registry always reflects the newest instance.
     """
 
     def __init__(self) -> None:
@@ -361,7 +361,7 @@ class MetricsRegistry:
 
 
 #: The process-global registry: what exporters dump, the CLI prints and
-#: the instrumented layers (service, caches, closure engine) report to.
+#: the instrumented layers (service, storage, closure engine) report to.
 REGISTRY = MetricsRegistry()
 
 

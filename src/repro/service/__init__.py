@@ -16,15 +16,15 @@ across requests* instead of recomputed per call:
   invalidates) its own component — and, since the shards lock
   independently too, writers on disjoint components run concurrently
   while readers never lock at all (see :mod:`repro.service.service`);
-* **snapshot caches** (:mod:`repro.service.snapshots`) —
-  ``merged_view`` and ``query`` answers are stamped with a monotone
-  generation counter and revalidated per shard, including partial-hit
-  reuse when only *other* shards changed;
+* **memoized answers** — a commit publishes *new* immutable
+  :class:`Shard` objects, so component views, ``query`` answers and
+  :class:`ComponentSnapshot` exports are memoized on the shard they
+  came from: a write drops exactly the memos of the shards it
+  replaces, and shards in *other* components stay warm;
 * **typed results** (:mod:`repro.service.api_types`) — ``register``
   returns a :class:`RegisterReceipt`, ``query`` a :class:`QueryResult`,
-  ``retire`` a :class:`RetireReceipt`; all are frozen, thread-safe to
-  share, and still read like the old dicts through a one-release
-  deprecation shim;
+  ``retire`` a :class:`RetireReceipt`; all are frozen dataclasses,
+  thread-safe to share, and convert with ``to_dict()``;
 * **durable storage** (:mod:`repro.service.storage`) — every committed
   batch appends one checksummed record to an append-only log behind a
   pluggable :class:`StorageBackend` (:class:`MemoryBackend` by default,
@@ -68,7 +68,7 @@ from repro.service.api_types import (
 from repro.service.http import HttpFrontend, serve_http
 from repro.service.service import MergeService
 from repro.service.shards import Shard, UnionFind, plan_groups
-from repro.service.snapshots import ComponentSnapshot, SnapshotCache
+from repro.service.snapshots import ComponentSnapshot
 from repro.service.storage import (
     FileBackend,
     MemoryBackend,
@@ -88,7 +88,6 @@ __all__ = [
     "RegistrationEntry",
     "RetireReceipt",
     "Shard",
-    "SnapshotCache",
     "StorageBackend",
     "UnionFind",
     "plan_groups",

@@ -3,7 +3,7 @@
 One event loop serves every connection.  Reads (``GET``) are answered
 inline on the loop: :meth:`~repro.service.MergeService.merged_view` and
 :meth:`~repro.service.MergeService.query` are lock-free, so a read is
-just a cache lookup and never stalls the loop.  Writes
+just a memo lookup and never stalls the loop.  Writes
 (``POST /v1/schemas``) are dispatched to a small thread pool, so the
 loop keeps streaming read responses while a register folds closures
 under its per-shard locks — the service's "reads never block behind

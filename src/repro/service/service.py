@@ -1,14 +1,14 @@
-"""The long-lived merge service: registry, shards, snapshot caches.
+"""The long-lived merge service: registry, shards, memoized answers.
 
 :class:`MergeService` turns the one-shot ``join_all`` pipeline into a
 registry-and-query engine.  Schemas are registered in batches; each
 batch folds into the per-component :class:`~repro.service.shards.Shard`
 builders (creating and merging shards as name overlap dictates) and
-either commits atomically or rolls back without a trace.  Queries are
-answered from generation-stamped snapshot caches
-(:mod:`repro.service.snapshots`), so a read-mostly workload costs a
-dictionary lookup per request, and a write invalidates only the
-component it touches.
+either commits atomically or rolls back without a trace.  Every
+derived answer is memoized on the immutable shard it came from, so a
+read-mostly workload costs a dictionary lookup per request, and a write
+invalidates only the component it touches: the commit replaces that
+shard, and its memos go with it.
 
 **Concurrency model (per-shard locking).**  The paper's merge is
 component-local — a registration touches exactly the shards its class
@@ -24,11 +24,12 @@ serializing everything:
   batch touches, *in ascending shard-id order* (bridging batches take
   several; the global order makes deadlock impossible), then rebuilds
   on clones outside the topology lock;
-* **reads take no lock at all.**  Committed :class:`Shard` objects are
-  immutable (a mutation publishes a *new* shard object), commits
-  append their log record first and then publish in a stale-reads-only
-  order (new shards, class map, dead shards dropped, generation bumped
-  last), and the caches stamp conservatively — so a racing reader sees
+* **reads take no lock at all.**  Committed :class:`Shard` objects
+  never change what they hold (a mutation publishes a *new* shard
+  object; readers only fill its memo slots), commits append their log
+  record first and then publish in a stale-reads-only order (new
+  shards, class map, dead shards dropped, generation bumped last), and
+  the global view is stamped conservatively — so a racing reader sees
   either the old consistent state or the new one, never a torn one,
   and a warm ``merged_view`` never waits behind an in-flight write.
 
@@ -42,7 +43,10 @@ the claimant commits or rolls back.
 :data:`repro.obs.metrics.REGISTRY` (last-wins, so the registry always
 describes the newest service): ``service.register.{calls,schemas,
 rollbacks,duration}``, ``service.merged_view.{hits,partial_hits,misses,
-duration}``, ``service.query.duration``, plus ``service.components`` /
+duration}``, ``service.query.duration``, the memo outcomes
+``snapshot.{hits,misses}`` (``cache=service.components`` for component
+views, ``cache=service.snapshots`` for the global view, query answers
+and component snapshots), plus ``service.components`` /
 ``service.generation`` / ``service.requests`` callback gauges.
 Counters are always live; spans and duration histograms engage only
 after :func:`repro.obs.enable`, and the read paths *sample* their
@@ -77,7 +81,7 @@ import itertools
 import threading
 import weakref
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union, cast
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from dataclasses import replace as _dc_replace
 from pathlib import Path
@@ -99,7 +103,7 @@ from repro.obs.tracing import span
 from repro.perf.closure import ClosureBuilder
 from repro.service.api_types import QueryResult, RegisterReceipt, RetireReceipt
 from repro.service.shards import Shard, plan_groups
-from repro.service.snapshots import ComponentSnapshot, SnapshotCache
+from repro.service.snapshots import ComponentSnapshot
 from repro.service.storage import (
     RECOVERIES,
     REPLAYS,
@@ -115,8 +119,6 @@ from repro.service.storage import (
 )
 
 __all__ = ["MergeService"]
-
-_MISS = SnapshotCache.MISS
 
 ComponentRef = Union[int, ClassName, str]
 
@@ -159,6 +161,10 @@ class _ServiceTelemetry:
         "view_misses",
         "view_duration",
         "query_duration",
+        "component_hits",
+        "component_misses",
+        "answer_hits",
+        "answer_misses",
         "gauges",
     )
 
@@ -189,6 +195,15 @@ class _ServiceTelemetry:
         self.query_duration = REGISTRY.register(
             Histogram("service.query.duration")
         )
+        # Memo outcomes: component views, then every other answer.
+        (
+            self.component_hits, self.component_misses,
+            self.answer_hits, self.answer_misses,
+        ) = (
+            REGISTRY.register(Counter(f"snapshot.{outcome}", cache=cache))
+            for cache in ("service.components", "service.snapshots")
+            for outcome in ("hits", "misses")
+        )
         ref = weakref.ref(service)
 
         def _reader(attr: str) -> "Callable[[], int]":
@@ -211,13 +226,6 @@ class _ServiceTelemetry:
                 Gauge("service.requests", fn=_reader("_requests"))
             ),
         ]
-
-    def view_counts(self) -> Dict[str, int]:
-        return {
-            "hits": self.view_hits.value,
-            "partial_hits": self.view_partial.value,
-            "misses": self.view_misses.value,
-        }
 
 
 #: Live services, so flipping the global telemetry switch re-phases
@@ -286,10 +294,8 @@ class MergeService:
     """A thread-safe registry of schemas serving merged views and queries.
 
     Writes lock per component (see the module docstring), reads are
-    lock-free against published immutable shards.  *component_cache_size*
-    bounds the per-shard merged-schema cache, *snapshot_cache_size* the
-    request-level answer cache; both are pure memory ceilings — eviction
-    costs a recomputation, never correctness.  *telemetry_sample_every*
+    lock-free against published immutable shards and answer from the
+    memos on them.  *telemetry_sample_every*
     (a power of two) sets how often the read paths time themselves while
     telemetry is enabled: the default 64 keeps the warm-path overhead
     negligible; benchmarks pass 1 for full latency distributions.
@@ -299,8 +305,6 @@ class MergeService:
         self,
         schemas: Iterable[Union[Schema, RegistrationEntry]] = (),
         *,
-        component_cache_size: int = 4096,
-        snapshot_cache_size: int = 256,
         telemetry_sample_every: int = 64,
         storage: Optional[StorageBackend] = None,
         snapshot_every: Optional[int] = None,
@@ -335,12 +339,8 @@ class MergeService:
         # sets it past the mask so no request ever matches — the compare
         # itself runs either way, keeping both modes instruction-identical.
         self._sample_on = 0 if _obs_state.enabled else self._sample_mask + 1
-        self._component_cache = SnapshotCache(
-            "service.components", maxsize=component_cache_size
-        )
-        self._snapshot_cache = SnapshotCache(
-            "service.snapshots", maxsize=snapshot_cache_size
-        )
+        #: ``(generation, view)`` of the last assembled global view.
+        self._global: Optional[Tuple[int, Schema]] = None
         self._telemetry = _ServiceTelemetry(self)  # frozen-after-init
         #: The binding never changes after construction; the *object* is
         #: mutated (``append``) only under the topology lock, which is
@@ -358,7 +358,11 @@ class MergeService:
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
         _SERVICES.add(self)
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:
+            self._storage.close()
+            raise
         initial = list(schemas)
         if initial:
             self.register(initial)
@@ -368,8 +372,6 @@ class MergeService:
         cls,
         path: Union[str, Path],
         *,
-        component_cache_size: int = 4096,
-        snapshot_cache_size: int = 256,
         telemetry_sample_every: int = 64,
         snapshot_every: Optional[int] = None,
         fsync: bool = True,
@@ -383,11 +385,12 @@ class MergeService:
         closure invariants before the service answers anything.  Raises
         :class:`~repro.exceptions.CorruptLogError` /
         :class:`~repro.exceptions.CorruptSnapshotError` when the
-        persisted artifacts fail their integrity checks.
+        persisted artifacts fail their integrity checks, and
+        :class:`~repro.exceptions.StorageLockedError` when another
+        process has the directory open (one process must not open it
+        twice; see :class:`~repro.service.storage.FileBackend`).
         """
         return cls(
-            component_cache_size=component_cache_size,
-            snapshot_cache_size=snapshot_cache_size,
             telemetry_sample_every=telemetry_sample_every,
             storage=FileBackend(path, fsync=fsync),
             snapshot_every=snapshot_every,
@@ -460,7 +463,7 @@ class MergeService:
             # Recovery ends with a ready-to-serve registry: assembling
             # the global view here (still single-threaded, before the
             # instance is shared) means the first post-restart
-            # ``merged_view`` is a cache hit instead of a latency spike
+            # ``merged_view`` is a memo hit instead of a latency spike
             # that re-materializes every component's closed relations.
             self._global_view()
 
@@ -470,8 +473,8 @@ class MergeService:
         Each component's dense closure (already invariant-validated by
         the decoder) seeds a live builder via
         :meth:`ClosureBuilder.from_dense` — no member re-folding — and
-        its merged view is pre-warmed into the component cache, which
-        is what makes the first post-restart ``merged_view`` cheap.
+        seeds the shard's *view* memo, which is what makes the first
+        post-restart ``merged_view`` cheap.
         """
         with self._topology:
             for component in state.components:
@@ -485,6 +488,7 @@ class MergeService:
                     component.members,
                     component.generation,
                 )
+                shard.view = component.dense.to_schema()
                 self._shards[component.sid] = shard
                 self._shard_locks[component.sid] = _new_shard_lock(
                     component.sid
@@ -497,12 +501,6 @@ class MergeService:
             }
             self._generation = state.generation
             self._next_sid = max(state.next_sid, self._next_sid)
-        for component in state.components:
-            self._component_cache.store(
-                component.sid,
-                component.dense.to_schema(),
-                component.generation,
-            )
 
     def _apply_record(self, seq: int, record: LogRecord) -> None:
         """Replay one log record; reject a log that no longer determines
@@ -621,7 +619,7 @@ class MergeService:
         :class:`~repro.exceptions.IncompatibleSchemasError` (or a
         version conflict on a named entry, or a failed log append)
         nothing is committed: shard layout, lifecycle table, generation
-        and every cached answer are exactly as before the call — and
+        and every memoized answer are exactly as before the call — and
         nothing reaches the log, which records committed mutations only.
 
         With telemetry enabled the call produces a span tree —
@@ -998,7 +996,7 @@ class MergeService:
         intermediate point a reader resolves to *some* committed shard
         whose content is current or a subset of current, and data can
         only ever be *fresher* than its generation stamp — so a race
-        costs at worst a cache miss, never a stale answer served as
+        costs at worst a rebuild, never a stale answer served as
         current.  Returns the new generation and the component count.
         """
         generation = self._generation + 1
@@ -1123,10 +1121,10 @@ class MergeService:
         its remaining member schemas (one occurrence of each retired
         version's schema is dropped; an equal anonymous registration
         survives), classes asserted only by the retired versions leave
-        the registry, and the generation bump invalidates exactly the
-        touched components' cached answers — untouched components keep
-        their stamps and stay warm.  A component with no remaining
-        members is dropped outright.  The retirement is logged like any
+        the registry, and only the touched components' shards are
+        replaced (taking their memoized answers with them) — untouched
+        shards stay the same objects and stay warm.  A component with no
+        remaining members is dropped outright.  The retirement is logged like any
         other mutation, so restarts replay it.
 
         Retire shares :meth:`register`'s write path and its
@@ -1250,21 +1248,22 @@ class MergeService:
         nothing, so the worst concurrent case is two readers building
         the same component once each.
         """
-        cached = self._component_cache.lookup(shard.sid, shard.generation)
-        if cached is not _MISS:
-            return cached, self._telemetry.view_hits
-        merged = shard.builder.build()
-        return (
-            self._component_cache.store(shard.sid, merged, shard.generation),
-            self._telemetry.view_misses,
-        )
+        tel = self._telemetry
+        view = shard.view
+        if view is not None:
+            tel.component_hits.inc()
+            return view, tel.view_hits
+        tel.component_misses.inc()
+        shard.view = view = shard.builder.build()
+        return view, tel.view_misses
 
     def _global_view(self) -> Tuple[Schema, Counter]:
         """The merged view of everything — disjoint union over shards.
 
-        Outcome accounting: a direct snapshot hit is a *hit*; a view
-        reassembled purely from cached component parts is a *partial
-        hit*; rebuilding any part makes the request a *miss*.
+        Outcome accounting: a view still current for this generation is
+        a *hit*; a view reassembled purely from memoized component parts
+        is a *partial hit*; rebuilding any part makes the request a
+        *miss*.
 
         The generation is read *before* the shard table is copied, so a
         concurrent commit can only make the assembled view fresher than
@@ -1277,9 +1276,11 @@ class MergeService:
         """
         tel = self._telemetry
         generation = self._generation
-        cached = self._snapshot_cache.lookup(("view", None), generation)
-        if cached is not _MISS:
-            return cached, tel.view_hits
+        current = self._global
+        if current is not None and current[0] == generation:
+            tel.answer_hits.inc()
+            return current[1], tel.view_hits
+        tel.answer_misses.inc()
         shards = self._shards.copy()
         if not shards:
             merged = Schema.empty()
@@ -1299,10 +1300,8 @@ class MergeService:
                 merged = ClosureBuilder(parts).build()
             else:
                 merged = _disjoint_union(parts)
-        return (
-            self._snapshot_cache.store(("view", None), merged, generation),
-            outcome,
-        )
+        self._global = (generation, merged)
+        return merged, outcome
 
     def merged_view(self, component: Optional[ComponentRef] = None) -> Schema:
         """The merged schema of one component, or of the whole registry.
@@ -1315,38 +1314,29 @@ class MergeService:
         """
         self._check_open()
         self._requests = requests = next(self._ticker)
-        if (requests & self._sample_mask) == self._sample_on:
-            return self._merged_view_sampled(component)
-        if component is None:
-            view, outcome = self._global_view()
-        else:
-            view, outcome = self._component_schema(self._resolve(component))
-        outcome.inc()
+        if (requests & self._sample_mask) != self._sample_on:
+            return self._merged_view(component)
+        # Read paths record durations only: a span per read would cost
+        # more than the read itself (spans live on the write path).
+        start = perf_counter()
+        view = self._merged_view(component)
+        self._telemetry.view_duration.observe(perf_counter() - start)
         return view
 
-    def _merged_view_sampled(self, component: Optional[ComponentRef]) -> Schema:
-        """The sampled slow path: same answer, plus one clock pair.
-
-        Read paths deliberately record durations only — a span per read
-        would cost more than the read itself and blow the 5% budget;
-        the span tree lives on the write path (:meth:`register`).
-        """
-        start = perf_counter()
+    def _merged_view(self, component: Optional[ComponentRef]) -> Schema:
         if component is None:
             view, outcome = self._global_view()
         else:
             view, outcome = self._component_schema(self._resolve(component))
-        self._telemetry.view_duration.observe(perf_counter() - start)
         outcome.inc()
         return view
 
     def query(self, cls: ClassName | str) -> QueryResult:
         """Everything the merged view asserts about one class name.
 
-        The :class:`~repro.service.api_types.QueryResult` is cached per
-        name and stamped with the shard it was derived from;
-        registrations in *other* components re-validate it as a partial
-        hit instead of recomputing.  Lock-free, like :meth:`merged_view`.
+        The :class:`~repro.service.api_types.QueryResult` is memoized on
+        the shard that owns the name, so registrations in *other*
+        components leave it warm.  Lock-free, like :meth:`merged_view`.
         """
         self._check_open()
         self._requests = requests = next(self._ticker)
@@ -1359,31 +1349,20 @@ class MergeService:
         return answer
 
     def _query(self, key_name: ClassName) -> QueryResult:
-        key = ("query", key_name)
-        generation = self._generation
-
-        def still_valid(stamp: Any) -> bool:
-            if stamp is None:
-                return False
-            sid, shard_generation = stamp
-            shard = self._shards.get(sid)
-            return (
-                shard is not None
-                and self._class_to_sid.get(key_name) == sid
-                and shard.generation == shard_generation
-            )
-
-        cached = self._snapshot_cache.lookup(key, generation, still_valid)
-        if cached is not _MISS:
-            return cached
         shard = self._resolve(key_name)
+        answer = shard.answers.get(key_name)
+        if answer is not None:
+            self._telemetry.answer_hits.inc()
+            return answer
+        self._telemetry.answer_misses.inc()
         merged, _outcome = self._component_schema(shard)
         answer = QueryResult.from_component(
             merged, key_name, shard.sid, len(shard.schemas)
         )
-        self._snapshot_cache.store(
-            key, answer, generation, stamp=(shard.sid, shard.generation)
-        )
+        if key_name in merged.classes:
+            # Resolved mid-commit to a shard that no longer holds the
+            # name (a retire in flight): answer, but never memoize it.
+            shard.answers[key_name] = answer
         return answer
 
     def component_snapshot(self, component: ComponentRef) -> ComponentSnapshot:
@@ -1393,34 +1372,22 @@ class MergeService:
         the shard's dense closure *with its id table*, so exporting a
         component (``snapshot.to_dict()`` →
         :func:`repro.io.json_io.snapshot_to_dict`) writes each name once
-        and never re-walks the merged schema's object graph.  Cached and
-        generation-stamped exactly like :meth:`query`: registrations in
-        other components re-validate instead of recomputing.
+        and never re-walks the merged schema's object graph.  Memoized
+        on the shard exactly like :meth:`query`.
         """
         self._check_open()
         shard = self._resolve(component)
-        key = ("snapshot", shard.sid)
-        generation = self._generation
-
-        def still_valid(stamp: Any) -> bool:
-            if stamp is None:
-                return False
-            sid, shard_generation = stamp
-            live = self._shards.get(sid)
-            return live is not None and live.generation == shard_generation
-
-        cached = self._snapshot_cache.lookup(key, generation, still_valid)
-        if cached is not _MISS:
-            return cast(ComponentSnapshot, cached)
+        snapshot = shard.snapshot
+        if snapshot is not None:
+            self._telemetry.answer_hits.inc()
+            return snapshot
+        self._telemetry.answer_misses.inc()
         merged, _outcome = self._component_schema(shard)
-        snapshot = ComponentSnapshot(
+        shard.snapshot = snapshot = ComponentSnapshot(
             sid=shard.sid,
             generation=shard.generation,
             schemas=len(shard.schemas),
             dense=merged._dense,
-        )
-        self._snapshot_cache.store(
-            key, snapshot, generation, stamp=(shard.sid, shard.generation)
         )
         return snapshot
 
@@ -1450,16 +1417,16 @@ class MergeService:
         return tuple(self._resolve(component).schemas)
 
     def service_stats(self) -> Dict[str, Any]:
-        """Operational counters: components, generation, cache hit rates.
+        """Operational counters: components, generation, memo hit rates.
 
         The historical dict shape, now read from the registered
         instruments (one source of truth with ``repro.obs``): the
         top-level fields ``components``, ``registered_schemas``,
-        ``generation``, ``requests_served`` and the ``component_cache``
-        / ``snapshot_cache`` counter blocks keep their pre-telemetry
-        keys, and a ``telemetry`` block adds the merged-view outcome
-        counters plus whatever latency distributions sampling has
-        collected.
+        ``generation`` and ``requests_served`` keep their pre-telemetry
+        keys, the ``component_cache`` / ``snapshot_cache`` blocks give
+        the memo ``hits`` and ``misses``, and a ``telemetry`` block adds
+        the merged-view outcome counters plus whatever latency
+        distributions sampling has collected.
         """
         tel = self._telemetry
         with self._topology:
@@ -1482,10 +1449,20 @@ class MergeService:
                     if v.retired
                 ),
             },
-            "component_cache": self._component_cache.stats(),
-            "snapshot_cache": self._snapshot_cache.stats(),
+            "component_cache": {
+                "hits": tel.component_hits.value,
+                "misses": tel.component_misses.value,
+            },
+            "snapshot_cache": {
+                "hits": tel.answer_hits.value,
+                "misses": tel.answer_misses.value,
+            },
             "telemetry": {
-                "merged_view": tel.view_counts(),
+                "merged_view": {
+                    "hits": tel.view_hits.value,
+                    "partial_hits": tel.view_partial.value,
+                    "misses": tel.view_misses.value,
+                },
                 "register": {
                     "calls": tel.calls.value,
                     "rollbacks": tel.rollbacks.value,
@@ -1498,11 +1475,6 @@ class MergeService:
                 },
             },
         }
-
-    def clear_caches(self) -> None:
-        """Drop every cached answer (recomputed on demand; never unsafe)."""
-        self._component_cache.clear()
-        self._snapshot_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

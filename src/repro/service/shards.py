@@ -32,6 +32,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.core.names import ClassName
 from repro.core.schema import Schema
 from repro.perf.closure import ClosureBuilder
+from repro.service.api_types import QueryResult
+from repro.service.snapshots import ComponentSnapshot
 
 __all__ = ["Shard", "UnionFind", "plan_groups"]
 
@@ -70,11 +72,17 @@ class UnionFind:
 
 
 class Shard:
-    """One name-overlap component: its builder, members and mutation stamp.
+    """One name-overlap component: its builder, members and derived answers.
 
-    *generation* is the service generation of the last mutation; the
-    snapshot caches compare against it to decide whether an answer
-    derived from this shard is still current.
+    *generation* is the service generation of the last mutation.  A
+    commit never changes a published shard's content; it publishes a
+    *new* shard.  So the answers derived from a shard are memoized on
+    it: *view* (the merged schema), *answers* (``ClassName →
+    QueryResult``) and *snapshot* (the :class:`ComponentSnapshot`).
+    Lock-free readers fill them lazily; a race costs one duplicate
+    build, never a wrong answer.  A commit drops exactly the memos of
+    the shards it replaces, and *answers* only holds names the shard
+    contains, so memo memory is bounded by the registry.
 
     *schemas* is any immutable-after-handoff sequence: commits build
     plain lists, but a snapshot-led recovery hands over a lazily
@@ -82,7 +90,9 @@ class Shard:
     (or introspection) actually reads them.
     """
 
-    __slots__ = ("sid", "builder", "schemas", "generation")
+    __slots__ = (
+        "sid", "builder", "schemas", "generation", "view", "answers", "snapshot"
+    )
 
     def __init__(
         self,
@@ -95,6 +105,9 @@ class Shard:
         self.builder = builder  # frozen-after-init
         self.schemas = schemas  # frozen-after-init
         self.generation = generation  # frozen-after-init
+        self.view: Optional[Schema] = None
+        self.answers: Dict[ClassName, QueryResult] = {}
+        self.snapshot: Optional[ComponentSnapshot] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -71,6 +71,7 @@ JSONL encoding::
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -98,6 +99,7 @@ from repro.exceptions import (
     InvalidRequestError,
     SerializationError,
     StorageError,
+    StorageLockedError,
 )
 from repro.io.json_io import (
     canonical_dumps,
@@ -505,9 +507,15 @@ class FileBackend:
         <dir>/registry.log     append-only JSONL, one sealed record/line
         <dir>/snap-<sid>.json  newest snapshot of component <sid>
         <dir>/manifest.json    the cut: log seq, generation, lifecycle table
+        <dir>/LOCK             empty; its POSIX lock marks the owning process
 
-    Construction scans the log once: it verifies checksums and sequence
-    contiguity (raising :class:`~repro.exceptions.CorruptLogError`
+    Construction first locks ``LOCK`` (``lockf``, exclusive, non-blocking)
+    and raises :class:`~repro.exceptions.StorageLockedError` if another
+    process holds it; :meth:`close`, a failed construction or the
+    holder's death releases it.  The lock is per process, so opening one
+    directory twice in one process is not refused, and is unsupported.
+    Construction then scans the log once: it verifies checksums and
+    sequence contiguity (raising :class:`~repro.exceptions.CorruptLogError`
     eagerly, before the service trusts anything) and truncates a torn
     final line left by a crash mid-append.  Appends write one line,
     flush, and — unless *fsync* is disabled for throughput experiments —
@@ -519,6 +527,7 @@ class FileBackend:
 
     LOG_NAME = "registry.log"
     MANIFEST_NAME = "manifest.json"
+    LOCK_NAME = "LOCK"
 
     def __init__(self, path: Union[str, Path], *, fsync: bool = True) -> None:
         self._dir = Path(path)
@@ -527,17 +536,30 @@ class FileBackend:
         self._lock = threading.Lock()
         self._fh: Optional[IO[str]] = None  # guarded-by: _lock
         self._seq = 0  # guarded-by: _lock
+        self._lock_fd: Optional[int] = os.open(  # guarded-by: _lock
+            self._dir / self.LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644
+        )
         log = self._dir / self.LOG_NAME
-        if log.exists():
-            last_seq, durable = self._scan(log.read_bytes())
-            self._seq = last_seq
-            if durable < log.stat().st_size:
-                # A torn tail is a crash footprint, not corruption:
-                # drop it so the next append starts on a record boundary.
-                with open(log, "r+b") as fh:
-                    fh.truncate(durable)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+        try:
+            try:
+                fcntl.lockf(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError as exc:
+                raise StorageLockedError(
+                    f"data directory {self._dir} is in use by another process"
+                ) from exc
+            if log.exists():
+                last_seq, durable = self._scan(log.read_bytes())
+                self._seq = last_seq
+                if durable < log.stat().st_size:
+                    # A torn tail is a crash footprint, not corruption:
+                    # drop it so the next append starts on a record boundary.
+                    with open(log, "r+b") as fh:
+                        fh.truncate(durable)
+                        fh.flush()
+                        os.fsync(fh.fileno())
+        except BaseException:
+            self.close()
+            raise
 
     @staticmethod
     def _scan(data: bytes) -> Tuple[int, int]:
@@ -789,3 +811,6 @@ class FileBackend:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+            if self._lock_fd is not None:
+                os.close(self._lock_fd)  # releases the directory lock
+                self._lock_fd = None

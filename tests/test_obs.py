@@ -31,7 +31,6 @@ from repro.obs.exporters import JsonlExporter, parse_jsonl, prometheus_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import _NULL_SPAN, render_spans, span, tracer
 from repro.service import MergeService
-from repro.service.snapshots import Sentinel, SnapshotCache
 
 
 @pytest.fixture(autouse=True)
@@ -312,18 +311,6 @@ class TestExporters:
 
 
 # ----------------------------------------------------------------------
-# Sentinels
-# ----------------------------------------------------------------------
-
-
-class TestSentinels:
-    def test_shared_sentinel_class(self):
-        assert isinstance(SnapshotCache.MISS, Sentinel)
-        assert Sentinel("SnapshotCache.MISS") is not SnapshotCache.MISS
-        assert repr(SnapshotCache.MISS) == "<SnapshotCache.MISS>"
-
-
-# ----------------------------------------------------------------------
 # Service integration
 # ----------------------------------------------------------------------
 
@@ -473,15 +460,9 @@ class TestServiceTelemetry:
         assert stats["registered_schemas"] == 1
         assert stats["generation"] == 1
         assert stats["requests_served"] == 2
-        for block in ("component_cache", "snapshot_cache"):
-            assert {
-                "size",
-                "maxsize",
-                "hits",
-                "misses",
-                "partial_hits",
-                "evictions",
-            } <= set(stats[block])
+        # The view is built once; the query's answer reuses it.
+        assert stats["component_cache"] == {"hits": 1, "misses": 1}
+        assert stats["snapshot_cache"] == {"hits": 0, "misses": 1}
         assert stats["telemetry"]["merged_view"]["misses"] == 1
         json.dumps(stats)  # must stay JSON-able
 
@@ -507,28 +488,6 @@ class TestServiceTelemetry:
         del service
         gc.collect()
         assert obs.registry().value("service.generation") == 0
-
-
-class TestSnapshotCacheTelemetry:
-    def test_evictions_are_counted(self):
-        cache = SnapshotCache("t.tiny", maxsize=2)
-        for i in range(4):
-            cache.store(i, i, generation=1)
-        assert cache.evictions == 2
-        assert cache.stats()["evictions"] == 2
-        assert len(cache) == 2
-
-    def test_counters_report_through_registry(self):
-        cache = SnapshotCache("t.reporting")
-        cache.lookup("missing", generation=1)
-        cache.store("k", 1, generation=1)
-        cache.lookup("k", generation=1)
-        registry = obs.registry()
-        assert registry.value("snapshot.misses", cache="t.reporting") == 1
-        assert registry.value("snapshot.hits", cache="t.reporting") == 1
-        assert (
-            registry.value("snapshot.revalidations", cache="t.reporting") == 0
-        )
 
 
 class TestClosureCounters:

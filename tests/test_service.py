@@ -13,15 +13,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.names import name
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
-from repro.exceptions import IncompatibleSchemasError
+from repro.exceptions import IncompatibleSchemasError, UnknownClassError
 from repro.generators.random_schemas import random_schema_family
 from repro.generators.workloads import get_request_stream, replay
 from repro.service import (
     MergeService,
     RegisterReceipt,
-    SnapshotCache,
     UnionFind,
     plan_groups,
 )
@@ -212,14 +212,14 @@ class TestInvalidation:
                 )
             ]
         )
-        partial_before = service.service_stats()["snapshot_cache"][
-            "partial_hits"
-        ]
+        misses_before = service.service_stats()["snapshot_cache"]["misses"]
         second = service.query(anchor_other)
-        assert second == first
+        # The other component's shard was not replaced, so its memoized
+        # answer is served as-is, without being derived again.
+        assert second is first
         assert (
-            service.service_stats()["snapshot_cache"]["partial_hits"]
-            == partial_before + 1
+            service.service_stats()["snapshot_cache"]["misses"]
+            == misses_before
         )
 
     def test_query_recomputed_when_its_component_changes(
@@ -252,11 +252,67 @@ class TestInvalidation:
         assert after != before
         assert after.has_arrow(anchor, "probe", "ProbeTarget")
 
-    def test_clear_caches_only_costs_recomputation(self, sharded_service):
-        service = sharded_service
-        view = service.merged_view()
-        service.clear_caches()
-        assert service.merged_view() == view
+
+class TestShardMemos:
+    """Answers live on the shard that produced them."""
+
+    @staticmethod
+    def wide_service() -> MergeService:
+        # Four components of 80 classes each: more distinct classes
+        # than a 256-entry answer cache could hold.
+        return MergeService(
+            [
+                Schema.build(
+                    arrows=[
+                        (f"C{c}_{i}", "next", f"C{c}_{i + 1}")
+                        for i in range(79)
+                    ]
+                )
+                for c in range(4)
+            ]
+        )
+
+    def test_write_rederives_only_its_components_answers(self):
+        service = self.wide_service()
+        classes = sorted(f"C{c}_{i}" for c in range(4) for i in range(80))
+        for cls in classes:
+            service.query(cls)
+        touched = service.component_of("C0_0")
+        touched_classes = service.components()[touched]["classes"]
+        service.register([Schema.build(arrows=[("C0_0", "probe", "C0_1")])])
+        before = service.service_stats()["snapshot_cache"]["misses"]
+        for cls in classes:
+            service.query(cls)
+        misses = service.service_stats()["snapshot_cache"]["misses"] - before
+        assert len(classes) > 256
+        assert misses == touched_classes == 80
+
+    def test_unknown_class_leaves_every_memo_unchanged(self):
+        service = self.wide_service()
+        for c in range(4):
+            service.query(f"C{c}_3")
+
+        def memos():
+            return {
+                sid: dict(shard.answers)
+                for sid, shard in service._shards.items()
+            }
+
+        before = memos()
+        with pytest.raises(UnknownClassError):
+            service.query("NoSuchClass")
+        assert memos() == before
+        for shard in service._shards.values():
+            assert set(shard.answers) <= shard.view.classes
+
+    def test_name_missing_from_its_resolved_shard_is_not_memoized(self):
+        service = self.wide_service()
+        sid = service.component_of("C0_0")
+        # The window inside a retire's commit: the class map still
+        # routes a withdrawn name to a shard that no longer holds it.
+        service._class_to_sid[name("Withdrawn")] = sid
+        service.query("Withdrawn")
+        assert name("Withdrawn") not in service._shards[sid].answers
 
 
 class TestConcurrency:
@@ -312,37 +368,6 @@ class TestConcurrency:
         for sid in service.components():
             members = list(service.component_schemas(sid))
             assert service.merged_view(sid) == join_all(members)
-
-
-class TestSnapshotCache:
-    def test_miss_is_distinct_from_none(self):
-        cache = SnapshotCache("t", maxsize=4)
-        assert cache.lookup("k", 1) is SnapshotCache.MISS
-        cache.store("k", None, 1)
-        assert cache.lookup("k", 1) is None
-
-    def test_generation_mismatch_without_predicate_is_a_miss(self):
-        cache = SnapshotCache("t", maxsize=4)
-        cache.store("k", "v", 1)
-        assert cache.lookup("k", 2) is SnapshotCache.MISS
-
-    def test_partial_hit_restamps_to_current_generation(self):
-        cache = SnapshotCache("t", maxsize=4)
-        cache.store("k", "v", 1, stamp="fingerprint")
-        seen = []
-        assert cache.lookup("k", 5, lambda s: seen.append(s) or True) == "v"
-        assert seen == ["fingerprint"]
-        # Re-stamped: a plain lookup at the new generation now hits.
-        assert cache.lookup("k", 5) == "v"
-        assert cache.stats()["partial_hits"] == 1
-        assert cache.stats()["hits"] == 1
-
-    def test_eviction_respects_maxsize(self):
-        cache = SnapshotCache("t", maxsize=3)
-        for index in range(10):
-            cache.store(index, index, 1)
-        assert len(cache) <= 3
-        assert cache.lookup(9, 1) == 9
 
 
 class TestSharding:

@@ -8,7 +8,8 @@ The three claims the locking redesign makes, each exercised directly:
   are deadlock-free under contention, because every writer acquires
   in ascending shard-id order;
 * **readers never block** — a warm ``merged_view`` completes while a
-  writer holds the very shard lock the view reads through.
+  writer holds the very shard lock the view reads through, and the
+  answers they memoize on shards mid-write are never stale.
 
 Retires run through the same write path as registrations, so the
 storms also mix ``retire`` lanes into racing ``register`` lanes.  The
@@ -41,7 +42,7 @@ from repro.check.witness import (
     witness_stats,
 )
 from repro.generators.workloads import get_concurrent_stream
-from repro.service import MergeService, RegistrationEntry
+from repro.service import MergeService, QueryResult, RegistrationEntry
 
 #: Generous watchdog: a deadlock hangs forever, a healthy run takes
 #: well under a second.
@@ -547,3 +548,80 @@ class TestRetireRacesRegister:
     def test_witnessed_bridging_retire_and_register(self, tmp_path, lock_witness):
         self._bridging(tmp_path / "registry")
         assert witness_stats()["checked"] > 0
+
+
+class TestMemosUnderWrites:
+    """Readers fill shard memos lock-free while writers replace shards."""
+
+    def test_memos_filled_during_a_storm_match_a_cold_merge(self):
+        pods = 4
+        service = MergeService(
+            [
+                RegistrationEntry(
+                    Schema.build(
+                        arrows=[
+                            (f"Pod{p}_A", "link", f"Pod{p}_B"),
+                            # Only the named schema asserts this class,
+                            # so retiring it withdraws the name mid-read.
+                            (f"Pod{p}_B", "only", f"Pod{p}_Only"),
+                        ]
+                    ),
+                    name=f"pod{p}",
+                )
+                for p in range(pods)
+            ]
+        )
+        names = [f"Pod{p}_{suffix}" for p in range(pods) for suffix in ("A", "B", "Only")]
+        stop = threading.Event()
+        reader_errors = []
+
+        def reader(offset):
+            index = offset
+            while not stop.is_set():
+                cls = names[index % len(names)]
+                try:
+                    service.query(cls)
+                    service.merged_view(cls)
+                except UnknownClassError:
+                    pass  # a retire withdrew the class
+                except Exception as exc:  # noqa: BLE001 - collected for assert
+                    reader_errors.append(exc)
+                    return
+                index += 1
+
+        lanes = [
+            [
+                ("register", Schema.build(arrows=[(f"Pod{p}_A", f"w{k}", f"Pod{p}_B")]))
+                for k in range(10)
+            ]
+            for p in range(pods)
+        ] + [[("retire", f"pod{p}") for p in range(pods)]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [
+            threading.Thread(target=reader, args=(i,), daemon=True)
+            for i in range(6)
+        ]
+        try:
+            for thread in readers:
+                thread.start()
+            errors = run_writers(service, lanes)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=JOIN_TIMEOUT)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not any(errors), errors
+        assert reader_errors == []
+        for sid, shard in service._shards.items():
+            classes = shard.builder.classes
+            assert set(shard.answers) <= classes
+            expected = join_all(list(shard.schemas))
+            assert service.merged_view(sid) == expected
+            for cls in classes:
+                assert service.query(cls) == QueryResult.from_component(
+                    expected, cls, sid, len(shard.schemas)
+                )
+        for p in range(pods):
+            assert service.component_of(f"Pod{p}_Only") is None

@@ -11,6 +11,9 @@ Three layers of assurance, from the wire up:
   every case must end in either a clean replay or a typed
   ``CorruptLogError`` / ``CorruptSnapshotError`` — never a silently
   wrong merged view;
+* **single ownership** — a data directory held by one process refuses
+  every other process with a typed ``StorageLockedError``, and a failed
+  open never keeps the directory locked;
 * **restart equivalence** — random and pathological workloads (named
   registrations, supersede chains, mid-stream retires, rolled-back
   incompatible batches, snapshot cuts at arbitrary points) are run to
@@ -24,7 +27,11 @@ from __future__ import annotations
 
 import errno
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -37,6 +44,7 @@ from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
     IncompatibleSchemasError,
+    StorageLockedError,
     UnknownSchemaError,
 )
 from repro.perf.reference import reference_join_all
@@ -649,3 +657,126 @@ class TestFailedAppend:
             )
         finally:
             reopened.close()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Holds a data directory open until its stdin closes.
+HOLD_SCRIPT = """
+import sys
+from repro.service import MergeService
+service = MergeService.open(sys.argv[1])
+print("holding", flush=True)
+sys.stdin.read()
+service.close()
+"""
+
+#: Opens a data directory and reports how that went.
+OPEN_SCRIPT = """
+import sys
+from repro.service import MergeService
+try:
+    MergeService.open(sys.argv[1]).close()
+    print("opened")
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def open_in_child(data: Path) -> str:
+    """What a second process gets when it opens *data*."""
+    result = subprocess.run(
+        [sys.executable, "-c", OPEN_SCRIPT, str(data)],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+class TestDirectoryLock:
+    @contextmanager
+    def held_by_child(self, data: Path):
+        child = subprocess.Popen(
+            [sys.executable, "-c", HOLD_SCRIPT, str(data)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+        try:
+            assert child.stdout.readline().strip() == "holding"
+            yield
+        finally:
+            child.stdin.close()
+            child.wait(timeout=60)
+            child.stdout.close()
+
+    def test_second_process_is_refused_until_the_holder_exits(self, tmp_path):
+        data = tmp_path / "registry"
+        with self.held_by_child(data):
+            with pytest.raises(StorageLockedError, match="another process"):
+                MergeService.open(data)
+        service = MergeService.open(data)
+        try:
+            service.register([pets()])
+        finally:
+            service.close()
+        reopened = MergeService.open(data)
+        try:
+            assert reopened.service_stats()["storage"]["log_seq"] == 1
+        finally:
+            reopened.close()
+
+    def test_holder_refuses_other_processes_until_closed(self, tmp_path):
+        data = tmp_path / "registry"
+        service = MergeService.open(data)
+        try:
+            assert open_in_child(data) == "StorageLockedError"
+        finally:
+            service.close()
+        assert open_in_child(data) == "opened"
+
+    def test_serve_reports_a_held_directory_without_a_traceback(
+        self, tmp_path
+    ):
+        data = tmp_path / "registry"
+        with self.held_by_child(data):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.tools.cli", "serve",
+                 "--data-dir", str(data)],
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                timeout=60,
+            )
+        assert result.returncode == 1
+        assert "in use by another process" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_failed_log_scan_releases_the_lock(self, tmp_path):
+        data = TestLogFaults().make_dir(tmp_path)
+        flip_crc(log_path(data), line_index=1)
+        with pytest.raises(CorruptLogError):
+            MergeService.open(data)
+        # A lock leaked by the failed open would refuse the child first.
+        assert open_in_child(data) == "CorruptLogError"
+
+    def test_failed_recovery_releases_the_lock(self, tmp_path):
+        data = TestSnapshotFaults().make_dir(tmp_path)
+        flip_crc(sorted(data.glob("snap-*.json"))[0])
+        with pytest.raises(CorruptSnapshotError):
+            MergeService.open(data)
+        assert open_in_child(data) == "CorruptSnapshotError"
