@@ -51,7 +51,6 @@ DOCTEST_MODULES = [
     "repro.core.schema",
     "repro.obs",
     "repro.obs.exporters",
-    "repro.obs.instrument",
     "repro.obs.metrics",
     "repro.obs.tracing",
     "repro.io.json_io",

@@ -2,8 +2,8 @@
 
 PR 7 replaced the merge service's global lock with a hand-rolled
 discipline: per-shard locks in ascending-sid order, a short planner
-(topology) lock around plan/reserve/commit, and a publication order
-that makes lock-free reads sound.  Those invariants are integrity
+(topology) lock around plan/reserve/commit, and a published registry
+that lock-free readers load whole.  Those invariants are integrity
 constraints on the *code*, and — like the paper's schema constraints —
 they should be checked mechanically, not socially.  This package is
 that checker:
@@ -14,8 +14,8 @@ that checker:
   ``lock-order``, ``lock-nesting``, ``frozen-field``);
 * :mod:`repro.check.asyncsafe` — no blocking call reachable from a
   coroutine running inline on the event loop (``async-blocking``);
-* :mod:`repro.check.publication` — commit sites assign the generation
-  stamp last among their ``# publishes:`` fields
+* :mod:`repro.check.publication` — commit sites assign the stamp last
+  among their ``# publishes:`` fields, and assign it at all
   (``publication-order``);
 * :mod:`repro.check.api_surface` — ``__all__`` honesty, facade
   re-export integrity, and exception → HTTP-status coverage

@@ -70,7 +70,7 @@ BLOCKING_ATTR_CALLS = frozenset(
 
 #: Service methods that take locks / do real work; calling them inline
 #: from a coroutine bypasses the executor hand-off.
-BLOCKING_SERVICE_METHODS = frozenset({"register"})
+BLOCKING_SERVICE_METHODS = frozenset({"register", "retire", "save"})
 
 #: Bare-name calls that block.
 BLOCKING_NAME_CALLS = frozenset({"open", "input"})

@@ -75,7 +75,7 @@ ALL_RULES: Dict[str, str] = {
     ),
     "publication-order": (
         "a commit site mutates a published field after assigning the "
-        "final (generation) field of its # publishes: list"
+        "final (stamp) field of its # publishes: list, or never assigns it"
     ),
     "http-status-map": (
         "an exception class has no HTTP status mapping in _STATUS_MAP"

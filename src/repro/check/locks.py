@@ -9,8 +9,8 @@ a module's comments and enforces them over the AST:
   lexically inside a ``with self.<lock>:`` block (or inside a function
   annotated ``# requires-lock: <lock>``, which declares the caller
   holds it).  The ``guarded-by(writes)`` form guards writes only: the
-  publication-ordered fields of the merge service are *written* under
-  the topology lock but deliberately read lock-free.
+  merge service's published registry is *written* under the topology
+  lock but deliberately read lock-free.
 * ``# frozen-after-init`` — the attribute is never written outside
   ``__init__``; committed shards and their memo identities rely on it.
 * ``# lock: planner`` on a lock attribute — while that lock is held,

@@ -1,12 +1,13 @@
-"""Publication-order analyzer: the generation field is assigned last.
+"""Publication-order analyzer: the stamp field is assigned last.
 
-The merge service's read paths are lock-free: ``merged_view`` reads
-``_generation``, then ``_class_to_sid``, then ``_shards`` without taking
-any lock.  That is sound only because commit sites publish in the
-opposite order — new shards first, the class map next, the generation
-stamp **last** — so a reader that observes generation *g* is guaranteed
-to see every structure *g* describes.  Reorder those stores and the
-lock-free reads silently return torn state.
+A lock-free reader that loads several fields a writer publishes one at
+a time is sound only if the writer stores them in the right order: the
+data first and the stamp **last**, so a reader that observes the new
+stamp is guaranteed to see every structure it describes.  Reorder those
+stores and the lock-free reads silently return torn state.  The merge
+service avoids the question altogether — its registry is one immutable
+value published with a single store (``# publishes: _registry``) — and
+the rule keeps any multi-field publisher honest.
 
 A commit site declares its contract with a trailing annotation on the
 ``def`` line::
@@ -77,8 +78,6 @@ def check_publication_order(sf: SourceFile) -> List[Diagnostic]:
         fields = parse_publishes_comment(sf.region_comment(func))
         if not fields:
             continue
-        if len(fields) < 2:
-            continue  # a single field imposes no order
         final = fields[-1]
         self_name = _self_name(func)
         accesses = _field_accesses(func, self_name, fields)
@@ -123,7 +122,7 @@ def check_publication_order(sf: SourceFile) -> List[Diagnostic]:
                             f"{field!r} after the final store of "
                             f"{final!r} (line {last_final_store}) — "
                             "lock-free readers that observed the new "
-                            "generation can see torn state"
+                            "stamp can see torn state"
                         ),
                     )
                 )

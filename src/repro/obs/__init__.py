@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from repro.obs import _state
 from repro.obs.exporters import JsonlExporter, parse_jsonl, prometheus_text
-from repro.obs.instrument import timed, traced
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -83,8 +82,6 @@ __all__ = [
     "registry",
     "render_spans",
     "span",
-    "timed",
-    "traced",
     "tracer",
 ]
 

@@ -1,13 +1,13 @@
 """Asyncio HTTP front end for the merge service — stdlib only.
 
 One event loop serves every connection.  Reads (``GET``) are answered
-inline on the loop: :meth:`~repro.service.MergeService.merged_view` and
-:meth:`~repro.service.MergeService.query` are lock-free, so a read is
-just a memo lookup and never stalls the loop.  Writes
-(``POST /v1/schemas``) are dispatched to a small thread pool, so the
-loop keeps streaming read responses while a register folds closures
-under its per-shard locks — the service's "reads never block behind
-writers" guarantee carries through to the wire.
+inline on the loop: views, queries, schema info and stats each load the
+service's published registry value without a lock, so a read is just a
+memo lookup and never waits on a writer, not even on its log append.
+Writes (``POST /v1/schemas``) are dispatched to a small thread pool,
+so the loop keeps streaming read responses while a register folds
+closures under its per-shard locks — the service's "reads never block
+behind writers" guarantee carries through to the wire.
 
 **Routes** (wire format ``repro.api/1``; schemas travel as
 ``repro.schema/1`` documents from :mod:`repro.io.json_io`):
@@ -259,6 +259,11 @@ class HttpFrontend:
     ) -> None:
         task = asyncio.current_task()
         self._connections[task] = writer
+        # asyncio reads through a 256 KiB recv() buffer.  glibc serves a
+        # block that size with mmap until its threshold happens to adapt,
+        # which costs every request a page fault and an mmap/munmap pair;
+        # a 64 KiB buffer always comes from the heap.
+        writer.transport.max_size = 64 * 1024
         try:
             while True:
                 # readline raises ValueError past the reader's line limit.

@@ -15,23 +15,21 @@ component-local — a registration touches exactly the shards its class
 names reach — so the service locks at that grain instead of
 serializing everything:
 
-* one short-lived **topology lock** guards the mutable registry maps
-  (``class → shard``, ``sid → shard``, the in-flight reservations) and
-  is only ever held for planning, validation and the commit swap —
-  never during closure work;
+* one short-lived **topology lock** serializes writers' planning,
+  validation and commit (the in-flight reservations, the shard locks,
+  the log append) — never closure work;
 * one **shard lock per component** serializes writers on the same
   component; a writer acquires the locks of exactly the shards its
   batch touches, *in ascending shard-id order* (bridging batches take
   several; the global order makes deadlock impossible), then rebuilds
   on clones outside the topology lock;
-* **reads take no lock at all.**  Committed :class:`Shard` objects
-  never change what they hold (a mutation publishes a *new* shard
-  object; readers only fill its memo slots), commits append their log
-  record first and then publish in a stale-reads-only order (new
-  shards, class map, dead shards dropped, generation bumped last), and
-  the global view is stamped conservatively — so a racing reader sees
-  either the old consistent state or the new one, never a torn one,
-  and a warm ``merged_view`` never waits behind an in-flight write.
+* **reads take no lock at all.**  The registry is one immutable
+  :class:`_Registry` value (shard table, class map, lifecycle table,
+  generation).  A commit appends its log record, builds the next value
+  on copies and publishes it with a single reference store; a reader
+  loads the reference once and answers from that value alone, so it
+  sees the whole old state or the whole new one and never waits
+  behind a write.
 
 Writers that race on the same *new* class names are serialized through
 **reservations**: the first validated writer claims the names (mapping
@@ -206,25 +204,20 @@ class _ServiceTelemetry:
         )
         ref = weakref.ref(service)
 
-        def _reader(attr: str) -> "Callable[[], int]":
-            def read() -> int:
+        def _reader(read: "Callable[[MergeService], int]") -> "Callable[[], int]":
+            def fn() -> int:
                 svc = ref()
-                return int(getattr(svc, attr)) if svc is not None else 0
+                return read(svc) if svc is not None else 0
 
-            return read
-
-        def _components() -> int:
-            svc = ref()
-            return len(svc._shards) if svc is not None else 0
+            return fn
 
         self.gauges = [
-            REGISTRY.register(Gauge("service.components", fn=_components)),
-            REGISTRY.register(
-                Gauge("service.generation", fn=_reader("_generation"))
-            ),
-            REGISTRY.register(
-                Gauge("service.requests", fn=_reader("_requests"))
-            ),
+            REGISTRY.register(Gauge(gauge_name, fn=_reader(read)))
+            for gauge_name, read in (
+                ("service.components", lambda s: len(s._registry.shards)),
+                ("service.generation", lambda s: s._registry.generation),
+                ("service.requests", lambda s: s._requests),
+            )
         ]
 
 
@@ -239,6 +232,35 @@ def _sync_sampling(enabled: bool) -> None:
 
 
 _obs_state.subscribe(_sync_sampling)
+
+
+class _Registry:
+    """One published registry state: the whole of it, as one value.
+
+    *shards* maps sid → :class:`Shard`, *class_to_sid* maps every class
+    of those shards to its sid, *series* is the lifecycle table (name →
+    version records sorted by version) and *generation* counts commits.
+    Same log, same state: each log prefix determines exactly one value.
+    None of the four is mutated after publication — a commit publishes a
+    new value — so the parts always agree.  *view* memoizes the global
+    merged view; lock-free readers fill it lazily, and it goes with the
+    value a commit replaces.
+    """
+
+    __slots__ = ("shards", "class_to_sid", "series", "generation", "view")
+
+    def __init__(
+        self,
+        shards: Dict[int, Shard],
+        class_to_sid: Dict[ClassName, int],
+        series: Dict[str, Tuple[VersionState, ...]],
+        generation: int,
+    ) -> None:
+        self.shards = shards  # frozen-after-init
+        self.class_to_sid = class_to_sid  # frozen-after-init
+        self.series = series  # frozen-after-init
+        self.generation = generation  # frozen-after-init
+        self.view: Optional[Schema] = None
 
 
 class _Group:
@@ -294,8 +316,8 @@ class MergeService:
     """A thread-safe registry of schemas serving merged views and queries.
 
     Writes lock per component (see the module docstring), reads are
-    lock-free against published immutable shards and answer from the
-    memos on them.  *telemetry_sample_every*
+    lock-free against the published registry value and answer from the
+    memos on its shards.  *telemetry_sample_every*
     (a power of two) sets how often the read paths time themselves while
     telemetry is enabled: the default 64 keeps the warm-path overhead
     negligible; benchmarks pass 1 for full latency distributions.
@@ -320,16 +342,15 @@ class MergeService:
             raise InvalidRequestError(
                 f"snapshot_every must be positive, got {snapshot_every!r}"
             )
-        #: Guards the registry maps below; held only for plan/validate/
-        #: commit — never while closure work runs.
+        #: Serializes writers; held only for plan/validate/commit —
+        #: never while closure work runs, never by a reader.
         self._topology = _new_topology_lock()  # lock: planner
-        self._shards: Dict[int, Shard] = {}  # guarded-by(writes): _topology
+        #: The published registry; readers load it once per request.
+        self._registry = _Registry({}, {}, {}, 0)  # guarded-by(writes): _topology
         self._shard_locks: Dict[int, LockLike] = {}  # guarded-by: _topology
-        self._class_to_sid: Dict[ClassName, int] = {}  # guarded-by(writes): _topology
         #: In-flight writers' claims on not-yet-committed class names.
         self._reserved: Dict[ClassName, int] = {}  # guarded-by: _topology
         self._next_sid = 0  # guarded-by: _topology
-        self._generation = 0  # guarded-by(writes): _topology
         self._closed = False  # guarded-by(writes): _topology
         self._requests = 0
         self._ticker = itertools.count(1)  # frozen-after-init
@@ -339,8 +360,6 @@ class MergeService:
         # sets it past the mask so no request ever matches — the compare
         # itself runs either way, keeping both modes instruction-identical.
         self._sample_on = 0 if _obs_state.enabled else self._sample_mask + 1
-        #: ``(generation, view)`` of the last assembled global view.
-        self._global: Optional[Tuple[int, Schema]] = None
         self._telemetry = _ServiceTelemetry(self)  # frozen-after-init
         #: The binding never changes after construction; the *object* is
         #: mutated (``append``) only under the topology lock, which is
@@ -351,9 +370,6 @@ class MergeService:
         self._snapshot_every = snapshot_every  # frozen-after-init
         self._log_seq = 0  # guarded-by(writes): _topology
         self._last_cut_seq = 0  # guarded-by(writes): _topology
-        #: The schema-lifecycle table: name → version records, sorted by
-        #: version.  Values are replaced wholesale, never mutated.
-        self._series: Dict[str, Tuple[VersionState, ...]] = {}  # guarded-by(writes): _topology
         #: True only while single-threaded recovery replays the log —
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
@@ -476,30 +492,32 @@ class MergeService:
         seeds the shard's *view* memo, which is what makes the first
         post-restart ``merged_view`` cheap.
         """
+        shards: Dict[int, Shard] = {}
+        class_to_sid: Dict[ClassName, int] = {}
+        for component in state.components:
+            builder = ClosureBuilder.from_dense(component.dense)
+            # The member sequence is adopted as-is: a FileBackend
+            # hands back a lazily-decoded view whose hydration cost
+            # is only paid by a later mutation of this shard.
+            shard = Shard(
+                component.sid,
+                builder,
+                component.members,
+                component.generation,
+            )
+            shard.view = component.dense.to_schema()
+            shards[component.sid] = shard
+            class_to_sid.update(dict.fromkeys(builder.classes, component.sid))
+        series = {
+            schema_name: tuple(versions)
+            for schema_name, versions in state.series.items()
+        }
         with self._topology:
-            for component in state.components:
-                builder = ClosureBuilder.from_dense(component.dense)
-                # The member sequence is adopted as-is: a FileBackend
-                # hands back a lazily-decoded view whose hydration cost
-                # is only paid by a later mutation of this shard.
-                shard = Shard(
-                    component.sid,
-                    builder,
-                    component.members,
-                    component.generation,
-                )
-                shard.view = component.dense.to_schema()
-                self._shards[component.sid] = shard
-                self._shard_locks[component.sid] = _new_shard_lock(
-                    component.sid
-                )
-                for cls in builder.classes:
-                    self._class_to_sid[cls] = component.sid
-            self._series = {
-                schema_name: tuple(versions)
-                for schema_name, versions in state.series.items()
-            }
-            self._generation = state.generation
+            for sid in shards:
+                self._shard_locks[sid] = _new_shard_lock(sid)
+            self._registry = _Registry(
+                shards, class_to_sid, series, state.generation
+            )
             self._next_sid = max(state.next_sid, self._next_sid)
 
     def _apply_record(self, seq: int, record: LogRecord) -> None:
@@ -531,10 +549,11 @@ class MergeService:
             raise CorruptLogError(
                 f"log record {seq} no longer applies cleanly: {exc}"
             ) from exc
-        if self._generation != record.generation:
+        generation = self._registry.generation
+        if generation != record.generation:
             raise CorruptLogError(
                 f"replaying log record {seq} produced generation "
-                f"{self._generation}, but the record committed "
+                f"{generation}, but the record committed "
                 f"generation {record.generation} — the log and the "
                 f"registry have diverged"
             )
@@ -558,11 +577,10 @@ class MergeService:
 
     def _capture_state(self) -> ServiceState:
         with self._topology:
-            shards = sorted(self._shards.values(), key=lambda s: s.sid)
-            series = dict(self._series)
-            generation = self._generation
+            registry = self._registry
             next_sid = self._next_sid
             seq = self._log_seq
+        shards = sorted(registry.shards.values(), key=lambda s: s.sid)
         components = tuple(
             ComponentState(
                 sid=shard.sid,
@@ -581,10 +599,10 @@ class MergeService:
         )
         return ServiceState(
             seq=seq,
-            generation=generation,
+            generation=registry.generation,
             next_sid=next_sid,
             components=components,
-            series=series,
+            series=registry.series,
         )
 
     def _maybe_cut(self) -> None:
@@ -644,12 +662,12 @@ class MergeService:
             self._check_open()
             tel.calls.inc()
             if not batch:
-                with self._topology:
-                    return RegisterReceipt(
-                        accepted=len(incoming),
-                        components=len(self._shards),
-                        generation=self._generation,
-                    )
+                registry = self._registry
+                return RegisterReceipt(
+                    accepted=len(incoming),
+                    components=len(registry.shards),
+                    generation=registry.generation,
+                )
             timing = _obs_state.enabled
             start = perf_counter() if timing else 0.0
 
@@ -718,7 +736,7 @@ class MergeService:
                 continue
             current = update.get(entry.name)
             if current is None:
-                current = self._series.get(entry.name, ())
+                current = self._registry.series.get(entry.name, ())
             existing = {v.version for v in current}
             version = entry.version
             if version is None:
@@ -754,7 +772,7 @@ class MergeService:
 
     def _plan_register(self, batch: List[Schema]) -> _Plan:  # requires-lock: _topology
         """Register's plan: the batch over the committed and reserved layout."""
-        return plan_groups(batch, self._class_to_sid, self._reserved)
+        return plan_groups(batch, self._registry.class_to_sid, self._reserved)
 
     def _write(
         self,
@@ -876,6 +894,7 @@ class MergeService:
         group's target sid so contending writers plan onto our lock.
         """
         groups: List[_Group] = []
+        registry = self._registry
         if forced is not None and len(forced) != len(plans):
             raise CorruptLogError(
                 f"log record committed {len(forced)} component groups, "
@@ -899,7 +918,7 @@ class MergeService:
             else:
                 if forced is not None:
                     sid = forced[group_index]
-                    if sid in self._shards or sid in self._shard_locks:
+                    if sid in registry.shards or sid in self._shard_locks:
                         raise CorruptLogError(
                             f"log record allocates component {sid}, "
                             f"which already exists at replay time"
@@ -923,7 +942,7 @@ class MergeService:
             for index in indices:
                 for cls in batch[index].classes:
                     if (
-                        cls not in self._class_to_sid
+                        cls not in registry.class_to_sid
                         and cls not in self._reserved
                     ):
                         self._reserved[cls] = sid
@@ -931,7 +950,7 @@ class MergeService:
             groups.append(
                 _Group(
                     sid,
-                    [self._shards[old] for old in replaced_sids],
+                    [registry.shards[old] for old in replaced_sids],
                     indices,
                     reserved,
                 )
@@ -978,7 +997,7 @@ class MergeService:
         self,
         groups: List[_Group],
         delta: Callable[[int], _Delta],
-    ) -> Tuple[int, int]:  # publishes: _shards, _class_to_sid, _generation
+    ) -> Tuple[int, int]:  # publishes: _registry
         """Log a staged write, then publish it.  Topology lock held.
 
         *delta* validates the lifecycle-table change and builds the log
@@ -990,43 +1009,39 @@ class MergeService:
         order (deterministic replay); readers never take that lock, so
         only concurrent *writers* wait behind the flush.
 
-        Publication order matters for the lock-free readers: the new
-        shard objects, the class map, dropping replaced shards, the
-        lifecycle table, the generation bump last.  At every
-        intermediate point a reader resolves to *some* committed shard
-        whose content is current or a subset of current, and data can
-        only ever be *fresher* than its generation stamp — so a race
-        costs at worst a rebuild, never a stale answer served as
-        current.  Returns the new generation and the component count.
+        The next shard table and class map are built on copies (an
+        O(classes) dict copy per write) and published as one new
+        :class:`_Registry` with a single reference store.  Returns the
+        new generation and the component count.
         """
-        generation = self._generation + 1
+        current = self._registry
+        generation = current.generation + 1
         series, record = delta(generation)
         if not self._replaying:
             self._log_seq = self._storage.append(record)
-        for group in groups:
-            if group.builder is not None:
-                self._shards[group.sid] = Shard(
-                    group.sid, group.builder, group.members, generation
-                )
+        # The record is durable: nothing below may raise.
+        shards = current.shards.copy()
+        class_to_sid = current.class_to_sid.copy()
         for group in groups:
             kept = group.builder.classes if group.builder is not None else frozenset()
-            for cls in kept:
-                self._class_to_sid[cls] = group.sid
-            for shard in group.replaced:
-                for cls in shard.builder.classes - kept:
-                    if self._class_to_sid.get(cls) == shard.sid:
-                        del self._class_to_sid[cls]
-            for cls in group.reserved:
-                self._reserved.pop(cls, None)
-        for group in groups:
             for shard in group.replaced:
                 if shard.sid != group.sid or group.builder is None:
-                    self._shards.pop(shard.sid, None)
+                    shards.pop(shard.sid, None)
                     self._shard_locks.pop(shard.sid, None)
-        self._series.update(series)
-        self._generation = generation
+                for cls in shard.builder.classes - kept:
+                    class_to_sid.pop(cls, None)
+            if group.builder is not None:
+                shards[group.sid] = Shard(
+                    group.sid, group.builder, group.members, generation
+                )
+                class_to_sid.update(dict.fromkeys(kept, group.sid))
+            for cls in group.reserved:
+                self._reserved.pop(cls, None)
+        self._registry = _Registry(
+            shards, class_to_sid, {**current.series, **series}, generation
+        )
         self._telemetry.schemas.inc(len(record.entries))
-        return generation, len(self._shards)
+        return generation, len(shards)
 
     def _abandon(self, groups: List[_Group]) -> None:  # requires-lock: _topology
         """Undo a failed write's claims.  Topology lock held by caller.
@@ -1046,11 +1061,12 @@ class MergeService:
     # Schema lifecycle (named versions, retire)
     # ------------------------------------------------------------------
 
-    def _live_versions(  # requires-lock: _topology
-        self, schema_name: str
+    @staticmethod
+    def _live_versions(
+        series: Dict[str, Tuple[VersionState, ...]], schema_name: str
     ) -> List[VersionState]:
         """The not-yet-retired versions of a name; typed errors otherwise."""
-        versions = self._series.get(schema_name)
+        versions = series.get(schema_name)
         if versions is None:
             raise UnknownSchemaError(
                 f"no registered schema is named {schema_name!r}"
@@ -1083,22 +1099,21 @@ class MergeService:
         once every version is retired.
         """
         self._check_open()
-        with self._topology:
-            live = self._live_versions(schema_name)
+        live = self._live_versions(self._registry.series, schema_name)
         return self._preferred(live).schema
 
     def schema_info(self, schema_name: str) -> Dict[str, Any]:
         """One named schema's lifecycle card: versions, states, component."""
         self._check_open()
-        with self._topology:
-            live = self._live_versions(schema_name)
-            preferred = self._preferred(live)
-            sid: Optional[int] = None
-            for cls in preferred.schema.classes:
-                sid = self._class_to_sid.get(cls)
-                if sid is not None:
-                    break
-            versions = self._series[schema_name]
+        registry = self._registry
+        preferred = self._preferred(
+            self._live_versions(registry.series, schema_name)
+        )
+        sid: Optional[int] = None
+        for cls in preferred.schema.classes:
+            sid = registry.class_to_sid.get(cls)
+            if sid is not None:
+                break
         return {
             "name": schema_name,
             "recommended": preferred.version,
@@ -1110,7 +1125,7 @@ class MergeService:
                     "retired": v.retired,
                     "classes": len(v.schema.classes),
                 }
-                for v in versions
+                for v in registry.series[schema_name]
             ],
         }
 
@@ -1148,7 +1163,7 @@ class MergeService:
                     _dc_replace(v, lifecycle="obsolete", retired=True)
                     if v.version in retired
                     else v
-                    for v in self._series[schema_name]
+                    for v in self._registry.series[schema_name]
                 )
                 record = LogRecord(
                     "retire", generation, name=schema_name, versions=retired
@@ -1176,10 +1191,11 @@ class MergeService:
     ) -> Tuple[_Plan, List[VersionState]]:
         """Retire's plan: one group per owning component, keyed by the
         live versions it withdraws (a racing retire changes the key)."""
-        live = self._live_versions(schema_name)
+        registry = self._registry
+        live = self._live_versions(registry.series, schema_name)
         if versions is not None:
             live = [v for v in live if v.version in versions]
-        owners = {self._class_to_sid.get(cls) for v in live for cls in v.schema.classes}
+        owners = {registry.class_to_sid.get(cls) for v in live for cls in v.schema.classes}
         return [({sid}, []) for sid in sorted(o for o in owners if o is not None)], live
 
     @staticmethod
@@ -1204,38 +1220,22 @@ class MergeService:
     # ------------------------------------------------------------------
 
     def _resolve(self, component: ComponentRef) -> Shard:
-        """The live shard for a component ref, tolerating commit races.
-
-        Shard ids are resolved in one step.  Class names need two reads
-        (``class → sid``, ``sid → shard``) that can straddle a commit;
-        the class map is always updated *before* absorbed shards are
-        dropped, so a short retry converges on the post-commit shard.
-        """
+        """The live shard for a component ref (a sid or a class name)."""
+        registry = self._registry
         if isinstance(component, int):
-            shard = self._shards.get(component)
+            shard = registry.shards.get(component)
             if shard is None:
                 raise UnknownClassError(
                     f"unknown component id {component!r}"
                 )
             return shard
         cls = name(component)
-        for _attempt in range(64):
-            sid = self._class_to_sid.get(cls)
-            if sid is None:
-                raise UnknownClassError(
-                    f"no registered schema mentions class {cls}"
-                )
-            shard = self._shards.get(sid)
-            if shard is not None:
-                return shard
-        # Pathological contention: settle it with one consistent read.
-        with self._topology:
-            sid = self._class_to_sid.get(cls)
-            if sid is None or sid not in self._shards:
-                raise UnknownClassError(
-                    f"no registered schema mentions class {cls}"
-                )
-            return self._shards[sid]
+        shard = registry.shards.get(registry.class_to_sid.get(cls))
+        if shard is None:
+            raise UnknownClassError(
+                f"no registered schema mentions class {cls}"
+            )
+        return shard
 
     def _component_schema(self, shard: Shard) -> Tuple[Schema, Counter]:
         """One shard's merged view, plus the outcome counter it earned.
@@ -1260,48 +1260,31 @@ class MergeService:
     def _global_view(self) -> Tuple[Schema, Counter]:
         """The merged view of everything — disjoint union over shards.
 
-        Outcome accounting: a view still current for this generation is
+        Outcome accounting: a view memoized on the current registry is
         a *hit*; a view reassembled purely from memoized component parts
         is a *partial hit*; rebuilding any part makes the request a
-        *miss*.
-
-        The generation is read *before* the shard table is copied, so a
-        concurrent commit can only make the assembled view fresher than
-        its stamp (a later lookup re-misses; never serves stale).  A
-        mid-commit copy can briefly hold both a merged shard and one it
-        absorbed.  Such a copy holds a shard stamped past the generation
-        read, and its parts are joined instead of chained: the absorbed
-        content is a subset of the merge (the join is an upper bound),
-        so the result is unchanged.
+        *miss*.  The shards of one registry value are class-disjoint, so
+        their views chain without re-closing.
         """
         tel = self._telemetry
-        generation = self._generation
-        current = self._global
-        if current is not None and current[0] == generation:
+        registry = self._registry
+        view = registry.view
+        if view is not None:
             tel.answer_hits.inc()
-            return current[1], tel.view_hits
+            return view, tel.view_hits
         tel.answer_misses.inc()
-        shards = self._shards.copy()
-        if not shards:
-            merged = Schema.empty()
-            outcome = tel.view_misses
-        else:
-            outcome = tel.view_partial
-            parts = []
-            for shard in shards.values():
-                part, part_outcome = self._component_schema(shard)
-                if part_outcome is tel.view_misses:
-                    outcome = tel.view_misses
-                parts.append(part)
-            if any(shard.generation > generation for shard in shards.values()):
-                # Copied mid-commit: a merged shard (stamped with the
-                # unpublished generation) may sit beside a shard it
-                # absorbed, so the parts overlap — join them.
-                merged = ClosureBuilder(parts).build()
-            else:
-                merged = _disjoint_union(parts)
-        self._global = (generation, merged)
-        return merged, outcome
+        if not registry.shards:
+            registry.view = view = Schema.empty()
+            return view, tel.view_misses
+        outcome = tel.view_partial
+        parts = []
+        for shard in registry.shards.values():
+            part, part_outcome = self._component_schema(shard)
+            if part_outcome is tel.view_misses:
+                outcome = tel.view_misses
+            parts.append(part)
+        registry.view = view = _disjoint_union(parts)
+        return view, outcome
 
     def merged_view(self, component: Optional[ComponentRef] = None) -> Schema:
         """The merged schema of one component, or of the whole registry.
@@ -1356,13 +1339,9 @@ class MergeService:
             return answer
         self._telemetry.answer_misses.inc()
         merged, _outcome = self._component_schema(shard)
-        answer = QueryResult.from_component(
+        shard.answers[key_name] = answer = QueryResult.from_component(
             merged, key_name, shard.sid, len(shard.schemas)
         )
-        if key_name in merged.classes:
-            # Resolved mid-commit to a shard that no longer holds the
-            # name (a retire in flight): answer, but never memoize it.
-            shard.answers[key_name] = answer
         return answer
 
     def component_snapshot(self, component: ComponentRef) -> ComponentSnapshot:
@@ -1397,7 +1376,7 @@ class MergeService:
 
     def component_of(self, cls: ClassName | str) -> Optional[int]:
         """The shard id owning *cls*, or ``None`` if the name is unknown."""
-        return self._class_to_sid.get(name(cls))
+        return self._registry.class_to_sid.get(name(cls))
 
     def components(self) -> Dict[int, Dict[str, int]]:
         """Per-shard summary: class count, member schemas, last mutation."""
@@ -1408,7 +1387,7 @@ class MergeService:
                 "generation": shard.generation,
             }
             for shard in sorted(
-                self._shards.copy().values(), key=lambda s: s.sid
+                self._registry.shards.values(), key=lambda s: s.sid
             )
         }
 
@@ -1429,22 +1408,19 @@ class MergeService:
         distributions sampling has collected.
         """
         tel = self._telemetry
-        with self._topology:
-            series = dict(self._series)
-            log_seq = self._log_seq
-            last_cut_seq = self._last_cut_seq
+        registry = self._registry
         return {
-            "components": len(self._shards),
+            "components": len(registry.shards),
             "registered_schemas": tel.schemas.value,
-            "generation": self._generation,
+            "generation": registry.generation,
             "requests_served": self._requests,
             "storage": {
-                "log_seq": log_seq,
-                "last_cut_seq": last_cut_seq,
-                "named_schemas": len(series),
+                "log_seq": self._log_seq,
+                "last_cut_seq": self._last_cut_seq,
+                "named_schemas": len(registry.series),
                 "retired_versions": sum(
                     1
-                    for versions in series.values()
+                    for versions in registry.series.values()
                     for v in versions
                     if v.retired
                 ),
@@ -1477,8 +1453,9 @@ class MergeService:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
+        registry = self._registry
         return (
             f"MergeService(schemas={self._telemetry.schemas.value}, "
-            f"components={len(self._shards)}, "
-            f"generation={self._generation})"
+            f"components={len(registry.shards)}, "
+            f"generation={registry.generation})"
         )

@@ -17,5 +17,9 @@ class Frontend:
         with self._lock:  # BAD[async-blocking]
             return self._service.register([request])  # BAD[async-blocking]
 
+    async def withdraw(self, name):
+        self._service.retire(name)  # BAD[async-blocking]
+        self._service.save()  # BAD[async-blocking]
+
     def _not_reachable_from_a_coroutine(self):
         time.sleep(1.0)

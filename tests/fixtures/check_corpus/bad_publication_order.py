@@ -19,3 +19,6 @@ class Service:
     def commit_missing_stamp(self, staged):  # BAD[publication-order] publishes: _shards, _generation
         for sid, shard in staged:
             self._shards[sid] = shard
+
+    def publish_missing_value(self, staged):  # BAD[publication-order] publishes: _registry
+        self._staged = staged

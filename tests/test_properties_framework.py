@@ -23,8 +23,9 @@ from repro.core.framework import (
     ordering_violations,
 )
 from repro.core.keys import KeyedSchema, minimal_satisfactory_assignment
-from repro.core.lower import annotated_leq, lower_merge
+from repro.core.lower import AnnotatedSchema, annotated_leq, lower_merge
 from repro.core.ordering import join as weak_join
+from repro.core.participation import Participation
 from repro.exceptions import IncompatibleSchemasError
 
 from tests.conftest import annotated_schemas, schemas
@@ -60,6 +61,25 @@ def keyed_schemas(draw):
     seed = KeyedSchema(schema, raw, check_spec_monotone=False)
     assignment = minimal_satisfactory_assignment(schema, [seed])
     return KeyedSchema(schema, assignment)
+
+
+def _rebuilt(schema, spec, optional=frozenset()):
+    """*schema* closed over the order *spec*, also allowing (as optional)
+    each arrow of *optional* it forbids.
+
+    Optional arrows never close into required ones, so the required
+    arrows are those of *schema* closed over *spec*.
+    """
+    table = schema.participation_table()
+    return AnnotatedSchema.build(
+        classes=schema.classes,
+        spec=spec,
+        arrows=[(*arrow, constraint) for arrow, constraint in table.items()]
+        + [
+            (*arrow, Participation.OPTIONAL)
+            for arrow in optional - table.keys()
+        ],
+    )
 
 
 def _try(operation, *args):
@@ -201,12 +221,20 @@ class TestAnnotatedOrderingLaws:
         merge's class completion asserts constraint 0 on imported
         arrows, negative information the join need not respect — which
         is why the statement is scoped this way.)
+
+        The pair is drawn so its join exists: both inputs share one
+        specialization order, and each allows (as optional) every arrow
+        the other requires, so no arrow is required on one side and
+        forbidden on the other.
         """
         from repro.core.lower import complete_classes
 
         a_c, b_c = complete_classes([a, b])
-        joined = _try(annotated_join, a_c, b_c)
-        assume(joined is not None)
+        spec = a_c.spec | b_c.spec
+        a_s, b_s = _rebuilt(a_c, spec), _rebuilt(b_c, spec)
+        a_c = _rebuilt(a_s, spec, b_s.required_arrows())
+        b_c = _rebuilt(b_s, spec, a_s.required_arrows())
+        joined = annotated_join(a_c, b_c)
         lowered = lower_merge(a_c, b_c)
         for completed in (a_c, b_c):
             assert annotated_leq(lowered, completed)

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.names import name
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError, UnknownClassError
@@ -295,24 +294,15 @@ class TestShardMemos:
         def memos():
             return {
                 sid: dict(shard.answers)
-                for sid, shard in service._shards.items()
+                for sid, shard in service._registry.shards.items()
             }
 
         before = memos()
         with pytest.raises(UnknownClassError):
             service.query("NoSuchClass")
         assert memos() == before
-        for shard in service._shards.values():
+        for shard in service._registry.shards.values():
             assert set(shard.answers) <= shard.view.classes
-
-    def test_name_missing_from_its_resolved_shard_is_not_memoized(self):
-        service = self.wide_service()
-        sid = service.component_of("C0_0")
-        # The window inside a retire's commit: the class map still
-        # routes a withdrawn name to a shard that no longer holds it.
-        service._class_to_sid[name("Withdrawn")] = sid
-        service.query("Withdrawn")
-        assert name("Withdrawn") not in service._shards[sid].answers
 
 
 class TestConcurrency:

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.names import name
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
 from repro.perf.reference import reference_join_all
@@ -42,7 +43,7 @@ from repro.check.witness import (
     witness_stats,
 )
 from repro.generators.workloads import get_concurrent_stream
-from repro.service import MergeService, QueryResult, RegistrationEntry
+from repro.service import MemoryBackend, MergeService, QueryResult, RegistrationEntry
 
 #: Generous watchdog: a deadlock hangs forever, a healthy run takes
 #: well under a second.
@@ -272,27 +273,25 @@ class TestReadersNeverBlock:
         )
 
 
-class _MidCommitReader(dict):
-    """A shard table that reads the global view at the first ``pop``.
+class _ReadingBackend(MemoryBackend):
+    """A backend whose ``append`` — the last step of a commit before it
+    publishes — first runs *reader* and keeps what it returns."""
 
-    ``_commit`` installs the merged shard before it drops the shards it
-    absorbed, so the first ``pop`` is the moment a lock-free reader can
-    copy a table that holds both.
-    """
+    def __init__(self):
+        super().__init__()
+        self.reader = None
+        self.reads = []
 
-    def __init__(self, table, service):
-        super().__init__(table)
-        self.service = service
-        self.views = []
-
-    def pop(self, *args):
-        if not self.views:
-            self.views.append(self.service.merged_view())
-        return super().pop(*args)
+    def append(self, record):
+        if self.reader is not None:
+            self.reads.append(self.reader())
+        return super().append(record)
 
 
 class TestGlobalViewMidCommit:
     def test_view_read_while_a_bridge_commits_equals_join_all(self):
+        """Reads inside a bridging commit see exactly the state before it;
+        once ``register`` returns they see exactly ``join_all`` of all."""
         pods = [
             Schema.build(
                 arrows=[(f"Pod{pod}_A", "link", f"Pod{pod}_B")],
@@ -301,16 +300,44 @@ class TestGlobalViewMidCommit:
             for pod in range(3)
         ]
         bridge = Schema.build(arrows=[("Pod0_A", "bridge", "Pod1_A")])
-        service = MergeService(pods)
+        names = ["pod0", "pod1", "pod2"]
+        classes = sorted(str(c) for pod in pods for c in pod.classes)
+        backend = _ReadingBackend()
+        service = MergeService(
+            [RegistrationEntry(pod, name=n) for pod, n in zip(pods, names)],
+            storage=backend,
+        )
         assert len(service.components()) == 3
-        table = _MidCommitReader(service._shards, service)
-        service._shards = table
-        service.register([bridge])
-        assert len(table.views) == 1
+
+        def observe():
+            return (
+                service.merged_view(),
+                {cls: service.query(cls) for cls in classes},
+                {cls: service.component_of(cls) for cls in classes},
+                {n: service.schema_info(n) for n in names},
+            )
+
+        before = observe()
+        assert before[0] == join_all(pods)
+        backend.reader = observe
+        service.register([RegistrationEntry(bridge, name="bridge")])
+        backend.reader = None
+        assert backend.reads == [before]
+
         expected = join_all(pods + [bridge])
-        assert table.views[0] == expected
-        assert len(table.views[0].sorted_classes()) == len(expected.classes)
-        assert service.merged_view() == expected
+        view, answers, owners, infos = observe()
+        assert view == expected
+        assert len(view.sorted_classes()) == len(expected.classes)
+        for cls in classes:
+            sid = owners[cls]
+            assert answers[cls] == QueryResult.from_component(
+                expected, name(cls), sid, len(service.component_schemas(sid))
+            )
+        assert owners["Pod0_A"] == owners["Pod1_A"] != owners["Pod2_A"]
+        assert [infos[n]["component"] for n in names] == [
+            owners["Pod0_A"], owners["Pod1_A"], owners["Pod2_A"]
+        ]
+        assert service.schema_info("bridge")["component"] == owners["Pod0_A"]
 
 
 class TestFailureModes:
@@ -614,7 +641,7 @@ class TestMemosUnderWrites:
         assert not any(thread.is_alive() for thread in readers)
         assert not any(errors), errors
         assert reader_errors == []
-        for sid, shard in service._shards.items():
+        for sid, shard in service._registry.shards.items():
             classes = shard.builder.classes
             assert set(shard.answers) <= classes
             expected = join_all(list(shard.schemas))

@@ -12,6 +12,7 @@ import http.client
 import json
 import logging
 import socket
+import threading
 
 import pytest
 
@@ -28,7 +29,13 @@ from repro.exceptions import (
     UnknownSchemaError,
 )
 from repro.io.json_io import schema_from_dict, schema_to_dict
-from repro.service import API_FORMAT, HttpFrontend, MergeService
+from repro.service import (
+    API_FORMAT,
+    HttpFrontend,
+    MemoryBackend,
+    MergeService,
+    RegistrationEntry,
+)
 from repro.service.http import MAX_BODY_BYTES, status_for
 
 
@@ -360,3 +367,69 @@ class TestLifecycle:
                     status, doc = get(connection, "/v1/query/Dog")
                     connection.close()
                     assert status == 200
+
+
+class _GatedBackend(MemoryBackend):
+    """Once *gated*, ``append`` signals *entered* and then blocks on
+    *release* — a writer parked on its log append (an fsync)."""
+
+    def __init__(self):
+        super().__init__()
+        self.gated = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def append(self, record):
+        if self.gated:
+            self.entered.set()
+            self.release.wait(timeout=60)
+        return super().append(record)
+
+
+class TestReadsDuringWrite:
+    def test_reads_answer_while_a_write_waits_on_its_log_append(self):
+        backend = _GatedBackend()
+        pets = Schema.build(
+            arrows=[("Dog", "owner", "Person")], spec=[("Puppy", "Dog")]
+        )
+        service = MergeService(
+            [RegistrationEntry(pets, name="pets")], storage=backend
+        )
+        backend.gated = True
+        bridge = Schema.build(arrows=[("Person", "argues", "Case")])
+        posted = []
+        with HttpFrontend(service, port=0) as server:
+
+            def write():
+                writer = http.client.HTTPConnection(*server.address, timeout=60)
+                try:
+                    posted.append(
+                        post(
+                            writer,
+                            "/v1/schemas",
+                            {"format": API_FORMAT, "schemas": [schema_doc(bridge)]},
+                        )
+                    )
+                finally:
+                    writer.close()
+
+            thread = threading.Thread(target=write, daemon=True)
+            thread.start()
+            try:
+                assert backend.entered.wait(timeout=10)
+                reader = http.client.HTTPConnection(*server.address, timeout=2)
+                try:
+                    for path in (
+                        "/v1/schemas/pets",
+                        "/v1/stats?format=json",
+                        "/v1/query/Dog",
+                    ):
+                        status, _body = get(reader, path)
+                        assert status == 200, path
+                finally:
+                    reader.close()
+            finally:
+                backend.release.set()
+                thread.join(timeout=60)
+        assert [status for status, _doc in posted] == [200]
+        assert service.component_of("Case") == service.component_of("Dog")

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schema import Schema
@@ -44,6 +44,7 @@ from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
     IncompatibleSchemasError,
+    RetiredSchemaError,
     StorageLockedError,
     UnknownSchemaError,
 )
@@ -366,13 +367,15 @@ def run_workload(
                 e.schema for e in entries if not e.schema.is_empty()
             )
         elif op[0] == "retire":
-            name = op[1]
-            try:
+            _kind, name, schemas_retired, error = op
+            if error is not None:
+                with pytest.raises(error):
+                    service.retire(name)
+            else:
                 receipt = service.retire(name)
-            except UnknownSchemaError:
-                continue
-            for schema in op[2][: len(receipt.versions)]:
-                live.remove(schema)
+                assert len(receipt.versions) == len(schemas_retired)
+                for schema in schemas_retired:
+                    live.remove(schema)
         elif op[0] == "rollback":
             first, second = incompatible_pair()
             with pytest.raises(IncompatibleSchemasError):
@@ -387,9 +390,16 @@ def run_workload(
 
 @st.composite
 def workloads(draw):
-    """Operations over the shared universe + a retire-eligible name pool."""
+    """Operations over the shared universe + a retire-eligible name pool.
+
+    A retire carries the typed error it must raise: ``None`` for a name
+    with live versions, :class:`RetiredSchemaError` once every version
+    of the name is retired, :class:`UnknownSchemaError` for a name never
+    registered.
+    """
     operations: List[Tuple] = []
     named: dict = {}
+    retired: set = set()
     count = draw(st.integers(min_value=1, max_value=6))
     for _ in range(count):
         kind = draw(
@@ -411,10 +421,17 @@ def workloads(draw):
                 ("register", [RegistrationEntry(schema, name=name)])
             )
             named.setdefault(name, []).append(schema)
+            retired.discard(name)
         elif kind == "retire":
             name = draw(st.sampled_from(["alpha", "beta", "gamma", "ghost"]))
-            operations.append(("retire", name, list(named.get(name, []))))
-            named.pop(name, None)
+            if name in named:
+                error = None
+                retired.add(name)
+            elif name in retired:
+                error = RetiredSchemaError
+            else:
+                error = UnknownSchemaError
+            operations.append(("retire", name, named.pop(name, []), error))
         else:
             operations.append(("rollback",))
     return operations
@@ -427,6 +444,17 @@ class TestRestartEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(operations=workloads(), save_every=st.sampled_from([None, 1, 2]))
+    @example(
+        # Saved falsifying example: retiring a fully retired name again
+        # raises RetiredSchemaError, not UnknownSchemaError.
+        operations=[
+            ("register", [RegistrationEntry(pets(), name="beta")]),
+            ("retire", "beta", [pets()], None),
+            ("register", [RegistrationEntry(Schema.empty())]),
+            ("retire", "beta", [], RetiredSchemaError),
+        ],
+        save_every=None,
+    )
     def test_random_workloads_survive_a_restart(self, operations, save_every):
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "registry"
@@ -449,7 +477,7 @@ class TestRestartEquivalence:
             ("register", [RegistrationEntry(court())]),
             ("rollback",),
             ("register", [RegistrationEntry(pets(), name="pets")]),
-            ("retire", "pets", [pets(), pets()]),
+            ("retire", "pets", [pets(), pets()], None),
             ("register", [RegistrationEntry(bridge(), name="bridge")]),
         ]
         durable = MergeService.open(tmp_path / "registry")
@@ -570,7 +598,7 @@ def observable_state(service: MergeService) -> dict:
         "generation": service.service_stats()["generation"],
         "view": view,
         "component_of": {cls: service.component_of(cls) for cls in names},
-        "series": dict(service._series),
+        "series": dict(service._registry.series),
         "reserved": dict(service._reserved),
     }
 
@@ -587,7 +615,7 @@ class TestFailedAppend:
         reopened = MergeService(storage=backend)
         try:
             assert_equivalent(live, reopened)
-            assert reopened._series == live._series
+            assert reopened._registry.series == live._registry.series
         finally:
             reopened.close()
 
