@@ -6,10 +6,12 @@ with 1 / 4 / 16 concurrent writer connections (the
 component), and measures:
 
 * **RPS + latency percentiles** per concurrency level — the scaling
-  gate is ``16-writer RPS ≥ 2x single-writer RPS``: with per-shard
-  locks, disjoint writers queue on nothing server-side, so piling on
-  writers must amortize the per-round-trip dead time a single serial
-  client pays.  The gate only engages on hosts with ≥ 2 CPUs: on a
+  gate is ``16-writer RPS ≥ 2x single-writer RPS``: a single serial
+  client leaves the server idle for its own side of every round trip,
+  and concurrent writers fill that dead time — their ``register``
+  calls serialize on the service's one writer lock, but the parsing,
+  decoding and encoding around them and the clients' own work overlap.
+  The gate only engages on hosts with ≥ 2 CPUs: on a
   single core the round trip is 100% CPU-saturated (measured: ~0.2 ms
   client + ~0.5 ms server CPU per request, zero idle), so *no* locking
   design can scale it — the artifact records the measured ratio and

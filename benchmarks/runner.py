@@ -577,8 +577,9 @@ def http_suite(args: argparse.Namespace) -> SuiteResult:
     measures the GIL, not the locking), and warm reads stay
     non-blocking (median read latency well under an in-flight
     register's duration; see bench_http for why the median is the
-    lock-freedom statistic) — the wire-level witnesses of the
-    per-shard locking design.
+    lock-freedom statistic) — the wire-level witnesses that concurrent
+    clients overlap their round trips and that reads never wait on the
+    service's writer lock.
     """
     from bench_http import run_http_bench
 

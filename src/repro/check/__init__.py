@@ -1,9 +1,9 @@
 """repro.check — static + dynamic verification of concurrency invariants.
 
-PR 7 replaced the merge service's global lock with a hand-rolled
-discipline: per-shard locks in ascending-sid order, a short planner
-(topology) lock around plan/reserve/commit, and a published registry
-that lock-free readers load whole.  Those invariants are integrity
+The merge service's concurrency rests on a small discipline: one
+writer lock held from plan to publish, fields annotated with the lock
+that guards them, and a published registry that lock-free readers load
+whole.  Those invariants are integrity
 constraints on the *code*, and — like the paper's schema constraints —
 they should be checked mechanically, not socially.  This package is
 that checker:

@@ -24,7 +24,7 @@ The rule (``async-blocking``):
     and known-blocking service methods (``register``);
   - ``open(...)`` and ``time.sleep(...)``;
   - a synchronous ``with`` statement whose context expression looks
-    like a lock (name matches ``lock``/``mutex``/``_topology``);
+    like a lock (name matches ``lock``/``mutex``/``_writer``);
 
 * **awaited calls are exempt** — ``await self._stop.wait()`` suspends,
   it does not block — and so are function *references* (passing
@@ -78,7 +78,7 @@ BLOCKING_NAME_CALLS = frozenset({"open", "input"})
 #: ``module.func`` calls that block.
 BLOCKING_DOTTED_CALLS = frozenset({("time", "sleep"), ("socket", "create_connection")})
 
-_LOCKISH = re.compile(r"(^|_)(lock|mutex)s?($|_)|^_topology$|^_planner$")
+_LOCKISH = re.compile(r"(^|_)(lock|mutex)s?($|_)|^_writer$|^_planner$")
 
 
 def _function_defs(tree: ast.Module) -> Dict[str, FunctionNode]:

@@ -9,7 +9,7 @@ a module's comments and enforces them over the AST:
   lexically inside a ``with self.<lock>:`` block (or inside a function
   annotated ``# requires-lock: <lock>``, which declares the caller
   holds it).  The ``guarded-by(writes)`` form guards writes only: the
-  merge service's published registry is *written* under the topology
+  merge service's published registry is *written* under the writer
   lock but deliberately read lock-free.
 * ``# frozen-after-init`` — the attribute is never written outside
   ``__init__``; committed shards and their memo identities rely on it.
@@ -20,7 +20,7 @@ a module's comments and enforces them over the AST:
   is reported under the same rule.
 * any ``for`` loop that acquires locks must iterate a ``sorted(...)``
   sequence (directly or through a local assigned from ``sorted``), so
-  the ascending-shard-id total order — the service's deadlock-freedom
+  an ascending total order over the locks — the usual deadlock-freedom
   argument — is visible in the code, not just the docstring.
 
 ``__init__`` is exempt from the guard and frozen rules (the object is

@@ -4,17 +4,17 @@ The static analyzers prove lock discipline over the code they can see;
 this module checks the same invariants over the locks a *running*
 service actually takes.  When the witness is enabled (it is off by
 default and costs nothing until then), :class:`repro.service.service.
-MergeService` builds its topology and shard locks as
-:class:`WitnessedLock` instances.  Every acquire is then checked
-against a thread-local stack of locks the thread already holds:
+MergeService` builds its writer lock as a planner
+:class:`WitnessedLock`.  Every acquire is then checked against a
+thread-local stack of locks the thread already holds:
 
 * **re-entrancy** — acquiring a lock already held by this thread would
   self-deadlock (these are plain locks, not RLocks);
-* **planner nesting** — blocking on *any* lock while the planner
-  (topology) lock is held turns the short critical section into an
-  unbounded one; the single sanctioned exception is acquiring a
-  **fresh** lock (``acquire(fresh=True)``): a just-created, unpublished
-  lock can never be contended, which is exactly the ``_reserve`` path;
+* **planner nesting** — blocking on *any* lock while the planner lock
+  is held turns its critical section into an unbounded one; the single
+  sanctioned exception is acquiring a **fresh** lock
+  (``acquire(fresh=True)``): a just-created, unpublished lock can never
+  be contended;
 * **ascending-sid order** — shard locks must be acquired in strictly
   ascending sid order; any descending or equal step is a potential
   ABBA deadlock with a writer walking the other way.
@@ -116,7 +116,7 @@ def _held() -> List["WitnessedLock"]:
     return stack
 
 
-#: Rank of the planner (topology) lock; shard locks rank below it.
+#: Rank of the planner lock; shard locks rank below it.
 PLANNER_RANK = 1
 SHARD_RANK = 0
 
@@ -125,8 +125,8 @@ class WitnessedLock:
     """A ``threading.Lock`` that checks the service lock discipline.
 
     *sid* marks a shard lock (ordered by sid); ``planner=True`` marks
-    the topology lock.  The wrapper is a drop-in for the subset of the
-    ``Lock`` API the service uses.
+    a planner lock, such as the service's writer lock.  The wrapper is
+    a drop-in for the subset of the ``Lock`` API the service uses.
     """
 
     __slots__ = ("_lock", "sid", "planner", "name")
@@ -159,7 +159,7 @@ class WitnessedLock:
         if planner_held:
             raise LockOrderViolation(
                 f"blocking acquire of {self.name} while the planner "
-                "(topology) lock is held — the short critical section "
+                "lock is held — the short critical section "
                 "must never wait on another lock (only fresh, unpublished "
                 "locks may be taken there, via acquire(fresh=True))"
             )

@@ -371,9 +371,9 @@ class ConcurrentStream:
     writer lane (so every lane's component exists up front and readers
     have classes to query), and one request list per concurrent writer.
     Lanes draw from disjoint prefixed class pools, so ``n_writers``
-    writers touch ``n_writers`` distinct components — the workload the
-    per-shard locking design is supposed to run in parallel, and the one
-    ``benchmarks/bench_http.py`` drives at 1/4/16 writers.
+    writers touch ``n_writers`` distinct components — the workload
+    ``benchmarks/bench_http.py`` drives at 1/4/16 writers, whose
+    ``register`` calls serialize on the service's one writer lock.
     """
 
     name: str

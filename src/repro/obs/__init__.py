@@ -1,7 +1,7 @@
 """repro.obs — telemetry for the merge engine and service.
 
-The observability layer the scaling PRs (per-shard locks, HTTP front
-ends, worker processes) are debugged and benchmarked with.  Three
+The observability layer the service, its HTTP front end and its
+storage are debugged and benchmarked with.  Three
 cooperating pieces, all dependency-free and core-free (nothing here
 imports ``repro.core``, so every layer can report into it):
 

@@ -6,8 +6,8 @@ service's published registry value without a lock, so a read is just a
 memo lookup and never waits on a writer, not even on its log append.
 Writes (``POST /v1/schemas``) are dispatched to a small thread pool,
 so the loop keeps streaming read responses while a register folds
-closures under its per-shard locks — the service's "reads never block
-behind writers" guarantee carries through to the wire.
+closures under the service's writer lock — the service's "reads never
+block behind writers" guarantee carries through to the wire.
 
 **Routes** (wire format ``repro.api/1``; schemas travel as
 ``repro.schema/1`` documents from :mod:`repro.io.json_io`):
@@ -39,8 +39,10 @@ withdrawn, as opposed to never registered),
 :class:`~repro.exceptions.StorageError` → 500 (persistence trouble is
 the server's problem, never the client's request),
 :class:`~repro.exceptions.ServiceShutdownError` → 503.  A request
-head that cannot be parsed is answered 400, and one declaring a body
-over :data:`MAX_BODY_BYTES` is answered 413; both close the connection.
+head that cannot be parsed is answered 400, one declaring a body over
+:data:`MAX_BODY_BYTES` is answered 413, and a body that does not
+arrive within :data:`BODY_TIMEOUT_S` is answered 408; all three close
+the connection.
 
 >>> import http.client, json
 >>> from repro.service import MergeService
@@ -89,6 +91,12 @@ __all__ = ["HttpFrontend", "serve_http", "status_for"]
 #: ``Content-Length`` is answered 413 before any body byte is buffered.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a client has to deliver the body its ``Content-Length``
+#: declared.  A short body is answered 408 and the connection closed,
+#: so it cannot hold the connection forever.  Request heads carry no
+#: deadline: a per-read timer would cost every ``GET``.
+BODY_TIMEOUT_S = 10.0
+
 #: Exception → HTTP status, checked in order (most specific first).
 #: The terminal ``SchemaError`` entry is the taxonomy-wide fallback:
 #: every library error is a client-input problem (400) unless a more
@@ -111,6 +119,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     410: "Gone",
     413: "Content Too Large",
@@ -258,6 +267,7 @@ class HttpFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
+        loop = asyncio.get_running_loop()
         self._connections[task] = writer
         # asyncio reads through a 256 KiB recv() buffer.  glibc serves a
         # block that size with mmap until its threshold happens to adapt,
@@ -295,7 +305,23 @@ class HttpFrontend:
                         f"{MAX_BODY_BYTES}-byte limit",
                     )
                     break
-                body = await reader.readexactly(length) if length else b""
+                body = b""
+                if length:
+                    # A timer that ends the stream, not ``wait_for``: no
+                    # extra task, so a body already buffered costs nothing.
+                    deadline = loop.call_later(BODY_TIMEOUT_S, reader.feed_eof)
+                    try:
+                        body = await reader.readexactly(length)
+                    except asyncio.IncompleteReadError:
+                        await self._refuse(
+                            writer,
+                            408,
+                            f"request body of {length} bytes did not arrive "
+                            f"within {BODY_TIMEOUT_S:g} s",
+                        )
+                        break
+                    finally:
+                        deadline.cancel()
                 keep_alive = (
                     version == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"

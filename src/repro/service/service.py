@@ -10,32 +10,22 @@ read-mostly workload costs a dictionary lookup per request, and a write
 invalidates only the component it touches: the commit replaces that
 shard, and its memos go with it.
 
-**Concurrency model (per-shard locking).**  The paper's merge is
-component-local — a registration touches exactly the shards its class
-names reach — so the service locks at that grain instead of
-serializing everything:
+**Concurrency model (one writer lock).**  Every write — ``register``
+and ``retire`` alike — holds the one **writer lock** from plan to
+publish: it plans which shards its class names reach, re-closes those
+components on clones, appends its log record and publishes.  The
+paper's merge is component-local, so a write still rebuilds only the
+shards it touches, but writers run one at a time, in the lock's
+arrival order — which is also the log's order, so replay needs no
+tie-break between writers racing on the same new class names.
 
-* one short-lived **topology lock** serializes writers' planning,
-  validation and commit (the in-flight reservations, the shard locks,
-  the log append) — never closure work;
-* one **shard lock per component** serializes writers on the same
-  component; a writer acquires the locks of exactly the shards its
-  batch touches, *in ascending shard-id order* (bridging batches take
-  several; the global order makes deadlock impossible), then rebuilds
-  on clones outside the topology lock;
-* **reads take no lock at all.**  The registry is one immutable
-  :class:`_Registry` value (shard table, class map, lifecycle table,
-  generation).  A commit appends its log record, builds the next value
-  on copies and publishes it with a single reference store; a reader
-  loads the reference once and answers from that value alone, so it
-  sees the whole old state or the whole new one and never waits
-  behind a write.
-
-Writers that race on the same *new* class names are serialized through
-**reservations**: the first validated writer claims the names (mapping
-them to its target shard id under the topology lock), so contenders
-plan onto the same shard id, block on its lock, and re-validate once
-the claimant commits or rolls back.
+**Reads take no lock at all.**  The registry is one immutable
+:class:`_Registry` value (shard table, class map, lifecycle table,
+generation).  A commit appends its log record, builds the next value
+on copies and publishes it with a single reference store; a reader
+loads the reference once and answers from that value alone, so it
+sees the whole old state or the whole new one and never waits behind
+a write.
 
 **Telemetry.** Every instance reports into the global
 :data:`repro.obs.metrics.REGISTRY` (last-wins, so the registry always
@@ -121,21 +111,14 @@ __all__ = ["MergeService"]
 ComponentRef = Union[int, ClassName, str]
 
 
-def _new_topology_lock() -> LockLike:
-    """The planner lock — witnessed when the debug witness is enabled.
+def _new_writer_lock() -> LockLike:
+    """The writer lock — witnessed when the debug witness is enabled.
 
     :func:`repro.check.witness.enable_witness` must be called *before*
     the service is constructed; existing locks are never retrofitted.
     """
     if witness_active():
         return WitnessedLock(planner=True)
-    return threading.Lock()
-
-
-def _new_shard_lock(sid: int) -> LockLike:
-    """A shard lock, order-checked by sid when the witness is enabled."""
-    if witness_active():
-        return WitnessedLock(sid=sid)
     return threading.Lock()
 
 
@@ -267,21 +250,17 @@ class _Group:
     """One component a write touches: planned, then staged, then committed.
 
     *sid* is the component the group commits as, *replaced* the
-    committed shards it supersedes (frozen: the writer holds their
-    locks; none for a fresh sid), *indices* the batch members landing
-    in it, *reserved* the class names this writer claimed for *sid*.
-    Staging sets *builder* (``None`` drops the component) and *members*.
+    committed shards it supersedes (none for a fresh sid), *indices*
+    the batch members landing in it.  Staging sets *builder* (``None``
+    drops the component) and *members*.
     """
 
-    __slots__ = ("sid", "replaced", "indices", "reserved", "builder", "members")
+    __slots__ = ("sid", "replaced", "indices", "builder", "members")
 
-    def __init__(
-        self, sid: int, replaced: List[Shard], indices: List[int], reserved: List[ClassName]
-    ) -> None:
+    def __init__(self, sid: int, replaced: List[Shard], indices: List[int]) -> None:
         self.sid = sid
         self.replaced = replaced
         self.indices = indices
-        self.reserved = reserved
         self.builder: Optional[ClosureBuilder] = None
         self.members: List[Schema] = []
 
@@ -315,8 +294,8 @@ def _disjoint_union(parts: List[Schema]) -> Schema:
 class MergeService:
     """A thread-safe registry of schemas serving merged views and queries.
 
-    Writes lock per component (see the module docstring), reads are
-    lock-free against the published registry value and answer from the
+    Writes serialize on one writer lock (see the module docstring),
+    reads are lock-free against the published registry value and answer from the
     memos on its shards.  *telemetry_sample_every*
     (a power of two) sets how often the read paths time themselves while
     telemetry is enabled: the default 64 keeps the warm-path overhead
@@ -342,16 +321,12 @@ class MergeService:
             raise InvalidRequestError(
                 f"snapshot_every must be positive, got {snapshot_every!r}"
             )
-        #: Serializes writers; held only for plan/validate/commit —
-        #: never while closure work runs, never by a reader.
-        self._topology = _new_topology_lock()  # lock: planner
+        #: Serializes writers from plan to publish; never taken by a reader.
+        self._writer = _new_writer_lock()  # lock: planner
         #: The published registry; readers load it once per request.
-        self._registry = _Registry({}, {}, {}, 0)  # guarded-by(writes): _topology
-        self._shard_locks: Dict[int, LockLike] = {}  # guarded-by: _topology
-        #: In-flight writers' claims on not-yet-committed class names.
-        self._reserved: Dict[ClassName, int] = {}  # guarded-by: _topology
-        self._next_sid = 0  # guarded-by: _topology
-        self._closed = False  # guarded-by(writes): _topology
+        self._registry = _Registry({}, {}, {}, 0)  # guarded-by(writes): _writer
+        self._next_sid = 0  # guarded-by: _writer
+        self._closed = False  # guarded-by(writes): _writer
         self._requests = 0
         self._ticker = itertools.count(1)  # frozen-after-init
         self._sample_mask = telemetry_sample_every - 1  # frozen-after-init
@@ -362,14 +337,14 @@ class MergeService:
         self._sample_on = 0 if _obs_state.enabled else self._sample_mask + 1
         self._telemetry = _ServiceTelemetry(self)  # frozen-after-init
         #: The binding never changes after construction; the *object* is
-        #: mutated (``append``) only under the topology lock, which is
+        #: mutated (``append``) only under the writer lock, which is
         #: what makes log order equal commit order.
-        self._storage: StorageBackend = (  # guarded-by(writes): _topology
+        self._storage: StorageBackend = (  # guarded-by(writes): _writer
             storage if storage is not None else MemoryBackend()
         )
         self._snapshot_every = snapshot_every  # frozen-after-init
-        self._log_seq = 0  # guarded-by(writes): _topology
-        self._last_cut_seq = 0  # guarded-by(writes): _topology
+        self._log_seq = 0  # guarded-by(writes): _writer
+        self._last_cut_seq = 0  # guarded-by(writes): _writer
         #: True only while single-threaded recovery replays the log —
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
@@ -425,14 +400,16 @@ class MergeService:
     def close(self) -> None:
         """Refuse further requests (idempotent; in-flight calls finish).
 
-        Also releases the storage backend's resources.  Durability does
-        not depend on a clean close — every committed mutation was
+        Waits for the write in flight, if any, then releases the storage
+        backend's resources; a write arriving later raises
+        :class:`~repro.exceptions.ServiceShutdownError`.  Durability
+        does not depend on a clean close — every committed mutation was
         fsync'd when it was logged — so a killed process loses nothing
         a closed one keeps.
         """
-        with self._topology:
+        with self._writer:
             self._closed = True
-        self._storage.close()
+            self._storage.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -469,7 +446,7 @@ class MergeService:
                 replayed += 1
         finally:
             self._replaying = False
-        with self._topology:
+        with self._writer:
             self._log_seq = last_seq
             self._last_cut_seq = base_seq
         if replayed:
@@ -512,9 +489,7 @@ class MergeService:
             schema_name: tuple(versions)
             for schema_name, versions in state.series.items()
         }
-        with self._topology:
-            for sid in shards:
-                self._shard_locks[sid] = _new_shard_lock(sid)
+        with self._writer:
             self._registry = _Registry(
                 shards, class_to_sid, series, state.generation
             )
@@ -527,8 +502,8 @@ class MergeService:
             if record.kind == "register":
                 # The recorded sids are forced onto fresh groups so the
                 # recovered registry hands out the component ids the
-                # original did (rollbacks and plan retries burn ids that
-                # committed history never sees).
+                # original did (rollbacks burn ids that committed history
+                # never sees).
                 self._register(record.entries, record.sids or None)
             elif record.kind == "retire":
                 if record.name is None:
@@ -562,24 +537,17 @@ class MergeService:
         """Cut a full snapshot set now; returns the covered log position.
 
         Also runs automatically every *snapshot_every* committed log
-        records.  The capture is consistent (taken under the topology
-        lock) but the expensive part — sweeping each component's dense
-        state and writing the files — happens outside every lock, off
-        immutable shard objects.
+        records.  The cut holds the writer lock throughout, so it is
+        consistent and no write or :meth:`close` interleaves with it;
+        readers never take that lock and keep answering.
         """
-        self._check_open()
-        state = self._capture_state()
-        self._storage.save_state(state)
-        with self._topology:
-            if state.seq > self._last_cut_seq:
-                self._last_cut_seq = state.seq
-        return state.seq
+        with self._writer:
+            self._check_open()
+            return self._cut()
 
-    def _capture_state(self) -> ServiceState:
-        with self._topology:
-            registry = self._registry
-            next_sid = self._next_sid
-            seq = self._log_seq
+    def _cut(self) -> int:  # requires-lock: _writer
+        """Write the registry as a snapshot cut.  Writer lock held."""
+        registry = self._registry
         shards = sorted(registry.shards.values(), key=lambda s: s.sid)
         components = tuple(
             ComponentState(
@@ -597,23 +565,17 @@ class MergeService:
             )
             for shard in shards
         )
-        return ServiceState(
-            seq=seq,
-            generation=registry.generation,
-            next_sid=next_sid,
-            components=components,
-            series=registry.series,
+        self._storage.save_state(
+            ServiceState(
+                seq=self._log_seq,
+                generation=registry.generation,
+                next_sid=self._next_sid,
+                components=components,
+                series=registry.series,
+            )
         )
-
-    def _maybe_cut(self) -> None:
-        """Cut a snapshot when the log has grown past the cadence."""
-        every = self._snapshot_every
-        if every is None or self._replaying:
-            return
-        with self._topology:
-            due = self._log_seq - self._last_cut_seq >= every
-        if due:
-            self.save()
+        self._last_cut_seq = self._log_seq
+        return self._log_seq
 
     # ------------------------------------------------------------------
     # Registration (writers)
@@ -630,10 +592,8 @@ class MergeService:
         table (see :meth:`resolve_schema` / :meth:`retire`).
 
         The whole batch is applied to *clones* of the touched shards'
-        builders first, while holding only those shards' locks — writes
-        to disjoint components proceed in parallel; only if every schema
-        folds in cleanly is the new layout swapped in (one generation
-        bump for the batch).  On
+        builders first; only if every schema folds in cleanly is the new
+        layout swapped in (one generation bump for the batch).  On
         :class:`~repro.exceptions.IncompatibleSchemasError` (or a
         version conflict on a named entry, or a failed log append)
         nothing is committed: shard layout, lifecycle table, generation
@@ -713,14 +673,14 @@ class MergeService:
             )
         return entry
 
-    def _stage_series(  # requires-lock: _topology
+    def _stage_series(  # requires-lock: _writer
         self, entries: List[RegistrationEntry]
     ) -> Tuple[
         Dict[str, Tuple[VersionState, ...]], Tuple[RegistrationEntry, ...]
     ]:
         """Validate named entries and compute the lifecycle-table delta.
 
-        Topology lock held by the caller (versions must be checked
+        Writer lock held by the caller (versions must be checked
         against the same series state the commit publishes into).
         Returns the per-name replacement tuples plus the entries with
         versions and lifecycles *resolved* — the form that enters the
@@ -770,9 +730,9 @@ class MergeService:
             )
         return update, tuple(logged)
 
-    def _plan_register(self, batch: List[Schema]) -> _Plan:  # requires-lock: _topology
-        """Register's plan: the batch over the committed and reserved layout."""
-        return plan_groups(batch, self._registry.class_to_sid, self._reserved)
+    def _plan_register(self, batch: List[Schema]) -> _Plan:  # requires-lock: _writer
+        """Register's plan: the batch over the committed layout."""
+        return plan_groups(batch, self._registry.class_to_sid)
 
     def _write(
         self,
@@ -783,115 +743,52 @@ class MergeService:
         delta: Callable[[int, List[_Group], Any], _Delta],
         sids: Optional[Tuple[int, ...]],
     ) -> Tuple[int, int, Any]:
-        """The one write path: plan → lock → stage → commit.
+        """The one write path: plan → stage → commit, under the writer lock.
 
         :meth:`register` and :meth:`retire` both edit the member
         multisets of some components and re-close them (the merge is
         associative and commutative, so members determine the view).
         They differ only in *plan* (the touched components plus a key
-        that must survive re-validation; runs under the topology lock),
-        *stage* (the closure work, outside the topology lock) and
+        handed on to the other two), *stage* (the closure work) and
         *delta* (the lifecycle-table change and the log record; runs in
         the commit).  Returns the generation, the component count at
         the commit, and the plan key.  A failed stage or commit is
-        abandoned — counted in ``service.register.rollbacks``, nothing
-        published.
+        counted in ``service.register.rollbacks`` and publishes nothing.
+        When the log has grown past the snapshot cadence, the cut runs
+        before the lock is released.
         """
-        with span("service.plan", batch=len(batch)):
-            groups, key, held = self._plan_and_lock(plan, batch, sids)
-        try:
-            stage(groups, key)
-            with span("service.snapshot"):
-                with self._topology:
+        with self._writer:
+            self._check_open()
+            with span("service.plan", batch=len(batch)):
+                plans, key = plan()
+                groups = self._groups(plans, sids)
+            try:
+                stage(groups, key)
+                with span("service.snapshot"):
                     generation, components = self._commit(
                         groups, lambda g: delta(g, groups, key)
                     )
-        except BaseException:
-            with self._topology:
-                self._abandon(groups)
-            self._telemetry.rollbacks.inc()
-            root.set(rolled_back=True)
-            raise
-        finally:
-            for lock in reversed(held):
-                lock.release()
-        self._maybe_cut()
+            except BaseException:
+                self._telemetry.rollbacks.inc()
+                root.set(rolled_back=True)
+                raise
+            every = self._snapshot_every
+            if (
+                every is not None
+                and not self._replaying
+                and self._log_seq - self._last_cut_seq >= every
+            ):
+                self._cut()
         return generation, components, key
 
-    def _plan_and_lock(
-        self,
-        plan: Callable[[], Tuple[_Plan, Any]],
-        batch: List[Schema],
-        sids: Optional[Tuple[int, ...]],
-    ) -> Tuple[List[_Group], Any, List[LockLike]]:
-        """Plan a write and acquire exactly the locks it needs.
-
-        The optimistic loop: *plan* under the topology lock, *release
-        it*, acquire the planned shard locks in ascending sid order
-        (blocking on contended components without stalling disjoint
-        writers), then re-plan under the topology lock.  If the plan
-        went stale while we waited — a contended shard was absorbed, a
-        rolled-back reservation vanished, the key changed — everything
-        is released and the loop replans; each pass either returns or
-        observed another writer's commit/rollback, so the loop
-        terminates.  If re-planning raises, the held locks are released
-        and the error propagates.  On success :meth:`_reserve` claims
-        the plan; returns the groups, the key, and every held lock
-        (sorted by sid — release order is the reverse).
-        """
-        while True:
-            with self._topology:
-                plans, key = plan()
-                needed = sorted({sid for existing, _ in plans for sid in existing})
-                found = [(sid, self._shard_locks.get(sid)) for sid in needed]
-            lock_for: Dict[int, LockLike] = {
-                sid: lock for sid, lock in found if lock is not None
-            }
-            if len(lock_for) != len(needed):
-                # A planned shard vanished before we even started
-                # acquiring (absorbed elsewhere, or a rolled-back
-                # reservation); replan from the current layout.
-                self._telemetry.retries.inc()
-                continue
-            held: List[LockLike] = []
-            for sid in needed:
-                lock_for[sid].acquire()
-                held.append(lock_for[sid])
-            try:
-                with self._topology:
-                    current, current_key = plan()
-                    if (
-                        current_key == key
-                        and sorted({sid for existing, _ in current for sid in existing})
-                        == needed
-                        and all(self._shard_locks.get(sid) is lock_for[sid] for sid in needed)
-                    ):
-                        return self._reserve(current, batch, held, sids), key, held
-            except BaseException:
-                for lock in reversed(held):
-                    lock.release()
-                raise
-            for lock in reversed(held):
-                lock.release()
-            self._telemetry.retries.inc()
-
-    def _reserve(  # requires-lock: _topology
-        self,
-        plans: _Plan,
-        batch: List[Schema],
-        held: List[LockLike],
-        forced: Optional[Tuple[int, ...]],
+    def _groups(  # requires-lock: _writer
+        self, plans: _Plan, forced: Optional[Tuple[int, ...]]
     ) -> List[_Group]:
-        """Claim sids and class names for a validated plan.
+        """Give each planned group the sid it commits as.  Writer lock held.
 
-        Topology lock held by the caller.  Fresh groups get a new sid
-        (or, during replay, the *forced* sid the log recorded) whose
-        lock is created *pre-acquired* (appended to *held*; no other
-        writer can know the sid before we publish the reservation, so
-        acquiring it cannot block and the ascending-sid lock order is
-        preserved — fresh sids sort after every existing one).  Every
-        batch class with no committed assignment is reserved to its
-        group's target sid so contending writers plan onto our lock.
+        A group that absorbs committed shards keeps the smallest of
+        their sids; a fresh group gets a new sid or, during replay, the
+        *forced* sid the log recorded.
         """
         groups: List[_Group] = []
         registry = self._registry
@@ -901,11 +798,7 @@ class MergeService:
                 f"but the batch plans {len(plans)} — the log and the "
                 f"registry have diverged"
             )
-        # The loop's only acquire targets a fresh, unpublished lock (see
-        # below) — no ordering constraint applies.
-        for group_index, (existing_sids, indices) in enumerate(  # check: ignore[lock-order]
-            plans
-        ):
+        for group_index, (existing_sids, indices) in enumerate(plans):
             replaced_sids = sorted(existing_sids)
             if replaced_sids:
                 sid = replaced_sids[0]
@@ -915,54 +808,26 @@ class MergeService:
                         f"{forced[group_index]}, but replay resolves the "
                         f"group to component {sid}"
                     )
+            elif forced is not None:
+                sid = forced[group_index]
+                if sid in registry.shards or any(g.sid == sid for g in groups):
+                    raise CorruptLogError(
+                        f"log record allocates component {sid}, "
+                        f"which already exists at replay time"
+                    )
+                self._next_sid = max(self._next_sid, sid + 1)
             else:
-                if forced is not None:
-                    sid = forced[group_index]
-                    if sid in registry.shards or sid in self._shard_locks:
-                        raise CorruptLogError(
-                            f"log record allocates component {sid}, "
-                            f"which already exists at replay time"
-                        )
-                    self._next_sid = max(self._next_sid, sid + 1)
-                else:
-                    sid = self._next_sid
-                    self._next_sid += 1
-                lock = _new_shard_lock(sid)
-                # Acquiring under the planner lock is sanctioned here
-                # only because the lock is fresh: no other thread can
-                # know the sid before the reservation is published, so
-                # this acquire can never block.
-                if isinstance(lock, WitnessedLock):
-                    lock.acquire(fresh=True)  # check: ignore[lock-nesting]
-                else:
-                    lock.acquire()  # check: ignore[lock-nesting]
-                self._shard_locks[sid] = lock
-                held.append(lock)
-            reserved = []
-            for index in indices:
-                for cls in batch[index].classes:
-                    if (
-                        cls not in registry.class_to_sid
-                        and cls not in self._reserved
-                    ):
-                        self._reserved[cls] = sid
-                        reserved.append(cls)
+                sid = self._next_sid
+                self._next_sid += 1
             groups.append(
-                _Group(
-                    sid,
-                    [registry.shards[old] for old in replaced_sids],
-                    indices,
-                    reserved,
-                )
+                _Group(sid, [registry.shards[old] for old in replaced_sids], indices)
             )
         return groups
 
     def _rebuild(self, groups: List[_Group], batch: List[Schema]) -> None:
-        """Register's stage: fold each group on clones, no global lock.
+        """Register's stage: fold each group on clones.
 
-        Only the involved shard locks are held, so disjoint writers run
-        their closure work concurrently.  Raises
-        :class:`IncompatibleSchemasError` with nothing published.
+        Raises :class:`IncompatibleSchemasError` with nothing published.
         """
         for group in groups:
             with span(
@@ -993,21 +858,21 @@ class MergeService:
             group.builder = builder
             group.members = members
 
-    def _commit(  # requires-lock: _topology
+    def _commit(  # requires-lock: _writer
         self,
         groups: List[_Group],
         delta: Callable[[int], _Delta],
     ) -> Tuple[int, int]:  # publishes: _registry
-        """Log a staged write, then publish it.  Topology lock held.
+        """Log a staged write, then publish it.  Writer lock held.
 
         *delta* validates the lifecycle-table change and builds the log
         record for the new generation; the record is appended (and
         fsync'd) *before* anything is published, so no reader can ever
         observe a state the log does not describe.  If either step
-        raises, nothing has been published and the caller abandons the
-        write.  Appending under the topology lock makes log order commit
-        order (deterministic replay); readers never take that lock, so
-        only concurrent *writers* wait behind the flush.
+        raises, nothing has been published and the write rolls back.
+        Appending under the writer lock makes log order commit order
+        (deterministic replay); readers never take that lock, so only
+        other *writers* wait behind the flush.
 
         The next shard table and class map are built on copies (an
         O(classes) dict copy per write) and published as one new
@@ -1027,7 +892,6 @@ class MergeService:
             for shard in group.replaced:
                 if shard.sid != group.sid or group.builder is None:
                     shards.pop(shard.sid, None)
-                    self._shard_locks.pop(shard.sid, None)
                 for cls in shard.builder.classes - kept:
                     class_to_sid.pop(cls, None)
             if group.builder is not None:
@@ -1035,27 +899,11 @@ class MergeService:
                     group.sid, group.builder, group.members, generation
                 )
                 class_to_sid.update(dict.fromkeys(kept, group.sid))
-            for cls in group.reserved:
-                self._reserved.pop(cls, None)
         self._registry = _Registry(
             shards, class_to_sid, {**current.series, **series}, generation
         )
         self._telemetry.schemas.inc(len(record.entries))
         return generation, len(shards)
-
-    def _abandon(self, groups: List[_Group]) -> None:  # requires-lock: _topology
-        """Undo a failed write's claims.  Topology lock held by caller.
-
-        Reservations disappear and fresh sids' locks are deregistered
-        (we still hold the lock objects; waiters wake, fail the
-        identity re-validation, and replan).  Committed shards were
-        never touched — their builders were only cloned.
-        """
-        for group in groups:
-            for cls in group.reserved:
-                self._reserved.pop(cls, None)
-            if not group.replaced:
-                self._shard_locks.pop(group.sid, None)
 
     # ------------------------------------------------------------------
     # Schema lifecycle (named versions, retire)
@@ -1155,7 +1003,6 @@ class MergeService:
     ) -> RetireReceipt:
         """:meth:`retire`, or during replay exactly the logged *versions*."""
         with span("service.retire", schema=schema_name) as root:
-            self._check_open()
 
             def delta(generation: int, _groups: List[_Group], live: Any) -> _Delta:
                 retired = tuple(v.version for v in live)
@@ -1186,11 +1033,11 @@ class MergeService:
                 generation=generation,
             )
 
-    def _plan_retire(  # requires-lock: _topology
+    def _plan_retire(  # requires-lock: _writer
         self, schema_name: str, versions: Optional[Tuple[int, ...]]
     ) -> Tuple[_Plan, List[VersionState]]:
         """Retire's plan: one group per owning component, keyed by the
-        live versions it withdraws (a racing retire changes the key)."""
+        live versions it withdraws."""
         registry = self._registry
         live = self._live_versions(registry.series, schema_name)
         if versions is not None:

@@ -12,7 +12,7 @@ component boundary.
 :func:`plan_groups` is the pure planning half: given the current
 class → shard assignment and a batch of new schemas, it unions shards
 and batch members into groups without mutating anything, so the caller
-can apply (or abandon) the whole batch atomically.
+can apply (or roll back) the whole batch atomically.
 
 >>> from repro.core.schema import Schema
 >>> pets = Schema.build(arrows=[("Dog", "owner", "Person")])
@@ -119,7 +119,6 @@ class Shard:
 def plan_groups(
     batch: Sequence[Schema],
     class_to_sid: Dict[ClassName, int],
-    reserved: Optional[Dict[ClassName, int]] = None,
 ) -> List[Tuple[Set[int], List[int]]]:
     """Plan how a batch folds into the existing shard layout (pure).
 
@@ -129,12 +128,6 @@ def plan_groups(
     it.  Batch schemas sharing a class — directly or through a chain of
     existing shards — end up in the same group.  Shards untouched by the
     batch are not reported.
-
-    *reserved* is a second ``class → sid`` mapping consulted when
-    *class_to_sid* has no entry: the per-shard-locking service records
-    in-flight writers' claims on still-uncommitted class names there, so
-    a concurrent plan routes contending batches onto the claimant's
-    shard id (and therefore onto its lock) instead of racing it.
     """
     uf = UnionFind()
     first_claim: Dict[ClassName, Tuple[str, int]] = {}
@@ -143,8 +136,6 @@ def plan_groups(
         uf.find(node)
         for cls in schema.classes:
             sid = class_to_sid.get(cls)
-            if sid is None and reserved is not None:
-                sid = reserved.get(cls)
             if sid is not None:
                 uf.union(node, ("shard", sid))
             else:

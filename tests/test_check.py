@@ -222,14 +222,14 @@ class TestWitnessedLock:
         # only controls whether the service *creates* witnessed locks.
         import threading
 
-        from repro.service.service import _new_shard_lock, _new_topology_lock
+        from repro.service.service import _new_writer_lock
 
         assert not witness_active()
-        assert isinstance(_new_shard_lock(0), type(threading.Lock()))
-        assert isinstance(_new_topology_lock(), type(threading.Lock()))
+        assert isinstance(_new_writer_lock(), type(threading.Lock()))
         enable_witness()
         try:
-            assert isinstance(_new_shard_lock(0), WitnessedLock)
-            assert isinstance(_new_topology_lock(), WitnessedLock)
+            lock = _new_writer_lock()
+            assert isinstance(lock, WitnessedLock)
+            assert lock.planner
         finally:
             disable_witness()

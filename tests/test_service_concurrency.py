@@ -1,15 +1,18 @@
-"""Concurrency tests for the per-shard-locking merge service.
+"""Concurrency tests for the merge service's one-writer-lock design.
 
-The three claims the locking redesign makes, each exercised directly:
+The claims the design makes, each exercised directly:
 
-* writers on **disjoint components** are independent — N threads
-  hammering N separate pods lose nothing and corrupt nothing;
-* **bridging** registrations (which must take several shard locks)
-  are deadlock-free under contention, because every writer acquires
-  in ascending shard-id order;
+* concurrent writers **lose nothing** — N threads hammering N separate
+  pods, or racing on one fresh class name, end in the state some serial
+  order of their writes produces;
+* **bridging** registrations merge components exactly once under
+  contention, and the storms never retry a plan: writers serialize on
+  the one writer lock from plan to publish;
 * **readers never block** — a warm ``merged_view`` completes while a
-  writer holds the very shard lock the view reads through, and the
-  answers they memoize on shards mid-write are never stale.
+  writer holds the writer lock, and the answers readers memoize on
+  shards mid-write are never stale;
+* :meth:`MergeService.close` waits for the write in flight, and no
+  write commits after it.
 
 Retires run through the same write path as registrations, so the
 storms also mix ``retire`` lanes into racing ``register`` lanes.  The
@@ -107,8 +110,9 @@ class TestDisjointWriters:
             assert service.merged_view(sid) == join_all(members)
 
     def test_writers_racing_on_the_same_fresh_class_serialize(self):
-        # Every schema mentions a brand-new shared class, so the
-        # reservation path must funnel all writers into one component.
+        # Every schema mentions a brand-new shared class, so the writers,
+        # served in the writer lock's arrival order, must all land in
+        # one component.
         service = MergeService()
         schemas = [
             Schema.build(arrows=[("Hub", f"spoke{i}", f"Rim{i}")])
@@ -123,7 +127,9 @@ class TestDisjointWriters:
             assert all(pool.map(write, schemas))
 
         assert len(service.components()) == 1
-        assert service.service_stats()["registered_schemas"] == 12
+        stats = service.service_stats()
+        assert stats["registered_schemas"] == 12
+        assert stats["telemetry"]["register"]["plan_retries"] == 0
         merged = service.merged_view("Hub")
         for i in range(12):
             assert merged.has_arrow("Hub", f"spoke{i}", f"Rim{i}")
@@ -162,8 +168,8 @@ class TestBridgingUnderContention:
     def test_bridge_chain_storm(self):
         # 8 pods; concurrent writers bridge neighbours in both orders
         # (0-1, 1-2, ... and 6-7, 5-6, ...) while pod-local writers keep
-        # the shard locks warm.  Lock ordering by ascending sid makes
-        # the opposite acquisition orders safe.
+        # touching single components.  Every writer plans under the
+        # writer lock, so no plan is ever retried.
         pods = 8
         service = MergeService([self._pod(p) for p in range(pods)])
         forward = [
@@ -187,6 +193,7 @@ class TestBridgingUnderContention:
             service.component_schemas(service.component_of("Pod0_A"))
         )
         assert service.merged_view("Pod0_A") == join_all(members)
+        assert service.service_stats()["telemetry"]["register"]["plan_retries"] == 0
 
     @pytest.mark.slow
     def test_bridge_storm_many_rounds(self):
@@ -204,15 +211,15 @@ class TestBridgingUnderContention:
 
 
 class TestReadersNeverBlock:
-    def test_warm_view_completes_while_shard_lock_is_held(self):
+    def test_warm_view_completes_while_writer_lock_is_held(self):
         initial, _lanes = get_concurrent_stream("concurrent-disjoint-4").make()
         service = MergeService(initial)
         sid = sorted(service.components())[0]
         service.merged_view(sid)  # warm the component cache
         anchor = str(service.component_schemas(sid)[0].sorted_classes()[0])
 
-        # Simulate an in-flight writer: hold the component's own lock.
-        lock = service._shard_locks[sid]
+        # Simulate an in-flight writer: hold the writer lock.
+        lock = service._writer
         assert lock.acquire(timeout=5)
         try:
             done = threading.Event()
@@ -228,7 +235,7 @@ class TestReadersNeverBlock:
             start = time.perf_counter()
             thread.start()
             assert done.wait(timeout=5), (
-                "reads blocked behind a held shard lock"
+                "reads blocked behind the held writer lock"
             )
             elapsed = time.perf_counter() - start
         finally:
@@ -237,40 +244,6 @@ class TestReadersNeverBlock:
         assert answers["query"].component == sid
         # Not a performance bar — just "nowhere near the lock timeout".
         assert elapsed < 2.0
-
-    def test_writer_on_other_component_proceeds_while_lock_held(self):
-        initial, _lanes = get_concurrent_stream("concurrent-disjoint-4").make()
-        service = MergeService(initial)
-        sids = sorted(service.components())
-        lock = service._shard_locks[sids[0]]
-        other_anchor = str(
-            service.component_schemas(sids[1])[0].sorted_classes()[0]
-        )
-        assert lock.acquire(timeout=5)
-        try:
-            done = threading.Event()
-
-            def write():
-                service.register(
-                    [
-                        Schema.build(
-                            arrows=[(other_anchor, "probe", "OtherProbe")]
-                        )
-                    ]
-                )
-                done.set()
-
-            thread = threading.Thread(target=write, daemon=True)
-            thread.start()
-            assert done.wait(timeout=5), (
-                "a disjoint-component write blocked behind an unrelated "
-                "shard lock"
-            )
-        finally:
-            lock.release()
-        assert service.merged_view(other_anchor).has_arrow(
-            other_anchor, "probe", "OtherProbe"
-        )
 
 
 class _ReadingBackend(MemoryBackend):
@@ -286,6 +259,40 @@ class _ReadingBackend(MemoryBackend):
         if self.reader is not None:
             self.reads.append(self.reader())
         return super().append(record)
+
+
+class _OrderedBackend(MemoryBackend):
+    """A backend that records the order of its appends and its close."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def append(self, record):
+        self.events.append("append")
+        return super().append(record)
+
+    def close(self):
+        self.events.append("close")
+        super().close()
+
+
+class _AnnouncedLock:
+    """Wraps a lock; sets *event* when the thread named *thread_name*
+    starts to acquire it, before it blocks."""
+
+    def __init__(self, lock, thread_name, event):
+        self._lock = lock
+        self._thread_name = thread_name
+        self._event = event
+
+    def __enter__(self):
+        if threading.current_thread().name == self._thread_name:
+            self._event.set()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
 
 
 class TestGlobalViewMidCommit:
@@ -356,8 +363,9 @@ class TestFailureModes:
         assert all(
             isinstance(exc, IncompatibleSchemasError) for exc in errors[1]
         )
-        # Failed writes left no claims behind; the registry still works.
-        assert service._reserved == {}
+        # Failed writes left nothing behind; the registry still works.
+        assert service.service_stats()["generation"] == 1 + len(good_lane)
+        assert service.telemetry.rollbacks.value == len(bad_lane)
         service.register([Schema.build(classes=["AfterTheStorm"])])
         assert service.component_of("AfterTheStorm") is not None
 
@@ -373,6 +381,48 @@ class TestFailureModes:
             service.query("A")
         service.close()  # idempotent
 
+    def test_close_waits_for_the_write_in_flight(self):
+        backend = _OrderedBackend()
+        service = MergeService([Schema.build(classes=["A"])], storage=backend)
+        staged, release, closing = (threading.Event() for _ in range(3))
+        rebuild = service._rebuild
+
+        def paused_rebuild(groups, batch):
+            staged.set()
+            assert release.wait(JOIN_TIMEOUT)
+            rebuild(groups, batch)
+
+        service._rebuild = paused_rebuild
+        service._writer = _AnnouncedLock(service._writer, "closer", closing)
+        receipts = []
+        writer = threading.Thread(
+            target=lambda: receipts.append(
+                service.register([Schema.build(classes=["B"])])
+            ),
+            daemon=True,
+        )
+        writer.start()
+        assert staged.wait(JOIN_TIMEOUT)
+        # The closer announces itself when it reaches the writer lock
+        # (or, if close() does not wait for writers, when it returns).
+        closer = threading.Thread(
+            target=lambda: (service.close(), closing.set()),
+            name="closer",
+            daemon=True,
+        )
+        closer.start()
+        assert closing.wait(JOIN_TIMEOUT)
+        release.set()
+        writer.join(JOIN_TIMEOUT)
+        closer.join(JOIN_TIMEOUT)
+        assert not writer.is_alive() and not closer.is_alive()
+        # The in-flight write committed, and before the backend closed.
+        assert [receipt.generation for receipt in receipts] == [2]
+        assert backend.events == ["append", "append", "close"]
+        with pytest.raises(ServiceShutdownError):
+            service.register([Schema.build(classes=["C"])])
+        assert backend.events == ["append", "append", "close"]
+
     def test_unknown_class_is_service_error_and_key_error(self):
         service = MergeService([Schema.build(classes=["A"])])
         with pytest.raises(UnknownClassError) as excinfo:
@@ -380,6 +430,33 @@ class TestFailureModes:
         assert isinstance(excinfo.value, KeyError)
         assert "Unicorn" in str(excinfo.value)
         assert "'" not in str(excinfo.value)  # no KeyError repr-quoting
+
+
+class TestDurableWriters:
+    def test_disjoint_writers_with_cuts_reopen_to_the_live_state(self, tmp_path):
+        # fsync on and a cut every 8 log records, so snapshot cuts run
+        # mid-storm under the writer lock.
+        data = tmp_path / "registry"
+        initial, lanes = get_concurrent_stream("concurrent-disjoint-4").make()
+        service = MergeService.open(data, snapshot_every=8)
+        service.register(initial)
+        errors = run_writers(service, lanes)
+        assert not any(errors), errors
+        stats = service.service_stats()
+        assert stats["storage"]["last_cut_seq"] >= 8
+        view = service.merged_view()
+        components = service.components()
+        owners = {cls: service.component_of(cls) for cls in view.classes}
+        service.close()
+
+        reopened = MergeService.open(data)
+        try:
+            assert reopened.service_stats()["generation"] == stats["generation"]
+            assert reopened.merged_view() == view
+            assert reopened.components() == components
+            assert {cls: reopened.component_of(cls) for cls in view.classes} == owners
+        finally:
+            reopened.close()
 
 
 @pytest.fixture()
@@ -399,10 +476,11 @@ def lock_witness():
 
 
 class TestLockOrderWitness:
-    """The dynamic cross-check: storms re-run under witnessed locks.
+    """The dynamic cross-check: storms re-run under a witnessed writer lock.
 
-    Any interleaving that acquires out of ascending-sid order, blocks
-    inside the planner section, or re-enters a held lock raises
+    The writer lock is a planner lock, so any interleaving that blocks on
+    another lock while holding it, or re-enters it (say, a snapshot cut
+    calling back into :meth:`MergeService.save`), raises
     :class:`repro.check.witness.LockOrderViolation` inside the writer
     thread — which ``run_writers`` collects and the asserts then fail
     on.  A clean pass is therefore positive evidence the discipline
@@ -433,8 +511,8 @@ class TestLockOrderWitness:
         assert not any(errors), errors
         assert len(service.components()) == 1
         stats = witness_stats()
-        # The witness really was on the hot path: every single-shard
-        # write checks at least one ordered acquire.
+        # The witness really was on the hot path: every write checks
+        # its acquire of the writer lock.
         assert stats["checked"] > 0
         assert stats["acquires"] >= stats["checked"]
 
@@ -471,9 +549,9 @@ class TestLockOrderWitness:
 class TestRetireRacesRegister:
     """``retire`` lanes racing ``register`` lanes through one write path.
 
-    Every case checks the same end state: no deadlock, no leftover
-    reservation, a merged view equal to the reference join of exactly
-    the surviving members, and a log that replays to the live registry.
+    Every case checks the same end state: no deadlock, a merged view
+    equal to the reference join of exactly the surviving members, and a
+    log that replays to the live registry.
     """
 
     @pytest.fixture(autouse=True)
@@ -498,7 +576,6 @@ class TestRetireRacesRegister:
         )
 
     def _check(self, service, data, survivors):
-        assert service._reserved == {}
         view = service.merged_view()
         assert view == reference_join_all(survivors)
         reopened = MergeService.open(data, fsync=False)

@@ -36,6 +36,7 @@ from repro.service import (
     MergeService,
     RegistrationEntry,
 )
+from repro.service import http as http_module
 from repro.service.http import MAX_BODY_BYTES, status_for
 
 
@@ -265,6 +266,22 @@ class TestStatusMapping:
         assert status_line.startswith(b"HTTP/1.1 413 ")
         doc = json.loads(rest.partition(b"\r\n\r\n")[2])
         assert str(MAX_BODY_BYTES) in doc["error"]
+        assert service.service_stats()["generation"] == generation
+
+    def test_short_body_is_408_and_closes(self, frontend, service, monkeypatch):
+        monkeypatch.setattr(http_module, "BODY_TIMEOUT_S", 0.2)
+        head = b"POST /v1/schemas HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        generation = service.service_stats()["generation"]
+        with socket.create_connection(frontend.address, timeout=10) as sock:
+            sock.sendall(head + b"{" * 10)  # 10 of the 100 declared bytes
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 408 Request Timeout"
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert b"Connection: close" in headers
+        assert "100 bytes" in json.loads(body)["error"]
         assert service.service_stats()["generation"] == generation
 
     def test_wrong_wire_format_is_400(self, conn):

@@ -599,7 +599,6 @@ def observable_state(service: MergeService) -> dict:
         "view": view,
         "component_of": {cls: service.component_of(cls) for cls in names},
         "series": dict(service._registry.series),
-        "reserved": dict(service._reserved),
     }
 
 
