@@ -13,11 +13,14 @@ Current suites:
   reference (``join_all`` scalability up to 320 schemas, ``is_sub`` and
   ``compatible`` over the 200-schema family, incremental
   ``with_arrows`` against a rebuild, lower merge with
-  ``annotated_leq``), plus, in full mode, every paper-figure
-  ``bench_*.py`` via pytest-benchmark.  Acceptance: 200-schema
-  ``join_all`` ≥ :data:`MIN_SPEEDUP` (5x) over the reference, and
-  incremental ``with_arrows`` ≤ :data:`MAX_WITH_ARROWS_RATIO` (1.5x)
-  the rebuild's time.
+  ``annotated_leq``, the upper merge's stages — weak LUB, ``Imp``,
+  assembly — with the mask properization against the set-based one),
+  plus, in full mode, every paper-figure ``bench_*.py`` via
+  pytest-benchmark.  Acceptance: 200-schema ``join_all`` ≥
+  :data:`MIN_SPEEDUP` (5x) over the reference, incremental
+  ``with_arrows`` ≤ :data:`MAX_WITH_ARROWS_RATIO` (1.5x) the rebuild's
+  time, and ``properize`` on ``views-medium`` ≥
+  :data:`MIN_PROPERIZE_SPEEDUP` (10x) over the reference.
 * ``service`` — the long-lived :class:`repro.service.MergeService`
   replaying named request streams (``benchmarks/bench_service.py``).
   Acceptance: warm ``merged_view`` ≥ ``bench_service.MIN_VIEW_SPEEDUP``
@@ -66,7 +69,9 @@ for _candidate in (os.path.join(_ROOT, "src"),):
 
 from _timing import record, time_call, write_trajectory  # noqa: E402
 
+from repro.core.implicit import implicit_sets, properize  # noqa: E402
 from repro.core.lower import annotated_leq, lower_merge  # noqa: E402
+from repro.core.merge import weak_merge  # noqa: E402
 from repro.core.ordering import compatible, is_sub, join_all  # noqa: E402
 from repro.core.schema import Schema  # noqa: E402
 from repro.generators.random_schemas import (  # noqa: E402
@@ -74,11 +79,14 @@ from repro.generators.random_schemas import (  # noqa: E402
     random_schema_family,
     random_weak_schema,
 )
+from repro.generators.workloads import get_workload  # noqa: E402
 from repro.perf import clear_caches, engine_stats  # noqa: E402
 from repro.perf.reference import (  # noqa: E402
+    reference_implicit_sets,
     reference_is_sub,
     reference_join_all,
     reference_lower_merge,
+    reference_properize,
 )
 
 ACCEPTANCE_SIZE = 200
@@ -86,6 +94,9 @@ ACCEPTANCE_SIZE = 200
 # reference, and incremental with_arrows against a rebuild.
 MIN_SPEEDUP = 5.0
 MAX_WITH_ARROWS_RATIO = 1.5
+# Properization on masks against the set-based oracle, on this workload.
+MIN_PROPERIZE_SPEEDUP = 10.0
+PROPERIZE_ACCEPTANCE = "views-medium"
 
 # bench_*.py files that drive a runner suite or time with their own
 # timer, so the pytest-benchmark sweep leaves them out.
@@ -263,6 +274,65 @@ def run_with_arrows(repeat: int) -> List[Dict[str, Any]]:
     ]
 
 
+def run_properize(workload: str, repeat: int) -> List[Dict[str, Any]]:
+    """The upper merge's stages on *workload*: mask kernel against oracle.
+
+    Stages: the weak LUB (shared), ``Imp`` alone, and the whole
+    properization (its ``Imp`` included); ``assemble_s`` is the
+    difference, the cost of building ``Ḡ`` once ``Imp`` is known.  The
+    mask kernel must return the very object the oracle interns.
+    """
+    views = get_workload(workload).schemas()
+    weak = weak_merge(*views)
+    if implicit_sets(weak) != reference_implicit_sets(weak):
+        raise AssertionError(f"implicit_sets disagrees with reference on {workload}")
+    if properize(weak) is not reference_properize(weak):
+        raise AssertionError(f"properize disagrees with reference on {workload}")
+    timings = {
+        "weak": time_call(lambda: weak_merge(*views), repeat=repeat),
+        "imp": time_call(lambda: implicit_sets(weak), repeat=repeat),
+        "properize": time_call(lambda: properize(weak), repeat=repeat),
+        "reference_imp": time_call(
+            lambda: reference_implicit_sets(weak), repeat=repeat
+        ),
+        "reference_properize": time_call(
+            lambda: reference_properize(weak), repeat=repeat
+        ),
+    }
+    speedup = (
+        timings["reference_properize"]["best_s"] / timings["properize"]["best_s"]
+    )
+    print(
+        f"  {workload}: weak {timings['weak']['best_s'] * 1e3:.2f} ms, "
+        f"properize {timings['properize']['best_s'] * 1e3:.1f} ms, "
+        f"reference {timings['reference_properize']['best_s'] * 1e3:.1f} ms "
+        f"({speedup:.1f}x)"
+    )
+    records = []
+    for kernel in ("", "reference_"):
+        imp_s = timings[f"{kernel}imp"]["best_s"]
+        total_s = timings[f"{kernel}properize"]["best_s"]
+        extra: Dict[str, Any] = {"assemble_s": total_s - imp_s}
+        if not kernel:
+            extra.update(
+                acceptance=(workload == PROPERIZE_ACCEPTANCE),
+                speedup_vs_reference=speedup,
+            )
+        records.append(
+            record(f"{kernel}imp/{workload}", "properize", timings[f"{kernel}imp"])
+        )
+        records.append(
+            record(
+                f"{kernel}properize/{workload}",
+                "properize",
+                timings[f"{kernel}properize"],
+                **extra,
+            )
+        )
+    records.append(record(f"weak_merge/{workload}", "properize", timings["weak"]))
+    return records
+
+
 def run_pytest_suites() -> List[Dict[str, Any]]:
     """Run every paper-figure bench_*.py through pytest-benchmark.
 
@@ -362,6 +432,11 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
     records += arrows
     print("lower merge:")
     records += run_lower(repeat, count=10 if args.smoke else 30)
+    print("properization:")
+    properize_records = run_properize(PROPERIZE_ACCEPTANCE, 1 if args.smoke else 3)
+    if not args.smoke:
+        properize_records += run_properize("views-large", 1)
+    records += properize_records
     if not args.smoke and not args.skip_pytest_suite:
         print("pytest suites:")
         records += run_pytest_suites()
@@ -372,21 +447,33 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
         # Smoke sizes are too small to time fairly on shared runners:
         # the equality asserts above still ran, the ratio gates do not.
         return records, {"summary": summary, "engine_stats": engine_stats()}
-    speedup = next(r for r in records if r.get("acceptance"))["speedup_vs_reference"]
+    speedup, properize_speedup = (
+        next(
+            r for r in records if r["group"] == group and r.get("acceptance")
+        )["speedup_vs_reference"]
+        for group in ("scalability", "properize")
+    )
     print(f"join_all speedup: {speedup:.1f}x")
+    print(f"properize speedup: {properize_speedup:.1f}x")
     summary.update(
         join_all_speedup=speedup,
         min_speedup_required=MIN_SPEEDUP,
         max_with_arrows_ratio=MAX_WITH_ARROWS_RATIO,
+        properize_speedup=properize_speedup,
+        min_properize_speedup_required=MIN_PROPERIZE_SPEEDUP,
         acceptance_pass=(
-            speedup >= MIN_SPEEDUP and ratio <= MAX_WITH_ARROWS_RATIO
+            speedup >= MIN_SPEEDUP
+            and ratio <= MAX_WITH_ARROWS_RATIO
+            and properize_speedup >= MIN_PROPERIZE_SPEEDUP
         ),
     )
     if not summary["acceptance_pass"]:
         print(
             f"FAIL: merge_engine acceptance: join_all speedup {speedup:.2f}x "
             f"(need ≥ {MIN_SPEEDUP}x), with_arrows ratio {ratio:.3f} "
-            f"(need ≤ {MAX_WITH_ARROWS_RATIO})",
+            f"(need ≤ {MAX_WITH_ARROWS_RATIO}), properize speedup "
+            f"{properize_speedup:.2f}x on {PROPERIZE_ACCEPTANCE} "
+            f"(need ≥ {MIN_PROPERIZE_SPEEDUP}x)",
             file=sys.stderr,
         )
     return records, {"summary": summary, "engine_stats": engine_stats()}

@@ -47,15 +47,34 @@ def is_sub(left: Schema, right: Schema) -> bool:
     """Does ``left ⊑ right`` hold in the information ordering?"""
     if left is right:
         return True
-    if not (left.classes <= right.classes and left.spec <= right.spec):
+    if not left.classes <= right.classes:
         return False
-    # E1 ⊆ E2 checked row-wise on the reach indexes — the grouped form of
-    # the same relation, so the flat arrow sets are never decoded.
-    right_index = right._reach_index()
-    return all(
-        targets <= right_index.get(row, frozenset())
-        for row, targets in left._reach_index().items()
-    )
+    # S1 ⊆ S2 and E1 ⊆ E2 row-wise on the masks: each of left's masks
+    # moves into right's id table, and a row is contained when no moved
+    # bit falls outside right's row.
+    ids = right._id_map()
+    mine, theirs = left._dense, right._dense
+    perm = [ids[cls] for cls in mine.names]
+    bits = [1 << k for k in perm]
+    succ = theirs.succ
+    for i, mask in enumerate(mine.succ):
+        moved = 0
+        while mask:
+            low = mask & -mask
+            moved |= bits[low.bit_length() - 1]
+            mask ^= low
+        if moved & ~succ[perm[i]]:
+            return False
+    rows = theirs.reach
+    for (src, label), mask in mine.reach.items():
+        moved = 0
+        while mask:
+            low = mask & -mask
+            moved |= bits[low.bit_length() - 1]
+            mask ^= low
+        if moved & ~rows.get((perm[src], label), 0):
+            return False
+    return True
 
 
 def is_strict_sub(left: Schema, right: Schema) -> bool:

@@ -363,6 +363,7 @@ class Schema:
         "_spec",
         "_reach_cache",
         "_layout",
+        "_ids",
     )
     _classes: FrozenSet[ClassName]
     _dense: DenseClosure
@@ -667,6 +668,15 @@ class Schema:
             index = self._dense.decode_index()
             object.__setattr__(self, "_reach_cache", index)
             return index
+
+    def _id_map(self) -> Dict[ClassName, int]:
+        """Class → dense id in this schema's table, built on first use."""
+        try:
+            return self._ids
+        except AttributeError:
+            ids = {cls: k for k, cls in enumerate(self._dense.names)}
+            object.__setattr__(self, "_ids", ids)
+            return ids
 
     def out_labels(self, cls: NameLike) -> FrozenSet[Label]:
         """Labels of arrows leaving *cls* — the candidate key components of §5."""

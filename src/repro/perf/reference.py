@@ -8,7 +8,9 @@ two jobs:
   records the speedup in ``BENCH_merge_engine.json``;
 * the **property-test oracle** — ``tests/test_perf_engine.py`` asserts
   on randomized schemas that the interned/incremental paths
-  return values *equal* to these direct computations.
+  return values *equal* to these direct computations, and
+  ``tests/test_implicit.py`` that the mask properization returns the
+  *same interned object* as :func:`reference_properize`.
 
 They intentionally re-derive everything from scratch: the naive
 per-arrow ``below × above`` W1/W2 closure, a separate compatibility
@@ -26,11 +28,13 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core import relations
 from repro.core.lower import AnnotatedSchema, complete_classes
+from repro.core.names import ClassName, ImplicitName, Label
 from repro.core.participation import Participation, glb_all, leq
+from repro.core.proper import check_proper
 from repro.core.schema import Arrow, Schema
 from repro.exceptions import IncompatibleSchemasError
 
@@ -41,6 +45,9 @@ __all__ = [
     "reference_compatible",
     "reference_annotated_leq",
     "reference_lower_merge",
+    "reference_reachable_sets",
+    "reference_implicit_sets",
+    "reference_properize",
 ]
 
 
@@ -148,3 +155,99 @@ def reference_lower_merge(
         if combined != Participation.ABSENT:
             table[arrow] = combined
     return AnnotatedSchema(merged_classes, merged_spec, table)
+
+
+def reference_reachable_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
+    """The set-based ``I∞``: a worklist over name-level reach sets."""
+    seen: Set[FrozenSet[ClassName]] = set()
+    frontier: List[FrozenSet[ClassName]] = [
+        frozenset({p}) for p in schema.classes
+    ]
+    labels = schema.labels()
+    while frontier:
+        current = frontier.pop()
+        for label in labels:
+            reached = schema.reach_set(current, label)
+            if reached and reached not in seen:
+                seen.add(reached)
+                frontier.append(reached)
+    return seen
+
+
+def reference_implicit_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
+    """The set-based ``Imp``: ``MinS`` of every reach set, size > 1."""
+    result: Set[FrozenSet[ClassName]] = set()
+    for reached in reference_reachable_sets(schema):
+        minimal = schema.min_classes(reached)
+        if len(minimal) > 1:
+            result.add(minimal)
+    return result
+
+
+def reference_properize(schema: Schema) -> Schema:
+    """The set-based ``G ↦ Ḡ`` of section 4.2, closed by ``Schema.build``.
+
+    Name-level ``any``/``all`` loops over the specialization pairs for
+    ``S̄`` and a subset test per implicit class and row for ``Ē``; the
+    output triple is re-interned (and re-closed) through
+    ``Schema.build``.
+    """
+    imp = reference_implicit_sets(schema)
+    if not imp:
+        return check_proper(schema)
+
+    name_of: Dict[FrozenSet[ClassName], ImplicitName] = {
+        member_set: ImplicitName(member_set) for member_set in imp
+    }
+    # Deduplicate by name: flattening may identify member sets; keep the
+    # minimal classes of their union as the single definition.
+    members_of: Dict[ImplicitName, FrozenSet[ClassName]] = {}
+    for member_set, label in name_of.items():
+        if label in members_of:
+            members_of[label] = schema.min_classes(
+                members_of[label] | member_set
+            )
+        else:
+            members_of[label] = member_set
+
+    new_classes = set(schema.classes) | set(members_of)
+
+    # --- arrows -------------------------------------------------------
+    def reach_bar(node: ClassName, label: Label) -> FrozenSet[ClassName]:
+        if isinstance(node, ImplicitName) and node in members_of:
+            return schema.reach_set(members_of[node], label)
+        return schema.reach(node, label)
+
+    labels = schema.labels()
+    new_arrows: Set[Tuple[ClassName, Label, ClassName]] = set()
+    for node in new_classes:
+        for label in labels:
+            reached = reach_bar(node, label)
+            if not reached:
+                continue
+            for target in reached:
+                new_arrows.add((node, label, target))
+            reached_size = len(reached)
+            for imp_label, imp_members in members_of.items():
+                if len(imp_members) <= reached_size and imp_members <= reached:
+                    new_arrows.add((node, label, imp_label))
+
+    # --- specializations ----------------------------------------------
+    new_spec: Set[Tuple[ClassName, ClassName]] = set(schema.spec)
+    spec_pairs = schema.spec
+    for x_label, x_members in members_of.items():
+        for y_label, y_members in members_of.items():
+            if x_label != y_label and all(
+                any((q, p) in spec_pairs for q in x_members) for p in y_members
+            ):
+                new_spec.add((x_label, y_label))
+        for p in schema.classes:
+            if any((q, p) in spec_pairs for q in x_members):
+                new_spec.add((x_label, p))
+            if all((p, q) in spec_pairs for q in x_members):
+                new_spec.add((p, x_label))
+
+    result = Schema.build(
+        classes=new_classes, arrows=new_arrows, spec=new_spec
+    )
+    return check_proper(result)

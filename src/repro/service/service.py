@@ -349,14 +349,16 @@ class MergeService:
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
         _SERVICES.add(self)
+        # A constructor that raises hands no instance back to close, so
+        # every failure here releases the storage (its directory lock).
         try:
             self._recover()
+            initial = list(schemas)
+            if initial:
+                self.register(initial)
         except BaseException:
             self._storage.close()
             raise
-        initial = list(schemas)
-        if initial:
-            self.register(initial)
 
     @classmethod
     def open(

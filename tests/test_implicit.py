@@ -1,5 +1,16 @@
-"""Unit tests for Imp construction and properization (§4.2)."""
+"""Unit tests for Imp construction and properization (§4.2).
 
+``TestDenseEqualsOracle`` pins the mask kernel to the set-based
+construction it replaced (:mod:`repro.perf.reference`): same ``Imp``,
+same ``I∞`` and the *same interned object* out of properization.
+"""
+
+from itertools import permutations
+from typing import Optional
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.implicit import (
     implicit_classes_of,
@@ -9,12 +20,31 @@ from repro.core.implicit import (
     reachable_sets,
     strip_implicits,
 )
-from repro.core.merge import weak_merge
+from repro.core.merge import upper_merge, weak_merge
 from repro.core.names import BaseName, GenName, ImplicitName
 from repro.core.ordering import is_sub
 from repro.core.proper import canonical_class, is_proper
 from repro.core.schema import Schema
-from repro.figures import figure3_schemas, figure6_schemas
+from repro.exceptions import IncompatibleSchemasError, NotProperError
+from repro.figures import figure3_schemas, figure4_schemas, figure6_schemas
+from repro.generators.pathological import (
+    diamond_chain_schemas,
+    nfa_blowup_pair,
+)
+from repro.generators.random_schemas import random_weak_schema
+from repro.generators.workloads import get_workload
+from repro.perf.reference import (
+    reference_implicit_sets,
+    reference_properize,
+    reference_reachable_sets,
+)
+from tests.conftest import schema_triples
+
+RELAXED = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _merge_fig3() -> Schema:
@@ -160,3 +190,119 @@ class TestStripImplicits:
     def test_implicit_classes_of(self):
         result = properize(_merge_fig3())
         assert implicit_classes_of(result) == {ImplicitName(["B1", "B2"])}
+
+
+def assert_matches_oracle(weak: Schema) -> Optional[Schema]:
+    """Dense ``I∞``/``Imp``/``Ḡ`` equal the set-based ones; returns ``Ḡ``.
+
+    Where the oracle raises (an input holding implicit classes from an
+    earlier merge can make ``Ḡ`` cyclic or not proper), the kernel must
+    raise the same error, and ``None`` is returned.
+    """
+    assert reachable_sets(weak) == reference_reachable_sets(weak)
+    assert implicit_sets(weak) == reference_implicit_sets(weak)
+    try:
+        expected = reference_properize(weak)
+    except (IncompatibleSchemasError, NotProperError) as exc:
+        with pytest.raises(type(exc)):
+            properize(weak)
+        return None
+    proper = properize(weak)
+    assert proper is expected
+    return proper
+
+
+def random_weak(seed: int, n_classes: int, prefix: str = "C") -> Schema:
+    return random_weak_schema(
+        n_classes=n_classes,
+        n_labels=3,
+        arrow_density=0.35,
+        spec_density=0.2,
+        seed=seed,
+        class_pool=[f"{prefix}{i}" for i in range(n_classes)],
+    )
+
+
+class TestDenseEqualsOracle:
+    @RELAXED
+    @given(st.integers(0, 10_000), st.integers(2, 14))
+    def test_random_weak_schemas(self, seed, n_classes):
+        assert_matches_oracle(random_weak(seed, n_classes))
+
+    @RELAXED
+    @given(schema_triples())
+    def test_surviving_implicit_classes(self, triple):
+        # strip_derived=False keeps the first merge's implicit classes in
+        # the second weak merge, so Imp may re-derive one of them.
+        first, second, third = triple
+        kept = upper_merge(first, second)
+        assert_matches_oracle(weak_merge(kept, third))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 12])
+    def test_diamond_chains(self, k):
+        proper = assert_matches_oracle(weak_merge(*diamond_chain_schemas(k)))
+        assert len(implicit_classes_of(proper)) == k
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_nfa_blowup(self, k):
+        assert_matches_oracle(weak_merge(*nfa_blowup_pair(k)))
+
+    def test_views_medium(self):
+        weak = weak_merge(*get_workload("views-medium").schemas())
+        proper = assert_matches_oracle(weak)
+        assert len(implicit_classes_of(proper)) == len(implicit_sets(weak))
+
+    @pytest.mark.parametrize("order", list(permutations(range(3))))
+    def test_figure4_chains_keep_intermediate_classes(self, order):
+        schemas = figure4_schemas()
+        merged = schemas[order[0]]
+        for index in order[1:]:
+            merged = assert_matches_oracle(weak_merge(merged, schemas[index]))
+        assert ImplicitName(["D", "E", "F"]) in merged.classes
+
+    def test_input_already_holding_the_rederived_class(self):
+        # <B1&B2> survives from the first merge and Imp derives it again.
+        first = upper_merge(*figure3_schemas())
+        again = Schema.build(arrows=[("X", "b", "B1"), ("X", "b", "B2")])
+        merged = upper_merge(first, again, strip_derived=False)
+        weak = weak_merge(first, again)
+        assert ImplicitName(["B1", "B2"]) in weak.classes
+        assert merged is assert_matches_oracle(weak)
+        assert canonical_class(merged, "X", "b") == ImplicitName(["B1", "B2"])
+
+    def test_rederived_class_with_its_own_edges_is_reclosed(self):
+        # The old <P&Q> sits between S and T; re-deriving it below P and
+        # Q must close S ==> P through it, as the oracle's build does.
+        bar = ImplicitName(["P", "Q"])
+        weak = Schema.build(
+            arrows=[("X", "b", "P"), ("X", "b", "Q"), (bar, "c", "Z")],
+            spec=[("S", bar), (bar, "T")],
+        )
+        proper = assert_matches_oracle(weak)
+        assert proper.is_spec("S", "P") and proper.is_spec(bar, "T")
+
+    def test_two_names_with_one_member_set_raise_like_the_oracle(self):
+        # {P, <Q&R>} and {Q, <P&R>} both flatten to <P&Q&R>, whose members
+        # MinS their union to {P, Q} — the members of <P&Q> as well, so
+        # the two implicit classes specialize each other.
+        above_q, above_p = ImplicitName(["Q", "R"]), ImplicitName(["P", "R"])
+        weak = Schema.build(
+            arrows=[
+                ("F", "a", "P"), ("F", "a", above_q),
+                ("G", "b", "Q"), ("G", "b", above_p),
+                ("H", "c", "P"), ("H", "c", "Q"),
+            ],
+            spec=[("Q", above_q), ("P", above_p)],
+        )
+        assert assert_matches_oracle(weak) is None
+        with pytest.raises(IncompatibleSchemasError):
+            properize(weak)
+
+    @RELAXED
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    def test_disjoint_union_properizes_componentwise(self, seed_a, seed_b):
+        left = random_weak(seed_a, 8, prefix="L")
+        right = random_weak(seed_b, 8, prefix="R")
+        assert properize(weak_merge(left, right)) == weak_merge(
+            properize(left), properize(right)
+        )

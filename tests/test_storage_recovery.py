@@ -807,3 +807,11 @@ class TestDirectoryLock:
         with pytest.raises(CorruptSnapshotError):
             MergeService.open(data)
         assert open_in_child(data) == "CorruptSnapshotError"
+
+    def test_failed_initial_registration_releases_the_lock(self, tmp_path):
+        data = tmp_path / "registry"
+        backend = FileBackend(data)
+        with pytest.raises(IncompatibleSchemasError):
+            MergeService(list(incompatible_pair()), storage=backend)
+        assert backend._lock_fd is None
+        assert open_in_child(data) == "opened"
