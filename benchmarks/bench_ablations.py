@@ -1,4 +1,4 @@
-"""ABLATE — design-choice ablations DESIGN.md calls out.
+"""ABLATE — ablations of design choices the paper leaves open.
 
 Three switches in the implementation are not forced by the paper's
 text, and each earns its keep measurably:

@@ -75,6 +75,6 @@ def test_base_heuristic_order_report(benchmark):
         heuristic_order_sensitivity, list(figure4_schemas())
     )
     assert report["permutations"] == 6
-    # The heuristic may or may not collide orders on this toy input;
-    # the measured number is recorded in EXPERIMENTS.md.
+    # The heuristic may or may not collide orders on this toy input,
+    # so only a lower bound on the distinct results is asserted.
     assert report["distinct_results"] >= 1

@@ -2,8 +2,8 @@
 
 Every paper-figure benchmark both *times* its kernel (pytest-benchmark
 fixture) and *asserts* the paper's qualitative claim, so `pytest
-benchmarks/ --benchmark-only` doubles as the reproduction run recorded
-in EXPERIMENTS.md.  The benchmarks directory goes on ``sys.path`` so
+benchmarks/ --benchmark-only` doubles as the reproduction run that
+`README.md` describes.  The benchmarks directory goes on ``sys.path`` so
 bench files can import the runner's :mod:`_timing` helper.
 """
 

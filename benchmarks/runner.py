@@ -19,8 +19,10 @@ Current suites:
   pytest-benchmark.  Acceptance: 200-schema ``join_all`` ≥
   :data:`MIN_SPEEDUP` (5x) over the reference, incremental
   ``with_arrows`` ≤ :data:`MAX_WITH_ARROWS_RATIO` (1.5x) the rebuild's
-  time, and ``properize`` on ``views-medium`` ≥
-  :data:`MIN_PROPERIZE_SPEEDUP` (10x) over the reference.
+  time, ``properize`` on ``views-medium`` ≥
+  :data:`MIN_PROPERIZE_SPEEDUP` (10x) over the reference, and
+  ``lower_merge`` of 30 annotated schemas ≥ :data:`MIN_LOWER_SPEEDUP`
+  (10x) over the reference.
 * ``service`` — the long-lived :class:`repro.service.MergeService`
   replaying named request streams (``benchmarks/bench_service.py``).
   Acceptance: warm ``merged_view`` ≥ ``bench_service.MIN_VIEW_SPEEDUP``
@@ -70,7 +72,11 @@ for _candidate in (os.path.join(_ROOT, "src"),):
 from _timing import record, time_call, write_trajectory  # noqa: E402
 
 from repro.core.implicit import implicit_sets, properize  # noqa: E402
-from repro.core.lower import annotated_leq, lower_merge  # noqa: E402
+from repro.core.lower import (  # noqa: E402
+    annotated_leq,
+    lower_merge,
+    lower_properize,
+)
 from repro.core.merge import weak_merge  # noqa: E402
 from repro.core.ordering import compatible, is_sub, join_all  # noqa: E402
 from repro.core.schema import Schema  # noqa: E402
@@ -96,6 +102,8 @@ MIN_SPEEDUP = 5.0
 MAX_WITH_ARROWS_RATIO = 1.5
 # Properization on masks against the set-based oracle, on this workload.
 MIN_PROPERIZE_SPEEDUP = 10.0
+# lower_merge of 30 annotated schemas against the per-arrow reference.
+MIN_LOWER_SPEEDUP = 10.0
 PROPERIZE_ACCEPTANCE = "views-medium"
 
 # bench_*.py files that drive a runner suite or time with their own
@@ -188,7 +196,11 @@ def run_scalability(sizes: List[int], repeat: int) -> List[Dict[str, Any]]:
 
 
 def run_lower(repeat: int, count: int) -> List[Dict[str, Any]]:
-    """lower_merge versus the pre-engine per-arrow-lookup version."""
+    """lower_merge versus the pre-engine per-arrow-lookup version.
+
+    Also times ``annotated_leq`` of the merge against every input
+    (recorded, not gated) and ``lower_properize`` of the merge.
+    """
     schemas = [
         random_annotated_schema(
             n_classes=12, n_labels=5, arrow_density=0.25, seed=i
@@ -205,12 +217,27 @@ def run_lower(repeat: int, count: int) -> List[Dict[str, Any]]:
     engine = time_call(lambda: lower_merge(*schemas), repeat=repeat)
     reference = time_call(lambda: reference_lower_merge(*schemas), repeat=repeat)
     leq = time_call(probe_leq, repeat=repeat)
+    properized = time_call(lambda: lower_properize(merged), repeat=repeat)
+    speedup = reference["best_s"] / engine["best_s"]
+    print(
+        f"  lower_merge/{count}: {engine['best_s'] * 1e3:.2f} ms, reference "
+        f"{reference['best_s'] * 1e3:.2f} ms ({speedup:.1f}x); annotated_leq "
+        f"{leq['best_s'] * 1e3:.2f} ms; lower_properize "
+        f"{properized['best_s'] * 1e3:.1f} ms"
+    )
     return [
-        record(f"lower_merge/{count}", "lower", engine, schemas=count),
+        record(
+            f"lower_merge/{count}",
+            "lower",
+            engine,
+            schemas=count,
+            speedup_vs_reference=speedup,
+        ),
         record(
             f"reference_lower_merge/{count}", "lower", reference, schemas=count
         ),
         record(f"annotated_leq/{count}", "lower", leq, schemas=count),
+        record(f"lower_properize/{count}", "lower", properized, schemas=count),
     ]
 
 
@@ -431,7 +458,8 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
     arrows = run_with_arrows(repeat)
     records += arrows
     print("lower merge:")
-    records += run_lower(repeat, count=10 if args.smoke else 30)
+    lower = run_lower(repeat, count=10 if args.smoke else 30)
+    records += lower
     print("properization:")
     properize_records = run_properize(PROPERIZE_ACCEPTANCE, 1 if args.smoke else 3)
     if not args.smoke:
@@ -453,18 +481,23 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
         )["speedup_vs_reference"]
         for group in ("scalability", "properize")
     )
+    lower_speedup = lower[0]["speedup_vs_reference"]
     print(f"join_all speedup: {speedup:.1f}x")
     print(f"properize speedup: {properize_speedup:.1f}x")
+    print(f"lower_merge speedup: {lower_speedup:.1f}x")
     summary.update(
         join_all_speedup=speedup,
         min_speedup_required=MIN_SPEEDUP,
         max_with_arrows_ratio=MAX_WITH_ARROWS_RATIO,
         properize_speedup=properize_speedup,
         min_properize_speedup_required=MIN_PROPERIZE_SPEEDUP,
+        lower_merge_speedup=lower_speedup,
+        min_lower_speedup_required=MIN_LOWER_SPEEDUP,
         acceptance_pass=(
             speedup >= MIN_SPEEDUP
             and ratio <= MAX_WITH_ARROWS_RATIO
             and properize_speedup >= MIN_PROPERIZE_SPEEDUP
+            and lower_speedup >= MIN_LOWER_SPEEDUP
         ),
     )
     if not summary["acceptance_pass"]:
@@ -473,7 +506,8 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
             f"(need ≥ {MIN_SPEEDUP}x), with_arrows ratio {ratio:.3f} "
             f"(need ≤ {MAX_WITH_ARROWS_RATIO}), properize speedup "
             f"{properize_speedup:.2f}x on {PROPERIZE_ACCEPTANCE} "
-            f"(need ≥ {MIN_PROPERIZE_SPEEDUP}x)",
+            f"(need ≥ {MIN_PROPERIZE_SPEEDUP}x), lower_merge speedup "
+            f"{lower_speedup:.2f}x (need ≥ {MIN_LOWER_SPEEDUP}x)",
             file=sys.stderr,
         )
     return records, {"summary": summary, "engine_stats": engine_stats()}

@@ -2,8 +2,9 @@
 """Reproduce the paper's evaluation in one command.
 
 Prints a claim-by-claim PASS table covering every figure and the §7
-growth question — the qualitative half of EXPERIMENTS.md.  (The timed
-half is ``pytest benchmarks/ --benchmark-only``.)  Run with::
+growth question — the qualitative half of the reproduction, which
+``tests/test_figures.py`` also asserts.  (The timed half is
+``pytest benchmarks/ --benchmark-only``.)  Run with::
 
     python examples/reproduce_paper.py
 """

@@ -26,6 +26,10 @@ with no arguments::
    ``MergeService.<attr>`` name (a trailing call such as ``(path)`` is
    ignored) must resolve by import and ``getattr``, so a doc citing a
    deleted module, class, function or method fails.
+3. **Cited documents** — every ``NAME.md`` named in a ``.py`` file
+   under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` must
+   exist, at the path as written, at the repo root or under ``docs/``,
+   so code cannot cite a design document that is not in the tree.
 
 Exit code: 0 all green, 1 otherwise.
 """
@@ -48,6 +52,7 @@ DOCTEST_MODULES = [
     "repro.check.diagnostics",
     "repro.check.runner",
     "repro.check.witness",
+    "repro.core.lower",
     "repro.core.schema",
     "repro.obs",
     "repro.obs.exporters",
@@ -102,6 +107,9 @@ ARTIFACT = re.compile(r"\bBENCH_\w+\.json\b")
 # A whole code span naming API: `repro.service.storage.FileBackend`,
 # `MergeService.open(path)`; not `repro.api/1` or `service.query_us`.
 API_SPAN = re.compile(r"`((?:repro|MergeService)(?:\.\w+)+)(?:\([^`]*\))?`")
+# A document named in code: `docs/SERVICE.md`, `README.md`.
+CITED_DOC = re.compile(r"\b((?:[\w-]+/)*[A-Z][A-Z0-9_]*\.md)\b")
+CODE_ROOTS = ("src", "tests", "benchmarks", "examples")
 
 
 def check_doctests() -> int:
@@ -261,12 +269,35 @@ def check_links() -> int:
     return failures
 
 
+def check_cited_docs() -> int:
+    """Every `NAME.md` a source file cites exists in the tree."""
+    failures = 0
+    for root in CODE_ROOTS:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for cited in CITED_DOC.findall(line):
+                    if not any(
+                        (base / cited).is_file() for base in (ROOT, ROOT / "docs")
+                    ):
+                        print(
+                            f"  MISSING document {cited} cited in "
+                            f"{path.relative_to(ROOT)}:{lineno}"
+                        )
+                        failures += 1
+    return failures
+
+
 def main() -> int:
     print("doctests:")
     doctest_failures = check_doctests()
     print("doc links:")
     link_failures = (
-        check_links() + check_symbols() + check_artifacts() + check_api_names()
+        check_links()
+        + check_symbols()
+        + check_artifacts()
+        + check_api_names()
+        + check_cited_docs()
     )
     if doctest_failures or link_failures:
         print(

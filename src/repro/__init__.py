@@ -20,9 +20,9 @@ Quickstart::
         spec=[("Police-dog", "Dog")])
     merged = upper_merge(pets, licences, assertions=[isa("Puppy", "Dog")])
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the
-paper-to-module mapping, and ``EXPERIMENTS.md`` for the reproduction of
-every figure.
+See ``README.md`` for the architecture overview and the documentation
+index, and ``tests/test_figures.py`` and ``benchmarks/`` for the
+reproduction of every figure.
 """
 
 from repro.core.assertions import AssertionSet, arrow, class_exists, isa

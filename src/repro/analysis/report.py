@@ -1,7 +1,7 @@
 """One-shot reproduction report: every paper claim, checked and printed.
 
 ``python -m repro.analysis.report`` re-derives the qualitative results
-of EXPERIMENTS.md in one run (no timing — that is the benchmark
+that ``tests/test_figures.py`` and ``benchmarks/`` assert, in one run (no timing — that is the benchmark
 harness's job) and prints a claim-by-claim PASS table.  Each section
 function returns its lines and raises ``AssertionError`` on any
 deviation, so the module doubles as an executable summary and a smoke

@@ -1,4 +1,4 @@
-"""Merge statistics: the numbers EXPERIMENTS.md reports.
+"""Merge statistics: the numbers the ``benchmarks/`` files report.
 
 The paper's conclusion raises exactly these quantities — how many
 implicit classes merges introduce, how large merged schemas get — so

@@ -57,16 +57,20 @@ from typing import (
     TypeVar,
 )
 
-from repro.core import relations
 from repro.core.keys import (
     KeyFamily,
     KeyedSchema,
     minimal_satisfactory_assignment,
 )
-from repro.core.lower import AnnotatedSchema, annotated_leq
+from repro.core.lower import (
+    AnnotatedSchema,
+    annotated_leq,
+    annotated_meet,
+    forbidden_arrow,
+)
 from repro.core.names import ClassName, sort_key
 from repro.core.ordering import is_sub, join as weak_join, meet as weak_meet
-from repro.core.participation import Participation, glb_all, lub
+from repro.core.participation import Participation, lub
 from repro.core.schema import Arrow, Schema
 from repro.exceptions import IncompatibleSchemasError
 
@@ -252,17 +256,6 @@ def annotated_join_all(
         all_classes |= schema.classes
         union_spec |= schema.spec
         candidate_arrows |= schema.present_arrows()
-    closed_spec = relations.reflexive_transitive_closure(
-        union_spec, all_classes
-    )
-    if not relations.is_antisymmetric(closed_spec):
-        cycle = relations.find_cycle(closed_spec) or ()
-        raise IncompatibleSchemasError(
-            "annotated schemas are incompatible; their combined "
-            "specializations contain the cycle "
-            + " ==> ".join(str(c) for c in cycle),
-            cycle=cycle,
-        )
     entries = []
     for arrow in sorted(
         candidate_arrows, key=lambda e: (sort_key(e[0]), e[1], sort_key(e[2]))
@@ -285,48 +278,25 @@ def annotated_join_all(
             combined = upper
         if combined != Participation.ABSENT:
             entries.append((*arrow, combined))
+    # A specialization cycle raises IncompatibleSchemasError here.
     joined = AnnotatedSchema.build(
-        classes=all_classes, arrows=entries, spec=closed_spec
+        classes=all_classes, arrows=entries, spec=union_spec
     )
-    # The closure discipline may strengthen an arrow (e.g. a required
-    # arrow propagating down a new specialization edge) past what some
-    # input permits over its own classes; the join then does not exist.
+    # Every input's classes, specializations and required arrows are in
+    # the join by construction, so ``schema ⊑ joined`` can fail only on
+    # an arrow the input forbids: the closure discipline may add one
+    # (e.g. a required arrow propagating down a new specialization
+    # edge), and then the join does not exist.
     for index, schema in enumerate(schema_list):
-        if not annotated_leq(schema, joined):
-            witness = _leq_witness(schema, joined)
+        found = forbidden_arrow(schema, joined)
+        if found is not None:
+            (source, label, target), constraint = found
             raise IncompatibleSchemasError(
-                f"annotated join does not exist: the closure of the "
-                f"combined schema contradicts input {index}"
-                + (f" on {witness}" if witness else "")
+                "annotated join does not exist: the closure of the combined "
+                f"schema contradicts input {index} on {source} --{label}--> "
+                f"{target} (absent, i.e. 0, vs {constraint})"
             )
     return joined
-
-
-def _leq_witness(left: AnnotatedSchema, right: AnnotatedSchema) -> str:
-    """A human-readable reason why ``left ⊑ right`` fails (best effort)."""
-    from repro.core.participation import leq as part_leq
-
-    table_right = right.participation_table()
-    for arrow, constraint in left.participation_table().items():
-        opposing = table_right.get(arrow, Participation.ABSENT)
-        if not part_leq(constraint, opposing):
-            source, label, target = arrow
-            return (
-                f"{source} --{label}--> {target} ({constraint} vs {opposing})"
-            )
-    known = left.classes
-    for arrow, constraint in table_right.items():
-        source, _label, target = arrow
-        if (
-            source in known
-            and target in known
-            and arrow not in left.participation_table()
-        ):
-            return (
-                f"{source} --{arrow[1]}--> {target} (absent, i.e. 0, vs "
-                f"{constraint})"
-            )
-    return ""
 
 
 def annotated_join(
@@ -339,38 +309,6 @@ def annotated_join(
     strengthen the result or fail where the collection merge succeeds.
     """
     return annotated_join_all([left, right])
-
-
-def annotated_meet(
-    left: AnnotatedSchema, right: AnnotatedSchema
-) -> AnnotatedSchema:
-    """The greatest lower bound under :func:`annotated_leq` — *without*
-    the class completion of section 6's lower merge.
-
-    The carrier-level meet keeps only shared classes and shared
-    specializations and takes the pointwise participation GLB over
-    arrows whose endpoints survive.  :func:`repro.core.lower.lower_merge`
-    is this meet *after* completing each input with the other's classes;
-    the two agree whenever the inputs already share a class set.
-    """
-    kept = left.classes & right.classes
-    merged_spec = frozenset(
-        (p, q) for p, q in left.spec & right.spec if p in kept and q in kept
-    )
-    table: Dict[Arrow, Participation] = {}
-    for arrow in left.present_arrows() | right.present_arrows():
-        source, label, target = arrow
-        if source not in kept or target not in kept:
-            continue
-        combined = glb_all(
-            (
-                left.participation_of(source, label, target),
-                right.participation_of(source, label, target),
-            )
-        )
-        if combined != Participation.ABSENT:
-            table[arrow] = combined
-    return AnnotatedSchema(kept, merged_spec, table)
 
 
 class AnnotatedSchemaOrdering(InformationOrdering[AnnotatedSchema]):

@@ -1,32 +1,71 @@
 """Lower merges: greatest lower bounds for federated views (section 6).
 
-The upper merge answers "what single schema presents *all* the
-information of the inputs"; a federated system needs the dual — a
-schema every input's instances already satisfy, so their union can be
-queried uniformly.  Taking the plain greatest lower bound under ``⊑``
-is unsatisfactory (everything the schemas disagree on vanishes), so the
-paper refines schemas with **participation constraints** on arrows
-(:mod:`repro.core.participation`) and merges them by pointwise greatest
-lower bound: a required arrow merged with an absent one becomes
-*optional* instead of disappearing.
+A federated system needs a schema every input's instances already
+satisfy.  The plain GLB under ``⊑`` loses everything the inputs
+disagree on, so the paper annotates arrows with **participation
+constraints** (:mod:`repro.core.participation`) and merges pointwise in
+Figure 11's order: a required arrow met with an absent one becomes
+*optional*.  Here: :class:`AnnotatedSchema`, the order
+:func:`annotated_leq` (an absent arrow, constraint ``0``, is
+information), :func:`lower_merge` (class completion, then the GLB),
+:func:`annotated_meet` (the GLB alone) and :func:`lower_properize`.
+The §6 dog example — ages in one source, breeds in another:
 
-This module provides:
+>>> one = AnnotatedSchema.build(arrows=[("Dog", "name", "Str"),
+...                                     ("Dog", "age", "Int")])
+>>> two = AnnotatedSchema.build(arrows=[("Dog", "name", "Str"),
+...                                     ("Dog", "breed", "Breed")])
+>>> merged = lower_merge(one, two)
+>>> [str(merged.participation_of("Dog", a, t))
+...  for a, t in [("name", "Str"), ("age", "Int"), ("breed", "Breed")]]
+['1', '0/1', '0/1']
+>>> [annotated_leq(merged, g) for g in complete_classes([one, two])]
+[True, True]
+>>> annotated_leq(one, merged)  # age was required in one, is optional now
+False
 
-* :class:`AnnotatedSchema` — a schema whose arrows carry participation
-  constraints, with its own closure discipline (required arrows behave
-  exactly like ordinary weak-schema arrows; optional arrows only
-  propagate along target generalization, since a specialization may
-  legitimately *forbid* an attribute its superclass allows);
-* :func:`annotated_leq` — the refined information ordering, under which
-  an absent arrow (constraint ``0``) is *information*, incomparable
-  with ``1``;
-* :func:`lower_merge` — class completion followed by the pointwise GLB
-  (the section 6 construction);
-* :func:`lower_properize` — our formalization of the paper's one-line
-  sketch that lower implicit classes are "introduced above, rather than
-  below": conflicting alternative targets are generalized into a
-  :class:`~repro.core.names.GenName` class (see DESIGN.md §5 for the
-  rationale and soundness argument).
+**Representation.**  Required arrows obey W1′/W2′, which are exactly
+W1/W2; optional arrows obey W2′ only (a value in ``s`` is in every
+``s ==> r``), since a specialization may forbid what its superclass
+merely allows.  So an annotated schema is a required
+:class:`~repro.core.schema.Schema` (``C``, ``S``, required arrows,
+closed by ``Schema.build``, ids in ``sort_key`` order) plus one
+optional-only target mask per ``(source_id, label)`` row on its id
+table: the OR of ``succ[t]`` over the row's optional targets, minus
+the required bits.  A table is closed iff ``succ[t] ⊆ opt | req`` for
+each optional ``t``.  The GLB meets the required schemas
+(:func:`repro.core.ordering.meet_all`) and ORs the present rows; an
+optional bit ``t`` of the result is present in some input, whose
+``succ[t]`` holds the result's, so the result is closed.
+
+**Alternative typings.**  A row whose present targets ``C``, ``D``
+have no least element records disagreement: the value, when present,
+is a ``C`` *or* a ``D``.  :func:`lower_properize` names the
+disjunction ``Gen(C, D)`` (:class:`~repro.core.names.GenName`) *above*
+its members, populated by the union of their extents
+(:func:`repro.instances.lifting.lift_to_lower_properized`), so one
+optional arrow to it licenses exactly what the alternatives did.  Two
+*required* typings are a conjunction and get an implicit class below
+instead.  Member sets are canonical (expanded, maximal), so equal
+denotations give one class and the derived order stays antisymmetric.
+
+**Importing specializations.**  With ``import_specializations`` each
+input adopts the other inputs' edges touching classes it lacked.  An
+instance of the input satisfies the completed input when each imported
+class gets the union of the extents of the input's own classes below
+it, provided the import adds no edge *between* two of the input's own
+classes (a path through a foreign class can, and nothing checks it).
+With empty extents for imported classes, as
+:func:`repro.instances.merging.federate` gives them, an own class
+placed below an imported one fails as soon as it is populated.
+
+**Licensing.**  :func:`repro.instances.satisfaction.violations_annotated`
+reads absence as "may not", existentially across an object's classes:
+a value is licensed when *some* class of the object has a present
+arrow whose target extent holds it.  A per-class reading would make
+the plain→annotated embedding unsound (a sibling class that never
+mentions the label would object) and falsify the §6 claim that the
+union of the inputs' instances satisfies the lower merge.
 """
 
 from __future__ import annotations
@@ -38,6 +77,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -55,10 +95,10 @@ from repro.core.names import (
     names,
     sort_key,
 )
-from repro.core.participation import Participation, glb_all, leq
-from repro.core.schema import Arrow, Schema, SpecEdge
+from repro.core.ordering import is_sub, meet_all
+from repro.core.participation import Participation, glb_all
+from repro.core.schema import Arrow, DenseClosure, RowTable, Schema, SpecEdge
 from repro.exceptions import (
-    IncompatibleSchemasError,
     NotProperError,
     ParticipationError,
     SchemaValidationError,
@@ -67,7 +107,9 @@ from repro.exceptions import (
 __all__ = [
     "AnnotatedSchema",
     "annotated_leq",
+    "annotated_meet",
     "complete_classes",
+    "forbidden_arrow",
     "lower_merge",
     "lower_properize",
     "lower_properness_violations",
@@ -79,51 +121,32 @@ AnnotatedArrowLike = Union[
     Tuple[NameLike, Label, NameLike, Participation],
 ]
 
-
-def _stronger(
-    left: Participation, right: Participation
-) -> Participation:
-    """Combine two derivations of the same present arrow (REQUIRED wins)."""
-    if Participation.REQUIRED in (left, right):
-        return Participation.REQUIRED
-    return Participation.OPTIONAL
+REQUIRED = Participation.REQUIRED
+OPTIONAL = Participation.OPTIONAL
 
 
-def _close_annotations(
-    table: Dict[Arrow, Participation], spec: AbstractSet[SpecEdge]
-) -> Dict[Arrow, Participation]:
-    """Close a participation table under the annotated W1'/W2' rules.
+def _moved(
+    schema: AnnotatedSchema, rows: RowTable, table: Sequence[ClassName]
+) -> RowTable:
+    """*rows* on *schema*'s id table moved onto *table*, restricted to
+    its classes (the same dict when the tables agree)."""
+    dense = schema._required._dense
+    return DenseClosure(dense.names, dense.succ, rows).reindexed(table).reach
 
-    * **W2'** — a present arrow ``p --a--> s`` yields ``p --a--> r`` for
-      every ``s ==> r``, at the same constraint (a value in ``s`` is a
-      value in ``r``; if the value must exist it still must).
-    * **W1'** — a **required** arrow ``q --a--> r`` yields a required
-      ``p --a--> r`` for every ``p ==> q`` (instances of ``p`` are
-      instances of ``q``).  Optional arrows do *not* propagate down:
-      a specialization may forbid an attribute its superclass merely
-      allows.
-    """
-    above = relations.successors_map(spec)
-    below = relations.predecessors_map(spec)
-    closed: Dict[Arrow, Participation] = {}
-    pending = list(table.items())
-    while pending:
-        (source, label, target), constraint = pending.pop()
-        existing = closed.get((source, label, target))
-        if existing is not None and _stronger(existing, constraint) == existing:
-            continue
-        combined = (
-            constraint if existing is None else _stronger(existing, constraint)
-        )
-        closed[(source, label, target)] = combined
-        for sup in above.get(target, {target}):
-            if sup != target:
-                pending.append(((source, label, sup), combined))
-        if combined == Participation.REQUIRED:
-            for sub in below.get(source, {source}):
-                if sub != source:
-                    pending.append(((sub, label, target), Participation.REQUIRED))
-    return closed
+
+def _optional_rows(
+    schema: Schema, arrows: Iterable[Arrow], up: bool = True
+) -> RowTable:
+    """*arrows* as rows on *schema*'s id table; with *up*, each target
+    brings its generalizations ``succ[t]`` (rule W2′)."""
+    ids = schema._id_map()
+    succ = schema._dense.succ
+    rows: RowTable = {}
+    for source, label, target in arrows:
+        key = (ids[source], label)
+        t = ids[target]
+        rows[key] = rows.get(key, 0) | (succ[t] if up else 1 << t)
+    return rows
 
 
 class AnnotatedSchema:
@@ -131,11 +154,15 @@ class AnnotatedSchema:
 
     Arrows absent from the table have constraint ``0`` (the paper's
     convention); present arrows are ``0/1`` or ``1``.  The structure is
-    immutable and closed under the annotated rules documented on
-    :func:`_close_annotations`.
+    immutable, closed under the annotated rules, and held as a required
+    :class:`~repro.core.schema.Schema` plus optional rows (see the
+    module docstring).  The constructor validates a closed table;
+    :meth:`build` closes raw input.
     """
 
-    __slots__ = ("_classes", "_spec", "_participation", "_hash")
+    __slots__ = ("_required", "_optional", "_hash")
+    _required: Schema
+    _optional: RowTable
 
     def __init__(
         self,
@@ -144,42 +171,50 @@ class AnnotatedSchema:
         participation: Mapping[Arrow, Participation],
     ):
         classes = frozenset(classes)
-        spec = frozenset(spec)
-        table = dict(participation)
-        for (source, label, target), constraint in table.items():
+        required: List[Arrow] = []
+        optional: List[Arrow] = []
+        for arrow, constraint in participation.items():
+            source, label, target = arrow
             check_label(label)
             if source not in classes or target not in classes:
                 raise SchemaValidationError(
                     f"arrow {source} --{label}--> {target} mentions a class "
                     "outside C"
                 )
-            if constraint == Participation.ABSENT:
+            if constraint == REQUIRED:
+                required.append(arrow)
+            elif constraint == OPTIONAL:
+                optional.append(arrow)
+            else:
                 raise ParticipationError(
                     "present arrows must be OPTIONAL or REQUIRED; encode "
                     "constraint 0 by omitting the arrow"
                 )
-        if not relations.is_partial_order(spec, classes):
+        schema = Schema(classes, frozenset(required), frozenset(spec))
+        closed = AnnotatedSchema._make(schema, _optional_rows(schema, optional))
+        if closed._optional != _optional_rows(schema, optional, up=False):
             raise SchemaValidationError(
-                "specialization relation is not a partial order over C"
+                "participation table is not closed under the annotated W2' "
+                "rule (an optional arrow lacks a target's generalization); "
+                "use AnnotatedSchema.build"
             )
-        for sub, sup in spec:
-            if sub not in classes or sup not in classes:
-                raise SchemaValidationError(
-                    f"specialization {sub} ==> {sup} mentions a class outside C"
-                )
-        if _close_annotations(table, spec) != table:
-            raise SchemaValidationError(
-                "participation table is not closed under the annotated "
-                "W1'/W2' rules; use AnnotatedSchema.build"
-            )
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_spec", spec)
-        object.__setattr__(self, "_participation", dict(table))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((classes, spec, frozenset(table.items()))),
-        )
+        object.__setattr__(self, "_required", schema)
+        object.__setattr__(self, "_optional", closed._optional)
+
+    @classmethod
+    def _make(cls, required: Schema, optional: RowTable) -> "AnnotatedSchema":
+        """Internal: *required* (ids in ``sort_key`` order) plus W2′-closed
+        *optional* rows on its table, with the required bits masked off."""
+        reach = required._dense.reach
+        rows: RowTable = {}
+        for key, mask in optional.items():
+            mask &= ~reach.get(key, 0)
+            if mask:
+                rows[key] = mask
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "_required", required)
+        object.__setattr__(instance, "_optional", rows)
+        return instance
 
     # ------------------------------------------------------------------
     # Construction
@@ -196,14 +231,18 @@ class AnnotatedSchema:
 
         Arrow entries are ``(source, label, target)`` — defaulting to
         ``REQUIRED``, so plain schemas embed unchanged — or
-        ``(source, label, target, participation)``.
+        ``(source, label, target, participation)``.  The required
+        arrows close through ``Schema.build`` (a specialization cycle
+        raises :class:`~repro.exceptions.IncompatibleSchemasError`), and
+        each optional row ORs the up-sets of its targets.
         """
         class_set: Set[ClassName] = set(names(classes))
-        table: Dict[Arrow, Participation] = {}
+        required: List[Arrow] = []
+        optional: List[Arrow] = []
         for entry in arrows:
             if len(entry) == 3:
                 source, label, target = entry  # type: ignore[misc]
-                constraint = Participation.REQUIRED
+                constraint = REQUIRED
             elif len(entry) == 4:
                 source, label, target, constraint = entry  # type: ignore[misc]
                 if isinstance(constraint, str):
@@ -216,23 +255,9 @@ class AnnotatedSchema:
                 continue
             arrow = (name(source), check_label(label), name(target))
             class_set.update((arrow[0], arrow[2]))
-            existing = table.get(arrow)
-            table[arrow] = (
-                constraint if existing is None else _stronger(existing, constraint)
-            )
-        spec_set = {(name(a), name(b)) for a, b in spec}
-        for sub, sup in spec_set:
-            class_set.update((sub, sup))
-        closed_spec = relations.reflexive_transitive_closure(spec_set, class_set)
-        if not relations.is_antisymmetric(closed_spec):
-            cycle = relations.find_cycle(closed_spec) or ()
-            raise IncompatibleSchemasError(
-                "specialization edges form a cycle: "
-                + " ==> ".join(str(c) for c in cycle),
-                cycle=cycle,
-            )
-        closed_table = _close_annotations(table, closed_spec)
-        return cls(frozenset(class_set), closed_spec, closed_table)
+            (required if constraint == REQUIRED else optional).append(arrow)
+        schema = Schema.build(classes=class_set, arrows=required, spec=spec)
+        return cls._make(schema, _optional_rows(schema, optional))
 
     @classmethod
     def from_schema(
@@ -257,7 +282,7 @@ class AnnotatedSchema:
     @classmethod
     def empty(cls) -> "AnnotatedSchema":
         """The annotated schema with no classes."""
-        return cls(frozenset(), frozenset(), {})
+        return cls._make(Schema.empty(), {})
 
     # ------------------------------------------------------------------
     # Accessors
@@ -266,12 +291,12 @@ class AnnotatedSchema:
     @property
     def classes(self) -> FrozenSet[ClassName]:
         """The class set ``C``."""
-        return self._classes
+        return self._required.classes
 
     @property
     def spec(self) -> FrozenSet[SpecEdge]:
         """The specialization partial order (reflexive & transitive)."""
-        return self._spec
+        return self._required.spec
 
     def __setattr__(self, key, val):  # pragma: no cover - immutability guard
         raise AttributeError("AnnotatedSchema is immutable")
@@ -281,74 +306,82 @@ class AnnotatedSchema:
             return True
         if not isinstance(other, AnnotatedSchema):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
+        # Both id tables are canonical, so equal values have equal rows.
         return (
-            self._classes == other._classes
-            and self._spec == other._spec
-            and self._participation == other._participation
+            self._required == other._required
+            and self._optional == other._optional
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._required, frozenset(self._optional.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
-        required = sum(
-            1
-            for v in self._participation.values()
-            if v == Participation.REQUIRED
-        )
+        required = self._required._arrow_count()
+        optional = sum(mask.bit_count() for mask in self._optional.values())
         return (
-            f"AnnotatedSchema(|C|={len(self._classes)}, "
-            f"|E|={len(self._participation)} "
-            f"({required} required), |S|={len(self._spec)})"
+            f"AnnotatedSchema(|C|={len(self.classes)}, "
+            f"|E|={required + optional} "
+            f"({required} required), |S|={self._required._spec_count()})"
         )
 
     def participation_of(
         self, source: NameLike, label: Label, target: NameLike
     ) -> Participation:
         """The constraint on an arrow (``ABSENT`` when not present)."""
-        arrow = (name(source), label, name(target))
-        return self._participation.get(arrow, Participation.ABSENT)
+        ids = self._required._id_map()
+        src, t = ids.get(name(source)), ids.get(name(target))
+        if src is not None and t is not None:
+            if self._required._dense.reach.get((src, label), 0) >> t & 1:
+                return REQUIRED
+            if self._optional.get((src, label), 0) >> t & 1:
+                return OPTIONAL
+        return Participation.ABSENT
 
     def present_arrows(self) -> FrozenSet[Arrow]:
         """Arrows with constraint ``0/1`` or ``1``."""
-        return frozenset(self._participation)
+        return self.required_arrows() | self.optional_arrows()
 
     def required_arrows(self) -> FrozenSet[Arrow]:
         """Arrows with constraint ``1``."""
-        return frozenset(
-            a
-            for a, v in self._participation.items()
-            if v == Participation.REQUIRED
-        )
+        return self._required.arrows
 
     def optional_arrows(self) -> FrozenSet[Arrow]:
         """Arrows with constraint ``0/1``."""
+        table = self._required._dense.names
         return frozenset(
-            a
-            for a, v in self._participation.items()
-            if v == Participation.OPTIONAL
+            (table[src], label, table[t])
+            for (src, label), mask in self._optional.items()
+            for t in relations.iter_bits(mask)
         )
 
     def participation_table(self) -> Dict[Arrow, Participation]:
         """A copy of the full arrow-constraint table."""
-        return dict(self._participation)
+        table = dict.fromkeys(self.optional_arrows(), OPTIONAL)
+        table.update(dict.fromkeys(self.required_arrows(), REQUIRED))
+        return table
 
     def reach_present(self, cls: NameLike, label: Label) -> FrozenSet[ClassName]:
         """All present targets of ``cls``'s *label*-arrows."""
-        p = name(cls)
-        return frozenset(
-            t for (s, a, t) in self._participation if s == p and a == label
-        )
+        src = self._required._id_map().get(name(cls))
+        if src is None:
+            return frozenset()
+        mask = self._required._dense.reach.get((src, label), 0)
+        mask |= self._optional.get((src, label), 0)
+        table = self._required._dense.names
+        return frozenset(table[t] for t in relations.iter_bits(mask))
 
     def labels(self) -> FrozenSet[Label]:
         """Every label on a present arrow."""
-        return frozenset(a for (_s, a, _t) in self._participation)
+        return self._required.labels() | {label for _src, label in self._optional}
 
     def is_spec(self, sub: NameLike, sup: NameLike) -> bool:
         """Does ``sub ==> sup`` hold?"""
-        return (name(sub), name(sup)) in self._spec
+        return self._required.is_spec(sub, sup)
 
     def required_schema(self) -> Schema:
         """The plain weak schema of required arrows.
@@ -356,21 +389,21 @@ class AnnotatedSchema:
         Required arrows propagate exactly like weak-schema arrows, so
         this projection is always a valid :class:`Schema`.
         """
-        return Schema(self._classes, self.required_arrows(), self._spec)
+        return self._required
 
     def min_classes(self, subset: Iterable[NameLike]) -> FrozenSet[ClassName]:
         """``MinS(X)`` relative to this schema's specialization order."""
-        return relations.minimal_elements(names(subset), self._spec)
+        return self._required.min_classes(subset)
 
     def with_classes(self, extra: Iterable[NameLike]) -> "AnnotatedSchema":
         """Add isolated classes (the section 6 completion step)."""
-        additions = names(extra) - self._classes
+        additions = names(extra) - self.classes
         if not additions:
             return self
-        return AnnotatedSchema(
-            self._classes | additions,
-            self._spec | {(c, c) for c in additions},
-            self._participation,
+        order = tuple(sorted(self.classes | additions, key=sort_key))
+        return AnnotatedSchema._make(
+            Schema._from_dense(self._required._dense.reindexed(order)),
+            _moved(self, self._optional, order),
         )
 
     def with_spec_edges(
@@ -378,12 +411,38 @@ class AnnotatedSchema:
     ) -> "AnnotatedSchema":
         """Add specialization edges (closures recomputed)."""
         return AnnotatedSchema.build(
-            classes=self._classes,
+            classes=self.classes,
             arrows=[
-                (s, a, t, v) for (s, a, t), v in self._participation.items()
+                (s, a, t, v) for (s, a, t), v in self.participation_table().items()
             ],
-            spec=set(self._spec) | {(name(a), name(b)) for a, b in edges},
+            spec=set(self.spec) | {(name(a), name(b)) for a, b in edges},
         )
+
+
+def forbidden_arrow(
+    left: AnnotatedSchema, right: AnnotatedSchema
+) -> Optional[Tuple[Arrow, Participation]]:
+    """The first arrow *right* holds between *left*'s classes that *left*
+    forbids, with *right*'s constraint on it; ``None`` when there is none.
+
+    *left* says ``0`` about every arrow it lacks between its own
+    classes, and ``0`` is maximal in Figure 11's order, so each such
+    arrow that *right* holds present breaks ``left ⊑ right``.  *right*'s
+    rows move onto *left*'s id table, which drops every bit outside
+    *left*'s classes, and each is tested against *left*'s present row.
+    """
+    mine = left._required._dense
+    for rows, constraint in (
+        (right._required._dense.reach, REQUIRED),
+        (right._optional, OPTIONAL),
+    ):
+        for key, mask in _moved(right, rows, mine.names).items():
+            extra = mask & ~(mine.reach.get(key, 0) | left._optional.get(key, 0))
+            if extra:
+                src, label = key
+                t = (extra & -extra).bit_length() - 1
+                return (mine.names[src], label, mine.names[t]), constraint
+    return None
 
 
 def annotated_leq(left: AnnotatedSchema, right: AnnotatedSchema) -> bool:
@@ -393,25 +452,36 @@ def annotated_leq(left: AnnotatedSchema, right: AnnotatedSchema) -> bool:
     for every arrow over *left*'s classes the participation constraints
     satisfy ``K_left(e) ≤ K_right(e)`` in the Figure 11 order — where an
     arrow absent over known classes means constraint ``0``, which is
-    maximal information, not ignorance.
+    maximal information, not ignorance.  ``0/1`` is below everything,
+    so that is ``is_sub`` on the required schemas plus
+    :func:`forbidden_arrow` finding nothing.
     """
     if left is right:
         return True
-    if not (left.classes <= right.classes and left.spec <= right.spec):
-        return False
-    table_left = left._participation
-    table_right = right._participation
-    known = left.classes
-    for arrow, constraint in table_left.items():
-        if not leq(constraint, table_right.get(arrow, Participation.ABSENT)):
-            return False
-    for arrow, constraint in table_right.items():
-        source, _label, target = arrow
-        if source in known and target in known and arrow not in table_left:
-            # left says ABSENT (constraint 0); right must agree.
-            if not leq(Participation.ABSENT, constraint):
-                return False
-    return True
+    return (
+        is_sub(left._required, right._required)
+        and forbidden_arrow(left, right) is None
+    )
+
+
+def annotated_meet(*schemas: AnnotatedSchema) -> AnnotatedSchema:
+    """The greatest lower bound under :func:`annotated_leq` — *without*
+    the class completion of section 6's lower merge.
+
+    Shared classes and specializations, and per arrow between them the
+    GLB in Figure 11's order (``glb(1, 1) = 1``, any other mix of
+    present and absent ``0/1``): the required parts meet and the
+    present rows OR.  :func:`lower_merge` is this meet after completing
+    each input with the others' classes.
+    """
+    required = meet_all(schema._required for schema in schemas)
+    table = required._dense.names
+    present: RowTable = {}
+    for schema in schemas:
+        for rows in (schema._required._dense.reach, schema._optional):
+            for key, mask in _moved(schema, rows, table).items():
+                present[key] = present.get(key, 0) | mask
+    return AnnotatedSchema._make(required, present)
 
 
 def complete_classes(
@@ -422,9 +492,8 @@ def complete_classes(
 
     By default foreign classes arrive isolated.  With
     *import_specializations* each schema also adopts the other schemas'
-    specialization edges that touch classes it lacked — sound for lower
-    merging because a coerced instance populates imported classes with
-    empty extents (see DESIGN.md §5).  Raises
+    specialization edges that touch classes it lacked (when that is
+    sound: "Importing specializations" in :mod:`repro.core.lower`).  Raises
     :class:`~repro.exceptions.IncompatibleSchemasError` if importing
     creates a specialization cycle.
     """
@@ -463,27 +532,7 @@ def lower_merge(
     """
     if not schemas:
         return AnnotatedSchema.empty()
-    completed = complete_classes(list(schemas), import_specializations)
-    merged_classes = completed[0].classes
-    merged_spec = frozenset.intersection(*(s.spec for s in completed))
-    all_arrows: Set[Arrow] = set()
-    for schema in completed:
-        all_arrows |= schema.present_arrows()
-    # Direct table lookups instead of per-arrow accessor calls: on wide
-    # federations this loop dominates, and the method-call overhead
-    # (name coercion included) is a measurable constant factor.
-    tables = [schema._participation for schema in completed]
-    absent = Participation.ABSENT
-    table: Dict[Arrow, Participation] = {}
-    for arrow in all_arrows:
-        combined = glb_all(t.get(arrow, absent) for t in tables)
-        if combined != absent:
-            table[arrow] = combined
-    # The pointwise GLB of closed tables is closed (each rule's premise
-    # in the merge implies the premise in some/all inputs — see module
-    # docstring), so direct construction is safe; the constructor
-    # re-verifies.
-    return AnnotatedSchema(merged_classes, merged_spec, table)
+    return annotated_meet(*complete_classes(list(schemas), import_specializations))
 
 
 def lower_properness_violations(
@@ -531,10 +580,10 @@ def _expand_gen_members(
 def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
     """Repair canonicality by generalizing conflicting targets upward.
 
-    Our formalization of the paper's sketch (section 6; DESIGN.md §5):
-    for every ``(p, a)`` whose present targets have no least element,
-    the minimal alternatives ``M`` are *alternative typings* — the
-    value, when present, lies in **some** member of ``M``.  We therefore
+    Our formalization of the paper's sketch (section 6; "Alternative
+    typings" in the module docstring): every ``(p, a)`` whose present
+    targets have no least element is repaired, round by round, until
+    every present reach set has one.
 
     The repair distinguishes the two ways a reach set can lack a least
     element, because they mean different things:

@@ -102,7 +102,7 @@ class MergeReport:
     """Every intermediate artifact of one merge, for inspection.
 
     Produced by :func:`merge_report`; used by the CLI (to explain a
-    merge to the user), the analysis layer and EXPERIMENTS.md benches.
+    merge to the user), the analysis layer and the ``benchmarks/`` files.
     """
 
     #: The input schemas, in the order supplied (informational only).

@@ -19,12 +19,11 @@ trusted.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import relations
-from repro.core.names import ClassName
-from repro.core.schema import Schema
+from repro.core.names import ClassName, sort_key
+from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import IncompatibleSchemasError
 from repro.perf.closure import ClosureBuilder
 
@@ -193,15 +192,15 @@ def meet(left: Schema, right: Schema) -> Schema:
     participation-aware lower merge in :mod:`repro.core.lower` is the
     remedy.
     """
-    return Schema(
-        left.classes & right.classes,
-        left.arrows & right.arrows,
-        left.spec & right.spec,
-    )
+    return meet_all([left, right])
 
 
 def meet_all(schemas: Iterable[Schema]) -> Schema:
     """The greatest lower bound of a non-empty collection.
+
+    Each schema's masks move onto the canonical ``sort_key`` id table
+    of the shared classes (restricting it there) and are ANDed, so the
+    result needs no closing: it is the intersection of closed values.
 
     Raises :class:`ValueError` on an empty collection — the ordering has
     no top element to serve as the empty meet.
@@ -209,4 +208,17 @@ def meet_all(schemas: Iterable[Schema]) -> Schema:
     schema_list = list(schemas)
     if not schema_list:
         raise ValueError("meet of an empty collection is undefined (no top)")
-    return reduce(meet, schema_list)
+    shared = frozenset.intersection(*(g.classes for g in schema_list))
+    order = tuple(sorted(shared, key=sort_key))
+    first = schema_list[0]._dense.reindexed(order)
+    succ, rows = first.succ, first.reach
+    for g in schema_list[1:]:
+        dense = g._dense.reindexed(order)
+        succ = tuple(a & b for a, b in zip(succ, dense.succ))
+        other = dense.reach
+        rows = {
+            key: both
+            for key, mask in rows.items()
+            if (both := mask & other.get(key, 0))
+        }
+    return Schema._from_dense(DenseClosure(order, succ, rows))

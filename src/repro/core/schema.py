@@ -223,9 +223,18 @@ class DenseClosure:
             )
 
     def reindexed(self, names: Sequence[ClassName]) -> "DenseClosure":
-        """The same closure over *names*, a permutation of this id table."""
+        """The same closure over the id table *names*.
+
+        Classes outside *names* drop out with their bits and rows, and
+        classes new to *names* come in isolated; both keep a closed
+        value closed (a restricted partial order is one, and W1/W2 are
+        implications over present edges).
+        """
+        if tuple(names) == self.names:
+            return self
         pos = {cls: k for k, cls in enumerate(names)}
-        perm = [pos[cls] for cls in self.names]
+        perm = [pos.get(cls) for cls in self.names]
+        bits = [0 if k is None else 1 << k for k in perm]
         moved: Dict[int, int] = {}
 
         def move(mask: int) -> int:
@@ -233,17 +242,19 @@ class DenseClosure:
             if out is None:
                 out = 0
                 for i in relations.iter_bits(mask):
-                    out |= 1 << perm[i]
+                    out |= bits[i]
                 moved[mask] = out
             return out
 
-        succ = [0] * len(perm)
+        succ = [1 << k for k in range(len(pos))]
         for i, mask in enumerate(self.succ):
-            succ[perm[i]] = move(mask)
-        reach = {
-            (perm[src], label): move(tmask)
-            for (src, label), tmask in self.reach.items()
-        }
+            if perm[i] is not None:
+                succ[perm[i]] = move(mask)
+        reach: RowTable = {}
+        for (src, label), tmask in self.reach.items():
+            k, up = perm[src], move(tmask)
+            if k is not None and up:
+                reach[(k, label)] = up
         return DenseClosure(tuple(names), tuple(succ), reach)
 
     def decode_index(

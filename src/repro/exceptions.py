@@ -149,6 +149,14 @@ class InvalidRequestError(ServiceError, ValueError):
     """
 
 
+class BodyTooLargeError(InvalidRequestError):
+    """A declared request body over the server's limit (HTTP 413, unread)."""
+
+
+class BodyTimeoutError(InvalidRequestError):
+    """A request body that did not arrive in time (HTTP 408)."""
+
+
 class UnknownSchemaError(ServiceError, KeyError):
     """A lookup named a registered-schema *name* the registry never saw.
 

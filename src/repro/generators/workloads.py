@@ -1,8 +1,8 @@
 """Named benchmark workloads.
 
-Benchmarks should not invent their parameters inline — the experiment
-index in DESIGN.md refers to workloads by name, and EXPERIMENTS.md
-records results against those names.  Each workload is a frozen recipe
+Benchmarks should not invent their parameters inline — the benchmark
+files under ``benchmarks/`` refer to workloads by name, and their
+``BENCH_*.json`` artifacts record results against those names.  Each workload is a frozen recipe
 (generator + parameters + seed) that always produces the same inputs.
 
 Two kinds of workload live here:

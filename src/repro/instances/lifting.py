@@ -14,7 +14,8 @@ choices, and both are theorems checked by the test suite:
 * **lower** (:func:`lift_to_lower_properized`): the generalization
   class ``Gen(M)`` sits *above* its members, and an object belongs to
   it when it belongs to some member — ``ext(Gen(M)) = ⋃ ext(m)`` —
-  matching the alternative-typings reading of DESIGN.md §5.
+  matching the alternative-typings reading argued in
+  :mod:`repro.core.lower`.
 """
 
 from __future__ import annotations

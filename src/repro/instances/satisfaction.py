@@ -118,8 +118,8 @@ def violations_annotated(
     classes: a stricter per-class closed-world reading would make the
     plain→annotated embedding unsound (an object typed through one
     class would violate a sibling class that never mentions the label)
-    and would falsify the section 6 federation theorem.  See DESIGN.md
-    §5 for the discussion.
+    and would falsify the section 6 federation theorem.  See
+    "Licensing" in :mod:`repro.core.lower` for the discussion.
     """
     problems: List[str] = []
     for sub, sup in schema.spec:

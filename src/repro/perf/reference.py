@@ -7,15 +7,17 @@ two jobs:
   :func:`reference_join_all` against the engine's ``join_all`` and
   records the speedup in ``BENCH_merge_engine.json``;
 * the **property-test oracle** — ``tests/test_perf_engine.py`` asserts
-  on randomized schemas that the interned/incremental paths
-  return values *equal* to these direct computations, and
+  on randomized schemas that the interned/incremental paths and the
+  annotated closure behind ``AnnotatedSchema.build`` return values
+  *equal* to these direct computations, and
   ``tests/test_implicit.py`` that the mask properization returns the
   *same interned object* as :func:`reference_properize`.
 
 They intentionally re-derive everything from scratch: the naive
 per-arrow ``below × above`` W1/W2 closure, a separate compatibility
-pass that closes the union specialization a second time, and per-arrow
-participation lookups in the lower merge.  Do not "optimize" them —
+pass that closes the union specialization a second time, the
+worklist closure of participation tables, and per-arrow participation
+lookups in the lower merge.  Do not "optimize" them —
 their slowness is their purpose.
 
 >>> from repro.core.ordering import join_all
@@ -28,14 +30,14 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core import relations
 from repro.core.lower import AnnotatedSchema, complete_classes
 from repro.core.names import ClassName, ImplicitName, Label
 from repro.core.participation import Participation, glb_all, leq
 from repro.core.proper import check_proper
-from repro.core.schema import Arrow, Schema
+from repro.core.schema import Arrow, Schema, SpecEdge
 from repro.exceptions import IncompatibleSchemasError
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "reference_join_all",
     "reference_is_sub",
     "reference_compatible",
+    "reference_close_annotations",
     "reference_annotated_leq",
     "reference_lower_merge",
     "reference_reachable_sets",
@@ -110,6 +113,52 @@ def reference_compatible(*schemas: Schema) -> bool:
         union_spec |= g.spec
     closed = relations.reflexive_transitive_closure(union_spec, all_classes)
     return relations.is_antisymmetric(closed)
+
+
+def _stronger(
+    left: Participation, right: Participation
+) -> Participation:
+    """Combine two derivations of the same present arrow (REQUIRED wins)."""
+    if Participation.REQUIRED in (left, right):
+        return Participation.REQUIRED
+    return Participation.OPTIONAL
+
+
+def reference_close_annotations(
+    table: Dict[Arrow, Participation], spec: AbstractSet[SpecEdge]
+) -> Dict[Arrow, Participation]:
+    """Close a participation table under the annotated W1'/W2' rules.
+
+    * **W2'** — a present arrow ``p --a--> s`` yields ``p --a--> r`` for
+      every ``s ==> r``, at the same constraint (a value in ``s`` is a
+      value in ``r``; if the value must exist it still must).
+    * **W1'** — a **required** arrow ``q --a--> r`` yields a required
+      ``p --a--> r`` for every ``p ==> q`` (instances of ``p`` are
+      instances of ``q``).  Optional arrows do *not* propagate down:
+      a specialization may forbid an attribute its superclass merely
+      allows.
+    """
+    above = relations.successors_map(spec)
+    below = relations.predecessors_map(spec)
+    closed: Dict[Arrow, Participation] = {}
+    pending = list(table.items())
+    while pending:
+        (source, label, target), constraint = pending.pop()
+        existing = closed.get((source, label, target))
+        if existing is not None and _stronger(existing, constraint) == existing:
+            continue
+        combined = (
+            constraint if existing is None else _stronger(existing, constraint)
+        )
+        closed[(source, label, target)] = combined
+        for sup in above.get(target, {target}):
+            if sup != target:
+                pending.append(((source, label, sup), combined))
+        if combined == Participation.REQUIRED:
+            for sub in below.get(source, {source}):
+                if sub != source:
+                    pending.append(((sub, label, target), Participation.REQUIRED))
+    return closed
 
 
 def reference_annotated_leq(

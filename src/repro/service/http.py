@@ -40,9 +40,11 @@ withdrawn, as opposed to never registered),
 the server's problem, never the client's request),
 :class:`~repro.exceptions.ServiceShutdownError` → 503.  A request
 head that cannot be parsed is answered 400, one declaring a body over
-:data:`MAX_BODY_BYTES` is answered 413, and a body that does not
-arrive within :data:`BODY_TIMEOUT_S` is answered 408; all three close
-the connection.
+:data:`MAX_BODY_BYTES` is answered 413
+(:class:`~repro.exceptions.BodyTooLargeError`), and a body that does
+not arrive within :data:`BODY_TIMEOUT_S` is answered 408
+(:class:`~repro.exceptions.BodyTimeoutError`); all three close the
+connection.
 
 >>> import http.client, json
 >>> from repro.service import MergeService
@@ -69,6 +71,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.exceptions import (
+    BodyTimeoutError,
+    BodyTooLargeError,
     IncompatibleSchemasError,
     InvalidRequestError,
     RetiredSchemaError,
@@ -108,6 +112,8 @@ _STATUS_MAP: Tuple[Tuple[type, int], ...] = (
     (RetiredSchemaError, 410),
     (ServiceShutdownError, 503),
     (IncompatibleSchemasError, 409),
+    (BodyTooLargeError, 413),
+    (BodyTimeoutError, 408),
     (InvalidRequestError, 400),
     (SerializationError, 400),
     (StorageError, 500),
@@ -295,14 +301,17 @@ class HttpFrontend:
                     if length < 0:
                         raise ValueError(f"negative Content-Length {length}")
                 except ValueError as exc:
-                    await self._refuse(writer, 400, f"malformed request head: {exc}")
+                    await self._refuse(
+                        writer, InvalidRequestError(f"malformed request head: {exc}")
+                    )
                     break
                 if length > MAX_BODY_BYTES:
                     await self._refuse(
                         writer,
-                        413,
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte limit",
+                        BodyTooLargeError(
+                            f"request body of {length} bytes exceeds the "
+                            f"{MAX_BODY_BYTES}-byte limit"
+                        ),
                     )
                     break
                 body = b""
@@ -315,9 +324,10 @@ class HttpFrontend:
                     except asyncio.IncompleteReadError:
                         await self._refuse(
                             writer,
-                            408,
-                            f"request body of {length} bytes did not arrive "
-                            f"within {BODY_TIMEOUT_S:g} s",
+                            BodyTimeoutError(
+                                f"request body of {length} bytes did not "
+                                f"arrive within {BODY_TIMEOUT_S:g} s"
+                            ),
                         )
                         break
                     finally:
@@ -350,11 +360,14 @@ class HttpFrontend:
                 pass
 
     async def _refuse(
-        self, writer: asyncio.StreamWriter, status: int, message: str
+        self, writer: asyncio.StreamWriter, exc: InvalidRequestError
     ) -> None:
-        """Answer a request whose body will not be read (the caller closes)."""
-        error = {"error": message, "type": "InvalidRequestError"}
-        writer.write(self._encode(status, error, "application/json", False))
+        """Answer a request whose body will not be read (the caller closes).
+
+        The status and the document's ``type`` both come from *exc*.
+        """
+        error = {"error": str(exc), "type": type(exc).__name__}
+        writer.write(self._encode(status_for(exc), error, "application/json", False))
         await writer.drain()
 
     @staticmethod

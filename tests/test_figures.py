@@ -1,6 +1,6 @@
 """Integration tests: every paper figure reconstructs and behaves as
-the prose claims.  These are the FIG experiments of DESIGN.md run as
-assertions (the benchmark harness re-runs them with timing)."""
+the prose claims.  These are the paper's figures run as assertions
+(the ``benchmarks/bench_fig*.py`` files re-run them with timing)."""
 
 
 from repro.core.implicit import implicit_classes_of, properize

@@ -92,14 +92,41 @@ class TestAnnotatedSchemaBuild:
         with pytest.raises(ParticipationError):
             AnnotatedSchema.from_schema(dog_schema, default=P0)
 
-    def test_constructor_requires_closed_table(self):
-        a, b, p = BaseName("A"), BaseName("B"), BaseName("P")
-        spec = frozenset({(a, a), (b, b), (p, p), (p, a)})
+    @pytest.mark.parametrize(
+        "spec_pairs, table",
+        [
+            pytest.param(
+                [("B", "T")],
+                {("A", "f", "B"): P01},  # missing W2' (A, f, T)
+                id="optional-row-missing-w2-generalization",
+            ),
+            pytest.param(
+                [("P", "A")],
+                {("A", "f", "B"): P1},  # missing W1' (P, f, B)
+                id="required-row-missing-w1-subclass-copy",
+            ),
+            pytest.param(
+                [("A", "B"), ("B", "A")],
+                {},  # A ==> B ==> A: not antisymmetric
+                id="spec-not-a-partial-order",
+            ),
+        ],
+    )
+    def test_constructor_requires_closed_table(self, spec_pairs, table):
+        classes = frozenset(
+            BaseName(c) for c in ["A", "B", "P", "T"]
+        )
+        spec = {(c, c) for c in classes} | {
+            (BaseName(a), BaseName(b)) for a, b in spec_pairs
+        }
         with pytest.raises(SchemaValidationError):
             AnnotatedSchema(
-                frozenset({a, b, p}),
-                spec,
-                {(a, "f", b): P1},  # missing inherited (p, f, b)
+                classes,
+                frozenset(spec),
+                {
+                    (BaseName(s), label, BaseName(t)): v
+                    for (s, label, t), v in table.items()
+                },
             )
 
 

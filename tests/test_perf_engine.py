@@ -14,10 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lower import annotated_leq, lower_merge
-from repro.core.names import BaseName, GenName, ImplicitName
+from repro.core.lower import (
+    AnnotatedSchema,
+    annotated_leq,
+    complete_classes,
+    lower_merge,
+)
+from repro.core.names import BaseName, GenName, ImplicitName, name
 from repro.core.ordering import compatible, is_sub, join_all
+from repro.core.participation import Participation
 from repro.core.schema import Schema
+from repro.exceptions import IncompatibleSchemasError
 from repro.generators.random_schemas import (
     random_annotated_schema,
     random_schema_family,
@@ -27,12 +34,16 @@ from repro.perf import clear_caches, engine_stats
 from repro.perf.closure import ClosureBuilder
 from repro.perf.reference import (
     reference_annotated_leq,
+    reference_close_annotations,
     reference_compatible,
     reference_is_sub,
     reference_join_all,
     reference_lower_merge,
 )
 from tests.conftest import annotated_schemas, schema_pairs, schemas
+
+P01 = Participation.OPTIONAL
+P1 = Participation.REQUIRED
 
 RELAXED = settings(
     max_examples=40,
@@ -143,8 +154,6 @@ class TestJoinEquivalence:
             assert builder.build() == reference_join_all(family[: i + 1])
 
     def test_closure_builder_rejects_incompatible_atomically(self):
-        from repro.exceptions import IncompatibleSchemasError
-
         accepted = Schema.build(
             arrows=[("A", "f", "B")], spec=[("Sub", "Sup")]
         )
@@ -195,6 +204,84 @@ class TestLowerEquivalence:
         assert lower_merge(
             *inputs, import_specializations=True
         ) == reference_lower_merge(*inputs, import_specializations=True)
+
+    @RELAXED
+    @given(annotated_schemas(), annotated_schemas(), st.booleans())
+    def test_lower_merge_and_leq_match_reference_on_mixed_classes(
+        self, left, right, import_specs
+    ):
+        # Drawn class sets differ, so completion widens the id tables.
+        try:
+            expected = reference_lower_merge(
+                left, right, import_specializations=import_specs
+            )
+        except IncompatibleSchemasError:
+            with pytest.raises(IncompatibleSchemasError):
+                lower_merge(left, right, import_specializations=import_specs)
+            return
+        merged = lower_merge(left, right, import_specializations=import_specs)
+        assert merged == expected
+        for other in [left, right, *complete_classes([left, right], import_specs)]:
+            for a, b in [(merged, other), (other, merged)]:
+                assert annotated_leq(a, b) == reference_annotated_leq(a, b)
+
+
+def _raw_entries(table):
+    return [(*arrow, constraint) for arrow, constraint in table.items()]
+
+
+class TestAnnotationClosureOracle:
+    """``AnnotatedSchema.build`` ≡ the set-based worklist closure."""
+
+    @RELAXED
+    @given(annotated_schemas(), st.data())
+    def test_build_matches_reference_closure(self, schema, data):
+        arrows = sorted(schema.present_arrows(), key=repr)
+        raw = {
+            arrow: data.draw(st.sampled_from([P01, P1]))
+            for arrow in data.draw(
+                st.lists(st.sampled_from(arrows), unique=True)
+                if arrows
+                else st.just([])
+            )
+        }
+        built = AnnotatedSchema.build(
+            classes=schema.classes,
+            arrows=_raw_entries(raw),
+            spec=schema.required_schema().spec_covers(),
+        )
+        assert built.spec == schema.spec
+        assert built.participation_table() == reference_close_annotations(
+            raw, built.spec
+        )
+
+    @pytest.mark.parametrize(
+        "arrows, spec",
+        [
+            # Figure 11's dog inputs (section 6).
+            ([("Dog", "name", "Str", P1), ("Dog", "age", "Int", P1)], []),
+            ([("Dog", "name", "Str", P1), ("Dog", "breed", "Breed", P1)], []),
+            # The same inputs below a hierarchy, optional arrows included.
+            (
+                [
+                    ("Dog", "name", "Str", P1),
+                    ("Dog", "chip", "Id", P01),
+                    ("Puppy", "age", "Int", P01),
+                    ("Dog", "age", "Int", P1),
+                ],
+                [("Puppy", "Dog"), ("Guide-dog", "Dog"), ("Int", "Number")],
+            ),
+        ],
+    )
+    def test_fig11_dog_inputs_match_reference_closure(self, arrows, spec):
+        built = AnnotatedSchema.build(arrows=arrows, spec=spec)
+        raw = {}
+        for source, label, target, constraint in arrows:
+            key = (name(source), label, name(target))
+            raw[key] = P1 if P1 in (raw.get(key), constraint) else constraint
+        assert built.participation_table() == reference_close_annotations(
+            raw, built.spec
+        )
 
 
 class TestIncrementalUpdates:

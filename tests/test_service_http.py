@@ -266,6 +266,7 @@ class TestStatusMapping:
         assert status_line.startswith(b"HTTP/1.1 413 ")
         doc = json.loads(rest.partition(b"\r\n\r\n")[2])
         assert str(MAX_BODY_BYTES) in doc["error"]
+        assert doc["type"] == "BodyTooLargeError"
         assert service.service_stats()["generation"] == generation
 
     def test_short_body_is_408_and_closes(self, frontend, service, monkeypatch):
@@ -281,7 +282,9 @@ class TestStatusMapping:
         assert status_line == b"HTTP/1.1 408 Request Timeout"
         headers, _, body = rest.partition(b"\r\n\r\n")
         assert b"Connection: close" in headers
-        assert "100 bytes" in json.loads(body)["error"]
+        doc = json.loads(body)
+        assert "100 bytes" in doc["error"]
+        assert doc["type"] == "BodyTimeoutError"
         assert service.service_stats()["generation"] == generation
 
     def test_wrong_wire_format_is_400(self, conn):
