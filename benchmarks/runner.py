@@ -11,7 +11,7 @@ Current suites:
 
 * ``merge_engine`` — the engine against the preserved pre-engine
   reference (``join_all`` scalability up to 320 schemas, ``is_sub`` and
-  ``compatible`` over the 200-schema family, incremental
+  ``compatible``, each with its reference, over the 200-schema family, incremental
   ``with_arrows`` against a rebuild, lower merge with
   ``annotated_leq``, the upper merge's stages — weak LUB, ``Imp``,
   assembly — with the mask properization against the set-based one),
@@ -88,6 +88,7 @@ from repro.generators.random_schemas import (  # noqa: E402
 from repro.generators.workloads import get_workload  # noqa: E402
 from repro.perf import clear_caches, engine_stats  # noqa: E402
 from repro.perf.reference import (  # noqa: E402
+    reference_compatible,
     reference_implicit_sets,
     reference_is_sub,
     reference_join_all,
@@ -254,11 +255,17 @@ def run_ordering(size: int, repeat: int) -> List[Dict[str, Any]]:
         "is_sub": count(is_sub),
         "reference_is_sub": count(reference_is_sub),
         "compatible": count(compatible),
+        "reference_compatible": count(reference_compatible),
     }
     # Every member is below, and joins into, the family's merge.
     for name, probe in probes.items():
         if probe() != len(pairs):
             raise AssertionError(f"{name} rejects a member of the family")
+    cyclic = [Schema.build(spec=[edge]) for edge in [("A", "B"), ("B", "C"), ("C", "A")]]
+    deciders = {"compatible": compatible, "reference_compatible": reference_compatible}
+    for name, decide in deciders.items():
+        if decide(*cyclic):
+            raise AssertionError(f"{name} accepts the cycle A ==> B ==> C ==> A")
     records = []
     for name, probe in probes.items():
         timing = time_call(probe, repeat=repeat)

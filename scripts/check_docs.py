@@ -53,6 +53,8 @@ DOCTEST_MODULES = [
     "repro.check.runner",
     "repro.check.witness",
     "repro.core.lower",
+    "repro.core.ordering",
+    "repro.core.relations",
     "repro.core.schema",
     "repro.obs",
     "repro.obs.exporters",

@@ -97,6 +97,7 @@ from repro.core.names import (
 )
 from repro.core.ordering import is_sub, meet_all
 from repro.core.participation import Participation, glb_all
+from repro.core.proper import _rows_without_least
 from repro.core.schema import Arrow, DenseClosure, RowTable, Schema, SpecEdge
 from repro.exceptions import (
     NotProperError,
@@ -539,29 +540,30 @@ def lower_properness_violations(
     schema: AnnotatedSchema,
 ) -> List[Tuple[ClassName, Label, FrozenSet[ClassName]]]:
     """Arrow bundles with no least present target — the lower analogue
-    of :func:`repro.core.proper.properness_violations`."""
-    found = []
-    seen: Set[Tuple[ClassName, Label]] = set()
-    for (source, label, _target) in schema.present_arrows():
-        if (source, label) in seen:
-            continue
-        seen.add((source, label))
-        targets = schema.reach_present(source, label)
-        if relations.least_element(targets, schema.spec) is None:
-            found.append((source, label, schema.min_classes(targets)))
-    found.sort(key=lambda item: (sort_key(item[0]), item[1]))
-    return found
+    of :func:`repro.core.proper.properness_violations`.
+
+    A present row ``required | optional`` is W2/W2′-closed, so the
+    least-target test of plain rows applies to it unchanged.
+    """
+    dense = schema._required._dense
+    rows = dict(dense.reach)
+    for key, mask in schema._optional.items():
+        rows[key] = rows.get(key, 0) | mask
+    return [
+        (source, label, schema.min_classes(schema.reach_present(source, label)))
+        for source, label in _rows_without_least(dense, rows)
+    ]
 
 
 def _expand_gen_members(
-    alternatives: FrozenSet[ClassName],
-    base_spec: FrozenSet[SpecEdge],
+    alternatives: FrozenSet[ClassName], order: Schema
 ) -> FrozenSet[ClassName]:
     """Canonical member set for a generalization of *alternatives*.
 
     Nested generalization classes are expanded into their members and
-    the result is reduced to its maximal elements under the gen-free
-    part of the specialization order.  Two alternative sets with the
+    the result is reduced to its maximal elements under *order* (the
+    expansion holds no generalization class, so this is the gen-free
+    part of the specialization order).  Two alternative sets with the
     same downward denotation therefore always canonicalize to the same
     member set — which is what keeps the derived specialization edges
     antisymmetric across properization rounds.
@@ -574,7 +576,11 @@ def _expand_gen_members(
             frontier.extend(cls.members)
         else:
             expanded.add(cls)
-    return relations.maximal_elements(expanded, base_spec)
+    return frozenset(
+        cls
+        for cls in expanded
+        if not (order.generalizations_of(cls) - {cls}) & expanded
+    )
 
 
 def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
@@ -622,6 +628,7 @@ def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
         violations = lower_properness_violations(current)
         if not violations:
             return current
+        order = current.required_schema()
         base_spec = frozenset(
             (a, b)
             for a, b in current.spec
@@ -642,9 +649,7 @@ def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
                 for t in reach
                 if table.get((source, label, t)) == Participation.REQUIRED
             )
-            required_min = relations.minimal_elements(
-                required_targets, current.spec
-            )
+            required_min = current.min_classes(required_targets)
             if len(required_min) > 1:
                 # Intersection constraint: implicit class below.
                 intersection = ImplicitName(required_min)
@@ -665,7 +670,7 @@ def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
                     table.pop((source, label, target), None)
                 continue
             # Pure optional conflict: generalize the alternatives up.
-            members = _expand_gen_members(minimal, base_spec)
+            members = _expand_gen_members(minimal, order)
             for target in optional_min:
                 table.pop((source, label, target), None)
             if len(members) == 1:
@@ -682,13 +687,16 @@ def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
             (c for c in new_classes if isinstance(c, GenName)),
             key=sort_key,
         )
-        down = relations.predecessors_map(base_spec)
 
         def denotation(gen: GenName) -> FrozenSet[ClassName]:
             collected: Set[ClassName] = set()
             for member in gen.members:
                 collected.add(member)
-                collected.update(down.get(member, ()))
+                collected.update(
+                    p
+                    for p in order.specializations_of(member)
+                    if not isinstance(p, GenName)
+                )
             return frozenset(collected)
 
         denot = {gen: denotation(gen) for gen in gens}
@@ -699,7 +707,7 @@ def lower_properize(schema: AnnotatedSchema) -> AnnotatedSchema:
             for cls in base_classes:
                 if cls in denot[gen]:
                     new_spec.add((cls, gen))
-                if all((m, cls) in base_spec for m in gen.members):
+                if all(order.is_spec(m, cls) for m in gen.members):
                     new_spec.add((gen, cls))
             for other in gens:
                 if other != gen and denot[gen] < denot[other]:

@@ -15,11 +15,23 @@ Because :func:`join` is a least upper bound in a partial order, the
 induced merge is automatically associative, commutative and idempotent;
 those laws are machine-checked in the property-test suite rather than
 trusted.
+
+When no upper bound exists, the witness is a cycle of specializations
+the inputs assert:
+
+>>> from repro.core.schema import Schema
+>>> family = [Schema.build(spec=[("A", "B")]),
+...           Schema.build(spec=[("B", "C")]),
+...           Schema.build(spec=[("C", "A")])]
+>>> compatible(*family[:2])
+True
+>>> tuple(str(c) for c in compatibility_cycle(family))
+('A', 'B', 'C', 'A')
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import relations
 from repro.core.names import ClassName, sort_key
@@ -96,15 +108,16 @@ def is_lower_bound(candidate: Schema, schemas: Iterable[Schema]) -> bool:
     return all(is_sub(candidate, g) for g in schemas)
 
 
-def _union_spec_closure(
-    schemas: Sequence[Schema],
-) -> Tuple[frozenset, frozenset]:
-    all_classes = frozenset().union(*(g.classes for g in schemas)) if schemas else frozenset()
-    union_spec = set()
+def _cycle_witness(schemas: Sequence[Schema]) -> Tuple[ClassName, ...]:
+    """A cycle of asserted edges: one in the union of the inputs' covers.
+
+    The covers generate each ``Si``, so they generate ``(S1 ∪ .. ∪ Sn)*``
+    too, and a cycle in that closure is a cycle in their union.
+    """
+    edges: Set[Tuple[ClassName, ClassName]] = set()
     for g in schemas:
-        union_spec |= g.spec
-    closed = relations.reflexive_transitive_closure(union_spec, all_classes)
-    return all_classes, closed
+        edges |= g.spec_covers()
+    return relations.find_cycle(edges) or ()
 
 
 def compatibility_cycle(
@@ -113,12 +126,17 @@ def compatibility_cycle(
     """A witness cycle in ``(S1 ∪ .. ∪ Sn)*`` if one exists, else ``None``.
 
     Section 4.1: the collection is *compatible* iff this closure is
-    antisymmetric.
+    antisymmetric.  The inputs fold through one
+    :class:`~repro.perf.closure.ClosureBuilder` — the cycle check
+    :func:`join_all` runs — and only a failing fold computes the
+    witness, a chain of edges the inputs assert.
     """
-    _classes, closed = _union_spec_closure(list(schemas))
-    if relations.is_antisymmetric(closed):
-        return None
-    return relations.find_cycle(closed)
+    schema_list = list(schemas)
+    try:
+        ClosureBuilder().add_schemas(schema_list)
+    except IncompatibleSchemasError:
+        return _cycle_witness(schema_list)
+    return None
 
 
 def compatible(*schemas: Schema) -> bool:
@@ -171,9 +189,9 @@ def join_all(schemas: Iterable[Schema]) -> Schema:
     try:
         builder.add_schemas(schema_list)
     except IncompatibleSchemasError:
-        # Re-derive the witness from the full union so the error carries
-        # the same cycle the pre-engine implementation reported.
-        cycle = compatibility_cycle(schema_list) or ()
+        # The fold names only the edge that closed the cycle; the
+        # witness is a whole cycle of asserted edges.
+        cycle = _cycle_witness(schema_list)
         raise IncompatibleSchemasError(
             "schemas are incompatible; their combined specializations "
             "contain the cycle " + " ==> ".join(str(c) for c in cycle),

@@ -30,10 +30,14 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.core import relations
 from repro.core.names import ClassName, Label, name, names, sort_key
-from repro.core.schema import Schema, SpecEdge
-from repro.exceptions import NotProperError, SchemaValidationError
+from repro.core.relations import iter_bits
+from repro.core.schema import DenseClosure, RowTable, Schema, SpecEdge
+from repro.exceptions import (
+    IncompatibleSchemasError,
+    NotProperError,
+    SchemaValidationError,
+)
 
 __all__ = [
     "canonical_class",
@@ -57,19 +61,22 @@ def canonical_class(
     specialization order, or ``None`` when the reach set is empty.
     Raises :class:`~repro.exceptions.NotProperError` when the reach set
     is non-empty but has no least element (the schema is only weak at
-    this arrow).
+    this arrow).  The reach row is W2-closed, so its least target is
+    the ``t`` in it whose up-set ``succ[t]`` is the whole row.
     """
-    targets = schema.reach(cls, label)
-    if not targets:
+    dense = schema._dense
+    src = schema._id_map().get(name(cls))
+    row = 0 if src is None else dense.reach.get((src, label), 0)
+    if not row:
         return None
-    least = relations.least_element(targets, schema.spec)
-    if least is None:
-        minimal = sorted(schema.min_classes(targets), key=sort_key)
-        raise NotProperError(
-            f"{name(cls)} --{label}--> has no canonical class; minimal "
-            f"targets are {{{', '.join(map(str, minimal))}}}"
-        )
-    return least
+    for t in iter_bits(row):
+        if dense.succ[t] == row:
+            return dense.names[t]
+    minimal = sorted(schema.min_classes(schema.reach(cls, label)), key=sort_key)
+    raise NotProperError(
+        f"{name(cls)} --{label}--> has no canonical class; minimal "
+        f"targets are {{{', '.join(map(str, minimal))}}}"
+    )
 
 
 def properness_violations(
@@ -80,23 +87,31 @@ def properness_violations(
     The returned minimal-target sets are exactly the witnesses that the
     properization of section 4.2 turns into implicit classes.
     """
-    # Reach rows are W2-closed (upward closed), so a row has a least
-    # target exactly when it *is* that target's up-set: one set lookup
-    # per row on the masks, and nothing decodes unless a row fails.
     dense = schema._dense
+    return [
+        (cls, label, schema.min_classes(schema.reach(cls, label)))
+        for cls, label in _rows_without_least(dense, dense.reach)
+    ]
+
+
+def _rows_without_least(
+    dense: DenseClosure, rows: RowTable
+) -> List[Tuple[ClassName, Label]]:
+    """The ``(p, a)`` of *rows* with no least target, in canonical order.
+
+    *rows* are target masks on *dense*'s id table, W2-closed (upward
+    closed), so a row has a least target exactly when it *is* that
+    target's up-set: one set lookup per row, and nothing decodes.
+    """
     up_sets = set(dense.succ)
-    failing = sorted(
+    return sorted(
         (
             (dense.names[src], label)
-            for (src, label), tmask in dense.reach.items()
-            if tmask not in up_sets
+            for (src, label), mask in rows.items()
+            if mask not in up_sets
         ),
         key=lambda row: (sort_key(row[0]), row[1]),
     )
-    return [
-        (cls, label, schema.min_classes(schema.reach(cls, label)))
-        for cls, label in failing
-    ]
 
 
 def is_proper(schema: Schema) -> bool:
@@ -132,13 +147,12 @@ def canonical_arrows(schema: Schema) -> Dict[Tuple[ClassName, Label], ClassName]
     property tests.
     """
     check_proper(schema)
-    table: Dict[Tuple[ClassName, Label], ClassName] = {}
-    for cls in schema.classes:
-        for label in schema.out_labels(cls):
-            least = canonical_class(schema, cls, label)
-            if least is not None:
-                table[(cls, label)] = least
-    return table
+    dense = schema._dense
+    least = {up: t for t, up in enumerate(dense.succ)}
+    return {
+        (dense.names[src], label): dense.names[least[row]]
+        for (src, label), row in dense.reach.items()
+    }
 
 
 def check_d2(
@@ -152,10 +166,34 @@ def check_d2(
     has ``p -a⇀ r``.
     """
     class_set = names(classes)
+    _check_d2(_order(class_set, spec), canon)
+    for (p, _a), s in canon.items():
+        if p not in class_set or s not in class_set:
+            raise SchemaValidationError(
+                f"canonical arrow {p} ⇀ {s} mentions a class outside C"
+            )
+
+
+def _order(
+    classes: Iterable[ClassName],
+    spec: Iterable[Tuple[Union[ClassName, str], Union[ClassName, str]]],
+) -> Schema:
+    """The specialization order on *classes* closed from *spec*, as a schema."""
+    try:
+        return Schema.build(classes=classes, spec=spec)
+    except IncompatibleSchemasError as exc:
+        raise SchemaValidationError(
+            "specialization edges form a cycle: "
+            + " ==> ".join(str(c) for c in exc.cycle)
+        ) from None
+
+
+def _check_d2(order: Schema, canon: CanonicalMap) -> None:
+    """D2 against the specialization order held by *order*."""
     for (q, a), s in canon.items():
-        for p in relations.down_set(q, spec):
+        for p in order.specializations_of(q):
             r = canon.get((p, a))
-            if r is None or (r, s) not in spec:
+            if r is None or not order.is_spec(r, s):
                 raise SchemaValidationError(
                     f"D2 fails: {p} ==> {q} and {q} -{a}⇀ {s}, but "
                     + (
@@ -164,11 +202,6 @@ def check_d2(
                         else f"{p} -{a}⇀ {r} and {r} =/=> {s}"
                     )
                 )
-    for (p, _a), s in canon.items():
-        if p not in class_set or s not in class_set:
-            raise SchemaValidationError(
-                f"canonical arrow {p} ⇀ {s} mentions a class outside C"
-            )
 
 
 def from_canonical(
@@ -182,6 +215,11 @@ def from_canonical(
     canonical-arrow map satisfying D1 (by construction) and D2 (checked),
     this realises the paper's translation: ``p --a--> q`` iff there is
     ``s ==> q`` with ``p -a⇀ s``.  The result is guaranteed proper.
+
+    Each row ``(p, a)`` is the up-set of ``s`` — W2-closed, and with a
+    least target.  Once D2 holds, W1 adds nothing: a ``p' ==> p`` has
+    its own ``p' -a⇀ r`` with ``r ==> s``, so its row already covers
+    ``p``'s.  The rows therefore go onto the order's masks unclosed.
     """
     class_set = set(names(classes))
     canon_table: Dict[Tuple[ClassName, Label], ClassName] = {}
@@ -190,21 +228,12 @@ def from_canonical(
         class_set.add(p)
         class_set.add(s)
         canon_table[(p, label)] = s
-    spec_pairs = {(name(a), name(b)) for a, b in spec}
-    for a, b in spec_pairs:
-        class_set.add(a)
-        class_set.add(b)
-    closed_spec = relations.reflexive_transitive_closure(spec_pairs, class_set)
-    if not relations.is_antisymmetric(closed_spec):
-        cycle = relations.find_cycle(closed_spec) or ()
-        raise SchemaValidationError(
-            "specialization edges form a cycle: "
-            + " ==> ".join(str(c) for c in cycle)
-        )
-    check_d2(class_set, closed_spec, canon_table)
-    arrows = set()
-    for (p, label), s in canon_table.items():
-        for q in relations.up_set(s, closed_spec):
-            arrows.add((p, label, q))
-    schema = Schema(frozenset(class_set), frozenset(arrows), closed_spec)
-    return check_proper(schema)
+    order = _order(class_set, spec)
+    _check_d2(order, canon_table)
+    dense = order._dense
+    ids = order._id_map()
+    rows = {
+        (ids[p], label): dense.succ[ids[s]]
+        for (p, label), s in canon_table.items()
+    }
+    return Schema._from_dense(DenseClosure(dense.names, dense.succ, rows))

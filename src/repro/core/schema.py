@@ -23,8 +23,9 @@ which is how every example in the paper is written down.
 
 Internally a schema is one :class:`DenseClosure`: the classes as a
 dense id table, ``S`` as one up-set bitmask per class and ``E`` as one
-target bitmask per ``(source, label)`` row.  The name-level relations
-are views decoded from those masks on first use.
+target bitmask per ``(source, label)`` row.  Order questions (up- and
+down-sets, ``MinS``, covers, restriction) read those masks directly;
+the name-level relations are views decoded from them on first use.
 
 Proper schemas (section 2) are weak schemas satisfying an extra
 canonicality condition; see :mod:`repro.core.proper`.
@@ -584,7 +585,9 @@ class Schema:
 
     def is_spec(self, sub: NameLike, sup: NameLike) -> bool:
         """Does ``sub ==> sup`` hold?"""
-        return (name(sub), name(sup)) in self.spec
+        ids = self._id_map()
+        i, j = ids.get(name(sub)), ids.get(name(sup))
+        return i is not None and j is not None and bool(self._dense.succ[i] >> j & 1)
 
     def strict_spec(self) -> FrozenSet[SpecEdge]:
         """The specialization pairs with distinct endpoints."""
@@ -659,8 +662,17 @@ class Schema:
         return layout
 
     def spec_covers(self) -> FrozenSet[SpecEdge]:
-        """The Hasse edges of ``S`` — what the paper's figures draw."""
-        return relations.covers(self.spec)
+        """The Hasse edges of ``S`` — what the paper's figures draw.
+
+        Decoded from the cover groups of :meth:`_fold_layout`, so
+        rendering and folding share one cover computation.
+        """
+        table, groups, _rows = self._fold_layout()
+        return frozenset(
+            (table[i], table[j])
+            for i, first, rest in groups
+            for j in (first, *(rest or ()))
+        )
 
     def labels(self) -> FrozenSet[Label]:
         """Every arrow label used in the schema."""
@@ -729,25 +741,64 @@ class Schema:
             combined |= index.get((member, label), frozenset())
         return frozenset(combined)
 
+    def _names_of(self, mask: int) -> FrozenSet[ClassName]:
+        """The classes whose ids are set in *mask*."""
+        table = self._dense.names
+        return frozenset(table[i] for i in relations.iter_bits(mask))
+
     def min_classes(self, subset: Iterable[NameLike]) -> FrozenSet[ClassName]:
-        """The paper's ``MinS(X)`` relative to this schema's order."""
-        return relations.minimal_elements(names(subset), self.spec)
+        """The paper's ``MinS(X)`` relative to this schema's order.
+
+        ``X & ~OR(strict up-sets in X)`` on the masks.  Names outside
+        ``C`` are comparable to nothing, so every one of them is minimal.
+        """
+        members = names(subset)
+        ids = self._id_map()
+        succ = self._dense.succ
+        mask = 0
+        for cls in members & self._classes:
+            mask |= 1 << ids[cls]
+        above = 0
+        for i in relations.iter_bits(mask):
+            above |= succ[i] ^ (1 << i)
+        return self._names_of(mask & ~above) | (members - self._classes)
 
     def specializations_of(self, cls: NameLike) -> FrozenSet[ClassName]:
-        """All ``p`` with ``p ==> cls`` (the down-set; includes *cls*)."""
-        return relations.down_set(name(cls), self.spec)
+        """All ``p`` with ``p ==> cls`` (the down-set; includes *cls*).
+
+        Bit ``i`` of *cls* read across the ``succ`` rows; empty for a
+        name outside ``C``.
+        """
+        i = self._id_map().get(name(cls))
+        if i is None:
+            return frozenset()
+        table = self._dense.names
+        return frozenset(
+            table[k] for k, up in enumerate(self._dense.succ) if up >> i & 1
+        )
 
     def generalizations_of(self, cls: NameLike) -> FrozenSet[ClassName]:
-        """All ``q`` with ``cls ==> q`` (the up-set; includes *cls*)."""
-        return relations.up_set(name(cls), self.spec)
+        """All ``q`` with ``cls ==> q`` (the up-set; includes *cls*).
+
+        The ``succ`` row of *cls*; empty for a name outside ``C``.
+        """
+        i = self._id_map().get(name(cls))
+        return frozenset() if i is None else self._names_of(self._dense.succ[i])
 
     def root_classes(self) -> FrozenSet[ClassName]:
         """Classes with no strict generalization."""
-        return relations.maximal_elements(self._classes, self.spec)
+        table = self._dense.names
+        return frozenset(
+            table[i] for i, up in enumerate(self._dense.succ) if up == 1 << i
+        )
 
     def leaf_classes(self) -> FrozenSet[ClassName]:
         """Classes with no strict specialization."""
-        return relations.minimal_elements(self._classes, self.spec)
+        succ = self._dense.succ
+        below = 0
+        for i, up in enumerate(succ):
+            below |= up ^ (1 << i)
+        return self._names_of(((1 << len(succ)) - 1) & ~below)
 
     def is_empty(self) -> bool:
         """Is this the empty schema?"""
@@ -760,17 +811,14 @@ class Schema:
     def restrict(self, keep: Iterable[NameLike]) -> "Schema":
         """The induced sub-schema on ``C ∩ keep``.
 
-        Restriction preserves weak-schema-hood: W1/W2 are universally
+        The masks move onto the kept classes' id table, with no closing:
+        restriction preserves weak-schema-hood (W1/W2 are universally
         quantified implications over present edges, and restricting a
-        partial order keeps it one.
+        partial order keeps it one).
         """
         kept = names(keep) & self._classes
-        return Schema(
-            kept,
-            frozenset(
-                (s, a, t) for s, a, t in self.arrows if s in kept and t in kept
-            ),
-            relations.restrict(self.spec, kept),
+        return Schema._from_dense(
+            self._dense.reindexed(sorted(kept, key=sort_key))
         )
 
     def without_classes(self, drop: Iterable[NameLike]) -> "Schema":

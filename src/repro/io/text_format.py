@@ -232,10 +232,8 @@ def format_schema(schema: Schema) -> str:
 
 def format_annotated(schema: AnnotatedSchema) -> str:
     """Write an annotated schema with ``?`` participation marks."""
-    from repro.core import relations
-
     lines: List[str] = []
-    _format_common(schema.classes, relations.covers(schema.spec), lines)
+    _format_common(schema.classes, schema.required_schema().spec_covers(), lines)
     table = schema.participation_table()
     for (source, label, target) in sorted(
         table, key=lambda e: (sort_key(e[0]), e[1], sort_key(e[2]))

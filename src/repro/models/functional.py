@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
 
 from repro.core.merge import upper_merge
-from repro.core.names import ClassName, Label, name
+from repro.core.names import ClassName, Label, name, sort_key
 from repro.core.proper import canonical_arrows, from_canonical
 from repro.core.schema import Schema
-from repro.exceptions import TranslationError
+from repro.exceptions import IncompatibleSchemasError, TranslationError
 
 __all__ = ["FunctionalSchema", "to_schema", "from_schema", "merge_functional"]
 
@@ -42,7 +42,9 @@ class FunctionalSchema:
     (specializations must refine inherited functions) can be
     established automatically with ``inherit=True``, which copies each
     function down the ISA hierarchy wherever a specialization lacks its
-    own refinement — how DAPLEX-style models treat inheritance.
+    own refinement — how DAPLEX-style models treat inheritance.  A class
+    inheriting several results takes their least; with no least one,
+    construction raises :class:`~repro.exceptions.TranslationError`.
     """
 
     __slots__ = ("_classes", "_isa", "_functions")
@@ -126,27 +128,39 @@ def _inherit_functions(
     isa: Iterable[Tuple[ClassName, ClassName]],
     table: Dict[Tuple[ClassName, Label], ClassName],
 ) -> Dict[Tuple[ClassName, Label], ClassName]:
-    """Copy functions down the ISA order where no refinement exists (D2)."""
-    from repro.core import relations
+    """Copy functions down the ISA order where no refinement exists (D2).
 
-    class_set = frozenset(classes)
-    closed = relations.reflexive_transitive_closure(frozenset(isa), class_set)
-    if not relations.is_antisymmetric(closed):
-        cycle = relations.find_cycle(closed) or ()
+    A class without its own *label*-function inherits the least of the
+    results its strict generalizations declare: D2 asks its result to
+    refine every one of them.  With no least result, raise
+    :class:`~repro.exceptions.TranslationError`.
+    """
+    try:
+        order = Schema.build(classes=classes, spec=isa)
+    except IncompatibleSchemasError as exc:
         raise TranslationError(
-            "ISA edges form a cycle: " + " ==> ".join(str(c) for c in cycle)
-        )
+            "ISA edges form a cycle: " + " ==> ".join(str(c) for c in exc.cycle)
+        ) from None
+    declared: Dict[Label, Dict[ClassName, ClassName]] = {}
+    for (source, label), target in table.items():
+        declared.setdefault(label, {})[source] = target
     completed = dict(table)
-    # Walk generalizations from most general downward so that multi-level
-    # chains inherit transitively.
-    order = relations.topological_order(class_set, closed)
-    for cls in reversed(order):
-        for sup in relations.up_set(cls, closed):
-            if sup == cls:
+    for cls in order:
+        sups = order.generalizations_of(cls) - {cls}
+        for label in sorted(declared):
+            if (cls, label) in table:
                 continue
-            for (source, label), target in list(completed.items()):
-                if source == sup and (cls, label) not in completed:
-                    completed[(cls, label)] = target
+            results = frozenset(
+                target for sup, target in declared[label].items() if sup in sups
+            )
+            least = [t for t in results if results <= order.generalizations_of(t)]
+            if least:
+                completed[(cls, label)] = least[0]
+            elif results:
+                raise TranslationError(
+                    f"{cls} inherits {label!r}-functions with no least result: "
+                    + ", ".join(str(t) for t in sorted(results, key=sort_key))
+                )
     return completed
 
 

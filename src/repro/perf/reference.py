@@ -18,7 +18,9 @@ per-arrow ``below × above`` W1/W2 closure, a separate compatibility
 pass that closes the union specialization a second time, the
 worklist closure of participation tables, and per-arrow participation
 lookups in the lower merge.  Do not "optimize" them —
-their slowness is their purpose.
+their slowness is their purpose.  The pair-set order algebra they run
+on (closing a set of pairs, antisymmetry, ``MinS``) lives here too:
+production code answers every order question on a schema's masks.
 
 >>> from repro.core.ordering import join_all
 >>> from repro.core.schema import Schema
@@ -30,13 +32,23 @@ True
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
-from repro.core import relations
 from repro.core.lower import AnnotatedSchema, complete_classes
 from repro.core.names import ClassName, ImplicitName, Label
 from repro.core.participation import Participation, glb_all, leq
 from repro.core.proper import check_proper
+from repro.core.relations import find_cycle, successors_map
 from repro.core.schema import Arrow, Schema, SpecEdge
 from repro.exceptions import IncompatibleSchemasError
 
@@ -51,13 +63,97 @@ __all__ = [
     "reference_reachable_sets",
     "reference_implicit_sets",
     "reference_properize",
+    "predecessors_map",
+    "reflexive_closure",
+    "transitive_closure",
+    "reflexive_transitive_closure",
+    "is_antisymmetric",
+    "minimal_elements",
 ]
+
+T = TypeVar("T", bound=Hashable)
+Pair = Tuple[T, T]
+Relation = FrozenSet[Pair]
+
+
+# ----------------------------------------------------------------------
+# Pair-set order algebra
+# ----------------------------------------------------------------------
+
+
+def predecessors_map(relation: AbstractSet[Pair]) -> Dict[T, Set[T]]:
+    """Index a relation as ``{y: {x | (x, y) in relation}}``."""
+    index: Dict[T, Set[T]] = {}
+    for x, y in relation:
+        index.setdefault(y, set()).add(x)
+    return index
+
+
+def reflexive_closure(
+    relation: AbstractSet[Pair], universe: Iterable[T]
+) -> Relation:
+    """Add ``(x, x)`` for every ``x`` in *universe*."""
+    closed = set(relation)
+    closed.update((x, x) for x in universe)
+    return frozenset(closed)
+
+
+def transitive_closure(relation: AbstractSet[Pair]) -> Relation:
+    """The least transitive relation containing *relation*.
+
+    A breadth-first reachability sweep from each source, ``O(V · E)``.
+    """
+    succ = successors_map(relation)
+    closed: Set[Pair] = set()
+    for source in succ:
+        frontier = list(succ[source])
+        seen: Set[T] = set()
+        while frontier:
+            node = frontier.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            frontier.extend(succ.get(node, ()))
+        closed.update((source, target) for target in seen)
+    return frozenset(closed)
+
+
+def reflexive_transitive_closure(
+    relation: AbstractSet[Pair], universe: Iterable[T]
+) -> Relation:
+    """``relation* ∪ identity`` over *universe* — the paper's ``(S1 ∪ S2)*``."""
+    return reflexive_closure(transitive_closure(relation), universe)
+
+
+def is_antisymmetric(relation: AbstractSet[Pair]) -> bool:
+    """Does ``(x, y), (y, x) ∈ relation`` imply ``x == y``?"""
+    pairs = set(relation)
+    return all(x == y or (y, x) not in pairs for x, y in pairs)
+
+
+def minimal_elements(
+    subset: AbstractSet[T], order: AbstractSet[Pair]
+) -> FrozenSet[T]:
+    """The paper's ``MinS(X)``: elements of *subset* with no strict lower bound in it.
+
+    ``MinS(X) = {p ∈ X | ∀q ∈ X . q ⇒ p implies q = p}`` (section 4.2).
+    """
+    return frozenset(
+        p
+        for p in subset
+        if all(q == p or (q, p) not in order for q in subset)
+    )
+
+
+# ----------------------------------------------------------------------
+# Oracles
+# ----------------------------------------------------------------------
 
 
 def reference_arrow_closure(arrows, spec):
     """The naive one-pass W1/W2 closure: ``below(p) × above(q)`` per arrow."""
-    below = relations.predecessors_map(spec)
-    above = relations.successors_map(spec)
+    below = predecessors_map(spec)
+    above = successors_map(spec)
     closed = set()
     for source, label, target in arrows:
         for sub in below.get(source, {source}):
@@ -79,16 +175,16 @@ def reference_join_all(schemas: Iterable[Schema]) -> Schema:
         union_spec |= g.spec
         all_arrows |= g.arrows
     # Pass 1: close the union specialization for the compatibility check.
-    check = relations.reflexive_transitive_closure(union_spec, all_classes)
-    if not relations.is_antisymmetric(check):
-        cycle = relations.find_cycle(check) or ()
+    check = reflexive_transitive_closure(union_spec, all_classes)
+    if not is_antisymmetric(check):
+        cycle = find_cycle(check) or ()
         raise IncompatibleSchemasError(
             "schemas are incompatible; their combined specializations "
             "contain the cycle " + " ==> ".join(str(c) for c in cycle),
             cycle=cycle,
         )
     # Pass 2: the old Schema.build recomputed the very same closure.
-    closed_spec = relations.reflexive_transitive_closure(union_spec, all_classes)
+    closed_spec = reflexive_transitive_closure(union_spec, all_classes)
     closed_arrows = reference_arrow_closure(all_arrows, closed_spec)
     # Wrap the closed components without validating them: every schema
     # is masks, so this only encodes what the closure above computed.
@@ -111,8 +207,8 @@ def reference_compatible(*schemas: Schema) -> bool:
     for g in schemas:
         all_classes |= g.classes
         union_spec |= g.spec
-    closed = relations.reflexive_transitive_closure(union_spec, all_classes)
-    return relations.is_antisymmetric(closed)
+    closed = reflexive_transitive_closure(union_spec, all_classes)
+    return is_antisymmetric(closed)
 
 
 def _stronger(
@@ -138,8 +234,8 @@ def reference_close_annotations(
       a specialization may forbid an attribute its superclass merely
       allows.
     """
-    above = relations.successors_map(spec)
-    below = relations.predecessors_map(spec)
+    above = successors_map(spec)
+    below = predecessors_map(spec)
     closed: Dict[Arrow, Participation] = {}
     pending = list(table.items())
     while pending:
@@ -227,7 +323,7 @@ def reference_implicit_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
     """The set-based ``Imp``: ``MinS`` of every reach set, size > 1."""
     result: Set[FrozenSet[ClassName]] = set()
     for reached in reference_reachable_sets(schema):
-        minimal = schema.min_classes(reached)
+        minimal = minimal_elements(reached, schema.spec)
         if len(minimal) > 1:
             result.add(minimal)
     return result
@@ -253,8 +349,8 @@ def reference_properize(schema: Schema) -> Schema:
     members_of: Dict[ImplicitName, FrozenSet[ClassName]] = {}
     for member_set, label in name_of.items():
         if label in members_of:
-            members_of[label] = schema.min_classes(
-                members_of[label] | member_set
+            members_of[label] = minimal_elements(
+                members_of[label] | member_set, schema.spec
             )
         else:
             members_of[label] = member_set

@@ -78,7 +78,7 @@ def reify_attribute(
     kept_arrows = [
         (s, a, t)
         for (s, a, t) in schema.arrows
-        if not (a == label and s in schema.specializations_of(source))
+        if not (a == label and schema.is_spec(s, source))
     ]
     new_arrows = [(source, label, entity)]
     new_arrows.extend((entity, value_label, target) for target in targets)
@@ -117,7 +117,7 @@ def reify_relationship(
     kept_arrows = [
         (s, a, t)
         for (s, a, t) in schema.arrows
-        if not (a == label and s in schema.specializations_of(source))
+        if not (a == label and schema.is_spec(s, source))
     ]
     new_arrows = [(node, source_role, source)]
     new_arrows.extend((node, target_role, target) for target in targets)

@@ -1,5 +1,10 @@
 """Unit tests for the functional substrate model (§2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.names import BaseName, ImplicitName
@@ -51,6 +56,53 @@ class TestConstruction:
         assert functional.functions_of("Police-dog") == {
             "owner": BaseName("Officer")
         }
+
+    def test_inherits_least_of_several_results(self):
+        functional = FunctionalSchema(
+            functions={("S1", "a"): "T1", ("S2", "a"): "T2"},
+            isa=[("C", "S1"), ("C", "S2"), ("T1", "T2")],
+        )
+        assert functional.functions_of("C") == {"a": BaseName("T1")}
+        assert is_proper(to_schema(functional))
+
+    def test_no_least_inherited_result_rejected(self):
+        with pytest.raises(TranslationError, match="C inherits 'a'.*T1, T2"):
+            FunctionalSchema(
+                functions={("S1", "a"): "T1", ("S2", "a"): "T2"},
+                isa=[("C", "S1"), ("C", "S2")],
+            )
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_inheritance_is_hash_seed_independent(self, seed):
+        # Set iteration order follows PYTHONHASHSEED, so only fresh
+        # interpreters can show that the inherited result does not.
+        script = (
+            "from repro.exceptions import TranslationError\n"
+            "from repro.models.functional import FunctionalSchema, to_schema\n"
+            "f = FunctionalSchema(functions={('S1', 'a'): 'T1', ('S2', 'a'): 'T2'},\n"
+            "                     isa=[('C', 'S1'), ('C', 'S2'), ('T1', 'T2')])\n"
+            "to_schema(f)\n"
+            "print(f.functions_of('C')['a'])\n"
+            "try:\n"
+            "    FunctionalSchema(functions={('S1', 'a'): 'T1', ('S2', 'a'): 'T2'},\n"
+            "                     isa=[('C', 'S1'), ('C', 'S2')])\n"
+            "except TranslationError as exc:\n"
+            "    print(exc)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines() == [
+            "T1",
+            "C inherits 'a'-functions with no least result: T1, T2",
+        ]
 
     def test_isa_cycle_rejected(self):
         with pytest.raises(TranslationError):

@@ -13,14 +13,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import relations
 from repro.core.implicit import properize
 from repro.core.names import ImplicitName, name
 from repro.core.ordering import join_all, meet
 from repro.core.schema import DenseClosure, Schema
 from repro.io import json_io
 from repro.perf.closure import ClosureBuilder
-from repro.perf.reference import reference_arrow_closure
+from repro.perf.reference import reference_arrow_closure, reflexive_transitive_closure
 from tests.conftest import schemas
 
 
@@ -31,7 +30,7 @@ def closed(classes, arrows, spec):
     universe = {name(c) for c in classes}
     universe |= {c for s, _a, t in arrows for c in (s, t)}
     universe |= {c for edge in spec for c in edge}
-    closed_spec = relations.reflexive_transitive_closure(spec, universe)
+    closed_spec = reflexive_transitive_closure(spec, universe)
     return (
         frozenset(universe),
         reference_arrow_closure(arrows, closed_spec),

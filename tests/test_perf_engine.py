@@ -20,8 +20,8 @@ from repro.core.lower import (
     complete_classes,
     lower_merge,
 )
-from repro.core.names import BaseName, GenName, ImplicitName, name
-from repro.core.ordering import compatible, is_sub, join_all
+from repro.core.names import BaseName, GenName, ImplicitName, name, sort_key
+from repro.core.ordering import compatibility_cycle, compatible, is_sub, join_all
 from repro.core.participation import Participation
 from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError
@@ -39,6 +39,7 @@ from repro.perf.reference import (
     reference_is_sub,
     reference_join_all,
     reference_lower_merge,
+    minimal_elements,
 )
 from tests.conftest import annotated_schemas, schema_pairs, schemas
 
@@ -335,6 +336,115 @@ class TestIncrementalUpdates:
             spec=list(base.spec) + [(sub, sup)],
         )
         assert incremental == rebuilt
+
+
+def _runner_family(n_schemas: int):
+    """The family ``benchmarks/runner.py`` times the ordering probes on."""
+    return random_schema_family(
+        n_schemas=n_schemas,
+        pool_size=60,
+        n_classes=14,
+        n_labels=6,
+        arrow_density=0.2,
+        spec_density=0.08,
+        seed=7,
+    )
+
+
+OUTSIDE = name("Not-a-class")
+
+
+def _assert_order_answers(schema: Schema) -> None:
+    """Every mask accessor equals its definition over ``schema.spec``."""
+    spec = schema.spec
+    strict = {(p, q) for p, q in spec if p != q}
+    probe = sorted(schema.classes, key=sort_key) + [OUTSIDE]
+    for cls in probe:
+        assert schema.specializations_of(cls) == {p for p, q in spec if q == cls}
+        assert schema.generalizations_of(cls) == {q for p, q in spec if p == cls}
+        for other in probe:
+            assert schema.is_spec(cls, other) == ((cls, other) in spec)
+    assert schema.root_classes() == schema.classes - {p for p, _q in strict}
+    assert schema.leaf_classes() == schema.classes - {q for _p, q in strict}
+    assert schema.spec_covers() == {
+        (p, q)
+        for p, q in strict
+        if not any((p, z) in strict and (z, q) in strict for z in schema.classes)
+    }
+    subsets = [schema.classes] + [
+        schema.reach(cls, label) for cls in schema.classes for label in schema.labels()
+    ]
+    for subset in subsets:
+        for candidate in (subset, subset | {OUTSIDE}):
+            assert schema.min_classes(candidate) == minimal_elements(candidate, spec)
+
+
+def _reversed(schema: Schema) -> Schema:
+    """*schema* with its specialization order turned upside down."""
+    return Schema.build(
+        classes=schema.classes, spec=[(q, p) for p, q in schema.strict_spec()]
+    )
+
+
+def _assert_witness(family) -> None:
+    """The cycle witness decides like the oracle and walks asserted edges."""
+    cycle = compatibility_cycle(family)
+    assert (cycle is None) == reference_compatible(*family)
+    if cycle is None:
+        return
+    assert cycle[0] == cycle[-1] and len(cycle) > 2
+    asserted = set().union(*(g.strict_spec() for g in family))
+    assert all(edge in asserted for edge in zip(cycle, cycle[1:]))
+    with pytest.raises(IncompatibleSchemasError) as err:
+        join_all(family)
+    assert err.value.cycle == cycle
+
+
+class TestOrderOnMasks:
+    @RELAXED
+    @given(schemas())
+    def test_accessors_match_definitions(self, schema):
+        _assert_order_answers(schema)
+
+    def test_accessors_match_definitions_on_runner_family(self):
+        family = _runner_family(200)
+        for schema in family[:10] + [join_all(family)]:
+            _assert_order_answers(schema)
+
+    @RELAXED
+    @given(schemas(), st.data())
+    def test_restrict_equals_validating_constructor(self, schema, data):
+        pool = sorted(schema.classes, key=sort_key) + [OUTSIDE]
+        keep = data.draw(st.sets(st.sampled_from(pool)))
+        kept = frozenset(keep) & schema.classes
+        expected = Schema(
+            kept,
+            frozenset(a for a in schema.arrows if a[0] in kept and a[2] in kept),
+            frozenset(e for e in schema.spec if e[0] in kept and e[1] in kept),
+        )
+        assert schema.restrict(keep) == expected
+
+    @RELAXED
+    @given(schemas(), schemas(), schemas())
+    def test_compatibility_cycle_matches_reference(self, first, second, third):
+        _assert_witness([first, _reversed(second)])
+        _assert_witness([first, second, _reversed(third)])
+
+    def test_witness_on_runner_family(self):
+        family = _runner_family(200)
+        merged = join_all(family)
+        for g in family[:50]:
+            _assert_witness([g, merged])
+            _assert_witness([g, _reversed(merged)])
+
+    def test_witness_is_a_chain_of_asserted_edges(self):
+        family = [
+            Schema.build(spec=[("A", "B")]),
+            Schema.build(spec=[("B", "C")]),
+            Schema.build(spec=[("C", "A")]),
+        ]
+        _assert_witness(family)
+        assert compatibility_cycle(family) == tuple(map(name, "ABCA"))
 
 
 class TestCacheMachinery:
