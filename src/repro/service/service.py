@@ -27,6 +27,11 @@ loads the reference once and answers from that value alone, so it
 sees the whole old state or the whole new one and never waits behind
 a write.
 
+**Snapshot cuts run off the write path.**  A write that makes a cut
+due hands a capture of the published value to one background cutter
+thread and returns; the cut's file writes hold no service lock
+(see :meth:`MergeService._write` and :meth:`MergeService.save`).
+
 **Telemetry.** Every instance reports into the global
 :data:`repro.obs.metrics.REGISTRY` (last-wins, so the registry always
 describes the newest service): ``service.register.{calls,schemas,
@@ -66,6 +71,7 @@ True
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 import weakref
 from time import perf_counter
@@ -93,6 +99,8 @@ from repro.service.api_types import QueryResult, RegisterReceipt, RetireReceipt
 from repro.service.shards import Shard, plan_groups
 from repro.service.snapshots import ComponentSnapshot
 from repro.service.storage import (
+    CUT_DURATION,
+    CUT_FAILURES,
     RECOVERIES,
     REPLAYS,
     ComponentState,
@@ -103,7 +111,6 @@ from repro.service.storage import (
     ServiceState,
     StorageBackend,
     VersionState,
-    _LazyMembers,
 )
 
 __all__ = ["MergeService"]
@@ -291,6 +298,130 @@ def _disjoint_union(parts: List[Schema]) -> Schema:
         )
     return DenseClosure(tuple(names), tuple(succ), reach).to_schema()
 
+
+#: What a snapshot cut reads, taken under the writer lock: the published
+#: registry value, the log position it covers and the next component id.
+#: A published value and its shards never change (commits clone
+#: builders), so a capture stays consistent without the lock.
+_Capture = Tuple[_Registry, int, int]
+#: One capture handed to the cutter: its ticket, capture time and value.
+_Order = Tuple[int, float, _Capture]
+
+
+def _cut_state(capture: _Capture) -> ServiceState:
+    """The snapshot cut of one captured registry value."""
+    registry, seq, next_sid = capture
+    return ServiceState(
+        seq=seq,
+        generation=registry.generation,
+        next_sid=next_sid,
+        components=tuple(
+            ComponentState(
+                shard.sid,
+                shard.generation,
+                shard.builder.dense_state(),
+                shard.schemas,
+            )
+            for shard in sorted(registry.shards.values(), key=lambda s: s.sid)
+        ),
+        series=registry.series,
+    )
+
+
+class _Cutter:
+    """The one background thread that writes a service's snapshot cuts.
+
+    A writer hands a capture over and returns: :meth:`submit` is one put
+    on an unbounded queue, so the writer lock never waits on the cutter.
+    The thread cuts the newest capture queued (a cut at a later log
+    position covers the earlier ones) and records each outcome under
+    its own lock, which it never holds across a cut.  A failed cut is
+    counted in ``storage.cut_failures`` and reported to the waiters it
+    leaves uncovered; the commits it was to cover are durable in the
+    log, so no write fails for it.
+    """
+
+    def __init__(self, storage: StorageBackend, durable_seq: int) -> None:
+        self._storage = storage  # frozen-after-init
+        #: ``(ticket, capture time, capture)``; ``None`` stops the thread.
+        self._inbox: "queue.SimpleQueue[Optional[_Order]]" = queue.SimpleQueue()  # frozen-after-init
+        self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)  # frozen-after-init
+        self._done = 0  # guarded-by: _lock
+        self._durable_seq = durable_seq  # guarded-by(writes): _lock
+        #: The failure of the newest cut, if it failed.
+        self._error: Optional[Exception] = None  # guarded-by: _lock
+        self._thread = threading.Thread(  # frozen-after-init
+            target=self._run, name="repro-snapshot-cutter", daemon=True
+        )
+        self._thread.start()
+
+    @property
+    def durable_seq(self) -> int:
+        """The log position covered by the newest durable cut."""
+        return self._durable_seq
+
+    def pending(self, ticket: int) -> bool:
+        """Is the capture with *ticket* still waiting for its cut?"""
+        with self._lock:
+            return self._done < ticket
+
+    def submit(self, ticket: int, capture: _Capture) -> None:
+        """Queue a capture (tickets increase); never blocks."""
+        self._inbox.put((ticket, perf_counter(), capture))
+
+    def wait(self, ticket: int, seq: int) -> int:
+        """Wait until capture *ticket*, at log position *seq*, is cut.
+
+        Returns the durable cut's log position once it covers *seq*,
+        even if a later cut has failed since; otherwise raises the
+        failure of the newest cut, which covered *ticket* and failed.
+        """
+        with self._lock:
+            while self._done < ticket:
+                self._settled.wait()
+            if self._durable_seq >= seq:
+                return self._durable_seq
+            assert self._error is not None  # a covering cut ran and failed
+            raise self._error
+
+    def stop(self) -> None:
+        """Let the thread exit once it has cut what is queued."""
+        self._inbox.put(None)
+
+    def close(self) -> None:
+        """Cut what is still queued, then stop the thread (idempotent)."""
+        self.stop()
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            items = [self._inbox.get()]
+            while not self._inbox.empty():  # this thread is the only reader
+                items.append(self._inbox.get_nowait())
+            captures = [item for item in items if item is not None]
+            if captures:
+                self._cut(*captures[-1])
+            if None in items:
+                return
+
+    def _cut(self, ticket: int, captured_at: float, capture: _Capture) -> None:
+        error: Optional[Exception] = None
+        try:
+            self._storage.save_state(_cut_state(capture))
+        except Exception as exc:  # noqa: BLE001 - reported to wait()
+            CUT_FAILURES.inc()
+            error = exc
+        else:
+            CUT_DURATION.observe(perf_counter() - captured_at)
+        with self._lock:
+            self._done = ticket
+            self._error = error
+            if error is None:
+                self._durable_seq = capture[1]
+            self._settled.notify_all()
+
+
 class MergeService:
     """A thread-safe registry of schemas serving merged views and queries.
 
@@ -344,7 +475,12 @@ class MergeService:
         )
         self._snapshot_every = snapshot_every  # frozen-after-init
         self._log_seq = 0  # guarded-by(writes): _writer
-        self._last_cut_seq = 0  # guarded-by(writes): _writer
+        #: The log position of the newest capture handed to the cutter
+        #: (after recovery: of the recovered cut).
+        self._captured_seq = 0  # guarded-by(writes): _writer
+        self._cut_ticket = 0  # guarded-by(writes): _writer
+        #: Started by the first cut that falls due.
+        self._cutter: Optional[_Cutter] = None  # guarded-by(writes): _writer
         #: True only while single-threaded recovery replays the log —
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
@@ -402,8 +538,10 @@ class MergeService:
     def close(self) -> None:
         """Refuse further requests (idempotent; in-flight calls finish).
 
-        Waits for the write in flight, if any, then releases the storage
-        backend's resources; a write arriving later raises
+        Waits for the write in flight, if any, and for the snapshot
+        cutter to finish the cut it has queued, then releases the
+        storage backend's resources (the data directory's ``LOCK``); a
+        write arriving later raises
         :class:`~repro.exceptions.ServiceShutdownError`.  Durability
         does not depend on a clean close — every committed mutation was
         fsync'd when it was logged — so a killed process loses nothing
@@ -411,6 +549,10 @@ class MergeService:
         """
         with self._writer:
             self._closed = True
+            if self._cutter is not None:
+                # Shutdown is the one wait under the writer lock: the
+                # cutter never takes it, and no write can follow.
+                self._cutter.close()
             self._storage.close()
 
     def _check_open(self) -> None:
@@ -450,7 +592,7 @@ class MergeService:
             self._replaying = False
         with self._writer:
             self._log_seq = last_seq
-            self._last_cut_seq = base_seq
+            self._captured_seq = base_seq
         if replayed:
             REPLAYS.inc(replayed)
         if state is not None or replayed:
@@ -536,48 +678,38 @@ class MergeService:
             )
 
     def save(self) -> int:
-        """Cut a full snapshot set now; returns the covered log position.
+        """Cut a snapshot now and wait until it is durable.
 
-        Also runs automatically every *snapshot_every* committed log
-        records.  The cut holds the writer lock throughout, so it is
-        consistent and no write or :meth:`close` interleaves with it;
-        readers never take that lock and keep answering.
+        Returns the log position the durable cut covers: every record
+        committed before the call, and perhaps a few committed while it
+        waited.  The capture is taken under the writer lock, so the cut
+        is consistent; the cut itself runs on the cutter thread (see
+        :meth:`_write`) while writers and readers carry on.  Raises the
+        backend's error if no durable cut covers the capture.
         """
         with self._writer:
             self._check_open()
-            return self._cut()
+            cutter, ticket = self._hand_off()
+            seq = self._log_seq
+        return cutter.wait(ticket, seq)
 
-    def _cut(self) -> int:  # requires-lock: _writer
-        """Write the registry as a snapshot cut.  Writer lock held."""
-        registry = self._registry
-        shards = sorted(registry.shards.values(), key=lambda s: s.sid)
-        components = tuple(
-            ComponentState(
-                sid=shard.sid,
-                generation=shard.generation,
-                dense=shard.builder.dense_state(),
-                # Keep a still-lazy member view as-is (a cut right
-                # after recovery re-writes the raw docs verbatim);
-                # lists are copied because later commits replace them.
-                members=(
-                    shard.schemas
-                    if isinstance(shard.schemas, _LazyMembers)
-                    else tuple(shard.schemas)
-                ),
-            )
-            for shard in shards
+    def _hand_off(self) -> Tuple[_Cutter, int]:  # requires-lock: _writer
+        """Hand the cutter a capture of the published registry.
+
+        Writer lock held.  Starts the cutter on the first call; returns
+        it with the capture's ticket.
+        """
+        cutter = self._cutter
+        if cutter is None:
+            cutter = self._cutter = _Cutter(self._storage, self._captured_seq)
+            # A service dropped without close() must not strand its thread.
+            weakref.finalize(self, cutter.stop)
+        self._cut_ticket += 1
+        self._captured_seq = self._log_seq
+        cutter.submit(
+            self._cut_ticket, (self._registry, self._log_seq, self._next_sid)
         )
-        self._storage.save_state(
-            ServiceState(
-                seq=self._log_seq,
-                generation=registry.generation,
-                next_sid=self._next_sid,
-                components=components,
-                series=registry.series,
-            )
-        )
-        self._last_cut_seq = self._log_seq
-        return self._log_seq
+        return cutter, self._cut_ticket
 
     # ------------------------------------------------------------------
     # Registration (writers)
@@ -756,8 +888,11 @@ class MergeService:
         the commit).  Returns the generation, the component count at
         the commit, and the plan key.  A failed stage or commit is
         counted in ``service.register.rollbacks`` and publishes nothing.
-        When the log has grown past the snapshot cadence, the cut runs
-        before the lock is released.
+        When the log has grown *snapshot_every* records past the last
+        capture, the write hands a capture of the new registry to the
+        cutter thread (O(1): one queue put) and returns; the cut is
+        written off the write path, and its outcome never fails a write
+        that has committed.
         """
         with self._writer:
             self._check_open()
@@ -778,9 +913,9 @@ class MergeService:
             if (
                 every is not None
                 and not self._replaying
-                and self._log_seq - self._last_cut_seq >= every
+                and self._log_seq - self._captured_seq >= every
             ):
-                self._cut()
+                self._hand_off()
         return generation, components, key
 
     def _groups(  # requires-lock: _writer
@@ -1258,6 +1393,7 @@ class MergeService:
         """
         tel = self._telemetry
         registry = self._registry
+        cutter = self._cutter
         return {
             "components": len(registry.shards),
             "registered_schemas": tel.schemas.value,
@@ -1265,7 +1401,15 @@ class MergeService:
             "requests_served": self._requests,
             "storage": {
                 "log_seq": self._log_seq,
-                "last_cut_seq": self._last_cut_seq,
+                # The newest *durable* cut; before any hand-off, the
+                # recovered one.
+                "last_cut_seq": (
+                    cutter.durable_seq if cutter is not None
+                    else self._captured_seq
+                ),
+                "cut_pending": (
+                    cutter is not None and cutter.pending(self._cut_ticket)
+                ),
                 "named_schemas": len(registry.series),
                 "retired_versions": sum(
                     1

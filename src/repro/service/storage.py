@@ -12,13 +12,19 @@ one :class:`StorageBackend` protocol:
   whole recovery story: the log *is* the registry, everything else is
   an optimization.
 * **service snapshots** — a periodic cut of every component's dense
-  closure (the ``repro.snapshot/1`` codec of ``repro.io.json_io``,
-  written per component as ``snap-<sid>.json``) plus a ``manifest.json``
-  naming the cut's log position, generation and schema-lifecycle table.
-  Recovery restores components from the newest complete cut and replays
-  only the log *suffix* — snapshot files are written tmp-file +
-  atomic-rename, and the manifest is written last, so a crash mid-cut
-  leaves the previous cut intact.
+  closure (the ``repro.snapshot/1`` codec of ``repro.io.json_io``)
+  plus a ``manifest.json`` naming the cut's log position, generation,
+  component files and schema-lifecycle table.  A component file is
+  named by its ``(sid, generation)`` pair, ``snap-<sid>-<generation>.json``,
+  so a cut is *incremental*: it writes only the pairs the previous
+  manifest does not already reference, and keeps the rest by reference.
+  Schema documents are stored once per file under a content digest and
+  shared by reference, so the lifecycle table re-encodes nothing its
+  component files already carry.  Recovery restores components from the
+  newest durable cut and replays only the log *suffix*.  The manifest
+  is renamed into place only after every new file is durable, and the
+  files it stops referencing are deleted only after it is durable, so a
+  crash at any point of a cut leaves the previous cut intact.
 
 **Corruption semantics** (exercised by ``tests/test_storage_recovery``):
 a torn *final* log line — no terminating newline, the footprint of a
@@ -28,8 +34,9 @@ any well-formed line whose checksum or sequence number is wrong raises
 that fails its checksum, decoding, or the dense-closure invariant
 re-validation raises
 :class:`~repro.exceptions.CorruptSnapshotError`; a *missing* snapshot
-file (or one from a half-finished cut) is not corruption — recovery
-falls back to full log replay, slower but exact.
+file, or a manifest of the older per-seq layout
+(``repro.service.manifest/1``), is not corruption — recovery falls back
+to full log replay, slower but exact.
 
 :class:`MemoryBackend` (the default) keeps records as live objects —
 no encoding, no I/O — so an un-persisted service pays near nothing for
@@ -39,7 +46,9 @@ in later (ROADMAP item 3).
 
 Work counters report into :data:`repro.obs.metrics.REGISTRY`:
 ``storage.appends``, ``storage.replays``, ``storage.snapshot_writes``,
-``storage.recoveries``.
+``storage.recoveries``, ``storage.cut_files_written``,
+``storage.cut_files_reused`` and ``storage.cut_failures``, plus the
+``storage.cut.duration`` histogram (capture to durable manifest).
 
 >>> from repro.core.schema import Schema
 >>> entry = RegistrationEntry(
@@ -81,6 +90,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     IO,
     Iterator,
     List,
@@ -123,8 +133,10 @@ __all__ = [
 ]
 
 FORMAT_LOG = "repro.log/1"
-FORMAT_SERVICE_SNAPSHOT = "repro.service.snapshot/1"
-FORMAT_MANIFEST = "repro.service.manifest/1"
+FORMAT_SERVICE_SNAPSHOT = "repro.service.snapshot/2"
+FORMAT_MANIFEST = "repro.service.manifest/2"
+#: The per-seq file layout: its cut is not read, recovery replays the log.
+FORMAT_MANIFEST_V1 = "repro.service.manifest/1"
 
 #: The schema-lifecycle vocabulary, in descending preference order:
 #: name resolution picks the highest ``recommended`` version, falls
@@ -136,6 +148,10 @@ APPENDS = REGISTRY.counter("storage.appends")
 REPLAYS = REGISTRY.counter("storage.replays")
 SNAPSHOT_WRITES = REGISTRY.counter("storage.snapshot_writes")
 RECOVERIES = REGISTRY.counter("storage.recoveries")
+CUT_FILES_WRITTEN = REGISTRY.counter("storage.cut_files_written")
+CUT_FILES_REUSED = REGISTRY.counter("storage.cut_files_reused")
+CUT_FAILURES = REGISTRY.counter("storage.cut_failures")
+CUT_DURATION = REGISTRY.histogram("storage.cut.duration")
 
 
 @dataclass(frozen=True)
@@ -228,6 +244,51 @@ class ComponentState:
     members: Sequence[Schema]
 
 
+class _DocTable:
+    """The schema documents of one loaded cut, each decoded at most once.
+
+    Component files and the manifest store each schema document once,
+    keyed by its content digest, and refer to it by that digest.  The
+    table gathers them all, so a schema that is a member of a component
+    *and* a version in the lifecycle table decodes once per recovery,
+    whichever asks first.
+    """
+
+    __slots__ = ("_docs", "_schemas", "_lock")
+
+    def __init__(self, docs: Mapping[str, Mapping[str, Any]]) -> None:
+        self._docs = docs  # frozen-after-init
+        self._schemas: Dict[str, Schema] = {}  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def doc(self, digest: str) -> Mapping[str, Any]:
+        return self._docs[digest]
+
+    def decode(self, digests: Sequence[str], origin: str) -> Tuple[Schema, ...]:
+        """The schemas under *digests*, in order; each decoded once."""
+        with self._lock:
+            schemas = self._schemas
+            out: List[Schema] = []
+            for digest in digests:
+                schema = schemas.get(digest)
+                if schema is None:
+                    try:
+                        schema = schema_from_dict(dict(self._docs[digest]))
+                    except (
+                        SerializationError,
+                        AttributeError,
+                        KeyError,
+                        TypeError,
+                        ValueError,
+                    ) as exc:
+                        raise CorruptSnapshotError(
+                            f"{origin} schema {digest!r} does not decode: {exc}"
+                        ) from exc
+                    schemas[digest] = schema
+                out.append(schema)
+            return tuple(out)
+
+
 class _LazyMembers(Sequence[Schema]):
     """Member schemas of a restored component, decoded on first use.
 
@@ -235,56 +296,36 @@ class _LazyMembers(Sequence[Schema]):
     closure alone; the member list matters only to *later* mutations
     (a merge absorbing the shard, a retire refolding it) and to
     introspection.  Decoding every member doc up front is the dominant
-    restart cost, so it is deferred: ``len`` reads the doc count, any
-    content access hydrates the whole tuple exactly once.  The docs
-    sit inside a checksummed snapshot, so byte corruption is caught at
-    load time; a doc that is CRC-clean yet undecodable still surfaces
-    as :class:`~repro.exceptions.CorruptSnapshotError`, merely later.
+    restart cost, so it is deferred: ``len`` reads the digest count, any
+    content access hydrates the whole tuple through the cut's
+    :class:`_DocTable`.  The docs sit inside a checksummed snapshot, so
+    byte corruption is caught at load time; a doc that is CRC-clean yet
+    undecodable still surfaces as
+    :class:`~repro.exceptions.CorruptSnapshotError`, merely later.
     """
 
-    __slots__ = ("_docs", "_origin", "_decoded", "_lock")
+    __slots__ = ("_digests", "_table", "_origin", "_decoded")
 
-    def __init__(self, docs: Sequence[Mapping[str, Any]], origin: str) -> None:
-        self._docs = tuple(docs)
+    def __init__(
+        self, digests: Sequence[str], table: _DocTable, origin: str
+    ) -> None:
+        self._digests = tuple(digests)
+        self._table = table
         self._origin = origin
-        # Written once under the lock, read lock-free (double-checked:
-        # a stale None just takes the locked slow path).
-        self._decoded: Optional[Tuple[Schema, ...]] = None  # guarded-by(writes): _lock
-        self._lock = threading.Lock()
-
-    def raw_docs(self) -> Optional[Tuple[Mapping[str, Any], ...]]:
-        """The undecoded docs, if no hydration happened yet.
-
-        Lets a snapshot cut taken right after recovery re-write the
-        member block without a decode/encode round trip.
-        """
-        return None if self._decoded is not None else self._docs
+        # Racing hydrations store equal tuples: the table decodes each
+        # document once, under its own lock.
+        self._decoded: Optional[Tuple[Schema, ...]] = None
 
     def _hydrate(self) -> Tuple[Schema, ...]:
         decoded = self._decoded
         if decoded is None:
-            with self._lock:
-                decoded = self._decoded
-                if decoded is None:
-                    try:
-                        decoded = tuple(
-                            schema_from_dict(dict(doc)) for doc in self._docs
-                        )
-                    except (
-                        SerializationError,
-                        AttributeError,
-                        TypeError,
-                        ValueError,
-                    ) as exc:
-                        raise CorruptSnapshotError(
-                            f"{self._origin} member schemas do not "
-                            f"decode: {exc}"
-                        ) from exc
-                    self._decoded = decoded
+            decoded = self._decoded = self._table.decode(
+                self._digests, self._origin
+            )
         return decoded
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._digests)
 
     def __getitem__(self, index):  # type: ignore[override]
         return self._hydrate()[index]
@@ -294,7 +335,7 @@ class _LazyMembers(Sequence[Schema]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "decoded" if self._decoded is not None else "raw"
-        return f"_LazyMembers({len(self._docs)} schemas, {state})"
+        return f"_LazyMembers({len(self._digests)} schemas, {state})"
 
 
 @dataclass(frozen=True)
@@ -339,7 +380,11 @@ class StorageBackend(Protocol):
         ...  # pragma: no cover - protocol
 
     def save_state(self, state: ServiceState) -> None:
-        """Persist a snapshot cut (atomically replacing the previous one)."""
+        """Persist a snapshot cut (atomically replacing the previous one).
+
+        Runs on the service's one cutter thread, concurrently with
+        ``append``; calls never overlap each other.
+        """
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
@@ -499,15 +544,29 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+def _digest(doc: Mapping[str, Any]) -> str:
+    """The content address of one schema document (BLAKE2b of its canonical text)."""
+    # Imported here: only cuts need it, and it costs ~3 ms of start-up.
+    from hashlib import blake2b
+
+    return blake2b(canonical_dumps(doc).encode("ascii"), digest_size=12).hexdigest()
+
+
+#: One encoded schema: its content digest and its ``repro.schema/1`` document.
+_Encoded = Tuple[str, Mapping[str, Any]]
+
+
 class FileBackend:
     """One directory holding the log, the snapshot files and the manifest.
 
     Layout::
 
-        <dir>/registry.log     append-only JSONL, one sealed record/line
-        <dir>/snap-<sid>.json  newest snapshot of component <sid>
-        <dir>/manifest.json    the cut: log seq, generation, lifecycle table
-        <dir>/LOCK             empty; its POSIX lock marks the owning process
+        <dir>/registry.log                 append-only JSONL, one sealed record/line
+        <dir>/snap-<sid>-<generation>.json component <sid> as of its last
+                                           mutation, generation <generation>
+        <dir>/manifest.json                the cut: log seq, generation, the
+                                           [sid, generation] files, lifecycle table
+        <dir>/LOCK                         empty; its POSIX lock marks the owning process
 
     Construction first locks ``LOCK`` (``lockf``, exclusive, non-blocking)
     and raises :class:`~repro.exceptions.StorageLockedError` if another
@@ -516,13 +575,25 @@ class FileBackend:
     directory twice in one process is not refused, and is unsupported.
     Construction then scans the log once: it verifies checksums and
     sequence contiguity (raising :class:`~repro.exceptions.CorruptLogError`
-    eagerly, before the service trusts anything) and truncates a torn
-    final line left by a crash mid-append.  Appends write one line,
-    flush, and — unless *fsync* is disabled for throughput experiments —
-    fsync before returning; a failed append is cut back out of the file
-    before its error propagates.  Snapshot and manifest writes go
-    through a temp file and an atomic rename, manifest last, so readers
-    never see a half-written cut.
+    eagerly, before the service trusts anything), truncates a torn
+    final line left by a crash mid-append, and keeps each verified
+    line's offset, so :meth:`records` reads and decodes only the suffix
+    it is asked for.  Appends write one line, flush, and — unless
+    *fsync* is disabled for throughput experiments — fsync before
+    returning; a failed append is cut back out of the file before its
+    error propagates.
+
+    :meth:`save_state` is incremental.  A component file is named by its
+    ``(sid, generation)`` pair, which no later commit reuses for other
+    content, so a cut writes only the pairs the previous manifest does
+    not reference.  Every file is written to a temp name, fsync'd and
+    renamed into place.  The fsync order is: each new file, then the
+    directory (the new names are durable), then the manifest, and the
+    directory again.  Only then are the files the new manifest no longer
+    references deleted.  A crash at any point leaves the previous
+    manifest and every file it references whole.  Each schema document
+    is encoded once per cut: the previous cut's documents are reused for
+    every schema a file or the lifecycle table still references.
     """
 
     LOG_NAME = "registry.log"
@@ -535,10 +606,20 @@ class FileBackend:
         self._fsync = fsync  # frozen-after-init
         self._lock = threading.Lock()
         self._fh: Optional[IO[str]] = None  # guarded-by: _lock
-        self._seq = 0  # guarded-by: _lock
+        #: Byte offset of each durable record's line: seq n starts at
+        #: ``_offsets[n - 1]``; ``_end`` is the durable length.
+        self._offsets: List[int] = []  # guarded-by: _lock
+        self._end = 0  # guarded-by: _lock
         self._lock_fd: Optional[int] = os.open(  # guarded-by: _lock
             self._dir / self.LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644
         )
+        #: Serializes cuts and recovery's load, never taken by appends.
+        self._cut_lock = threading.Lock()
+        #: The previous manifest's component files, each with the
+        #: digests of the schema documents it carries.
+        self._files: Dict[Tuple[int, int], FrozenSet[str]] = {}  # guarded-by: _cut_lock
+        #: The previous cut's encoded schemas, by schema.
+        self._encoded: Dict[Schema, _Encoded] = {}  # guarded-by: _cut_lock
         log = self._dir / self.LOG_NAME
         try:
             try:
@@ -548,13 +629,12 @@ class FileBackend:
                     f"data directory {self._dir} is in use by another process"
                 ) from exc
             if log.exists():
-                last_seq, durable = self._scan(log.read_bytes())
-                self._seq = last_seq
-                if durable < log.stat().st_size:
+                self._offsets, self._end = self._scan(log.read_bytes())
+                if self._end < log.stat().st_size:
                     # A torn tail is a crash footprint, not corruption:
                     # drop it so the next append starts on a record boundary.
                     with open(log, "r+b") as fh:
-                        fh.truncate(durable)
+                        fh.truncate(self._end)
                         fh.flush()
                         os.fsync(fh.fileno())
         except BaseException:
@@ -562,8 +642,8 @@ class FileBackend:
             raise
 
     @staticmethod
-    def _scan(data: bytes) -> Tuple[int, int]:
-        """Verify the log bytes; return ``(last_seq, durable_length)``.
+    def _scan(data: bytes) -> Tuple[List[int], int]:
+        """Verify the log bytes; return ``(line_offsets, durable_length)``.
 
         Walks terminated lines in order, checking JSON shape, checksum,
         format tag and sequence contiguity — any failure on a
@@ -571,20 +651,18 @@ class FileBackend:
         final fragment is a torn append and simply ends the durable
         prefix.
         """
+        offsets: List[int] = []
         offset = 0
-        last_seq = 0
-        durable = 0
         while True:
             newline = data.find(b"\n", offset)
             if newline < 0:
                 break
             line = data[offset:newline]
-            offset = newline + 1
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorruptLogError(
-                    f"log record {last_seq + 1} is not valid UTF-8"
+                    f"log record {len(offsets) + 1} is not valid UTF-8"
                 ) from exc
             doc = _unseal(text, CorruptLogError)
             if doc.get("format") != FORMAT_LOG:
@@ -593,17 +671,17 @@ class FileBackend:
                     f"expected {FORMAT_LOG!r}"
                 )
             seq = doc.get("seq")
-            if seq != last_seq + 1:
+            if seq != len(offsets) + 1:
                 raise CorruptLogError(
-                    f"log sequence jumps from {last_seq} to {seq!r}"
+                    f"log sequence jumps from {len(offsets)} to {seq!r}"
                 )
-            last_seq = seq
-            durable = offset
-        return last_seq, durable
+            offsets.append(offset)
+            offset = newline + 1
+        return offsets, offset
 
     def append(self, record: LogRecord) -> int:
         with self._lock:
-            seq = self._seq + 1
+            seq = len(self._offsets) + 1
             line = _seal(record_to_dict(seq, record)) + "\n"
             fh = self._fh
             if fh is None:
@@ -626,32 +704,35 @@ class FileBackend:
                     pass
                 os.truncate(self._dir / self.LOG_NAME, size)
                 raise
-            self._seq = seq
+            self._offsets.append(size)
+            self._end = size + len(line)  # canonical text is ASCII
         APPENDS.inc()
         return seq
 
     def records(self, after: int = 0) -> Iterator[Tuple[int, LogRecord]]:
-        log = self._dir / self.LOG_NAME
-        if not log.exists():
+        # Construction verified seal and sequence of every line; only
+        # the lines above *after* are read again and decoded.
+        with self._lock:
+            after = max(after, 0)
+            start = self._offsets[after] if after < len(self._offsets) else self._end
+            end = self._end
+        if start >= end:
             return
-        data = log.read_bytes()
-        last_seq, durable = self._scan(data)
-        offset = 0
-        while offset < durable:
-            newline = data.index(b"\n", offset)
-            doc = _unseal(data[offset:newline].decode("utf-8"), CorruptLogError)
-            offset = newline + 1
-            # ``_scan`` already checked seal and sequence for every
-            # line; records under the snapshot cut skip the (much more
-            # expensive) semantic decode of their schema payloads.
-            if doc["seq"] <= after:
-                continue
+        with open(self._dir / self.LOG_NAME, "rb") as fh:
+            fh.seek(start)
+            data = fh.read(end - start)
+        for line in data.split(b"\n")[:-1]:
+            doc = _unseal(line.decode("utf-8"), CorruptLogError)
             try:
                 yield record_from_dict(doc)
             except (SerializationError, KeyError, ValueError) as exc:
                 raise CorruptLogError(
                     f"log record {doc.get('seq')!r} does not decode: {exc}"
                 ) from exc
+
+    @staticmethod
+    def _snap_name(sid: int, generation: int) -> str:
+        return f"snap-{sid}-{generation}.json"
 
     def load_state(self) -> Optional[ServiceState]:
         manifest_path = self._dir / self.MANIFEST_NAME
@@ -660,6 +741,9 @@ class FileBackend:
         manifest = _unseal(
             manifest_path.read_text(encoding="utf-8"), CorruptSnapshotError
         )
+        if manifest.get("format") == FORMAT_MANIFEST_V1:
+            # The per-seq layout's cut is not read: replay the log.
+            return None
         if manifest.get("format") != FORMAT_MANIFEST:
             raise CorruptSnapshotError(
                 f"manifest has format {manifest.get('format')!r}, "
@@ -669,142 +753,196 @@ class FileBackend:
             seq = int(manifest["seq"])
             generation = int(manifest["generation"])
             next_sid = int(manifest["next_sid"])
-            sids = [int(sid) for sid in manifest["components"]]
+            pairs = [(int(sid), int(gen)) for sid, gen in manifest["files"]]
             series_doc = manifest["series"]
+            docs: Dict[str, Mapping[str, Any]] = dict(manifest["schemas"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"manifest is missing or mistypes a field: {exc}"
             ) from exc
-        components: List[ComponentState] = []
-        for sid in sids:
-            snap_path = self._dir / f"snap-{sid}.json"
+        loaded: List[Tuple[int, int, DenseClosure, List[str], str]] = []
+        files: Dict[Tuple[int, int], FrozenSet[str]] = {}
+        for sid, gen in pairs:
+            name = self._snap_name(sid, gen)
+            snap_path = self._dir / name
             if not snap_path.exists():
-                # A missing file is a deleted/never-finished cut, not
-                # corruption: fall back to full log replay.
+                # A missing file is a deleted cut, not corruption: fall
+                # back to full log replay.
                 return None
             doc = _unseal(
                 snap_path.read_text(encoding="utf-8"), CorruptSnapshotError
             )
             if doc.get("format") != FORMAT_SERVICE_SNAPSHOT:
                 raise CorruptSnapshotError(
-                    f"snapshot {snap_path.name} has format "
-                    f"{doc.get('format')!r}"
+                    f"snapshot {name} has format {doc.get('format')!r}"
                 )
-            if doc.get("seq") != seq:
-                # The cut never completed (crash between snapshot and
-                # manifest writes); the log still has everything.
-                return None
+            if doc.get("sid") != sid or doc.get("generation") != gen:
+                raise CorruptSnapshotError(
+                    f"snapshot {name} holds component {doc.get('sid')!r} "
+                    f"at generation {doc.get('generation')!r}"
+                )
             try:
                 # snapshot_from_dict re-validates the closure invariants
                 # — the decoder never trusts persisted relations.  The
                 # member docs (only needed by later mutations) decode
-                # lazily; _LazyMembers reports their faults with the
-                # same CorruptSnapshotError type.
+                # lazily, through the cut's shared document table.
                 dense = snapshot_from_dict(dict(doc["snapshot"]))
-                member_docs = doc["members"]
-                if not isinstance(member_docs, list):
-                    raise ValueError("members must be a list")
-                members: Sequence[Schema] = _LazyMembers(
-                    member_docs, f"snapshot {snap_path.name}"
-                )
+                carried = doc["schemas"]
+                members = doc["members"]
+                if not isinstance(carried, dict) or not isinstance(members, list):
+                    raise ValueError("schemas must be an object, members a list")
+                missing = set(members) - carried.keys()
+                if missing:
+                    raise ValueError(f"members {sorted(missing)} have no document")
             except (SerializationError, ValueError, KeyError, TypeError) as exc:
                 raise CorruptSnapshotError(
-                    f"snapshot {snap_path.name} does not decode: {exc}"
+                    f"snapshot {name} does not decode: {exc}"
                 ) from exc
-            components.append(
-                ComponentState(
-                    sid=sid,
-                    generation=int(doc.get("generation", generation)),
-                    dense=dense,
-                    members=members,
-                )
-            )
+            docs.update(carried)
+            files[(sid, gen)] = frozenset(carried)
+            loaded.append((sid, gen, dense, members, f"snapshot {name}"))
+        table = _DocTable(docs)
+        components = tuple(
+            ComponentState(sid, gen, dense, _LazyMembers(members, table, origin))
+            for sid, gen, dense, members, origin in loaded
+        )
+        encoded: Dict[Schema, _Encoded] = {}
         series: Dict[str, Tuple[VersionState, ...]] = {}
         try:
             for schema_name, versions in series_doc.items():
-                series[schema_name] = tuple(
-                    VersionState(
-                        version=int(v["version"]),
-                        lifecycle=str(v["lifecycle"]),
-                        retired=bool(v["retired"]),
-                        schema=schema_from_dict(dict(v["schema"])),
+                states: List[VersionState] = []
+                for v in versions:
+                    digest = v["schema"]
+                    (schema,) = table.decode([digest], "manifest lifecycle table")
+                    encoded[schema] = (digest, table.doc(digest))
+                    states.append(
+                        VersionState(
+                            version=int(v["version"]),
+                            lifecycle=str(v["lifecycle"]),
+                            retired=bool(v["retired"]),
+                            schema=schema,
+                        )
                     )
-                    for v in versions
-                )
-        except (SerializationError, AttributeError, KeyError, TypeError,
-                ValueError) as exc:
+                series[schema_name] = tuple(states)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"manifest lifecycle table does not decode: {exc}"
             ) from exc
+        with self._cut_lock:
+            # The next cut keeps these files and documents by reference.
+            self._files = files
+            self._encoded = encoded
         return ServiceState(
             seq=seq,
             generation=generation,
             next_sid=next_sid,
-            components=tuple(components),
+            components=components,
             series=series,
         )
 
     def save_state(self, state: ServiceState) -> None:
+        with self._cut_lock:
+            self._save_state(state)
+
+    def _save_state(self, state: ServiceState) -> None:  # requires-lock: _cut_lock
+        previous = self._encoded
+        encoded: Dict[Schema, _Encoded] = {}
+
+        def encode(schema: Schema) -> _Encoded:
+            entry = encoded.get(schema)
+            if entry is None:
+                entry = previous.get(schema)
+                if entry is None:
+                    doc = schema_to_dict(schema)
+                    entry = (_digest(doc), doc)
+                encoded[schema] = entry
+            return entry
+
+        files: Dict[Tuple[int, int], FrozenSet[str]] = {}
+        written = 0
         for component in state.components:
-            raw = (
-                component.members.raw_docs()
-                if isinstance(component.members, _LazyMembers)
-                else None
+            pair = (component.sid, component.generation)
+            kept = self._files.get(pair)
+            if kept is not None:
+                files[pair] = kept
+                continue
+            entries = [encode(schema) for schema in component.members]
+            carried = dict(entries)
+            self._write_file(
+                self._dir / self._snap_name(*pair),
+                _seal({
+                    "format": FORMAT_SERVICE_SNAPSHOT,
+                    "sid": component.sid,
+                    "generation": component.generation,
+                    "snapshot": snapshot_to_dict(component.dense),
+                    "members": [digest for digest, _doc in entries],
+                    "schemas": carried,
+                }),
             )
-            doc = {
-                "format": FORMAT_SERVICE_SNAPSHOT,
-                "seq": state.seq,
-                "sid": component.sid,
-                "generation": component.generation,
-                "snapshot": snapshot_to_dict(component.dense),
-                "members": (
-                    list(raw)
-                    if raw is not None
-                    else [schema_to_dict(g) for g in component.members]
-                ),
-            }
-            self._write_atomic(self._dir / f"snap-{component.sid}.json", doc)
-            SNAPSHOT_WRITES.inc()
+            files[pair] = frozenset(carried)
+            written += 1
+        in_files: FrozenSet[str] = frozenset().union(*files.values())
+        for schema, entry in previous.items():
+            if entry[0] in in_files:  # still carried by a kept file
+                encoded.setdefault(schema, entry)
+        series: Dict[str, List[Dict[str, Any]]] = {}
+        extra: Dict[str, Mapping[str, Any]] = {}
+        for schema_name, versions in state.series.items():
+            rows: List[Dict[str, Any]] = []
+            series[schema_name] = rows
+            for v in versions:
+                digest, doc = encode(v.schema)
+                if digest not in in_files:
+                    extra[digest] = doc  # e.g. a retired version's schema
+                rows.append({
+                    "version": v.version,
+                    "lifecycle": v.lifecycle,
+                    "retired": v.retired,
+                    "schema": digest,
+                })
         manifest = {
             "format": FORMAT_MANIFEST,
             "seq": state.seq,
             "generation": state.generation,
             "next_sid": state.next_sid,
-            "components": [c.sid for c in state.components],
-            "series": {
-                schema_name: [
-                    {
-                        "version": v.version,
-                        "lifecycle": v.lifecycle,
-                        "retired": v.retired,
-                        "schema": schema_to_dict(v.schema),
-                    }
-                    for v in versions
-                ]
-                for schema_name, versions in state.series.items()
-            },
+            "files": [list(pair) for pair in files],
+            "series": series,
+            "schemas": extra,
         }
-        self._write_atomic(self._dir / self.MANIFEST_NAME, manifest)
-        # Retired/absorbed components' snapshot files are now unreferenced;
-        # drop them so the directory mirrors the manifest.
-        keep = {f"snap-{c.sid}.json" for c in state.components}
-        for stale in self._dir.glob("snap-*.json"):
+        if written and self._fsync:
+            _fsync_dir(self._dir)  # the new files' names are durable
+        self._write_file(self._dir / self.MANIFEST_NAME, _seal(manifest))
+        if self._fsync:
+            _fsync_dir(self._dir)
+        self._files = files
+        self._encoded = encoded
+        SNAPSHOT_WRITES.inc(written)
+        CUT_FILES_WRITTEN.inc(written + 1)
+        CUT_FILES_REUSED.inc(len(files) - written)
+        # The manifest is durable: the files it no longer references
+        # (older generations, a crashed cut's leftovers) can go.
+        keep = {self._snap_name(*pair) for pair in files}
+        for stale in self._dir.glob("snap-*"):
             if stale.name not in keep:
                 try:
                     stale.unlink()
                 except OSError:  # pragma: no cover - race with a cleaner
                     pass
 
-    def _write_atomic(self, path: Path, doc: Dict[str, Any]) -> None:
+    def _write_file(self, path: Path, text: str) -> None:
+        """Write *path* through a temp file and a rename.
+
+        A file of that name may already be referenced by the durable
+        manifest (a cut after a failed load rewrites it), so a crash
+        mid-write must leave it whole.  The caller fsyncs the directory.
+        """
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_seal(doc) + "\n")
+            fh.write(text + "\n")
             fh.flush()
             if self._fsync:
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
-        if self._fsync:
-            _fsync_dir(self._dir)
 
     def close(self) -> None:
         with self._lock:

@@ -47,10 +47,22 @@ from repro.check.witness import (
 )
 from repro.generators.workloads import get_concurrent_stream
 from repro.service import MemoryBackend, MergeService, QueryResult, RegistrationEntry
+from repro.service import storage as storage_module
 
 #: Generous watchdog: a deadlock hangs forever, a healthy run takes
 #: well under a second.
 JOIN_TIMEOUT = 30.0
+
+
+def settled_stats(service):
+    """``service_stats()`` once the snapshot cutter has no capture pending."""
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while True:
+        stats = service.service_stats()
+        if not stats["storage"]["cut_pending"]:
+            return stats
+        assert time.monotonic() < deadline, "the snapshot cutter never settled"
+        time.sleep(0.002)
 
 
 def run_writers(service, lanes, barrier_timeout=JOIN_TIMEOUT):
@@ -434,15 +446,15 @@ class TestFailureModes:
 
 class TestDurableWriters:
     def test_disjoint_writers_with_cuts_reopen_to_the_live_state(self, tmp_path):
-        # fsync on and a cut every 8 log records, so snapshot cuts run
-        # mid-storm under the writer lock.
+        # fsync on and a cut every 8 log records, so writers hand
+        # captures to the cutter mid-storm.
         data = tmp_path / "registry"
         initial, lanes = get_concurrent_stream("concurrent-disjoint-4").make()
         service = MergeService.open(data, snapshot_every=8)
         service.register(initial)
         errors = run_writers(service, lanes)
         assert not any(errors), errors
-        stats = service.service_stats()
+        stats = settled_stats(service)
         assert stats["storage"]["last_cut_seq"] >= 8
         view = service.merged_view()
         components = service.components()
@@ -531,6 +543,32 @@ class TestLockOrderWitness:
             assert all(pool.map(write, schemas))
         assert len(service.components()) == 1
         assert witness_stats()["checked"] > 0
+
+    def test_witnessed_storm_with_background_cuts(self, lock_witness, tmp_path):
+        # A cut falls due every two writes, so the cutter thread works
+        # through captures while the witnessed writers keep committing.
+        data = tmp_path / "registry"
+        cuts = storage_module.CUT_DURATION.count
+        service = MergeService.open(data, snapshot_every=2, fsync=False)
+        service.register([self._pod(p) for p in range(8)])
+        lanes = [
+            [("register", self._bridge(p, p + 1, 300 + p + 10 * lane))
+             for p in range(lane, 7, 2)]
+            for lane in range(2)
+        ]
+        errors = run_writers(service, lanes)
+        assert not any(errors), errors
+        stats = settled_stats(service)
+        view = service.merged_view()
+        service.close()
+        assert storage_module.CUT_DURATION.count > cuts
+        assert stats["storage"]["last_cut_seq"] >= stats["storage"]["log_seq"] - 1
+        assert witness_stats()["checked"] > 0
+        reopened = MergeService.open(data)
+        try:
+            assert reopened.merged_view() == view
+        finally:
+            reopened.close()
 
     @pytest.mark.slow
     def test_witnessed_storm_many_rounds(self, lock_witness):

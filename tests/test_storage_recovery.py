@@ -11,6 +11,12 @@ Three layers of assurance, from the wire up:
   every case must end in either a clean replay or a typed
   ``CorruptLogError`` / ``CorruptSnapshotError`` — never a silently
   wrong merged view;
+* **crashes mid-cut** — the background cutter is stopped or failed at
+  each step of an incremental cut (new files written, manifest not;
+  a manifest keeping an older cut's file; a cut in flight at the kill;
+  ``close()`` during a cut; a manifest of the older per-seq layout), and
+  recovery must equal a full replay while replaying only the suffix
+  past the last durable cut;
 * **single ownership** — a data directory held by one process refuses
   every other process with a typed ``StorageLockedError``, and a failed
   open never keeps the directory locked;
@@ -28,9 +34,12 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -56,6 +65,7 @@ from repro.service import (
     MergeService,
     RegistrationEntry,
 )
+from repro.service.service import _Cutter
 from repro.service.storage import (
     LogRecord,
     _seal,
@@ -684,6 +694,440 @@ class TestFailedAppend:
             )
         finally:
             reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Snapshot cuts off the write path: the cutter, failures, crashes mid-cut
+# ----------------------------------------------------------------------
+
+
+CUT_TIMEOUT = 30.0
+
+
+def settle(service: MergeService) -> dict:
+    """Wait until the cutter has no capture pending; the storage stats."""
+    deadline = time.monotonic() + CUT_TIMEOUT
+    while True:
+        stats = service.service_stats()["storage"]
+        if not stats["cut_pending"]:
+            return stats
+        assert time.monotonic() < deadline, "the cutter never settled"
+        time.sleep(0.002)
+
+
+def counter(name: str) -> int:
+    return storage_module.REGISTRY.value(name) or 0
+
+
+def fresh(index: int) -> RegistrationEntry:
+    """A named one-class schema in a component of its own."""
+    return RegistrationEntry(Schema.build(classes=[f"C{index}"]), name=f"n{index}")
+
+
+class FailingCutBackend(MemoryBackend):
+    """A memory backend whose cuts fail with ENOSPC while *failing* is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failing = True
+
+    def save_state(self, state) -> None:
+        if self.failing:
+            raise OSError(errno.ENOSPC, "injected full disk")
+        super().save_state(state)
+
+
+class TestFailedCut:
+    def test_a_failed_cut_never_fails_a_committed_write(self):
+        backend = FailingCutBackend()
+        service = MergeService(storage=backend, snapshot_every=64)
+        failures = counter("storage.cut_failures")
+        try:
+            receipts = [service.register([fresh(i)]) for i in range(70)]
+            assert [r.generation for r in receipts] == list(range(1, 71))
+            stats = settle(service)
+            assert stats["log_seq"] == 70
+            assert stats["last_cut_seq"] == 0  # nothing durable yet
+            assert counter("storage.cut_failures") == failures + 1
+            assert len(list(backend.records())) == 70
+        finally:
+            service.close()
+
+    def test_save_raises_the_failure(self):
+        backend = FailingCutBackend()
+        service = MergeService(storage=backend)
+        try:
+            service.register([fresh(0)])
+            with pytest.raises(OSError) as excinfo:
+                service.save()
+            assert excinfo.value.errno == errno.ENOSPC
+            backend.failing = False
+            assert service.save() == 1
+        finally:
+            service.close()
+
+    def test_the_next_due_cut_retries(self):
+        backend = FailingCutBackend()
+        service = MergeService(storage=backend, snapshot_every=4)
+        try:
+            for i in range(4):
+                service.register([fresh(i)])
+            assert settle(service)["last_cut_seq"] == 0
+            backend.failing = False
+            for i in range(4, 8):
+                service.register([fresh(i)])
+            assert settle(service)["last_cut_seq"] == 8
+            assert backend.load_state().seq == 8
+        finally:
+            service.close()
+
+    def test_a_later_failed_cut_does_not_fail_a_covered_wait(self):
+        backend = FailingCutBackend()
+        backend.failing = False
+        service = MergeService(storage=backend)
+        service.register([fresh(0)])
+        cutter = _Cutter(backend, 0)
+        try:
+            cutter.submit(1, (service._registry, 1, service._next_sid))
+            assert cutter.wait(1, 1) == 1
+            backend.failing = True
+            service.register([fresh(1)])
+            cutter.submit(2, (service._registry, 2, service._next_sid))
+            with pytest.raises(OSError):
+                cutter.wait(2, 2)
+            # The first capture is durable: its waiter succeeds although
+            # the newest cut failed.
+            assert cutter.wait(1, 1) == 1
+        finally:
+            cutter.close()
+            service.close()
+
+
+class HookedBackend(FileBackend):
+    """A file backend whose cut stops after its first new component file.
+
+    While *armed*, the cut sets *reached* once that file is durable and
+    then blocks until *release* is set, or raises when *fail* is set.
+    """
+
+    def __init__(self, path, **kwargs) -> None:
+        super().__init__(path, **kwargs)
+        self.armed = False
+        self.fail = False
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def _write_file(self, path, text) -> None:
+        if self.armed and path.name == FileBackend.MANIFEST_NAME:
+            if self.fail:
+                raise OSError(errno.EIO, "injected crash before the manifest")
+        super()._write_file(path, text)
+        if self.armed and path.name.startswith("snap-") and not self.fail:
+            self.reached.set()
+            assert self.release.wait(CUT_TIMEOUT)
+
+
+def two_component_history(service: MergeService) -> List[Schema]:
+    """Register a named pets and an anonymous court: two components."""
+    service.register([RegistrationEntry(pets(), name="pets")])
+    service.register([court()])
+    return [pets(), court()]
+
+
+def replays_on_open(data: Path) -> Tuple[MergeService, int]:
+    """Open *data*; the service and the number of records it replayed."""
+    before = counter("storage.replays")
+    service = MergeService.open(data)
+    return service, counter("storage.replays") - before
+
+
+def full_replay_of(data: Path, into: Path) -> MergeService:
+    """A copy of *data* without its manifest, opened: a full log replay."""
+    shutil.copytree(data, into)
+    (into / FileBackend.MANIFEST_NAME).unlink(missing_ok=True)
+    return MergeService.open(into)
+
+
+class TestCrashMidCut:
+    def test_new_files_without_their_manifest_replay_only_the_suffix(
+        self, tmp_path
+    ):
+        # (a) The cut wrote its new component files, then died before
+        # the manifest: recovery reads the old cut and replays the suffix.
+        data = tmp_path / "registry"
+        backend = HookedBackend(data)
+        service = MergeService(storage=backend)
+        live = two_component_history(service)
+        assert service.save() == 2
+        service.register([bridge()])
+        service.register([Schema.build(arrows=[("Court", "in", "City")])])
+        live += [bridge(), Schema.build(arrows=[("Court", "in", "City")])]
+        backend.armed = backend.fail = True
+        with pytest.raises(OSError, match="before the manifest"):
+            service.save()
+        service.close()
+        assert (data / "snap-0-4.json").exists()  # written, never referenced
+
+        recovered, replayed = replays_on_open(data)
+        cold = full_replay_of(data, tmp_path / "cold")
+        try:
+            assert replayed == 2
+            assert recovered.service_stats()["storage"]["last_cut_seq"] == 2
+            assert recovered.merged_view() == reference_join_all(live)
+            assert_equivalent(cold, recovered)
+        finally:
+            recovered.close()
+            cold.close()
+
+    def test_manifest_keeps_an_unchanged_component_file_from_an_older_cut(
+        self, tmp_path
+    ):
+        # (b) Only the court component changes between two cuts, so the
+        # second manifest references the first cut's pets file.
+        data = tmp_path / "registry"
+        service = MergeService.open(data)
+        live = two_component_history(service)
+        service.save()
+        assert sorted(p.name for p in data.glob("snap-*.json")) == [
+            "snap-0-1.json", "snap-1-2.json",
+        ]
+        written = counter("storage.cut_files_written")
+        reused = counter("storage.cut_files_reused")
+        city = Schema.build(arrows=[("Court", "in", "City")])
+        service.register([city])
+        live.append(city)
+        assert service.save() == 3
+        service.close()
+        # One component file plus the manifest written; one file kept.
+        assert counter("storage.cut_files_written") == written + 2
+        assert counter("storage.cut_files_reused") == reused + 1
+        assert sorted(p.name for p in data.glob("snap-*.json")) == [
+            "snap-0-1.json", "snap-1-3.json",
+        ]
+        manifest = _unseal(
+            (data / FileBackend.MANIFEST_NAME).read_text(), CorruptSnapshotError
+        )
+        assert manifest["files"] == [[0, 1], [1, 3]]
+
+        recovered, replayed = replays_on_open(data)
+        cold = full_replay_of(data, tmp_path / "cold")
+        try:
+            assert replayed == 0
+            assert recovered.merged_view() == reference_join_all(live)
+            assert_equivalent(cold, recovered)
+        finally:
+            recovered.close()
+            cold.close()
+
+    def test_a_kill_with_a_cut_in_flight_replays_only_the_suffix(
+        self, tmp_path
+    ):
+        # (c) The directory is copied while the cutter is parked between
+        # two component files — the disk as a SIGKILL would leave it.
+        data = tmp_path / "registry"
+        backend = HookedBackend(data)
+        service = MergeService(storage=backend, snapshot_every=4)
+        try:
+            live = []
+            for i in range(4):
+                service.register([fresh(i)])
+                live.append(fresh(i).schema)
+            assert settle(service)["last_cut_seq"] == 4
+            backend.armed = True
+            for i in range(4, 9):
+                service.register([RegistrationEntry(
+                    Schema.build(arrows=[(f"C{i % 4}", "next", f"D{i}")])
+                )])
+                live.append(Schema.build(arrows=[(f"C{i % 4}", "next", f"D{i}")]))
+            assert backend.reached.wait(CUT_TIMEOUT)
+            shutil.copytree(data, tmp_path / "killed")
+        finally:
+            backend.release.set()
+            service.close()
+
+        recovered, replayed = replays_on_open(tmp_path / "killed")
+        cold = full_replay_of(tmp_path / "killed", tmp_path / "cold")
+        try:
+            assert replayed == 5  # the suffix past the durable cut at 4
+            assert recovered.merged_view() == reference_join_all(live)
+            assert_equivalent(cold, recovered)
+        finally:
+            recovered.close()
+            cold.close()
+
+    def test_close_during_a_cut_waits_for_it_then_releases_the_lock(
+        self, tmp_path
+    ):
+        # (d) close() drains the cutter before it gives up LOCK.
+        data = tmp_path / "registry"
+        backend = HookedBackend(data)
+        service = MergeService(storage=backend, snapshot_every=2)
+        backend.armed = True
+        two_component_history(service)
+        assert backend.reached.wait(CUT_TIMEOUT)
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        try:
+            closer.join(0.2)
+            assert closer.is_alive()  # waiting for the cut
+            assert open_in_child(data) == "StorageLockedError"
+        finally:
+            backend.release.set()
+        closer.join(CUT_TIMEOUT)
+        assert not closer.is_alive()
+        assert open_in_child(data) == "opened"
+        reopened, replayed = replays_on_open(data)
+        try:
+            assert replayed == 0  # the drained cut covers the whole log
+            assert reopened.merged_view() == reference_join_all([pets(), court()])
+        finally:
+            reopened.close()
+
+    def test_a_torn_rewrite_of_a_referenced_file_leaves_it_whole(
+        self, tmp_path, monkeypatch
+    ):
+        # A referenced file is missing, so open replays the whole log and
+        # the first cut rewrites pairs the durable manifest still names.
+        # A crash mid-write tears only the temp file.
+        data = tmp_path / "registry"
+        service = MergeService.open(data)
+        live = two_component_history(service)
+        service.save()
+        service.close()
+        (data / "snap-1-2.json").unlink()
+        service, replayed = replays_on_open(data)
+        assert replayed == 2
+        real_fsync = os.fsync
+
+        def torn_fsync(fd: int) -> None:
+            os.ftruncate(fd, os.fstat(fd).st_size // 2)
+            raise OSError(errno.EIO, "injected crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", torn_fsync)
+        try:
+            with pytest.raises(OSError, match="mid-write"):
+                service.save()
+        finally:
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            service.close()
+
+        assert (data / "snap-0-1.json").exists()
+        recovered, replayed = replays_on_open(data)
+        try:
+            assert replayed == 2  # still a full replay, not corruption
+            assert recovered.merged_view() == reference_join_all(live)
+        finally:
+            recovered.close()
+
+    def test_a_v1_manifest_is_a_full_replay(self, tmp_path):
+        # (e) A manifest of the per-seq layout is no cut at all.
+        data = TestSnapshotFaults().make_dir(tmp_path)
+        path = data / FileBackend.MANIFEST_NAME
+        manifest = _unseal(path.read_text(), CorruptSnapshotError)
+        manifest["format"] = "repro.service.manifest/1"
+        path.write_text(_seal(manifest) + "\n")
+        recovered, replayed = replays_on_open(data)
+        try:
+            assert replayed == 3
+            assert recovered.service_stats()["storage"]["last_cut_seq"] == 0
+            assert recovered.merged_view() == TestSnapshotFaults().expected_view()
+        finally:
+            recovered.close()
+
+    def test_snapshot_file_of_another_component_is_typed_corruption(
+        self, tmp_path
+    ):
+        data = TestSnapshotFaults().make_dir(tmp_path)
+        first, second = sorted(data.glob("snap-*.json"))
+        first.write_bytes(second.read_bytes())
+        with pytest.raises(CorruptSnapshotError, match="holds component"):
+            MergeService.open(data)
+
+
+class TestCutCost:
+    def test_load_state_decodes_each_schema_document_once(
+        self, tmp_path, monkeypatch
+    ):
+        data = tmp_path / "registry"
+        service = MergeService.open(data)
+        service.register([RegistrationEntry(pets(), name="pets")])
+        service.register([RegistrationEntry(pets(), name="pets")])  # twin
+        service.register([RegistrationEntry(court(), name="court")])
+        service.register([pets(), RegistrationEntry(bridge(), name="bridge")])
+        service.retire("court")  # a version whose schema left every file
+        city = Schema.build(arrows=[("City", "has", "Court")])
+        service.register([RegistrationEntry(city, name="city")])
+        service.save()
+        members = [g for sid in service.components() for g in service.component_schemas(sid)]
+        versions = [v.schema for vs in service._registry.series.values() for v in vs]
+        distinct = len(set(members) | set(versions))
+        service.close()
+
+        calls = []
+        decode = storage_module.schema_from_dict
+        monkeypatch.setattr(
+            storage_module, "schema_from_dict",
+            lambda doc: calls.append(doc) or decode(doc),
+        )
+        backend = FileBackend(data)
+        try:
+            state = backend.load_state()
+            hydrated = [g for c in state.components for g in c.members]
+        finally:
+            backend.close()
+        assert len(calls) == distinct
+        assert len(hydrated) == len(members)
+        assert set(hydrated) == set(members)
+
+    def test_a_cut_encodes_only_schemas_it_has_not_encoded(
+        self, tmp_path, monkeypatch
+    ):
+        data = tmp_path / "registry"
+        service = MergeService.open(data, fsync=False)
+        for i in range(6):
+            service.register([fresh(i)])
+        service.save()
+        linked = Schema.build(arrows=[("C0", "to", "C1")])
+        service.register([linked])  # merges two components
+        calls = []
+        encode = storage_module.schema_to_dict
+        monkeypatch.setattr(
+            storage_module, "schema_to_dict",
+            lambda schema: calls.append(schema) or encode(schema),
+        )
+        service.save()
+        service.close()
+        assert calls == [linked]
+
+    def test_records_unseal_only_the_suffix(self, tmp_path, monkeypatch):
+        data = TestLogFaults().make_dir(tmp_path)
+        unsealed = []
+        unseal = storage_module._unseal
+        backend = FileBackend(data)
+        monkeypatch.setattr(
+            storage_module, "_unseal",
+            lambda text, error: unsealed.append(text) or unseal(text, error),
+        )
+        try:
+            assert [seq for seq, _r in backend.records(after=2)] == [3]
+            assert len(unsealed) == 1
+            assert [seq for seq, _r in backend.records()] == [1, 2, 3]
+        finally:
+            backend.close()
+
+    def test_cut_telemetry(self, tmp_path):
+        histogram = storage_module.CUT_DURATION
+        observed = histogram.count
+        data = tmp_path / "registry"
+        service = MergeService.open(data, fsync=False, snapshot_every=1)
+        try:
+            assert "cut_pending" in service.service_stats()["storage"]
+            service.register([pets()])
+            stats = settle(service)
+            assert stats == {**stats, "last_cut_seq": 1, "cut_pending": False}
+            assert histogram.count == observed + 1
+        finally:
+            service.close()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
