@@ -16,6 +16,9 @@ component), and measures:
   client + ~0.5 ms server CPU per request, zero idle), so *no* locking
   design can scale it — the artifact records the measured ratio and
   why it was not gated;
+* **warm GET round trips** — p50/p99 and requests/s of one client
+  re-reading a memoized component view and query answer (recorded,
+  not gated);
 * **read latency under write load** — a deliberately huge register
   batch (calibrated to take ≥ ~100 ms server-side) is posted in the
   background while warm ``query`` reads hammer the same server; the
@@ -45,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.generators.random_schemas import random_schema_family
 from repro.generators.workloads import get_concurrent_stream
 from repro.io.json_io import dumps as io_dumps, schema_to_dict
+from repro.service import MergeService
 from repro.service.api_types import API_FORMAT
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -394,12 +398,70 @@ def run_read_latency_under_write(target_write_s: float = 0.1) -> Dict[str, Any]:
     }
 
 
+def run_warm_gets(n_requests: int) -> Dict[str, Dict[str, Any]]:
+    """Loopback round trips of warm view and query ``GET``s.
+
+    Each route's first ``GET`` fills the shard's body memo; the timed
+    ones that follow are memo hits, sent one after another on one
+    keep-alive connection.  The warm body is checked byte for byte
+    against a fresh encode of the same registry in process.
+    """
+    initial, _lanes = get_concurrent_stream("concurrent-disjoint-4").make()
+    mirror = MergeService(initial)
+    cls = sorted(str(c) for c in initial[0].classes)[0]
+    sid = mirror.component_of(cls)
+    query = {"format": API_FORMAT}
+    query.update(mirror.query(cls).to_dict())
+    view = {
+        "format": API_FORMAT,
+        "component": sid,
+        "view": schema_to_dict(mirror.merged_view(sid)),
+    }
+    routes = {
+        "view": (f"/v1/components/{sid}/view", json.dumps(view).encode()),
+        "query": (f"/v1/query/{cls}", json.dumps(query).encode()),
+    }
+    results: Dict[str, Dict[str, Any]] = {}
+    with tempfile.TemporaryDirectory() as tmpdir:
+        with HttpServer(_seed_files(tmpdir, initial)) as server:
+            conn = http.client.HTTPConnection(HOST, server.port, timeout=60)
+            try:
+                for route, (path, expected) in routes.items():
+                    conn.request("GET", path)
+                    body = conn.getresponse().read()
+                    if body != expected:
+                        raise AssertionError(
+                            f"GET {path} differs from a fresh encode"
+                        )
+                    latencies = []
+                    failures = 0
+                    wall_start = time.perf_counter()
+                    for _ in range(n_requests):
+                        start = time.perf_counter()
+                        failures += _get(conn, path) != 200
+                        latencies.append(time.perf_counter() - start)
+                    wall = time.perf_counter() - wall_start
+                    results[route] = {
+                        "path": path,
+                        "body_bytes": len(body),
+                        "requests": n_requests,
+                        "wall_s": wall,
+                        "rps": n_requests / wall if wall > 0 else 0.0,
+                        "latency_s": _percentiles(latencies),
+                        "failures": failures,
+                    }
+            finally:
+                conn.close()
+    return results
+
+
 def run_http_bench(smoke: bool = False) -> Dict[str, Any]:
-    """The full suite: writer scaling levels + the non-blocking gate."""
+    """The full suite: writer scaling levels, warm GETs, the non-blocking gate."""
     total_requests = 96 if smoke else 480
     levels = {}
     for n_writers in WRITER_LEVELS:
         levels[str(n_writers)] = run_writer_level(n_writers, total_requests)
+    warm_gets = run_warm_gets(200 if smoke else 2000)
 
     read_under_write = run_read_latency_under_write(
         target_write_s=0.05 if smoke else 0.1
@@ -410,7 +472,7 @@ def run_http_bench(smoke: bool = False) -> Dict[str, Any]:
     scaling = sixteen / single if single > 0 else 0.0
     healthy = not any(
         level["failures"] or level["hung"] for level in levels.values()
-    )
+    ) and not any(warm["failures"] for warm in warm_gets.values())
     cpu_count = os.cpu_count() or 1
     # Two reasons not to gate the throughput ratio: smoke runs (shared
     # runners jitter too much) and single-core hosts (the round trip is
@@ -439,6 +501,7 @@ def run_http_bench(smoke: bool = False) -> Dict[str, Any]:
     }
     return {
         "levels": levels,
+        "warm_gets": warm_gets,
         "read_latency_under_write": read_under_write,
         "summary": summary,
     }

@@ -39,7 +39,8 @@ Current suites:
   stream (fsync reported separately).
 * ``http`` — the asyncio front end (``benchmarks/bench_http.py``): a
   real ``serve --http`` subprocess under 1/4/16 concurrent writer
-  connections.  Acceptance (full mode, multi-core hosts): 16-writer
+  connections, plus warm view and query ``GET`` round trips (recorded
+  as ``warm_get/*``, not gated).  Acceptance (full mode, multi-core hosts): 16-writer
   disjoint throughput ≥ 2x single-writer, and warm reads stay
   non-blocking while a large register is in flight.
 
@@ -734,6 +735,29 @@ def http_suite(args: argparse.Namespace) -> SuiteResult:
                 requests=level["requests"],
                 requests_per_second=level["rps"],
                 latency=latency,
+            )
+        )
+    for route, warm in result["warm_gets"].items():
+        latency = warm["latency_s"]
+        print(
+            f"  warm GET {route:>5}: {warm['rps']:8.0f} req/s   "
+            f"p50 {latency['p50'] * 1e3:6.3f} ms   "
+            f"p99 {latency['p99'] * 1e3:6.3f} ms"
+        )
+        records.append(
+            record(
+                f"warm_get/{route}",
+                "http",
+                {
+                    "best_s": warm["wall_s"],
+                    "mean_s": warm["wall_s"],
+                    "repeat": 1,
+                    "runs": [warm["wall_s"]],
+                },
+                requests=warm["requests"],
+                requests_per_second=warm["rps"],
+                latency=latency,
+                body_bytes=warm["body_bytes"],
             )
         )
     ruw = result["read_latency_under_write"]

@@ -230,12 +230,19 @@ def properize(schema: Schema) -> Schema:
     moved = [1 << k for k in perm]
     # Old ids of classes that Imp re-derives: their rows are replaced.
     rederived = {pos[bar] for bar in members if bar in pos}
-    # ext(m) looks each implicit class up under its lowest member id.
-    by_low: Dict[int, List[Tuple[int, int]]] = {}
+    # ext(m) = {X̄ | X ⊆ m}.  The X̄ filed under m's ids (each under its
+    # lowest member) are the candidates, and one mask AND per member id
+    # outside m drops those not inside m, so a member every X̄ shares (an
+    # NFA's start state) costs no per-class scan.
+    filed: Dict[int, Tuple[int, int]] = {}  # id → (bits of its X̄, their members)
+    having: Dict[int, int] = {}  # member id → bits of the X̄ holding it
     for bar, need in members.items():
-        by_low.setdefault((need & -need).bit_length() - 1, []).append(
-            (need, 1 << out_pos[bar])
-        )
+        bit = 1 << out_pos[bar]
+        low = (need & -need).bit_length() - 1
+        bits, span = filed.get(low, (0, 0))
+        filed[low] = (bits | bit, span | need)
+        for j in iter_bits(need):
+            having[j] = having.get(j, 0) | bit
     memo: Dict[int, int] = {}
 
     def out(mask: int) -> int:
@@ -243,17 +250,23 @@ def properize(schema: Schema) -> Schema:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        acc = 0
+        acc = ext = span = 0
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
             acc |= moved[i]
-            for need, bit in by_low.get(i, ()):
-                if not need & ~mask:
-                    acc |= bit
-        memo[mask] = acc
+            candidates = filed.get(i)
+            if candidates is not None:
+                ext |= candidates[0]
+                span |= candidates[1]
+        rest = span & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ext &= ~having[low.bit_length() - 1]
+        memo[mask] = acc = acc | ext
         return acc
 
     out_succ = [0] * len(order)

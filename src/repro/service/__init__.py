@@ -17,9 +17,9 @@ across requests* instead of recomputed per call:
   independently too, writers on disjoint components run concurrently
   while readers never lock at all (see :mod:`repro.service.service`);
 * **memoized answers** — a commit publishes *new* immutable
-  :class:`Shard` objects, so component views, ``query`` answers and
-  :class:`ComponentSnapshot` exports are memoized on the shard they
-  came from: a write drops exactly the memos of the shards it
+  :class:`Shard` objects, so component views, ``query`` answers,
+  :class:`ComponentSnapshot` exports and the encoded HTTP bodies are
+  memoized on the shard they came from: a write drops exactly the memos of the shards it
   replaces, and shards in *other* components stay warm;
 * **typed results** (:mod:`repro.service.api_types`) — ``register``
   returns a :class:`RegisterReceipt`, ``query`` a :class:`QueryResult`,

@@ -71,11 +71,12 @@ True
 from __future__ import annotations
 
 import itertools
+import json
 import queue
 import threading
 import weakref
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union
 
 from dataclasses import replace as _dc_replace
 from pathlib import Path
@@ -91,11 +92,12 @@ from repro.exceptions import (
     UnknownClassError,
     UnknownSchemaError,
 )
+from repro.io.json_io import schema_to_dict
 from repro.obs import _state as _obs_state
 from repro.obs.metrics import Counter, Gauge, Histogram, REGISTRY
 from repro.obs.tracing import span
 from repro.perf.closure import ClosureBuilder
-from repro.service.api_types import QueryResult, RegisterReceipt, RetireReceipt
+from repro.service.api_types import API_FORMAT, QueryResult, RegisterReceipt, RetireReceipt
 from repro.service.shards import Shard, plan_groups
 from repro.service.snapshots import ComponentSnapshot
 from repro.service.storage import (
@@ -116,6 +118,8 @@ from repro.service.storage import (
 __all__ = ["MergeService"]
 
 ComponentRef = Union[int, ClassName, str]
+_Key = TypeVar("_Key")
+_Answer = TypeVar("_Answer")
 
 
 def _new_writer_lock() -> LockLike:
@@ -276,6 +280,11 @@ class _Group:
 _Plan = List[Tuple[Set[int], List[int]]]
 #: A write's lifecycle-table delta plus the log record describing it.
 _Delta = Tuple[Dict[str, Tuple[VersionState, ...]], LogRecord]
+
+
+def _encode(payload: Dict[str, Any]) -> bytes:
+    """A JSON document as the HTTP front end sends it."""
+    return json.dumps(payload).encode("utf-8")
 
 
 def _disjoint_union(parts: List[Schema]) -> Schema:
@@ -1270,6 +1279,22 @@ class MergeService:
         registry.view = view = _disjoint_union(parts)
         return view, outcome
 
+    def _read(
+        self, answer: Callable[[_Key], _Answer], key: _Key, duration: Histogram
+    ) -> _Answer:
+        """Count one read request and answer it; time 1 request in every
+        ``telemetry_sample_every`` into *duration* (enabled mode only)."""
+        self._check_open()
+        self._requests = requests = next(self._ticker)
+        if (requests & self._sample_mask) != self._sample_on:
+            return answer(key)
+        # Read paths record durations only: a span per read would cost
+        # more than the read itself (spans live on the write path).
+        start = perf_counter()
+        out = answer(key)
+        duration.observe(perf_counter() - start)
+        return out
+
     def merged_view(self, component: Optional[ComponentRef] = None) -> Schema:
         """The merged schema of one component, or of the whole registry.
 
@@ -1279,16 +1304,9 @@ class MergeService:
         ``join_all`` over all registered schemas.  Never blocks behind a
         writer: answers come from the latest published snapshot.
         """
-        self._check_open()
-        self._requests = requests = next(self._ticker)
-        if (requests & self._sample_mask) != self._sample_on:
-            return self._merged_view(component)
-        # Read paths record durations only: a span per read would cost
-        # more than the read itself (spans live on the write path).
-        start = perf_counter()
-        view = self._merged_view(component)
-        self._telemetry.view_duration.observe(perf_counter() - start)
-        return view
+        return self._read(
+            self._merged_view, component, self._telemetry.view_duration
+        )
 
     def _merged_view(self, component: Optional[ComponentRef]) -> Schema:
         if component is None:
@@ -1298,6 +1316,35 @@ class MergeService:
         outcome.inc()
         return view
 
+    def view_body(self, component: ComponentRef) -> bytes:
+        """One component's view as the encoded ``repro.api/1`` document.
+
+        The body ``GET /v1/components/{id}/view`` sends: ``{"format",
+        "component", "view"}`` with the view in ``repro.schema/1`` form.
+        It is encoded once and memoized on the shard beside its view, so
+        a warm call runs neither ``schema_to_dict`` nor ``json.dumps``.
+        Counts and samples exactly like ``merged_view(component)``.
+        """
+        return self._read(
+            self._view_body, component, self._telemetry.view_duration
+        )
+
+    def _view_body(self, component: ComponentRef) -> bytes:
+        shard = self._resolve(component)
+        body = shard.bodies.get(None)
+        if body is None:
+            view, outcome = self._component_schema(shard)
+            shard.bodies[None] = body = _encode({
+                "format": API_FORMAT,
+                "component": shard.sid,
+                "view": schema_to_dict(view),
+            })
+        else:
+            self._telemetry.component_hits.inc()
+            outcome = self._telemetry.view_hits
+        outcome.inc()
+        return body
+
     def query(self, cls: ClassName | str) -> QueryResult:
         """Everything the merged view asserts about one class name.
 
@@ -1305,18 +1352,13 @@ class MergeService:
         the shard that owns the name, so registrations in *other*
         components leave it warm.  Lock-free, like :meth:`merged_view`.
         """
-        self._check_open()
-        self._requests = requests = next(self._ticker)
-        key_name = name(cls)
-        if (requests & self._sample_mask) != self._sample_on:
-            return self._query(key_name)
-        start = perf_counter()
-        answer = self._query(key_name)
-        self._telemetry.query_duration.observe(perf_counter() - start)
-        return answer
+        return self._read(self._query, cls, self._telemetry.query_duration)
 
-    def _query(self, key_name: ClassName) -> QueryResult:
-        shard = self._resolve(key_name)
+    def _query(self, cls: ClassName | str) -> QueryResult:
+        key_name = name(cls)
+        return self._answer(self._resolve(key_name), key_name)
+
+    def _answer(self, shard: Shard, key_name: ClassName) -> QueryResult:
         answer = shard.answers.get(key_name)
         if answer is not None:
             self._telemetry.answer_hits.inc()
@@ -1327,6 +1369,30 @@ class MergeService:
             merged, key_name, shard.sid, len(shard.schemas)
         )
         return answer
+
+    def query_body(self, cls: ClassName | str) -> bytes:
+        """``query(cls)`` as the encoded ``repro.api/1`` document.
+
+        The body ``GET /v1/query/{class}`` sends, memoized on the shard
+        that owns the name like the answer itself: a warm call runs
+        neither ``QueryResult.to_dict`` nor ``json.dumps``.  Counts and
+        samples exactly like ``query(cls)``.
+        """
+        return self._read(
+            self._query_body, cls, self._telemetry.query_duration
+        )
+
+    def _query_body(self, cls: ClassName | str) -> bytes:
+        key_name = name(cls)
+        shard = self._resolve(key_name)
+        body = shard.bodies.get(key_name)
+        if body is not None:
+            self._telemetry.answer_hits.inc()
+            return body
+        payload: Dict[str, Any] = {"format": API_FORMAT}
+        payload.update(self._answer(shard, key_name).to_dict())
+        shard.bodies[key_name] = body = _encode(payload)
+        return body
 
     def component_snapshot(self, component: ComponentRef) -> ComponentSnapshot:
         """One component's merged view as a serialization-ready value.

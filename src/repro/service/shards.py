@@ -78,11 +78,13 @@ class Shard:
     commit never changes a published shard's content; it publishes a
     *new* shard.  So the answers derived from a shard are memoized on
     it: *view* (the merged schema), *answers* (``ClassName →
-    QueryResult``) and *snapshot* (the :class:`ComponentSnapshot`).
-    Lock-free readers fill them lazily; a race costs one duplicate
-    build, never a wrong answer.  A commit drops exactly the memos of
-    the shards it replaces, and *answers* only holds names the shard
-    contains, so memo memory is bounded by the registry.
+    QueryResult``), *snapshot* (the :class:`ComponentSnapshot`) and
+    *bodies*, the encoded HTTP response bodies (``None`` → the view's,
+    ``ClassName`` → that name's query answer).  Lock-free readers fill
+    them lazily; a race costs one duplicate build, never a wrong answer.
+    A commit drops exactly the memos of the shards it replaces, and
+    *answers* and *bodies* only hold names the shard contains, so memo
+    memory is bounded by the registry.
 
     *schemas* is any immutable-after-handoff sequence: commits build
     plain lists, but a snapshot-led recovery hands over a lazily
@@ -91,7 +93,8 @@ class Shard:
     """
 
     __slots__ = (
-        "sid", "builder", "schemas", "generation", "view", "answers", "snapshot"
+        "sid", "builder", "schemas", "generation",
+        "view", "answers", "snapshot", "bodies",
     )
 
     def __init__(
@@ -108,6 +111,7 @@ class Shard:
         self.view: Optional[Schema] = None
         self.answers: Dict[ClassName, QueryResult] = {}
         self.snapshot: Optional[ComponentSnapshot] = None
+        self.bodies: Dict[Optional[ClassName], bytes] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -9,6 +9,7 @@ use from a thread pool.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,7 +19,9 @@ from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError, UnknownClassError
 from repro.generators.random_schemas import random_schema_family
 from repro.generators.workloads import get_request_stream, replay
+from repro.io.json_io import schema_to_dict
 from repro.service import (
+    API_FORMAT,
     MergeService,
     RegisterReceipt,
     UnionFind,
@@ -303,6 +306,81 @@ class TestShardMemos:
         assert memos() == before
         for shard in service._registry.shards.values():
             assert set(shard.answers) <= shard.view.classes
+
+
+class TestBodyMemos:
+    """The encoded HTTP bodies live on the shard, beside its answers."""
+
+    @staticmethod
+    def seeded() -> MergeService:
+        initial, _requests = get_request_stream("service-sharded-small").make()
+        return MergeService(initial)
+
+    @staticmethod
+    def fresh_view(service, sid):
+        return json.dumps({
+            "format": API_FORMAT,
+            "component": sid,
+            "view": schema_to_dict(service.merged_view(sid)),
+        }).encode("utf-8")
+
+    @staticmethod
+    def fresh_query(service, cls):
+        payload = {"format": API_FORMAT}
+        payload.update(service.query(cls).to_dict())
+        return json.dumps(payload).encode("utf-8")
+
+    def test_warm_bodies_equal_a_fresh_encode(self):
+        service = self.seeded()
+        assert len(service.components()) > 1
+        classes = sorted(service._registry.class_to_sid, key=str)
+        for _ in range(2):  # cold, then warm
+            for sid in service.components():
+                assert service.view_body(sid) == self.fresh_view(service, sid)
+            for cls in classes:
+                assert service.query_body(cls) == self.fresh_query(service, cls)
+
+    def test_a_write_re_encodes_only_its_component(self):
+        service = MergeService([pets_schema(), court_schema()])
+        dog, court = service.component_of("Dog"), service.component_of("Court")
+        dog_view, court_view = service.view_body(dog), service.view_body(court)
+        dog_query, court_query = service.query_body("Dog"), service.query_body("Court")
+        service.register([Schema.build(arrows=[("Dog", "walks", "Park")])])
+        dog = service.component_of("Dog")
+        assert service.view_body(dog) != dog_view
+        assert service.view_body(dog) == self.fresh_view(service, dog)
+        assert service.query_body("Dog") != dog_query
+        assert service.view_body(court) is court_view
+        assert service.query_body("Court") is court_query
+
+    def test_unknown_class_leaves_no_body(self):
+        service = MergeService([pets_schema(), court_schema()])
+        service.query_body("Dog")
+
+        def memos():
+            return {
+                sid: dict(shard.bodies)
+                for sid, shard in service._registry.shards.items()
+            }
+
+        before = memos()
+        with pytest.raises(UnknownClassError):
+            service.query_body("NoSuchClass")
+        with pytest.raises(UnknownClassError):
+            service.view_body(99)
+        assert memos() == before
+        for shard in service._registry.shards.values():
+            assert set(shard.bodies) - {None} <= shard.builder.classes
+
+    def test_bodies_leave_the_typed_answers_unchanged(self):
+        plain = MergeService([pets_schema(), court_schema()])
+        served = MergeService([pets_schema(), court_schema()])
+        for cls in ("Dog", "Puppy", "Court"):
+            served.query_body(cls)
+            served.view_body(cls)
+            assert served.query(cls) == plain.query(cls)
+            assert served.merged_view(cls) == plain.merged_view(cls)
+        assert served.merged_view() == plain.merged_view()
 
 
 class TestConcurrency:

@@ -28,6 +28,7 @@ from repro.exceptions import (
     UnknownClassError,
     UnknownSchemaError,
 )
+from repro.generators.workloads import get_request_stream
 from repro.io.json_io import schema_from_dict, schema_to_dict
 from repro.service import (
     API_FORMAT,
@@ -453,3 +454,160 @@ class TestReadsDuringWrite:
                 thread.join(timeout=60)
         assert [status for status, _doc in posted] == [200]
         assert service.component_of("Case") == service.component_of("Dog")
+
+
+def get_bytes(conn, path):
+    conn.request("GET", path)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestWarmBodies:
+    """View and query bodies are memoized on the shard as encoded bytes."""
+
+    @pytest.fixture
+    def sharded(self):
+        initial, _requests = get_request_stream("service-sharded-small").make()
+        service = MergeService(initial)
+        with HttpFrontend(service, port=0) as server:
+            connection = http.client.HTTPConnection(*server.address, timeout=10)
+            yield service, connection
+            connection.close()
+
+    @staticmethod
+    def fresh_view(service, sid):
+        payload = {
+            "format": API_FORMAT,
+            "component": sid,
+            "view": schema_to_dict(service.merged_view(sid)),
+        }
+        return json.dumps(payload).encode()
+
+    @staticmethod
+    def fresh_query(service, cls):
+        payload = {"format": API_FORMAT}
+        payload.update(service.query(cls).to_dict())
+        return json.dumps(payload).encode()
+
+    def test_warm_bodies_are_byte_identical_to_a_fresh_encode(self, sharded):
+        service, conn = sharded
+        assert len(service.components()) > 1
+        classes = sorted(service._registry.class_to_sid, key=str)
+        for _ in range(2):  # cold, then warm
+            for sid in service.components():
+                status, body = get_bytes(conn, f"/v1/components/{sid}/view")
+                assert (status, body) == (200, self.fresh_view(service, sid))
+            for cls in classes:
+                status, body = get_bytes(conn, f"/v1/query/{cls}")
+                assert (status, body) == (200, self.fresh_query(service, cls))
+
+    def test_a_post_re_encodes_only_its_component(self, conn, service):
+        dog, court = service.component_of("Dog"), service.component_of("Court")
+        paths = (
+            f"/v1/components/{dog}/view", f"/v1/components/{court}/view",
+            "/v1/query/Dog", "/v1/query/Court",
+        )
+        before = [get_bytes(conn, path)[1] for path in paths]
+        court_bodies = dict(service._registry.shards[court].bodies)
+        status, _doc = post(
+            conn,
+            "/v1/schemas",
+            {
+                "format": API_FORMAT,
+                "schemas": [schema_doc(Schema.build(arrows=[("Dog", "walks", "Park")]))],
+            },
+        )
+        assert status == 200
+        after = [get_bytes(conn, path)[1] for path in paths]
+        assert after[0] != before[0] and after[2] != before[2]
+        assert after[1] == before[1] and after[3] == before[3]
+        assert after[0] == self.fresh_view(service, dog)
+        court_shard = service._registry.shards[court]
+        assert all(
+            court_shard.bodies[key] is body for key, body in court_bodies.items()
+        )
+
+    def test_unknown_class_404_leaves_no_memo_entry(self, conn, service):
+        get_bytes(conn, "/v1/query/Dog")
+
+        def memos():
+            return {
+                sid: dict(shard.bodies)
+                for sid, shard in service._registry.shards.items()
+            }
+
+        before = memos()
+        status, doc = get(conn, "/v1/query/NoSuchClass")
+        assert status == 404 and doc["type"] == "UnknownClassError"
+        assert memos() == before
+
+    def test_a_warm_get_encodes_nothing(self, conn, service, monkeypatch):
+        sid = service.component_of("Dog")
+        paths = (f"/v1/components/{sid}/view", "/v1/query/Dog")
+        warm = [get_bytes(conn, path) for path in paths]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm GET encoded its body again")
+
+        from repro.service import service as service_module
+        from repro.service.api_types import QueryResult
+
+        monkeypatch.setattr(service_module, "schema_to_dict", refuse)
+        monkeypatch.setattr(http_module, "schema_to_dict", refuse)
+        monkeypatch.setattr(QueryResult, "to_dict", refuse)
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert [get_bytes(conn, path) for path in paths] == warm
+
+    @staticmethod
+    def outcomes(service):
+        tel = service.telemetry
+        counters = (
+            tel.view_hits, tel.view_partial, tel.view_misses,
+            tel.component_hits, tel.component_misses,
+            tel.answer_hits, tel.answer_misses,
+        )
+        return [c.value for c in counters] + [service.service_stats()["requests_served"]]
+
+    def test_warm_gets_count_what_in_process_reads_count(self, conn, service):
+        sid = service.component_of("Dog")
+        for read, path in (
+            (lambda: service.merged_view(sid), f"/v1/components/{sid}/view"),
+            (lambda: service.query("Dog"), "/v1/query/Dog"),
+        ):
+            get_bytes(conn, path)
+            read()  # both forms warm
+            start = self.outcomes(service)
+            read()
+            middle = self.outcomes(service)
+            assert get_bytes(conn, path)[0] == 200
+            end = self.outcomes(service)
+            in_process = [b - a for a, b in zip(start, middle)]
+            assert [b - a for a, b in zip(middle, end)] == in_process
+            assert in_process[-1] == 1 and sum(in_process[:-1]) >= 1
+        tel = service.telemetry
+        assert tel.view_hits.value > 0 and tel.answer_hits.value > 0
+
+    def test_sampled_gets_observe_the_duration_histograms(self):
+        from repro import obs
+        from repro.obs import _state
+
+        was_enabled = _state.enabled
+        obs.enable()
+        try:
+            service = MergeService(
+                [Schema.build(arrows=[("Dog", "owner", "Person")])],
+                telemetry_sample_every=1,
+            )
+            with HttpFrontend(service, port=0) as server:
+                connection = http.client.HTTPConnection(*server.address, timeout=10)
+                try:
+                    for _ in range(3):  # one miss, then hits
+                        get_bytes(connection, "/v1/components/0/view")
+                        get_bytes(connection, "/v1/query/Dog")
+                finally:
+                    connection.close()
+            tel = service.telemetry
+            assert tel.view_duration.count == 3
+            assert tel.query_duration.count == 3
+        finally:
+            _state.set_enabled(was_enabled)
