@@ -270,15 +270,18 @@ class AnnotatedSchema:
 
         With the default ``REQUIRED`` this matches the paper's reading
         of plain arrows ("any instance of the class p must have an
-        a-attribute").
+        a-attribute").  With ``OPTIONAL`` the schema's rows, already
+        W2-closed, become the optional rows over its bare order.
         """
+        if isinstance(default, str):
+            default = Participation.parse(default)
         if default == Participation.ABSENT:
             raise ParticipationError("cannot embed arrows at constraint 0")
-        return cls.build(
-            classes=schema.classes,
-            arrows=[(s, a, t, default) for s, a, t in schema.arrows],
-            spec=schema.spec,
-        )
+        dense = schema._dense.reindexed(sorted(schema.classes, key=sort_key))
+        if default == REQUIRED:
+            return cls._make(Schema._from_dense(dense), {})
+        bare = DenseClosure(dense.names, dense.succ, {})
+        return cls._make(Schema._from_dense(bare), dense.reach)
 
     @classmethod
     def empty(cls) -> "AnnotatedSchema":

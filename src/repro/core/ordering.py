@@ -128,12 +128,13 @@ def compatibility_cycle(
     Section 4.1: the collection is *compatible* iff this closure is
     antisymmetric.  The inputs fold through one
     :class:`~repro.perf.closure.ClosureBuilder` — the cycle check
-    :func:`join_all` runs — and only a failing fold computes the
-    witness, a chain of edges the inputs assert.
+    :func:`join_all` runs, on the specialization covers alone — and only
+    a failing fold computes the witness, a chain of edges the inputs
+    assert.
     """
     schema_list = list(schemas)
     try:
-        ClosureBuilder().add_schemas(schema_list)
+        ClosureBuilder().add_schemas(schema_list, _spec_only=True)
     except IncompatibleSchemasError:
         return _cycle_witness(schema_list)
     return None

@@ -24,8 +24,10 @@ which is how every example in the paper is written down.
 Internally a schema is one :class:`DenseClosure`: the classes as a
 dense id table, ``S`` as one up-set bitmask per class and ``E`` as one
 target bitmask per ``(source, label)`` row.  Order questions (up- and
-down-sets, ``MinS``, covers, restriction) read those masks directly;
-the name-level relations are views decoded from them on first use.
+down-sets, ``MinS``, covers, restriction) and arrow questions
+(``R(p, a)``, ``R(X, a)``, arrows from or into a class) read those
+masks directly; only :attr:`Schema.arrows` and :attr:`Schema.spec`
+decode them into name-level relations, on first use.
 
 Proper schemas (section 2) are weak schemas satisfying an extra
 canonicality condition; see :mod:`repro.core.proper`.
@@ -92,12 +94,10 @@ SpecLike = Tuple[NameLike, NameLike]
 #: target ids`` — the arrow relation as :class:`DenseClosure` holds it.
 RowTable = Dict[Tuple[int, Label], int]
 
-# Hash-consing tables (see repro.perf).  Arrows entering through the
-# public coercion path share one canonical tuple per (source, label,
-# target), and every schema is interned on its masks, so structurally
-# equal schemas built from name-level data are pointer-equal and
-# repeated constructions of the same value skip validation entirely.
-_ARROW_INTERN = InternTable("schema.arrows", maxsize=1 << 17)
+# Hash-consing table (see repro.perf).  Every schema is interned on its
+# masks, so structurally equal schemas built from name-level data are
+# pointer-equal and repeated constructions of the same value skip
+# validation entirely.
 _SCHEMA_INTERN = InternTable("schema.schemas", maxsize=4096)
 
 
@@ -108,11 +108,7 @@ def _coerce_arrow(edge: ArrowLike) -> Arrow:
         raise SchemaValidationError(
             f"arrows must be (source, label, target) triples, got {edge!r}"
         ) from exc
-    arrow = (name(source), check_label(label), name(target))
-    cached = _ARROW_INTERN.get(arrow)
-    if cached is not None:
-        return cached
-    return _ARROW_INTERN.put(arrow, arrow)
+    return (name(source), check_label(label), name(target))
 
 
 def _coerce_spec(edge: SpecLike) -> SpecEdge:
@@ -138,10 +134,10 @@ class DenseClosure:
     *names* is the id table (position = dense id), *succ* the
     reflexive-transitive specialization closure (``succ[i]`` bit *j*
     set ⇔ ``i ==> j``), *reach* the W1/W2-closed arrow rows keyed on
-    ``(source_id, label)``.  Every relation is integers, so a snapshot
-    encoder writes each name exactly once and never walks a schema
-    object graph (``repro.io.json_io``), and the name-level views of a
-    ``Schema`` decode lazily, on first use.
+    ``(source_id, label)`` — the paper's ``R(p, a)`` as one mask.  Every
+    relation is integers, so a snapshot encoder writes each name exactly
+    once and never walks a schema object graph (``repro.io.json_io``),
+    and a ``Schema`` answers its queries on the masks.
 
     >>> from repro.perf.closure import ClosureBuilder
     >>> state = (ClosureBuilder().add_spec_edge("Puppy", "Dog")
@@ -258,27 +254,6 @@ class DenseClosure:
                 reach[(k, label)] = up
         return DenseClosure(tuple(names), tuple(succ), reach)
 
-    def decode_index(
-        self,
-    ) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
-        """The name-level reach index ``{(p, a): R(p, a)}`` of the rows.
-
-        Masks repeat heavily across rows (W1 pushes the same expanded
-        target set down a whole subtree), so target sets are decoded
-        once per distinct mask.
-        """
-        names = self.names
-        decode: Dict[int, FrozenSet[ClassName]] = {}
-        index: Dict[Tuple[ClassName, Label], FrozenSet[ClassName]] = {}
-        for (src, label), tmask in self.reach.items():
-            targets = decode.get(tmask)
-            if targets is None:
-                targets = decode[tmask] = frozenset(
-                    names[i] for i in relations.iter_bits(tmask)
-                )
-            index[(names[src], label)] = targets
-        return index
-
     def decode_spec(self) -> FrozenSet[SpecEdge]:
         """The name-level specialization closure of the ``succ`` table."""
         names = self.names
@@ -359,11 +334,11 @@ class Schema:
     schema and raises :class:`~repro.exceptions.SchemaValidationError`
     otherwise.
 
-    Every schema is one :class:`DenseClosure`; the name-level
-    relations (:attr:`arrows`, :attr:`spec`, the reach index) are views
-    decoded from it on first use.  Equality and hashing are structural,
-    so two independently built schemas with the same classes, arrows
-    and specializations compare equal — which is what lets the test
+    Every schema is one :class:`DenseClosure`, and every query reads
+    its masks; the name-level relations :attr:`arrows` and :attr:`spec`
+    are views decoded from it on first use.  Equality and hashing are
+    structural, so two independently built schemas with the same
+    classes, arrows and specializations compare equal — which is what lets the test
     suite assert "our merge equals the paper's figure" directly.
     """
 
@@ -373,7 +348,6 @@ class Schema:
         "_hash",
         "_arrows",
         "_spec",
-        "_reach_cache",
         "_layout",
         "_ids",
     )
@@ -492,10 +466,11 @@ class Schema:
         try:
             return self._arrows
         except AttributeError:
+            table = self._dense.names
             arrows = frozenset(
-                (source, label, target)
-                for (source, label), targets in self._reach_index().items()
-                for target in targets
+                (table[src], label, table[t])
+                for (src, label), tmask in self._dense.reach.items()
+                for t in relations.iter_bits(tmask)
             )
             object.__setattr__(self, "_arrows", arrows)
             return arrows
@@ -580,8 +555,10 @@ class Schema:
 
     def has_arrow(self, source: NameLike, label: Label, target: NameLike) -> bool:
         """Does ``source --label--> target`` hold (in the closed relation)?"""
-        targets = self._reach_index().get((name(source), label))
-        return targets is not None and name(target) in targets
+        ids = self._id_map()
+        j = ids.get(name(target))
+        row = self._dense.reach.get((ids.get(name(source)), label), 0)
+        return j is not None and bool(row >> j & 1)
 
     def is_spec(self, sub: NameLike, sup: NameLike) -> bool:
         """Does ``sub ==> sup`` hold?"""
@@ -678,20 +655,6 @@ class Schema:
         """Every arrow label used in the schema."""
         return frozenset(label for _src, label in self._dense.reach)
 
-    def _reach_index(self) -> Dict[Tuple[ClassName, Label], FrozenSet[ClassName]]:
-        """``R(p, a)`` for every populated pair, decoded once per schema.
-
-        Derived data over an immutable value, so caching it is
-        observationally pure; it turns the hot ``reach`` queries of
-        properization and satisfaction checking into dictionary lookups.
-        """
-        try:
-            return self._reach_cache
-        except AttributeError:
-            index = self._dense.decode_index()
-            object.__setattr__(self, "_reach_cache", index)
-            return index
-
     def _id_map(self) -> Dict[ClassName, int]:
         """Class → dense id in this schema's table, built on first use."""
         try:
@@ -703,43 +666,44 @@ class Schema:
 
     def out_labels(self, cls: NameLike) -> FrozenSet[Label]:
         """Labels of arrows leaving *cls* — the candidate key components of §5."""
-        p = name(cls)
-        return frozenset(
-            label for (source, label) in self._reach_index() if source == p
-        )
+        i = self._id_map().get(name(cls))
+        return frozenset(label for src, label in self._dense.reach if src == i)
 
     def arrows_from(self, cls: NameLike) -> FrozenSet[Arrow]:
         """All arrows whose source is *cls*."""
         p = name(cls)
         return frozenset(
-            (p, label, target)
-            for (source, label), targets in self._reach_index().items()
-            if source == p
-            for target in targets
+            (p, label, t) for label in self.out_labels(p) for t in self.reach(p, label)
         )
 
     def arrows_into(self, cls: NameLike) -> FrozenSet[Arrow]:
-        """All arrows whose target is *cls*."""
+        """All arrows whose target is *cls*: bit ``j`` of each row."""
         q = name(cls)
+        j = self._id_map().get(q)
+        if j is None:
+            return frozenset()
+        table = self._dense.names
         return frozenset(
-            (source, label, q)
-            for (source, label), targets in self._reach_index().items()
-            if q in targets
+            (table[src], label, q)
+            for (src, label), tmask in self._dense.reach.items()
+            if tmask >> j & 1
         )
 
     def reach(self, cls: NameLike, label: Label) -> FrozenSet[ClassName]:
         """The paper's ``R(p, a)``: all classes reachable from *cls* by *label*."""
-        return self._reach_index().get((name(cls), label), frozenset())
+        i = self._id_map().get(name(cls))
+        return self._names_of(self._dense.reach.get((i, label), 0))
 
     def reach_set(
         self, subset: Iterable[NameLike], label: Label
     ) -> FrozenSet[ClassName]:
-        """The paper's ``R(X, a)``: union of ``R(p, a)`` over ``p ∈ X``."""
-        index = self._reach_index()
-        combined: set = set()
+        """The paper's ``R(X, a)``: the OR of the rows ``R(p, a)``, ``p ∈ X``."""
+        ids = self._id_map()
+        rows = self._dense.reach
+        mask = 0
         for member in names(subset):
-            combined |= index.get((member, label), frozenset())
-        return frozenset(combined)
+            mask |= rows.get((ids.get(member), label), 0)
+        return self._names_of(mask)
 
     def _names_of(self, mask: int) -> FrozenSet[ClassName]:
         """The classes whose ids are set in *mask*."""

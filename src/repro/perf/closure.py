@@ -200,7 +200,9 @@ class ClosureBuilder:
             cycle=cycle,
         )
 
-    def add_schemas(self, schemas: Iterable[Schema]) -> "ClosureBuilder":
+    def add_schemas(
+        self, schemas: Iterable[Schema], *, _spec_only: bool = False
+    ) -> "ClosureBuilder":
         """Fold many (closed) schemas — each one atomically, in order.
 
         On :class:`~repro.exceptions.IncompatibleSchemasError` the
@@ -231,7 +233,9 @@ class ClosureBuilder:
         work for the identical closure.  Each generator row encodes
         positionally through the translation and is OR'd into the raw
         row table under its ``(source_id, label)`` key — closure is
-        deferred to the build-time sweep.
+        deferred to the build-time sweep.  ``_spec_only`` (set only by
+        the compatibility check, which discards the builder) skips the
+        rows: only the specialization fold can fail.
         """
         ns = self._ns
         ids = ns._ids
@@ -295,6 +299,8 @@ class ClosureBuilder:
                             low = mask & -mask
                             pred[low.bit_length() - 1] |= down_a
                             mask ^= low
+                if _spec_only:
+                    continue
                 for spos, label, t0, rest in row_layout:
                     acc = 1 << tr[t0]
                     if rest is not None:
@@ -577,8 +583,8 @@ class ClosureBuilder:
         with unseen endpoints appearing as isolated classes).
 
         The returned schema is backed by the dense closure directly:
-        its name-level reach index, flat arrow relation and structural
-        hash all materialize lazily, on first use.
+        its flat arrow relation and structural hash materialize lazily,
+        on first use.
         """
         ns = self._ns
         succ = self._succ

@@ -143,10 +143,9 @@ class TestOracleEquality:
             }
             for (src, label), mask in state.reach.items()
         }
-        oracle_index = {
-            (str(src), label): {str(t) for t in targets}
-            for (src, label), targets in oracle._reach_index().items()
-        }
+        oracle_index = {}
+        for src, label, target in oracle.arrows:
+            oracle_index.setdefault((str(src), label), set()).add(str(target))
         assert decoded == oracle_index
 
 

@@ -14,7 +14,8 @@ from repro.core.implicit import (
     strip_implicits,
 )
 from repro.core.merge import upper_merge
-from repro.core.ordering import is_sub, join, meet
+from repro.core.names import name, sort_key
+from repro.core.ordering import is_sub, join, join_all, meet
 from repro.core.proper import (
     canonical_arrows,
     check_d2,
@@ -189,3 +190,46 @@ class TestD1D2Equivalence:
         check_d2(proper.classes, proper.spec, canon)
         rebuilt = from_canonical(proper.classes, proper.spec, canon)
         assert rebuilt == proper
+
+
+def _assert_arrow_answers(schema: Schema) -> None:
+    """Every arrow accessor equals its definition over ``schema.arrows``."""
+    arrows = schema.arrows
+    outside = name("Not-a-class")
+    probe = sorted(schema.classes, key=sort_key) + [outside]
+    labels = sorted(schema.labels()) + ["zz"]
+    for cls in probe:
+        assert schema.out_labels(cls) == {a for p, a, _t in arrows if p == cls}
+        assert schema.arrows_from(cls) == {e for e in arrows if e[0] == cls}
+        assert schema.arrows_into(cls) == {e for e in arrows if e[2] == cls}
+        for label in labels:
+            reached = {t for p, a, t in arrows if p == cls and a == label}
+            assert schema.reach(cls, label) == reached
+            for target in probe:
+                assert schema.has_arrow(cls, label, target) == (
+                    (cls, label, target) in arrows
+                )
+    for label in labels:
+        for subset in (schema.classes, set(probe), probe[::2], [outside], []):
+            assert schema.reach_set(subset, label) == {
+                t for p, a, t in arrows if p in set(subset) and a == label
+            }
+    assert schema.arrows == {
+        (p, a, t)
+        for p in schema.classes
+        for a in schema.labels()
+        for t in schema.reach(p, a)
+    }
+
+
+class TestArrowsOnMasks:
+    @given(schemas())
+    @RELAXED
+    def test_accessors_match_definitions(self, schema):
+        _assert_arrow_answers(schema)
+
+    @given(schema_pairs())
+    @RELAXED
+    def test_accessors_match_definitions_off_canonical_ids(self, pair):
+        # A join keeps the builder's id order, not ``sort_key`` order.
+        _assert_arrow_answers(join_all(list(pair)))

@@ -3,15 +3,17 @@
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.lower import (
+    AnnotatedSchema,
     annotated_leq,
     complete_classes,
     lower_merge,
     lower_properize,
     lower_properness_violations,
 )
-from repro.core.participation import glb
+from repro.core.ordering import join_all
+from repro.core.participation import Participation, glb
 
-from tests.conftest import annotated_schemas
+from tests.conftest import annotated_schemas, schema_pairs, schemas
 
 RELAXED = settings(
     max_examples=50,
@@ -114,3 +116,28 @@ class TestLowerProperize:
         proper = lower_properize(merged)
         assert merged.classes <= proper.classes
         assert merged.spec <= proper.spec
+
+
+class TestFromSchema:
+    @staticmethod
+    def _assert_embeds_like_build(schema):
+        for default in (Participation.REQUIRED, Participation.OPTIONAL):
+            embedded = AnnotatedSchema.from_schema(schema, default)
+            built = AnnotatedSchema.build(
+                classes=schema.classes,
+                arrows=[(s, a, t, default) for s, a, t in schema.arrows],
+                spec=schema.spec,
+            )
+            assert embedded == built
+            assert embedded.participation_table() == built.participation_table()
+
+    @given(schemas())
+    @RELAXED
+    def test_equals_build_of_decoded_arrows(self, schema):
+        self._assert_embeds_like_build(schema)
+
+    @given(schema_pairs())
+    @RELAXED
+    def test_equals_build_off_canonical_ids(self, pair):
+        # A join keeps the builder's id order, not ``sort_key`` order.
+        self._assert_embeds_like_build(join_all(list(pair)))
