@@ -10,7 +10,10 @@ service acceptance family (the ``service-sharded-200`` workload):
   the same schemas with the engine caches cleared (what every request
   would cost if the restart had to refold).  The recovery wall time
   itself and the no-snapshot full-log-replay restart are reported as
-  informational records.
+  informational records, and so are the snapshot-led recovery's layers
+  (``recovery_load_state``, ``recovery_replay``, ``recovery_prewarm``,
+  timed in separate instrumented opens) and the number of schema
+  documents it decodes (``recovery_schema_decodes``).
 * **log-append overhead** — the write path of the *operating* service:
   the stream's register requests each cost one sealed JSONL append.
   The append's software cost (encode + buffered write + flush) is
@@ -33,14 +36,16 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from _timing import time_call
 
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
 from repro.generators.workloads import get_request_stream, replay
+from repro.obs.metrics import REGISTRY
 from repro.perf import clear_caches
+from repro.service import storage
 from repro.service.service import MergeService
 from repro.service.storage import (
     FileBackend,
@@ -69,6 +74,15 @@ def _populate(data_dir: str, batches: List[List[Schema]]) -> MergeService:
     return service
 
 
+def _timing(runs: List[float]) -> Dict[str, Any]:
+    return {
+        "best_s": min(runs),
+        "mean_s": sum(runs) / len(runs),
+        "repeat": len(runs),
+        "runs": runs,
+    }
+
+
 def _measure_restart(
     data_dir: str, repeat: int
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -85,20 +99,67 @@ def _measure_restart(
         service.close()
         recover_runs.append(mid - start)
         view_runs.append(done - mid)
-    return (
-        {
-            "best_s": min(recover_runs),
-            "mean_s": sum(recover_runs) / len(recover_runs),
-            "repeat": repeat,
-            "runs": recover_runs,
-        },
-        {
-            "best_s": min(view_runs),
-            "mean_s": sum(view_runs) / len(view_runs),
-            "repeat": repeat,
-            "runs": view_runs,
-        },
-    )
+    return _timing(recover_runs), _timing(view_runs)
+
+
+#: The layers of ``MergeService.open``: each is the time spent in one method.
+_RECOVERY_LAYERS: Tuple[Tuple[str, type, str], ...] = (
+    ("load_state", FileBackend, "load_state"),
+    ("replay", MergeService, "_apply_record"),
+    ("prewarm", MergeService, "_global_view"),
+)
+
+
+def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
+    """Where a snapshot-led ``MergeService.open`` spends its time.
+
+    Wraps each layer's method (and the storage module's
+    ``schema_from_dict``) for the duration of *repeat* opens, so these
+    opens are not the ones the ``recovery`` record times.  Returns one
+    timing per layer, the schema documents decoded per open and the log
+    records replayed per open.
+    """
+    spent: Dict[str, float] = {}
+    decodes = [0]
+
+    def timed(layer: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - start
+
+        return wrapper
+
+    def counted(doc: Dict[str, Any]) -> Schema:
+        decodes[0] += 1
+        return decode(doc)
+
+    decode = storage.schema_from_dict
+    runs: Dict[str, List[float]] = {layer: [] for layer, _o, _a in _RECOVERY_LAYERS}
+    replayed = REGISTRY.value("storage.replays") or 0
+    originals = [(owner, attr, getattr(owner, attr)) for _l, owner, attr in _RECOVERY_LAYERS]
+    try:
+        for layer, owner, attr in _RECOVERY_LAYERS:
+            setattr(owner, attr, timed(layer, getattr(owner, attr)))
+        storage.schema_from_dict = counted
+        for _ in range(repeat):
+            clear_caches()
+            spent.update(dict.fromkeys(runs, 0.0))
+            MergeService.open(data_dir).close()
+            for layer, layer_runs in runs.items():
+                layer_runs.append(spent[layer])
+    finally:
+        storage.schema_from_dict = decode
+        for owner, attr, fn in originals:
+            setattr(owner, attr, fn)
+    replayed = (REGISTRY.value("storage.replays") or 0) - replayed
+    return {
+        "timings": {f"recovery_{layer}": _timing(r) for layer, r in runs.items()},
+        "decodes": decodes[0] / repeat,
+        "replayed": replayed / repeat,
+    }
 
 
 def _append_cost_s(records: List[LogRecord], fsync: bool, repeat: int) -> float:
@@ -140,6 +201,7 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
         )
 
         recovery, first_view = _measure_restart(data_dir, repeat)
+        layers = _measure_recovery_layers(data_dir, repeat)
         check = MergeService.open(data_dir)
         restored = check.merged_view()
         check.close()
@@ -207,6 +269,8 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
         or overhead_soft <= APPEND_OVERHEAD_BUDGET,
         "restart_speedup_vs_cold_join_all": restart_speedup,
         "recovery_wall_s": recovery["best_s"],
+        "recovery_schema_decodes": layers["decodes"],
+        "recovery_replayed_records": layers["replayed"],
         "replay_recovery_wall_s": replay_recovery["best_s"],
         "min_restart_speedup": MIN_RESTART_SPEEDUP,
         "restart_ok": smoke or restart_speedup >= MIN_RESTART_SPEEDUP,
@@ -215,6 +279,7 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
         "timings": {
             "join_all_cold": cold,
             "recovery": recovery,
+            **layers["timings"],
             "first_view_after_restart": first_view,
             "replay_recovery": replay_recovery,
             "first_view_after_replay": replay_view,

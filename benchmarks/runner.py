@@ -657,6 +657,15 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
         f"{summary['replay_recovery_wall_s'] * 1e3:.1f} ms (full replay)"
     )
     print(
+        "  recovery layers: "
+        + ", ".join(
+            f"{layer} {timings['recovery_' + layer]['best_s'] * 1e3:.2f} ms"
+            for layer in ("load_state", "replay", "prewarm")
+        )
+        + f"; {summary['recovery_schema_decodes']:.0f} schema decodes, "
+        f"{summary['recovery_replayed_records']:.0f} records replayed per open"
+    )
+    print(
         f"  appends: software {summary['append_cost_soft_s'] * 1e3:.2f} ms "
         f"({summary['stream_overhead_soft'] * 100:.1f}% of the stream), "
         f"fsync'd {summary['append_cost_fsync_s'] * 1e3:.2f} ms "

@@ -676,6 +676,44 @@ class Schema:
             (p, label, t) for label in self.out_labels(p) for t in self.reach(p, label)
         )
 
+    def own_arrows(self) -> Tuple[Arrow, ...]:
+        """The arrows the text format and figures draw, in canonical order.
+
+        For each class (in :meth:`sorted_classes` order) and each of its
+        labels (sorted), the arrows to the row's minimal targets that no
+        strict generalization's row of that label holds; W1/W2
+        regenerate every other arrow.  Rows are grouped by source once
+        and the generalizations' rows ORed per label, so no class scans
+        the whole relation.
+        """
+        dense = self._dense
+        succ = dense.succ
+        by_source: Dict[int, Dict[Label, int]] = {}
+        for (src, label), tmask in dense.reach.items():
+            by_source.setdefault(src, {})[label] = tmask
+        ids = self._id_map()
+        out: List[Arrow] = []
+        for cls in self.sorted_classes():
+            i = ids[cls]
+            rows = by_source.get(i)
+            if rows is None:
+                continue
+            inherited: Dict[Label, int] = {}
+            for j in relations.iter_bits(succ[i] ^ (1 << i)):
+                for label, tmask in by_source.get(j, {}).items():
+                    inherited[label] = inherited.get(label, 0) | tmask
+            for label in sorted(rows):
+                mask = rows[label]
+                above = 0
+                for t in relations.iter_bits(mask):
+                    above |= succ[t] ^ (1 << t)
+                drawn = mask & ~above & ~inherited.get(label, 0)
+                out.extend(
+                    (cls, label, target)
+                    for target in sorted(self._names_of(drawn), key=sort_key)
+                )
+        return tuple(out)
+
     def arrows_into(self, cls: NameLike) -> FrozenSet[Arrow]:
         """All arrows whose target is *cls*: bit ``j`` of each row."""
         q = name(cls)

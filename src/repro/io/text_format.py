@@ -210,23 +210,10 @@ def format_schema(schema: Schema) -> str:
     """
     lines: List[str] = []
     _format_common(schema.classes, schema.spec_covers(), lines)
-    for cls in schema.sorted_classes():
-        inherited = set()
-        for sup in schema.generalizations_of(cls):
-            if sup != cls:
-                inherited.update(
-                    (label, target)
-                    for (_s, label, target) in schema.arrows_from(sup)
-                )
-        for label in sorted(schema.out_labels(cls)):
-            for target in sorted(
-                schema.min_classes(schema.reach(cls, label)), key=sort_key
-            ):
-                if (label, target) not in inherited:
-                    lines.append(
-                        f"{_format_name(cls)} --{label}--> "
-                        f"{_format_name(target)}"
-                    )
+    for source, label, target in schema.own_arrows():
+        lines.append(
+            f"{_format_name(source)} --{label}--> {_format_name(target)}"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -58,22 +58,7 @@ def schema_to_dot(schema: Schema, name: str = "schema") -> str:
             f"  {node_ids[sub]} -> {node_ids[sup]} "
             "[style=bold, arrowhead=onormal];"
         )
-    drawn = []
-    for cls in schema.sorted_classes():
-        inherited = set()
-        for sup in schema.generalizations_of(cls):
-            if sup != cls:
-                inherited.update(
-                    (label, target)
-                    for (_s, label, target) in schema.arrows_from(sup)
-                )
-        for label in sorted(schema.out_labels(cls)):
-            for target in sorted(
-                schema.min_classes(schema.reach(cls, label)), key=sort_key
-            ):
-                if (label, target) not in inherited:
-                    drawn.append((cls, label, target))
-    for source, label, target in drawn:
+    for source, label, target in schema.own_arrows():
         lines.append(
             f"  {node_ids[source]} -> {node_ids[target]} "
             f"[label={_quote(label)}];"

@@ -76,7 +76,9 @@ import queue
 import threading
 import weakref
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
+)
 
 from dataclasses import replace as _dc_replace
 from pathlib import Path
@@ -113,6 +115,7 @@ from repro.service.storage import (
     ServiceState,
     StorageBackend,
     VersionState,
+    join_members,
 )
 
 __all__ = ["MergeService"]
@@ -273,7 +276,7 @@ class _Group:
         self.replaced = replaced
         self.indices = indices
         self.builder: Optional[ClosureBuilder] = None
-        self.members: List[Schema] = []
+        self.members: Sequence[Schema] = []
 
 
 #: ``plan_groups`` output: per group, the shard ids it replaces and its batch indices.
@@ -981,28 +984,31 @@ class MergeService:
                 component=group.sid,
                 schemas=len(group.indices),
             ):
+                parts: List[Sequence[Schema]] = []
                 if group.replaced:
                     # Grow the largest member in place (on a clone) and
-                    # fold the others' schemas in.
+                    # fold the others' schemas in.  The primary's members
+                    # are joined, not read: a restored component's stay
+                    # undecoded.
                     primary = max(
                         group.replaced, key=lambda shard: len(shard.schemas)
                     )
                     builder = primary.builder.clone()
-                    members = list(primary.schemas)
+                    parts.append(primary.schemas)
                     for shard in group.replaced:
                         if shard is primary:
                             continue
                         for schema in shard.schemas:
                             builder.add_schema(schema)
-                            members.append(schema)
+                        parts.append(shard.schemas)
                 else:
                     builder = ClosureBuilder()
-                    members = []
-                for index in group.indices:
-                    builder.add_schema(batch[index])
-                    members.append(batch[index])
+                added = [batch[index] for index in group.indices]
+                for schema in added:
+                    builder.add_schema(schema)
+                parts.append(added)
             group.builder = builder
-            group.members = members
+            group.members = join_members(parts)
 
     def _commit(  # requires-lock: _writer
         self,

@@ -87,9 +87,10 @@ class Shard:
     memory is bounded by the registry.
 
     *schemas* is any immutable-after-handoff sequence: commits build
-    plain lists, but a snapshot-led recovery hands over a lazily
-    decoded view whose members only materialize when a later mutation
-    (or introspection) actually reads them.
+    plain lists, but a snapshot-led recovery hands over a sequence of
+    document references that decode only when a retire, a fold into
+    another component or introspection reads them; a register into
+    the component extends it by reference.
     """
 
     __slots__ = (

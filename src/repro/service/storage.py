@@ -21,7 +21,9 @@ one :class:`StorageBackend` protocol:
   Schema documents are stored once per file under a content digest and
   shared by reference, so the lifecycle table re-encodes nothing its
   component files already carry.  Recovery restores components from the
-  newest durable cut and replays only the log *suffix*.  The manifest
+  newest durable cut, with members and lifecycle versions left as
+  references into its documents until something reads them, and
+  replays only the log *suffix*.  The manifest
   is renamed into place only after every new file is durable, and the
   files it stops referencing are deleted only after it is durable, so a
   crash at any point of a cut leaves the previous cut intact.
@@ -130,6 +132,7 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "FileBackend",
+    "join_members",
 ]
 
 FORMAT_LOG = "repro.log/1"
@@ -224,26 +227,6 @@ class LogRecord:
     versions: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class VersionState:
-    """One version of a named schema in the lifecycle table."""
-
-    version: int
-    lifecycle: str
-    retired: bool
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class ComponentState:
-    """One component's durable state at a snapshot cut."""
-
-    sid: int
-    generation: int
-    dense: DenseClosure
-    members: Sequence[Schema]
-
-
 class _DocTable:
     """The schema documents of one loaded cut, each decoded at most once.
 
@@ -264,54 +247,110 @@ class _DocTable:
     def doc(self, digest: str) -> Mapping[str, Any]:
         return self._docs[digest]
 
-    def decode(self, digests: Sequence[str], origin: str) -> Tuple[Schema, ...]:
-        """The schemas under *digests*, in order; each decoded once."""
+    def schema(self, digest: str, origin: str) -> Schema:
+        """The schema under *digest*, decoded on its first read."""
         with self._lock:
-            schemas = self._schemas
-            out: List[Schema] = []
-            for digest in digests:
-                schema = schemas.get(digest)
-                if schema is None:
-                    try:
-                        schema = schema_from_dict(dict(self._docs[digest]))
-                    except (
-                        SerializationError,
-                        AttributeError,
-                        KeyError,
-                        TypeError,
-                        ValueError,
-                    ) as exc:
-                        raise CorruptSnapshotError(
-                            f"{origin} schema {digest!r} does not decode: {exc}"
-                        ) from exc
-                    schemas[digest] = schema
-                out.append(schema)
-            return tuple(out)
+            schema = self._schemas.get(digest)
+            if schema is None:
+                try:
+                    schema = schema_from_dict(dict(self._docs[digest]))
+                except (
+                    SerializationError,
+                    AttributeError,
+                    KeyError,
+                    TypeError,
+                    ValueError,
+                ) as exc:
+                    raise CorruptSnapshotError(
+                        f"{origin} schema {digest!r} does not decode: {exc}"
+                    ) from exc
+                self._schemas[digest] = schema
+            return schema
+
+
+#: One encoded schema: its content digest and its ``repro.schema/1`` document.
+_Encoded = Tuple[str, Mapping[str, Any]]
+
+
+class _DocRef:
+    """One schema document of a loaded cut, by reference.
+
+    Recovery hands references out instead of schemas: :meth:`schema`
+    decodes through the cut's :class:`_DocTable` on first read, and a
+    later cut writes :meth:`encoded`, the digest and document as they
+    were loaded, without decoding or re-encoding anything.
+    """
+
+    __slots__ = ("digest", "_table", "_origin")
+
+    def __init__(self, digest: str, table: _DocTable, origin: str) -> None:
+        self.digest = digest  # frozen-after-init
+        self._table = table  # frozen-after-init
+        self._origin = origin  # frozen-after-init
+
+    def schema(self) -> Schema:
+        return self._table.schema(self.digest, self._origin)
+
+    def encoded(self) -> _Encoded:
+        return self.digest, self._table.doc(self.digest)
+
+
+#: A member or version as a backend holds it: a schema, or a reference.
+_Held = Union[Schema, _DocRef]
+
+
+@dataclass(frozen=True)
+class VersionState:
+    """One version of a named schema in the lifecycle table.
+
+    *source* is the version's schema or, for a version restored from a
+    snapshot cut, a reference to its document, decoded on the first
+    :attr:`schema` read.  ``dataclasses.replace`` copies *source* as it
+    is, so demoting or retiring a restored version decodes nothing.
+    """
+
+    version: int
+    lifecycle: str
+    retired: bool
+    source: _Held
+
+    @property
+    def schema(self) -> Schema:
+        source = self.source
+        return source if isinstance(source, Schema) else source.schema()
+
+
+@dataclass(frozen=True)
+class ComponentState:
+    """One component's durable state at a snapshot cut."""
+
+    sid: int
+    generation: int
+    dense: DenseClosure
+    members: Sequence[Schema]
 
 
 class _LazyMembers(Sequence[Schema]):
-    """Member schemas of a restored component, decoded on first use.
+    """Member schemas of a component restored from a cut, decoded on first use.
 
     A snapshot-led recovery serves views and queries from the dense
     closure alone; the member list matters only to *later* mutations
-    (a merge absorbing the shard, a retire refolding it) and to
-    introspection.  Decoding every member doc up front is the dominant
-    restart cost, so it is deferred: ``len`` reads the digest count, any
-    content access hydrates the whole tuple through the cut's
-    :class:`_DocTable`.  The docs sit inside a checksummed snapshot, so
-    byte corruption is caught at load time; a doc that is CRC-clean yet
-    undecodable still surfaces as
-    :class:`~repro.exceptions.CorruptSnapshotError`, merely later.
+    (a retire refolding the shard, a merge folding it in as a secondary)
+    and to introspection.  So a restored component's members stay
+    :class:`_DocRef` references: ``len`` counts them, any content access
+    hydrates the whole tuple through the cut's :class:`_DocTable`, and
+    :func:`join_members` grows the sequence (a register into the
+    component) without hydrating it.  A published sequence never
+    changes: growing makes a new object.  The documents sit inside a
+    checksummed snapshot, so byte corruption is caught at load time; a
+    document that is CRC-clean yet undecodable raises
+    :class:`~repro.exceptions.CorruptSnapshotError` on first read.
     """
 
-    __slots__ = ("_digests", "_table", "_origin", "_decoded")
+    __slots__ = ("_items", "_decoded")
 
-    def __init__(
-        self, digests: Sequence[str], table: _DocTable, origin: str
-    ) -> None:
-        self._digests = tuple(digests)
-        self._table = table
-        self._origin = origin
+    def __init__(self, items: Sequence[_Held]) -> None:
+        self._items: Tuple[_Held, ...] = tuple(items)  # frozen-after-init
         # Racing hydrations store equal tuples: the table decodes each
         # document once, under its own lock.
         self._decoded: Optional[Tuple[Schema, ...]] = None
@@ -319,13 +358,14 @@ class _LazyMembers(Sequence[Schema]):
     def _hydrate(self) -> Tuple[Schema, ...]:
         decoded = self._decoded
         if decoded is None:
-            decoded = self._decoded = self._table.decode(
-                self._digests, self._origin
+            decoded = self._decoded = tuple(
+                item if isinstance(item, Schema) else item.schema()
+                for item in self._items
             )
         return decoded
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return len(self._items)
 
     def __getitem__(self, index):  # type: ignore[override]
         return self._hydrate()[index]
@@ -335,7 +375,24 @@ class _LazyMembers(Sequence[Schema]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "decoded" if self._decoded is not None else "raw"
-        return f"_LazyMembers({len(self._digests)} schemas, {state})"
+        return f"_LazyMembers({len(self._items)} schemas, {state})"
+
+
+def _held(members: Sequence[Schema]) -> Sequence[_Held]:
+    """*members* as held: a restored sequence's references stay references."""
+    return members._items if isinstance(members, _LazyMembers) else members
+
+
+def join_members(parts: Sequence[Sequence[Schema]]) -> Sequence[Schema]:
+    """The members of *parts*, in order, as one new sequence.
+
+    Parts restored from a cut are joined by reference, not decoded, so a
+    register into a restored component leaves it unhydrated and the next
+    cut writes its documents as they were loaded.
+    """
+    if any(isinstance(part, _LazyMembers) for part in parts):
+        return _LazyMembers([item for part in parts for item in _held(part)])
+    return [schema for part in parts for schema in part]
 
 
 @dataclass(frozen=True)
@@ -397,20 +454,44 @@ class StorageBackend(Protocol):
 # ----------------------------------------------------------------------
 
 
+def _crc(text: str) -> str:
+    """CRC-32 of a text's UTF-8 bytes (canonical text is ASCII), as 8 hex digits."""
+    return format(zlib.crc32(text.encode("utf-8")), "08x")
+
+
 def _checksum(doc: Mapping[str, Any]) -> str:
     """CRC-32 of the canonical JSON text of *doc*, as 8 hex digits."""
-    return format(zlib.crc32(canonical_dumps(doc).encode("ascii")), "08x")
+    return _crc(canonical_dumps(doc))
 
 
-def _seal(doc: Dict[str, Any]) -> str:
-    """The canonical one-line text of *doc* with its ``crc`` stamped in."""
-    sealed = dict(doc)
-    sealed["crc"] = _checksum(doc)
-    return canonical_dumps(sealed)
+#: ``len('{"crc":"00000000",')``: a sealed text's body starts here.
+_SEAL_PREFIX = 18
+
+
+def _seal(doc: Mapping[str, Any]) -> str:
+    """The canonical one-line text of *doc* with its ``crc`` stamped in.
+
+    Every sealed format's keys sort after ``"crc"``, so the sealed text
+    is ``{"crc":"<8 hex>",`` followed by the canonical text of *doc*
+    past its opening brace: *doc* is encoded once, and the CRC is taken
+    over that encoding.  Raises :class:`ValueError` for a document with
+    no keys or with a key that does not sort after ``"crc"``.
+    """
+    if not doc or min(doc) <= "crc":
+        raise ValueError("a sealed document's keys must all sort after 'crc'")
+    text = canonical_dumps(doc)
+    return f'{{"crc":"{_crc(text)}",{text[1:]}'
 
 
 def _unseal(text: str, error: "type[StorageError]") -> Dict[str, Any]:
-    """Parse and verify a sealed line; raise *error* on any mismatch."""
+    """Parse and verify a sealed line; raise *error* on any mismatch.
+
+    The CRC is checked on the line's own text (less the newline that
+    ends a file): ``"{"`` plus the text past the ``crc`` prefix must be
+    the text the CRC was taken over, so a line that parses to the right
+    document but is not byte for byte what :func:`_seal` writes
+    (re-spaced, re-ordered) fails too.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -418,9 +499,10 @@ def _unseal(text: str, error: "type[StorageError]") -> Dict[str, Any]:
     if not isinstance(doc, dict):
         raise error("sealed document is not a JSON object")
     crc = doc.pop("crc", None)
-    if crc != _checksum(doc):
+    computed = _crc("{" + text[_SEAL_PREFIX:].removesuffix("\n"))
+    if crc != computed or text[:_SEAL_PREFIX] != f'{{"crc":"{computed}",':
         raise error(
-            f"checksum mismatch: recorded {crc!r}, computed {_checksum(doc)!r}"
+            f"checksum mismatch: recorded {crc!r}, computed {computed!r}"
         )
     return doc
 
@@ -552,10 +634,6 @@ def _digest(doc: Mapping[str, Any]) -> str:
     return blake2b(canonical_dumps(doc).encode("ascii"), digest_size=12).hexdigest()
 
 
-#: One encoded schema: its content digest and its ``repro.schema/1`` document.
-_Encoded = Tuple[str, Mapping[str, Any]]
-
-
 class FileBackend:
     """One directory holding the log, the snapshot files and the manifest.
 
@@ -594,6 +672,13 @@ class FileBackend:
     manifest and every file it references whole.  Each schema document
     is encoded once per cut: the previous cut's documents are reused for
     every schema a file or the lifecycle table still references.
+
+    :meth:`load_state` decodes no schema document.  It verifies every
+    file's seal and re-validates every component's closure, but hands
+    members and lifecycle versions back as references into the cut's
+    documents (:class:`_DocRef`), decoded on first read.  A cut writes a
+    reference's document as it was loaded, so a restored schema that no
+    one reads is never decoded or re-encoded.
     """
 
     LOG_NAME = "registry.log"
@@ -618,7 +703,8 @@ class FileBackend:
         #: The previous manifest's component files, each with the
         #: digests of the schema documents it carries.
         self._files: Dict[Tuple[int, int], FrozenSet[str]] = {}  # guarded-by: _cut_lock
-        #: The previous cut's encoded schemas, by schema.
+        #: The previous cut's encoded schemas, by schema (references
+        #: carry their own documents).
         self._encoded: Dict[Schema, _Encoded] = {}  # guarded-by: _cut_lock
         log = self._dir / self.LOG_NAME
         try:
@@ -803,35 +889,40 @@ class FileBackend:
             loaded.append((sid, gen, dense, members, f"snapshot {name}"))
         table = _DocTable(docs)
         components = tuple(
-            ComponentState(sid, gen, dense, _LazyMembers(members, table, origin))
+            ComponentState(
+                sid,
+                gen,
+                dense,
+                _LazyMembers([_DocRef(digest, table, origin) for digest in members]),
+            )
             for sid, gen, dense, members, origin in loaded
         )
-        encoded: Dict[Schema, _Encoded] = {}
         series: Dict[str, Tuple[VersionState, ...]] = {}
+        origin = "manifest lifecycle table"
         try:
             for schema_name, versions in series_doc.items():
                 states: List[VersionState] = []
                 for v in versions:
                     digest = v["schema"]
-                    (schema,) = table.decode([digest], "manifest lifecycle table")
-                    encoded[schema] = (digest, table.doc(digest))
+                    if digest not in docs:
+                        raise KeyError(f"version schema {digest!r} has no document")
                     states.append(
                         VersionState(
                             version=int(v["version"]),
                             lifecycle=str(v["lifecycle"]),
                             retired=bool(v["retired"]),
-                            schema=schema,
+                            source=_DocRef(digest, table, origin),
                         )
                     )
                 series[schema_name] = tuple(states)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
-                f"manifest lifecycle table does not decode: {exc}"
+                f"{origin} does not decode: {exc}"
             ) from exc
         with self._cut_lock:
-            # The next cut keeps these files and documents by reference.
+            # The next cut keeps these files by reference.
             self._files = files
-            self._encoded = encoded
+            self._encoded = {}
         return ServiceState(
             seq=seq,
             generation=generation,
@@ -848,7 +939,9 @@ class FileBackend:
         previous = self._encoded
         encoded: Dict[Schema, _Encoded] = {}
 
-        def encode(schema: Schema) -> _Encoded:
+        def encode(schema: _Held) -> _Encoded:
+            if isinstance(schema, _DocRef):
+                return schema.encoded()
             entry = encoded.get(schema)
             if entry is None:
                 entry = previous.get(schema)
@@ -866,7 +959,7 @@ class FileBackend:
             if kept is not None:
                 files[pair] = kept
                 continue
-            entries = [encode(schema) for schema in component.members]
+            entries = [encode(schema) for schema in _held(component.members)]
             carried = dict(entries)
             self._write_file(
                 self._dir / self._snap_name(*pair),
@@ -891,7 +984,7 @@ class FileBackend:
             rows: List[Dict[str, Any]] = []
             series[schema_name] = rows
             for v in versions:
-                digest, doc = encode(v.schema)
+                digest, doc = encode(v.source)
                 if digest not in in_files:
                     extra[digest] = doc  # e.g. a retired version's schema
                 rows.append({

@@ -66,8 +66,10 @@ from repro.service import (
     RegistrationEntry,
 )
 from repro.service.service import _Cutter
+from repro.io.json_io import canonical_dumps
 from repro.service.storage import (
     LogRecord,
+    _checksum,
     _seal,
     _unseal,
     record_from_dict,
@@ -1059,7 +1061,11 @@ class TestCutCost:
         service.register([RegistrationEntry(city, name="city")])
         service.save()
         members = [g for sid in service.components() for g in service.component_schemas(sid)]
-        versions = [v.schema for vs in service._registry.series.values() for v in vs]
+        series = {
+            name: [v.schema for v in vs]
+            for name, vs in service._registry.series.items()
+        }
+        versions = [g for schemas in series.values() for g in schemas]
         distinct = len(set(members) | set(versions))
         service.close()
 
@@ -1072,12 +1078,22 @@ class TestCutCost:
         backend = FileBackend(data)
         try:
             state = backend.load_state()
+            assert calls == []  # loading decodes nothing
             hydrated = [g for c in state.components for g in c.members]
+            restored = {
+                name: [v.schema for v in vs] for name, vs in state.series.items()
+            }
+            again = [g for c in state.components for g in c.members]
+            again += [v.schema for vs in state.series.values() for v in vs]
         finally:
             backend.close()
+        # Reading everything decodes each distinct document exactly once.
         assert len(calls) == distinct
+        assert len({json.dumps(doc, sort_keys=True) for doc in calls}) == distinct
         assert len(hydrated) == len(members)
         assert set(hydrated) == set(members)
+        assert restored == series
+        assert again == hydrated + [g for gs in restored.values() for g in gs]
 
     def test_a_cut_encodes_only_schemas_it_has_not_encoded(
         self, tmp_path, monkeypatch
@@ -1128,6 +1144,161 @@ class TestCutCost:
             assert histogram.count == observed + 1
         finally:
             service.close()
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record every storage-side ``schema_from_dict`` call from now on."""
+    calls: list = []
+    decode = storage_module.schema_from_dict
+    monkeypatch.setattr(
+        storage_module, "schema_from_dict",
+        lambda doc: calls.append(doc) or decode(doc),
+    )
+    return calls
+
+
+def reseal_schema_doc(data: Path, digest: str, doc: dict) -> int:
+    """Replace schema document *digest* in every cut file that carries it,
+    re-sealing each file (so every CRC stays clean); the files changed."""
+    changed = 0
+    for path in [data / FileBackend.MANIFEST_NAME, *data.glob("snap-*.json")]:
+        sealed = _unseal(path.read_text(encoding="utf-8"), CorruptSnapshotError)
+        if digest in sealed["schemas"]:
+            sealed["schemas"][digest] = doc
+            path.write_text(_seal(sealed) + "\n", encoding="utf-8")
+            changed += 1
+    return changed
+
+
+class TestRestoredReferences:
+    """Recovery hands out document references; reads decode, cuts copy."""
+
+    def make_dir(self, tmp_path: Path) -> Tuple[Path, List[Schema]]:
+        data = tmp_path / "registry"
+        service = MergeService.open(data, fsync=False)
+        live = two_component_history(service)
+        service.save()
+        service.close()
+        return data, live
+
+    def test_a_register_into_a_restored_component_decodes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        data, live = self.make_dir(tmp_path)
+        calls = count_decodes(monkeypatch)
+        service = MergeService.open(data, fsync=False)
+        sid = service.component_of("Dog")
+        breed = Schema.build(arrows=[("Puppy", "breed", "Breed")])
+        # A new recommended version demotes the restored one (a replace
+        # of its lifecycle record) and grows the restored component.
+        service.register([RegistrationEntry(breed, name="pets")])
+        assert service.component_of("Breed") == sid
+        assert service.save() == 3
+        service.close()
+        assert calls == []
+
+        recovered, replayed = replays_on_open(data)
+        cold = full_replay_of(data, tmp_path / "cold")
+        try:
+            assert replayed == 0
+            assert recovered.merged_view() == reference_join_all(live + [breed])
+            assert_equivalent(cold, recovered)
+            assert recovered.schema_info("pets") == cold.schema_info("pets")
+            assert recovered.resolve_schema("pets") == breed
+            assert recovered.component_schemas(sid) == (pets(), breed)
+        finally:
+            recovered.close()
+            cold.close()
+
+    def test_folding_and_retiring_restored_components_survive_a_reopen(
+        self, tmp_path
+    ):
+        data, live = self.make_dir(tmp_path)
+        service = MergeService.open(data, fsync=False)
+        service.register([bridge()])  # folds court into pets' component
+        service.retire("pets")  # rebuilds it from the decoded members
+        service.save()
+        service.close()
+        recovered, replayed = replays_on_open(data)
+        cold = full_replay_of(data, tmp_path / "cold")
+        try:
+            assert replayed == 0
+            assert recovered.merged_view() == reference_join_all([court(), bridge()])
+            assert_equivalent(cold, recovered)
+        finally:
+            recovered.close()
+            cold.close()
+
+    def test_an_undecodable_version_document_raises_on_first_read(
+        self, tmp_path
+    ):
+        import http.client
+
+        from repro.service import HttpFrontend
+
+        data, live = self.make_dir(tmp_path)
+        service = MergeService.open(data)
+        digest = storage_module._digest(
+            storage_module.schema_to_dict(service.resolve_schema("pets"))
+        )
+        service.close()
+        bad = {"format": "repro.schema/1", "classes": 7}
+        assert reseal_schema_doc(data, digest, bad) >= 1
+
+        service = MergeService.open(data)  # every CRC is clean
+        try:
+            assert service.merged_view() == reference_join_all(live)
+            with pytest.raises(CorruptSnapshotError, match="does not decode"):
+                service.resolve_schema("pets")
+            with HttpFrontend(service, port=0) as frontend:
+                conn = http.client.HTTPConnection(*frontend.address, timeout=10)
+                try:
+                    conn.request("GET", "/v1/schemas/pets")
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                finally:
+                    conn.close()
+            assert response.status == 500
+            assert "error" in body
+        finally:
+            service.close()
+
+    def test_a_respaced_log_line_with_its_crc_fails_the_checksum(
+        self, tmp_path
+    ):
+        data = TestLogFaults().make_dir(tmp_path)
+        lines = log_path(data).read_text(encoding="utf-8").splitlines()
+        respaced = json.dumps(json.loads(lines[1]), sort_keys=True)
+        assert respaced != lines[1]
+        assert json.loads(respaced) == json.loads(lines[1])  # same crc too
+        lines[1] = respaced
+        log_path(data).write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
+        with pytest.raises(CorruptLogError, match="checksum"):
+            MergeService.open(data)
+
+    def test_seal_is_the_canonical_text_with_the_crc_in(self, tmp_path):
+        data = TestSnapshotFaults().make_dir(tmp_path)
+        texts = log_path(data).read_text(encoding="utf-8").splitlines()
+        texts += [
+            path.read_text(encoding="utf-8").removesuffix("\n")
+            for path in [data / FileBackend.MANIFEST_NAME, *data.glob("snap-*.json")]
+        ]
+        assert len(texts) == 3 + 1 + 2
+        for text in texts:
+            doc = _unseal(text, CorruptSnapshotError)
+            sealed = _seal(doc)
+            assert sealed == canonical_dumps({**doc, "crc": _checksum(doc)})
+            assert sealed == text
+
+    def test_seal_refuses_keys_that_sort_before_crc(self):
+        with pytest.raises(ValueError):
+            _seal({"apple": 1, "format": "x"})
+        with pytest.raises(ValueError):
+            _seal({"crc": "00000000", "format": "x"})
+        with pytest.raises(ValueError):
+            _seal({})
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -5,10 +5,11 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.keys import KeyFamily, KeyedSchema
 from repro.core.lower import AnnotatedSchema
-from repro.core.names import BaseName, GenName, ImplicitName
+from repro.core.merge import upper_merge
+from repro.core.names import BaseName, GenName, ImplicitName, sort_key
 from repro.core.participation import Participation
 from repro.core.schema import Schema
-from repro.exceptions import SerializationError
+from repro.exceptions import IncompatibleSchemasError, SerializationError
 from repro.figures import figure2_schema, figure9_keyed_schema
 from repro.io.text_format import (
     format_annotated,
@@ -16,8 +17,9 @@ from repro.io.text_format import (
     format_schema,
     parse,
 )
+from repro.render.dot import schema_to_dot
 
-from tests.conftest import annotated_schemas, schemas
+from tests.conftest import annotated_schemas, schema_pairs, schemas
 
 RELAXED = settings(
     max_examples=40,
@@ -141,3 +143,53 @@ class TestRoundTrips:
 
         merged = upper_merge(*figure3_schemas())
         assert parse(format_schema(merged)) == merged
+
+
+def name_level_own_arrows(schema: Schema):
+    """The per-class loop ``format_schema`` and ``schema_to_dot`` ran before
+    ``Schema.own_arrows``: one ``arrows_from`` per strict generalization."""
+    drawn = []
+    for cls in schema.sorted_classes():
+        inherited = set()
+        for sup in schema.generalizations_of(cls):
+            if sup != cls:
+                inherited.update(
+                    (label, target) for (_s, label, target) in schema.arrows_from(sup)
+                )
+        for label in sorted(schema.out_labels(cls)):
+            for target in sorted(
+                schema.min_classes(schema.reach(cls, label)), key=sort_key
+            ):
+                if (label, target) not in inherited:
+                    drawn.append((cls, label, target))
+    return tuple(drawn)
+
+
+class TestOwnArrows:
+    @RELAXED
+    @given(schemas())
+    def test_equals_the_name_level_loop(self, schema):
+        assert schema.own_arrows() == name_level_own_arrows(schema)
+
+    @RELAXED
+    @given(schema_pairs())
+    def test_equals_the_name_level_loop_on_proper_merges(self, pair):
+        try:
+            merged = upper_merge(*pair)
+        except IncompatibleSchemasError:
+            return
+        assert merged.own_arrows() == name_level_own_arrows(merged)
+
+    @RELAXED
+    @given(schemas())
+    def test_format_and_dot_draw_exactly_the_own_arrows(self, schema):
+        drawn = name_level_own_arrows(schema)
+        text = format_schema(schema)
+        assert [line for line in text.splitlines() if "--" in line] == [
+            f"{src} --{label}--> {dst}" for src, label, dst in drawn
+        ]
+        edges = [
+            line for line in schema_to_dot(schema).splitlines()
+            if " -> " in line and "[label=" in line
+        ]
+        assert len(edges) == len(drawn)
