@@ -4,7 +4,8 @@ Measures the two sides of the ``repro.service.storage`` bargain on the
 service acceptance family (the ``service-sharded-200`` workload):
 
 * **warm restart** — a killed-and-restarted service recovers from the
-  newest snapshot cut plus the log suffix (``MergeService.open``), and
+  newest snapshot cut plus the log suffix written after it (the last
+  ``SUFFIX_BATCHES`` register batches; ``MergeService.open``), and
   the recovery leaves it ready to serve: the *first* ``merged_view``
   after restart is gated ≥ 10x faster than a cold ``join_all`` over
   the same schemas with the engine caches cleared (what every request
@@ -57,6 +58,8 @@ __all__ = ["run_persistence_bench"]
 
 APPEND_OVERHEAD_BUDGET = 0.10
 MIN_RESTART_SPEEDUP = 10.0
+#: Register batches logged after the cut, so a restart replays a suffix.
+SUFFIX_BATCHES = 2
 
 
 def _pod_batches(initial: List[Schema], per_batch: int) -> List[List[Schema]]:
@@ -191,8 +194,12 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
     # --- warm restart vs cold join_all ---------------------------------
     data_dir = tempfile.mkdtemp(prefix="bench-persist-restart-")
     try:
-        writer = _populate(data_dir, batches)
-        writer.save()  # cut the snapshot a clean shutdown would leave
+        # The directory a service killed between cuts leaves: a cut,
+        # then a few logged batches that a restart must replay.
+        writer = _populate(data_dir, batches[:-SUFFIX_BATCHES])
+        writer.save()
+        for batch in batches[-SUFFIX_BATCHES:]:
+            writer.register(batch)
         expected = writer.merged_view()
         writer.close()
 

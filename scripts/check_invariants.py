@@ -6,8 +6,8 @@ The CI ``check`` job's entry point, runnable locally with no arguments::
     python scripts/check_invariants.py
 
 1. **Static analyzers** — :func:`repro.check.run_checks` over
-   ``src/repro``: lock discipline, async safety, publication order,
-   API surface, HTTP status coverage.  Any error-severity diagnostic
+   ``src/repro``: lock discipline (guards, frozen fields, nesting under
+   the writer lock), async safety, API surface, HTTP status coverage.  Any error-severity diagnostic
    fails the run; warnings fail too (CI is strict — a human running
    ``schema-merge check`` without ``--strict`` can triage warnings).
 2. **mypy --strict** — over the typed service core (``repro.service``,

@@ -11,17 +11,15 @@ that checker:
 * :mod:`repro.check.locks` — lock-discipline linter driven by
   ``# guarded-by:`` / ``# requires-lock:`` / ``# lock: planner`` /
   ``# frozen-after-init`` annotations (rules ``lock-guard``,
-  ``lock-order``, ``lock-nesting``, ``frozen-field``);
+  ``lock-nesting``, ``frozen-field``);
 * :mod:`repro.check.asyncsafe` — no blocking call reachable from a
   coroutine running inline on the event loop (``async-blocking``);
-* :mod:`repro.check.publication` — commit sites assign the stamp last
-  among their ``# publishes:`` fields, and assign it at all
-  (``publication-order``);
 * :mod:`repro.check.api_surface` — ``__all__`` honesty, facade
   re-export integrity, and exception → HTTP-status coverage
   (``api-surface``, ``http-status-map``);
-* :mod:`repro.check.witness` — the runtime lock-order witness that
-  cross-checks the static rules under the concurrency storm tests.
+* :mod:`repro.check.witness` — the runtime lock witness that catches,
+  under the concurrency storm tests, the re-entrant writer-lock
+  acquire the lexical rules cannot see across a call.
 
 Run it as ``schema-merge check --strict src/repro`` or
 ``python scripts/check_invariants.py``; the annotation grammar and
@@ -39,7 +37,6 @@ from repro.check.api_surface import check_api_surface
 from repro.check.asyncsafe import check_async_safety
 from repro.check.diagnostics import ALL_RULES, Diagnostic, SourceFile
 from repro.check.locks import check_lock_discipline
-from repro.check.publication import check_publication_order
 from repro.check.runner import (
     iter_python_files,
     render_report,
@@ -66,7 +63,6 @@ __all__ = [
     "check_api_surface",
     "check_async_safety",
     "check_lock_discipline",
-    "check_publication_order",
     "disable_witness",
     "enable_witness",
     "iter_python_files",

@@ -7,10 +7,9 @@ all share:
 
 * the **annotation grammar**: structured trailing comments
   (``# guarded-by: <lock>``, ``# requires-lock: <lock>``,
-  ``# lock: planner``, ``# publishes: a, b, c``,
-  ``# frozen-after-init``) that declare the concurrency invariants the
-  analyzers enforce — the conventions are documented in
-  ``docs/STATIC_ANALYSIS.md``;
+  ``# lock: planner``, ``# frozen-after-init``) that declare the
+  concurrency invariants the analyzers enforce — the conventions are
+  documented in ``docs/STATIC_ANALYSIS.md``;
 * **suppressions**: ``# check: ignore[rule-id]`` on the offending line
   silences exactly that rule there; a bare ``# check: ignore``
   silences every rule on the line.  Unknown rule ids in a suppression
@@ -18,14 +17,13 @@ all share:
   disable a rule;
 * **mutation classification**: deciding whether an attribute access is
   a read, a write, or a mutating method call (``.pop``, ``.update``,
-  ``self.attr[k] = v`` ...), shared by the lock-discipline and
-  publication-order analyzers.
+  ``self.attr[k] = v`` ...), used by the lock-discipline analyzer.
 
 >>> sf = SourceFile("<demo>", "x = 1  # guarded-by: _lock\\n")
 >>> parse_guard_comment(sf.comment(1))
 ('_lock', False)
 >>> sf2 = SourceFile("<demo>", "y = 2  # check: ignore[lock-guard]\\n")
->>> sf2.suppressed(1, "lock-guard"), sf2.suppressed(1, "lock-order")
+>>> sf2.suppressed(1, "lock-guard"), sf2.suppressed(1, "frozen-field")
 (True, False)
 """
 
@@ -46,7 +44,6 @@ __all__ = [
     "access_kind",
     "parse_guard_comment",
     "parse_ignore_comment",
-    "parse_publishes_comment",
     "parse_requires_comment",
 ]
 
@@ -57,13 +54,9 @@ ALL_RULES: Dict[str, str] = {
         "a # guarded-by: annotated attribute was accessed outside a "
         "`with <lock>:` block (or a # requires-lock: function)"
     ),
-    "lock-order": (
-        "a loop acquires locks without iterating a sorted() sequence, "
-        "so the ascending-id acquisition order cannot be guaranteed"
-    ),
     "lock-nesting": (
-        "a blocking lock acquisition while the planner (topology) lock "
-        "is held, or a re-entrant acquisition of a held lock"
+        "a lock acquisition lexically inside a `with` of the planner "
+        "(writer) lock, or a re-entrant `with` of a held lock"
     ),
     "frozen-field": (
         "a # frozen-after-init annotated attribute was written outside "
@@ -72,10 +65,6 @@ ALL_RULES: Dict[str, str] = {
     "async-blocking": (
         "a blocking call (lock acquire, file/socket I/O, service write) "
         "is reachable from a coroutine running inline on the event loop"
-    ),
-    "publication-order": (
-        "a commit site mutates a published field after assigning the "
-        "final (stamp) field of its # publishes: list, or never assigns it"
     ),
     "http-status-map": (
         "an exception class has no HTTP status mapping in _STATUS_MAP"
@@ -109,15 +98,14 @@ _GUARDED = re.compile(
 _FROZEN = re.compile(r"frozen-after-init\b")
 _REQUIRES = re.compile(r"requires-lock:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 _PLANNER = re.compile(r"(?<![a-z-])lock:\s*planner\b")
-_PUBLISHES = re.compile(r"publishes:\s*(?P<fields>[A-Za-z0-9_,\s]+)")
 _IGNORE = re.compile(r"check:\s*ignore(?:\[(?P<rules>[a-z0-9\-,\s]*)\])?")
 
 
 def parse_guard_comment(comment: str) -> Optional[Tuple[str, bool]]:
     """``(lock_name, writes_only)`` from a guarded-by comment, or ``None``.
 
-    >>> parse_guard_comment("# guarded-by(writes): _topology")
-    ('_topology', True)
+    >>> parse_guard_comment("# guarded-by(writes): _writer")
+    ('_writer', True)
     """
     match = _GUARDED.search(comment)
     if match is None:
@@ -129,15 +117,6 @@ def parse_requires_comment(comment: str) -> Optional[str]:
     """The lock a ``# requires-lock:`` comment declares held, or ``None``."""
     match = _REQUIRES.search(comment)
     return match.group("lock") if match else None
-
-
-def parse_publishes_comment(comment: str) -> Optional[List[str]]:
-    """The ordered field list of a ``# publishes:`` comment, or ``None``."""
-    match = _PUBLISHES.search(comment)
-    if match is None:
-        return None
-    fields = [f.strip() for f in match.group("fields").split(",")]
-    return [f for f in fields if f]
 
 
 def parse_ignore_comment(comment: str) -> Optional[Optional[FrozenSet[str]]]:

@@ -1,5 +1,5 @@
-"""The lock-discipline linter (rules ``lock-guard``, ``lock-order``,
-``lock-nesting``, ``frozen-field``).
+"""The lock-discipline linter (rules ``lock-guard``, ``lock-nesting``,
+``frozen-field``).
 
 Reads the annotation conventions of ``docs/STATIC_ANALYSIS.md`` out of
 a module's comments and enforces them over the AST:
@@ -13,15 +13,16 @@ a module's comments and enforces them over the AST:
   lock but deliberately read lock-free.
 * ``# frozen-after-init`` — the attribute is never written outside
   ``__init__``; committed shards and their memo identities rely on it.
-* ``# lock: planner`` on a lock attribute — while that lock is held,
-  no other lock may be (blockingly) acquired: the planner lock is the
-  short critical section everything else waits behind, so blocking
-  inside it stalls every writer.  Re-entrant ``with`` on a held lock
-  is reported under the same rule.
-* any ``for`` loop that acquires locks must iterate a ``sorted(...)``
-  sequence (directly or through a local assigned from ``sorted``), so
-  an ascending total order over the locks — the usual deadlock-freedom
-  argument — is visible in the code, not just the docstring.
+* ``# lock: planner`` on a lock attribute, such as the service's
+  writer lock — within one function, no ``with`` of another annotated
+  lock and no ``.acquire()`` call may sit lexically inside a ``with``
+  of the planner lock, and a ``with`` of an already-held lock
+  (re-entry) is reported under the same rule.  The rule is lexical:
+  it does not follow calls, so the storage backend's own lock, taken
+  inside the backend's ``append`` (and ``close``) while the writer
+  lock is held, is the sanctioned lock wait inside the writer section.
+  A re-entry that crosses a call is the runtime witness's job
+  (:mod:`repro.check.witness`).
 
 ``__init__`` is exempt from the guard and frozen rules (the object is
 not shared during construction); every other rule applies everywhere.
@@ -272,7 +273,7 @@ class _FunctionChecker:
                 "lock-nesting",
                 node.lineno,
                 f"blocking .acquire() while the planner lock {planner!r} is "
-                f"held; acquire shard locks before entering the planner "
+                f"held; take other locks before entering the planner "
                 f"critical section (see docs/STATIC_ANALYSIS.md)",
             )
         if not self.check_guards:
@@ -320,93 +321,6 @@ class _FunctionChecker:
             return node.attr
         return None
 
-# ----------------------------------------------------------------------
-# Lock-ordering: file-wide, annotation-free (any loop that acquires)
-# ----------------------------------------------------------------------
-
-
-def _is_sorted_call(expr: ast.expr) -> bool:
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "sorted"
-    )
-
-
-def _locals_assigned_from_sorted(func: FunctionNode) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and _is_sorted_call(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
-def _iterates_sorted(iter_expr: ast.expr, sorted_locals: Set[str]) -> bool:
-    if _is_sorted_call(iter_expr):
-        return True
-    if isinstance(iter_expr, ast.Name) and iter_expr.id in sorted_locals:
-        return True
-    # enumerate(sorted(...)) / enumerate(<sorted local>) still walks the
-    # sorted order.
-    if (
-        isinstance(iter_expr, ast.Call)
-        and isinstance(iter_expr.func, ast.Name)
-        and iter_expr.func.id == "enumerate"
-        and iter_expr.args
-    ):
-        return _iterates_sorted(iter_expr.args[0], sorted_locals)
-    return False
-
-
-def _check_acquire_loops(sf: SourceFile) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    parents = build_parent_map(sf.tree)
-    sorted_locals_cache: Dict[int, Set[str]] = {}
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.For):
-            continue
-        acquires = any(
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "acquire"
-            for stmt in node.body
-            for call in ast.walk(stmt)
-        )
-        if not acquires:
-            continue
-        ancestor = parents.get(id(node))
-        func: Optional[FunctionNode] = None
-        while ancestor is not None:
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                func = ancestor
-                break
-            ancestor = parents.get(id(ancestor))
-        if func is not None:
-            key = id(func)
-            if key not in sorted_locals_cache:
-                sorted_locals_cache[key] = _locals_assigned_from_sorted(func)
-            sorted_locals = sorted_locals_cache[key]
-        else:
-            sorted_locals = set()
-        if not _iterates_sorted(node.iter, sorted_locals):
-            if not sf.suppressed(node.lineno, "lock-order"):
-                diagnostics.append(
-                    Diagnostic(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="lock-order",
-                        message=(
-                            "loop acquires locks but does not iterate a "
-                            "sorted() sequence — the ascending-id "
-                            "acquisition order (the deadlock-freedom "
-                            "invariant) is not guaranteed"
-                        ),
-                    )
-                )
-    return diagnostics
-
 
 def check_lock_discipline(sf: SourceFile) -> List[Diagnostic]:
     """Run the lock-discipline rules over one source file."""
@@ -418,5 +332,4 @@ def check_lock_discipline(sf: SourceFile) -> List[Diagnostic]:
             check_guards = func.name != "__init__"
             checker = _FunctionChecker(sf, scope, func, check_guards)
             diagnostics.extend(checker.run())
-    diagnostics.extend(_check_acquire_loops(sf))
     return diagnostics

@@ -3,7 +3,7 @@
 :func:`run_checks` is the programmatic entry point (the CLI subcommand
 and ``scripts/check_invariants.py`` both call it): it expands the given
 paths to ``.py`` files, parses each one, runs the per-file analyzers
-(lock discipline, async safety, publication order) plus the cross-file
+(lock discipline, async safety) plus the cross-file
 API-surface pass, and returns the findings sorted by location.
 
 A file that fails to parse contributes a single ``parse-error``
@@ -24,7 +24,6 @@ from repro.check.api_surface import check_api_surface
 from repro.check.asyncsafe import check_async_safety
 from repro.check.diagnostics import Diagnostic, SourceFile
 from repro.check.locks import check_lock_discipline
-from repro.check.publication import check_publication_order
 
 __all__ = [
     "iter_python_files",
@@ -55,7 +54,6 @@ def _analyze(files: List[SourceFile]) -> List[Diagnostic]:
     for sf in files:
         diagnostics.extend(check_lock_discipline(sf))
         diagnostics.extend(check_async_safety(sf))
-        diagnostics.extend(check_publication_order(sf))
         diagnostics.extend(sf.suppression_diagnostics())
     diagnostics.extend(check_api_surface(files))
     return sorted(set(diagnostics))

@@ -149,7 +149,6 @@ class _ServiceTelemetry:
         "calls",
         "schemas",
         "rollbacks",
-        "retries",
         "register_duration",
         "view_hits",
         "view_partial",
@@ -168,9 +167,6 @@ class _ServiceTelemetry:
         self.schemas = REGISTRY.register(Counter("service.register.schemas"))
         self.rollbacks = REGISTRY.register(
             Counter("service.register.rollbacks")
-        )
-        self.retries = REGISTRY.register(
-            Counter("service.register.plan_retries")
         )
         self.register_duration = REGISTRY.register(
             Histogram("service.register.duration")
@@ -562,8 +558,9 @@ class MergeService:
         with self._writer:
             self._closed = True
             if self._cutter is not None:
-                # Shutdown is the one wait under the writer lock: the
-                # cutter never takes it, and no write can follow.
+                # Shutdown is the one wait on another thread under the
+                # writer lock: the cutter never takes it, and no write
+                # can follow.
                 self._cutter.close()
             self._storage.close()
 
@@ -1014,7 +1011,7 @@ class MergeService:
         self,
         groups: List[_Group],
         delta: Callable[[int], _Delta],
-    ) -> Tuple[int, int]:  # publishes: _registry
+    ) -> Tuple[int, int]:
         """Log a staged write, then publish it.  Writer lock held.
 
         *delta* validates the lifecycle-table change and builds the log
@@ -1507,7 +1504,6 @@ class MergeService:
                 "register": {
                     "calls": tel.calls.value,
                     "rollbacks": tel.rollbacks.value,
-                    "plan_retries": tel.retries.value,
                 },
                 "latency": {
                     "merged_view": tel.view_duration.percentiles(),

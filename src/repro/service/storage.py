@@ -213,8 +213,8 @@ class LogRecord:
 
     *sids* exist because component-id allocation is the one part of a
     commit that the batch alone does not determine: rolled-back batches
-    and plan retries consume ids that replay (which sees committed
-    history only) would never burn.  Recording the assignment makes the
+    consume ids that replay (which sees committed history only) would
+    never burn.  Recording the assignment makes the
     recovered registry answer ``query``/``component_snapshot`` with the
     same component ids the original handed out.
     """

@@ -1,25 +1,25 @@
-"""Corpus: blocking acquisition while the planner lock is held."""
+"""Corpus: blocking acquisition while the planner (writer) lock is held."""
 
 import threading
 
 
-class Planner:
+class Writer:
     def __init__(self):
-        self._topology = threading.Lock()  # lock: planner
-        self._shard_locks = {}
+        self._writer = threading.Lock()  # lock: planner
+        self._locks = {}
 
-    def bad_blocking_acquire(self, sid):
-        with self._topology:
-            self._shard_locks[sid].acquire()  # BAD[lock-nesting]
+    def bad_blocking_acquire(self, key):
+        with self._writer:
+            self._locks[key].acquire()  # BAD[lock-nesting]
 
     def bad_reentrant(self):
-        with self._topology:
-            with self._topology:  # BAD[lock-nesting]
+        with self._writer:
+            with self._writer:  # BAD[lock-nesting]
                 pass
 
-    def good_shards_then_planner(self, sid):
-        lock = self._shard_locks[sid]
+    def good_other_lock_then_writer(self, key):
+        lock = self._locks[key]
         lock.acquire()
-        with self._topology:
+        with self._writer:
             pass
         lock.release()

@@ -6,8 +6,8 @@ The claims the design makes, each exercised directly:
   pods, or racing on one fresh class name, end in the state some serial
   order of their writes produces;
 * **bridging** registrations merge components exactly once under
-  contention, and the storms never retry a plan: writers serialize on
-  the one writer lock from plan to publish;
+  contention: writers serialize on the one writer lock from plan to
+  publish;
 * **readers never block** — a warm ``merged_view`` completes while a
   writer holds the writer lock, and the answers readers memoize on
   shards mid-write are never stale;
@@ -40,6 +40,7 @@ from repro.exceptions import (
     UnknownClassError,
 )
 from repro.check.witness import (
+    LockOrderViolation,
     disable_witness,
     enable_witness,
     reset_witness_stats,
@@ -141,7 +142,6 @@ class TestDisjointWriters:
         assert len(service.components()) == 1
         stats = service.service_stats()
         assert stats["registered_schemas"] == 12
-        assert stats["telemetry"]["register"]["plan_retries"] == 0
         merged = service.merged_view("Hub")
         for i in range(12):
             assert merged.has_arrow("Hub", f"spoke{i}", f"Rim{i}")
@@ -162,8 +162,8 @@ class TestBridgingUnderContention:
         service = MergeService([self._pod(0), self._pod(1)])
         assert len(service.components()) == 2
         # Eight threads all try to bridge the same two components at
-        # once; every one must succeed (ordered acquisition, replanning
-        # after the first merge) and the result is a single component.
+        # once; every one must succeed (each plans under the writer lock,
+        # after the merge before it) and the result is a single component.
         lanes = [
             [("register", self._bridge(0, 1, tag))] for tag in range(8)
         ]
@@ -181,7 +181,7 @@ class TestBridgingUnderContention:
         # 8 pods; concurrent writers bridge neighbours in both orders
         # (0-1, 1-2, ... and 6-7, 5-6, ...) while pod-local writers keep
         # touching single components.  Every writer plans under the
-        # writer lock, so no plan is ever retried.
+        # writer lock, so every plan sees the writes before it.
         pods = 8
         service = MergeService([self._pod(p) for p in range(pods)])
         forward = [
@@ -205,7 +205,6 @@ class TestBridgingUnderContention:
             service.component_schemas(service.component_of("Pod0_A"))
         )
         assert service.merged_view("Pod0_A") == join_all(members)
-        assert service.service_stats()["telemetry"]["register"]["plan_retries"] == 0
 
     @pytest.mark.slow
     def test_bridge_storm_many_rounds(self):
@@ -473,7 +472,7 @@ class TestDurableWriters:
 
 @pytest.fixture()
 def lock_witness():
-    """Run a test with the lock-order witness armed (and stats reset).
+    """Run a test with the lock witness armed (and stats reset).
 
     The witness only wraps locks created while it is active, so every
     service a witnessed test exercises must be constructed *inside* the
@@ -522,11 +521,9 @@ class TestLockOrderWitness:
         errors = run_writers(service, [forward, backward])
         assert not any(errors), errors
         assert len(service.components()) == 1
-        stats = witness_stats()
         # The witness really was on the hot path: every write checks
         # its acquire of the writer lock.
-        assert stats["checked"] > 0
-        assert stats["acquires"] >= stats["checked"]
+        assert witness_stats()["acquires"] > 0
 
     def test_witnessed_fresh_class_race(self, lock_witness):
         service = MergeService()
@@ -542,7 +539,7 @@ class TestLockOrderWitness:
         with ThreadPoolExecutor(max_workers=6) as pool:
             assert all(pool.map(write, schemas))
         assert len(service.components()) == 1
-        assert witness_stats()["checked"] > 0
+        assert witness_stats()["acquires"] > 0
 
     def test_witnessed_storm_with_background_cuts(self, lock_witness, tmp_path):
         # A cut falls due every two writes, so the cutter thread works
@@ -563,12 +560,22 @@ class TestLockOrderWitness:
         service.close()
         assert storage_module.CUT_DURATION.count > cuts
         assert stats["storage"]["last_cut_seq"] >= stats["storage"]["log_seq"] - 1
-        assert witness_stats()["checked"] > 0
+        assert witness_stats()["acquires"] > 0
         reopened = MergeService.open(data)
         try:
             assert reopened.merged_view() == view
         finally:
             reopened.close()
+
+    def test_save_under_the_writer_lock_is_caught(self, lock_witness):
+        # A re-entry through a call (a hand-off that calls back into
+        # save(), say) is invisible to the lexical lock-nesting rule,
+        # and under a plain lock it deadlocks.
+        service = MergeService([self._pod(0)])
+        with service._writer:
+            with pytest.raises(LockOrderViolation, match="re-entrant"):
+                service.save()
+        assert not service._writer.locked()
 
     @pytest.mark.slow
     def test_witnessed_storm_many_rounds(self, lock_witness):
@@ -581,7 +588,7 @@ class TestLockOrderWitness:
             errors = run_writers(service, lanes)
             assert not any(errors), errors
             assert len(service.components()) == 1
-        assert witness_stats()["checked"] > 0
+        assert witness_stats()["acquires"] > 0
 
 
 class TestRetireRacesRegister:
@@ -685,11 +692,11 @@ class TestRetireRacesRegister:
         self, tmp_path, lock_witness
     ):
         self._same_component(tmp_path / "registry")
-        assert witness_stats()["checked"] > 0
+        assert witness_stats()["acquires"] > 0
 
     def test_witnessed_bridging_retire_and_register(self, tmp_path, lock_witness):
         self._bridging(tmp_path / "registry")
-        assert witness_stats()["checked"] > 0
+        assert witness_stats()["acquires"] > 0
 
 
 class TestMemosUnderWrites:
