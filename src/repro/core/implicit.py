@@ -17,9 +17,9 @@ For each ``X ∈ Imp`` a fresh class ``X̄`` (here
 :class:`~repro.core.names.ImplicitName`) is added below the members of
 ``X``, arrows are re-targeted at the new classes, and specialization
 edges between implicit classes are filled in.  The result ``Ḡ`` is a
-proper schema with ``G ⊑ Ḡ``, and — because implicit names record their
-origin — repeating the construction across successive merges stays
-associative (the Figure 4/5 example).
+proper schema with ``G ⊑ Ḡ``.  Implicit names record their origin, so
+an iterated merge strips them (:func:`strip_implicits`) and derives them
+again, which keeps it associative (the Figure 4/5 example).
 
 Everything here runs on the weak schema's
 :class:`~repro.core.schema.DenseClosure`: a reach set is one int over
@@ -44,7 +44,7 @@ from repro.core.names import ClassName, GenName, ImplicitName, Label, sort_key
 from repro.core.relations import iter_bits
 from repro.core.proper import check_proper
 from repro.core.schema import DenseClosure, RowTable, Schema
-from repro.perf.closure import ClosureBuilder
+from repro.exceptions import SchemaValidationError
 
 __all__ = [
     "reachable_sets",
@@ -114,10 +114,6 @@ def _reach_of(members: int, rows: _SourceRows) -> Dict[Label, int]:
     return out
 
 
-def _strict_ups(dense: DenseClosure) -> List[int]:
-    return [mask ^ (1 << i) for i, mask in enumerate(dense.succ)]
-
-
 def _fixpoint(dense: DenseClosure) -> Tuple[Set[int], Set[int]]:
     """``(I∞, Imp)`` as id masks.
 
@@ -128,7 +124,7 @@ def _fixpoint(dense: DenseClosure) -> Tuple[Set[int], Set[int]]:
     expanded, each once.  Empty reach sets are never kept (their
     ``MinS`` is empty and can contribute no implicit class).
     """
-    strict_up = _strict_ups(dense)
+    strict_up = [mask ^ (1 << i) for i, mask in enumerate(dense.succ)]
     rows = _source_rows(dense)
     seen: Set[int] = set(dense.reach.values())
     frontier = list(seen)
@@ -168,9 +164,7 @@ def properize(schema: Schema) -> Schema:
     Follows section 4.2 on the masks of *schema*:
 
     1. compute ``Imp`` (:func:`implicit_sets`, called once) and encode
-       each member set as a mask ``X``; member sets whose
-       :class:`~repro.core.names.ImplicitName` coincide (flattening)
-       merge into ``MinS`` of their union;
+       each member set as a mask ``X`` with its own fresh ``X̄``;
     2. ``C̄ = C ∪ {X̄ | X ∈ Imp}``, ids in canonical ``sort_key`` order
        so equal merges intern as one object, as ``Schema.build`` does;
     3. every row ``m`` — an arrow row, or an up-set in ``S`` — becomes
@@ -192,44 +186,40 @@ def properize(schema: Schema) -> Schema:
     rows are W1-closed, and ``w ∈ up(X)`` means some member of ``X``
     specializes ``w``), and ``ext`` is monotone.
 
-    Two inputs break the premise, and there the same masks are closed
-    once by the engine (:meth:`~repro.perf.closure.ClosureBuilder.reclose`):
-    an input already holding a class named ``X̄`` (its rows are
-    replaced by ``R(X, a)`` and its old edges kept, as the set-based
-    construction does), and two distinct names with one member mask.
-
     The result is a proper schema with ``schema ⊑ properize(schema)``;
     properness is asserted here (a mask lookup per row) and both facts
     are re-checked at scale by the property tests.  A schema with no
     multi-minimal reach sets is returned unchanged (after the same
-    properness check).
+    properness check), so ``properize`` is idempotent.
+
+    The argument needs an input with no implicit class of its own: one
+    that holds an ``ImplicitName`` and has a non-empty ``Imp`` raises
+    :class:`~repro.exceptions.SchemaValidationError` before any assembly
+    (:func:`~repro.core.merge.upper_merge` strips its inputs first).
     """
     imp = implicit_sets(schema)
     if not imp:
         return check_proper(schema)
     dense = schema._dense
     names = dense.names
+    for cls in names:
+        if isinstance(cls, ImplicitName):
+            raise SchemaValidationError(
+                f"cannot properize a schema that already holds the implicit "
+                f"class {cls}: strip_implicits it first"
+            )
     succ = dense.succ
-    strict_up = _strict_ups(dense)
     pos = schema._id_map()
 
-    members: Dict[ImplicitName, int] = {}
-    for member_set in imp:
-        mask = 0
-        for cls in member_set:
-            mask |= 1 << pos[cls]
-        bar = ImplicitName(member_set)
-        prev = members.get(bar)
-        members[bar] = (
-            mask if prev is None else _min_mask(prev | mask, strict_up)
-        )
+    members = {
+        ImplicitName(member_set): sum(1 << pos[cls] for cls in member_set)
+        for member_set in imp
+    }
 
     order = tuple(sorted(set(names).union(members), key=sort_key))
     out_pos = {cls: k for k, cls in enumerate(order)}
     perm = [out_pos[cls] for cls in names]
     moved = [1 << k for k in perm]
-    # Old ids of classes that Imp re-derives: their rows are replaced.
-    rederived = {pos[bar] for bar in members if bar in pos}
     # ext(m) = {X̄ | X ⊆ m}.  The X̄ filed under m's ids (each under its
     # lowest member) are the candidates, and one mask AND per member id
     # outside m drops those not inside m, so a member every X̄ shares (an
@@ -274,8 +264,7 @@ def properize(schema: Schema) -> Schema:
         out_succ[perm[i]] = out(mask)
     reach: RowTable = {}
     for (src, label), tmask in dense.reach.items():
-        if src not in rederived:
-            reach[(perm[src], label)] = out(tmask)
+        reach[(perm[src], label)] = out(tmask)
     rows = _source_rows(dense)
     for bar, need in members.items():
         k = out_pos[bar]
@@ -289,7 +278,6 @@ def properize(schema: Schema) -> Schema:
         for label, tmask in _reach_of(need, rows).items():
             reach[(k, label)] = out(tmask)
 
-    result = DenseClosure(order, tuple(out_succ), reach)
-    if rederived or len(set(members.values())) < len(members):
-        result = ClosureBuilder.reclose(result)
-    return check_proper(Schema._from_dense(result))
+    return check_proper(
+        Schema._from_dense(DenseClosure(order, tuple(out_succ), reach))
+    )

@@ -60,7 +60,6 @@ def upper_merge(
     *schemas: Schema,
     assertions: Iterable[Schema] = (),
     consistency: Optional[ConsistencyRelation] = None,
-    strip_derived: bool = True,
 ) -> Schema:
     """The merge of section 4: weak LUB followed by properization.
 
@@ -77,20 +76,15 @@ def upper_merge(
         An optional :class:`~repro.core.consistency.ConsistencyRelation`;
         when given, every implicit class the merge would create is
         vetted against it before the result is assembled.
-    strip_derived:
-        When true (the default), implicit classes surviving from
-        *earlier* merges are removed from the inputs and re-derived.
-        Implicit classes carry no information of their own (section
-        4.2), and because their names record their origin they "can be
-        readily identified to allow subsequent merges to take place" —
-        this is what makes the iterated binary merge literally equal to
-        the n-ary merge (Figure 5's desideratum).  Set it to ``False``
-        only to study the intermediate-class behaviour.
+
+    Implicit classes left by earlier merges are always stripped from the
+    inputs and derived again: they carry no information of their own and
+    "can be readily identified to allow subsequent merges" (section 4.2).
+    This makes the iterated binary merge equal the n-ary one (Figure 5).
 
     Returns the proper schema ``Ḡ`` where ``G`` is the weak merge.
     """
-    if strip_derived:
-        schemas = tuple(strip_implicits(g) for g in schemas)
+    schemas = tuple(strip_implicits(g) for g in schemas)
     weak = weak_merge(*schemas, assertions=assertions)
     if consistency is not None:
         check_consistency(implicit_sets(weak), consistency)
@@ -141,16 +135,12 @@ def merge_report(
     *schemas: Schema,
     assertions: Iterable[Schema] = (),
     consistency: Optional[ConsistencyRelation] = None,
-    strip_derived: bool = True,
 ) -> MergeReport:
     """Run :func:`upper_merge` but keep all intermediate artifacts."""
     assertion_list: List[Schema] = list(assertions)
-    inputs = (
-        tuple(strip_implicits(g) for g in schemas)
-        if strip_derived
-        else tuple(schemas)
+    weak = weak_merge(
+        *(strip_implicits(g) for g in schemas), assertions=assertion_list
     )
-    weak = weak_merge(*inputs, assertions=assertion_list)
     member_sets = implicit_sets(weak)
     check_consistency(member_sets, consistency)
     merged = properize(weak)

@@ -16,11 +16,10 @@ small algebraic datatype:
 
 Implicit and generalization names are *flattened* on construction: an
 ``ImplicitName`` whose member set itself contains implicit names absorbs
-their members.  Flattening is exactly the mechanism that restores
-associativity in the Figure 4/5 example — merging ``G1`` with ``G2`` and
-then ``G3`` produces an implicit class below ``{D, E}`` first and then
-one below ``{Imp(D,E), F}``, which flattening identifies with the class
-``Imp(D, E, F)`` obtained in any other merge order.
+their members, so ``Imp({Imp(D, E), F})`` is ``Imp(D, E, F)``.  The
+upper merge reaches Figure 4/5's associativity without it, by stripping
+implicit classes before each merge; the set-based oracle, which still
+takes unstripped input, relies on it.
 
 Arrow labels are plain strings; a tiny :func:`check_label` guard keeps
 obviously broken values (non-strings, empty strings) out of schemas.

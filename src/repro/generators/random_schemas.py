@@ -101,10 +101,9 @@ def random_proper_schema(
 ) -> Schema:
     """A random *proper* schema: generate weak, then properize.
 
-    The result may contain implicit classes; callers wanting pristine
-    user classes only can strip them, but for merge benchmarks the
-    properized form is the realistic input (it is what a previous merge
-    would have produced).
+    The result may contain implicit classes, as a previous merge's
+    would: :func:`~repro.core.merge.upper_merge` strips them from its
+    inputs, and :func:`~repro.core.implicit.properize` may refuse them.
     """
     return properize(
         random_weak_schema(

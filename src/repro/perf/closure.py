@@ -356,25 +356,6 @@ class ClosureBuilder:
         return builder.dense_state()
 
     @classmethod
-    def reclose(cls, dense: DenseClosure) -> DenseClosure:
-        """Close *dense* read as generators, keeping its id table.
-
-        Each ``succ`` bit is a specialization edge and each row a raw
-        arrow row; the result is their closure, exactly what
-        :meth:`close` computes from the same edges named.  Properization
-        uses it when an input already holds a class it re-derives.  A
-        cycle raises :class:`~repro.exceptions.IncompatibleSchemasError`.
-        """
-        n = len(dense.names)
-        builder = cls.from_dense(
-            DenseClosure(dense.names, tuple(1 << i for i in range(n)), dense.reach)
-        )
-        for i, mask in enumerate(dense.succ):
-            for j in relations.iter_bits(mask & ~(1 << i)):
-                builder._insert_edge(i, j)
-        return builder.dense_state()
-
-    @classmethod
     def from_dense(cls, dense: DenseClosure) -> "ClosureBuilder":
         """A builder whose accumulated state *is* the given closed value.
 

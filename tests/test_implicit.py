@@ -25,7 +25,7 @@ from repro.core.names import BaseName, GenName, ImplicitName
 from repro.core.ordering import is_sub
 from repro.core.proper import canonical_class, is_proper
 from repro.core.schema import Schema
-from repro.exceptions import IncompatibleSchemasError, NotProperError
+from repro.exceptions import IncompatibleSchemasError, SchemaValidationError
 from repro.figures import figure3_schemas, figure4_schemas, figure6_schemas
 from repro.generators.pathological import (
     diamond_chain_schemas,
@@ -195,20 +195,20 @@ class TestStripImplicits:
 def assert_matches_oracle(weak: Schema) -> Optional[Schema]:
     """Dense ``I∞``/``Imp``/``Ḡ`` equal the set-based ones; returns ``Ḡ``.
 
-    Where the oracle raises (an input holding implicit classes from an
-    earlier merge can make ``Ḡ`` cyclic or not proper), the kernel must
-    raise the same error, and ``None`` is returned.
+    An input that holds an ``ImplicitName`` and has a non-empty ``Imp``
+    is outside ``properize``'s domain: the kernel refuses it with
+    ``SchemaValidationError`` and ``None`` is returned.  On every other
+    input the kernel returns the oracle's interned object.
     """
     assert reachable_sets(weak) == reference_reachable_sets(weak)
-    assert implicit_sets(weak) == reference_implicit_sets(weak)
-    try:
-        expected = reference_properize(weak)
-    except (IncompatibleSchemasError, NotProperError) as exc:
-        with pytest.raises(type(exc)):
+    imp = implicit_sets(weak)
+    assert imp == reference_implicit_sets(weak)
+    if imp and any(isinstance(cls, ImplicitName) for cls in weak.classes):
+        with pytest.raises(SchemaValidationError, match="strip_implicits"):
             properize(weak)
         return None
     proper = properize(weak)
-    assert proper is expected
+    assert proper is reference_properize(weak)
     return proper
 
 
@@ -232,8 +232,8 @@ class TestDenseEqualsOracle:
     @RELAXED
     @given(schema_triples())
     def test_surviving_implicit_classes(self, triple):
-        # strip_derived=False keeps the first merge's implicit classes in
-        # the second weak merge, so Imp may re-derive one of them.
+        # The first merge's implicit classes survive into the second weak
+        # merge unstripped: refused exactly when that merge needs new ones.
         first, second, third = triple
         kept = upper_merge(first, second)
         assert_matches_oracle(weak_merge(kept, third))
@@ -254,32 +254,41 @@ class TestDenseEqualsOracle:
 
     @pytest.mark.parametrize("order", list(permutations(range(3))))
     def test_figure4_chains_keep_intermediate_classes(self, order):
-        schemas = figure4_schemas()
-        merged = schemas[order[0]]
-        for index in order[1:]:
-            merged = assert_matches_oracle(weak_merge(merged, schemas[index]))
+        # The first merge keeps its implicit classes; merging on without
+        # stripping is refused in four orders, and upper_merge, which
+        # strips, reaches <D&E&F> in all six.
+        first, second, third = (figure4_schemas()[i] for i in order)
+        kept = assert_matches_oracle(weak_merge(first, second))
+        refused = assert_matches_oracle(weak_merge(kept, third)) is None
+        assert refused == (order in {(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1)})
+        merged = upper_merge(kept, third)
         assert ImplicitName(["D", "E", "F"]) in merged.classes
 
     def test_input_already_holding_the_rederived_class(self):
         # <B1&B2> survives from the first merge and Imp derives it again.
         first = upper_merge(*figure3_schemas())
         again = Schema.build(arrows=[("X", "b", "B1"), ("X", "b", "B2")])
-        merged = upper_merge(first, again, strip_derived=False)
         weak = weak_merge(first, again)
         assert ImplicitName(["B1", "B2"]) in weak.classes
-        assert merged is assert_matches_oracle(weak)
+        assert assert_matches_oracle(weak) is None
+        merged = upper_merge(first, again)
+        assert merged is assert_matches_oracle(strip_implicits(weak))
         assert canonical_class(merged, "X", "b") == ImplicitName(["B1", "B2"])
 
     def test_rederived_class_with_its_own_edges_is_reclosed(self):
-        # The old <P&Q> sits between S and T; re-deriving it below P and
-        # Q must close S ==> P through it, as the oracle's build does.
+        # The old <P&Q> sits between S and T.  The oracle re-derives it
+        # below P and Q and closes S ==> P through it; the kernel refuses
+        # the input, and derives <P&Q> afresh once it is stripped.
         bar = ImplicitName(["P", "Q"])
         weak = Schema.build(
             arrows=[("X", "b", "P"), ("X", "b", "Q"), (bar, "c", "Z")],
             spec=[("S", bar), (bar, "T")],
         )
-        proper = assert_matches_oracle(weak)
-        assert proper.is_spec("S", "P") and proper.is_spec(bar, "T")
+        assert assert_matches_oracle(weak) is None
+        assert reference_properize(weak).is_spec("S", "P")
+        proper = assert_matches_oracle(strip_implicits(weak))
+        assert proper.is_spec("S", "T") and not proper.is_spec("S", "P")
+        assert canonical_class(proper, "X", "b") == bar
 
     def test_two_names_with_one_member_set_raise_like_the_oracle(self):
         # {P, <Q&R>} and {Q, <P&R>} both flatten to <P&Q&R>, whose members
@@ -294,9 +303,10 @@ class TestDenseEqualsOracle:
             ],
             spec=[("Q", above_q), ("P", above_p)],
         )
+        # The total oracle reaches that cycle; the kernel refuses first.
         assert assert_matches_oracle(weak) is None
         with pytest.raises(IncompatibleSchemasError):
-            properize(weak)
+            reference_properize(weak)
 
     @RELAXED
     @given(st.integers(0, 10_000), st.integers(0, 10_000))

@@ -5,13 +5,17 @@ import pytest
 from repro.core import implicit, merge
 from repro.core.assertions import isa
 from repro.core.consistency import ConsistencyRelation
-from repro.core.implicit import implicit_classes_of
+from repro.core.implicit import implicit_classes_of, properize
 from repro.core.merge import merge_report, upper_merge, weak_merge
 from repro.core.names import BaseName, ImplicitName
 from repro.core.ordering import is_sub
 from repro.core.proper import is_proper
 from repro.core.schema import Schema
-from repro.exceptions import IncompatibleSchemasError, InconsistentSchemasError
+from repro.exceptions import (
+    IncompatibleSchemasError,
+    InconsistentSchemasError,
+    SchemaValidationError,
+)
 from repro.figures import figure3_schemas, figure4_schemas
 from repro.generators.workloads import get_workload
 
@@ -86,15 +90,29 @@ class TestUpperMerge:
         assert upper_merge() == Schema.empty()
 
     def test_without_stripping_intermediates_linger(self):
+        # Unstripped, the intermediate <D&E> would linger: the kernel
+        # refuses that input, and upper_merge strips it away.
         g1, g2, g3 = figure4_schemas()
-        kept = upper_merge(
-            upper_merge(g1, g2), g3, strip_derived=False
-        )
-        stripped = upper_merge(upper_merge(g1, g2), g3)
-        assert ImplicitName(["D", "E"]) in kept.classes
+        first = upper_merge(g1, g2)
+        assert ImplicitName(["D", "E"]) in first.classes
+        with pytest.raises(SchemaValidationError, match="strip_implicits"):
+            properize(weak_merge(first, g3))
+        stripped = upper_merge(first, g3)
         assert ImplicitName(["D", "E"]) not in stripped.classes
-        assert ImplicitName(["D", "E", "F"]) in kept.classes
         assert ImplicitName(["D", "E", "F"]) in stripped.classes
+
+    def test_unstripped_triple_is_refused_and_stripped_chain_is_n_ary(self):
+        # Unstripped, the second merge's Imp holds {<K0&K1>, K5}, which
+        # names <K0&K1&K5> like {K0, K1, K5}; the set-based construction
+        # then fails with NotProperError on compatible inputs.
+        g1 = Schema.build(arrows=[("K1", "c", "K0")])
+        g2 = Schema.build(
+            arrows=[("K0", "b", "K1"), ("K1", "c", "K5"), ("K5", "b", "K0")]
+        )
+        g3 = Schema.build(arrows=[("K5", "b", "K5")])
+        with pytest.raises(SchemaValidationError, match="strip_implicits"):
+            properize(weak_merge(upper_merge(g1, g2), g3))
+        assert upper_merge(upper_merge(g1, g2), g3) == upper_merge(g1, g2, g3)
 
     def test_consistency_vetoes(self):
         one, two = figure3_schemas()
