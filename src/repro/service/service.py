@@ -77,7 +77,7 @@ import threading
 import weakref
 from time import perf_counter
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union,
 )
 
 from dataclasses import replace as _dc_replace
@@ -115,7 +115,7 @@ from repro.service.storage import (
     ServiceState,
     StorageBackend,
     VersionState,
-    join_members,
+    _Member,
 )
 
 __all__ = ["MergeService"]
@@ -272,7 +272,7 @@ class _Group:
         self.replaced = replaced
         self.indices = indices
         self.builder: Optional[ClosureBuilder] = None
-        self.members: Sequence[Schema] = []
+        self.members: Tuple[_Member, ...] = ()
 
 
 #: ``plan_groups`` output: per group, the shard ids it replaces and its batch indices.
@@ -328,7 +328,7 @@ def _cut_state(capture: _Capture) -> ServiceState:
                 shard.sid,
                 shard.generation,
                 shard.builder.dense_state(),
-                shard.schemas,
+                shard.members,
             )
             for shard in sorted(registry.shards.values(), key=lambda s: s.sid)
         ),
@@ -626,9 +626,9 @@ class MergeService:
         class_to_sid: Dict[ClassName, int] = {}
         for component in state.components:
             builder = ClosureBuilder.from_dense(component.dense)
-            # The member sequence is adopted as-is: a FileBackend
-            # hands back a lazily-decoded view whose hydration cost
-            # is only paid by a later mutation of this shard.
+            # The members are adopted as-is: a FileBackend hands them
+            # back undecoded, and only a later mutation of this shard
+            # or introspection decodes them.
             shard = Shard(
                 component.sid,
                 builder,
@@ -760,6 +760,7 @@ class MergeService:
         # Empty schemas assert nothing and belong to no component.
         entries = [e for e in incoming if not e.schema.is_empty()]
         batch = [e.schema for e in entries]
+        members = [e.member for e in entries]
         tel = self._telemetry
         with span("service.register", schemas=len(incoming)) as root:
             self._check_open()
@@ -783,7 +784,7 @@ class MergeService:
                 root,
                 lambda: (self._plan_register(batch), None),
                 batch,
-                lambda groups, _key: self._rebuild(groups, batch),
+                lambda groups, _key: self._rebuild(groups, members),
                 delta,
                 sids,
             )
@@ -864,12 +865,14 @@ class MergeService:
                     for v in versions
                 ]
             versions.append(
-                VersionState(version, lifecycle, False, entry.schema)
+                VersionState(version, lifecycle, False, entry.member)
             )
             versions.sort(key=lambda v: v.version)
             update[entry.name] = tuple(versions)
             logged.append(
-                RegistrationEntry(entry.schema, entry.name, version, lifecycle)
+                RegistrationEntry(
+                    entry.schema, entry.name, version, lifecycle, entry.member
+                )
             )
         return update, tuple(logged)
 
@@ -970,7 +973,7 @@ class MergeService:
             )
         return groups
 
-    def _rebuild(self, groups: List[_Group], batch: List[Schema]) -> None:
+    def _rebuild(self, groups: List[_Group], batch: List[_Member]) -> None:
         """Register's stage: fold each group on clones.
 
         Raises :class:`IncompatibleSchemasError` with nothing published.
@@ -981,31 +984,30 @@ class MergeService:
                 component=group.sid,
                 schemas=len(group.indices),
             ):
-                parts: List[Sequence[Schema]] = []
+                members: Tuple[_Member, ...] = ()
                 if group.replaced:
                     # Grow the largest member in place (on a clone) and
                     # fold the others' schemas in.  The primary's members
                     # are joined, not read: a restored component's stay
                     # undecoded.
                     primary = max(
-                        group.replaced, key=lambda shard: len(shard.schemas)
+                        group.replaced, key=lambda shard: len(shard.members)
                     )
                     builder = primary.builder.clone()
-                    parts.append(primary.schemas)
+                    members = primary.members
                     for shard in group.replaced:
                         if shard is primary:
                             continue
-                        for schema in shard.schemas:
-                            builder.add_schema(schema)
-                        parts.append(shard.schemas)
+                        for member in shard.members:
+                            builder.add_schema(member.schema)
+                        members += shard.members
                 else:
                     builder = ClosureBuilder()
-                added = [batch[index] for index in group.indices]
-                for schema in added:
-                    builder.add_schema(schema)
-                parts.append(added)
+                added = tuple(batch[index] for index in group.indices)
+                for member in added:
+                    builder.add_schema(member.schema)
             group.builder = builder
-            group.members = join_members(parts)
+            group.members = members + added
 
     def _commit(  # requires-lock: _writer
         self,
@@ -1198,18 +1200,17 @@ class MergeService:
     def _rebuild_without(groups: List[_Group], live: List[VersionState]) -> None:
         """Retire's stage: rebuild each owning component from the members
         left once one occurrence of each retired version is dropped."""
-        drop = [v.schema for v in live]
         for group in groups:
             (shard,) = group.replaced
-            remaining = list(shard.schemas)
-            for schema in drop:
-                try:
-                    remaining.remove(schema)
-                except ValueError:
-                    pass
+            remaining = list(shard.members)
+            schemas = [member.schema for member in remaining]
+            for v in live:
+                if v.schema in schemas:
+                    index = schemas.index(v.schema)
+                    del schemas[index], remaining[index]
             with span("service.rebuild", component=group.sid, schemas=len(remaining)):
-                group.builder = ClosureBuilder(remaining) if remaining else None
-            group.members = remaining
+                group.builder = ClosureBuilder(schemas) if schemas else None
+            group.members = tuple(remaining)
 
     # ------------------------------------------------------------------
     # Queries (lock-free readers)
@@ -1369,7 +1370,7 @@ class MergeService:
         self._telemetry.answer_misses.inc()
         merged, _outcome = self._component_schema(shard)
         shard.answers[key_name] = answer = QueryResult.from_component(
-            merged, key_name, shard.sid, len(shard.schemas)
+            merged, key_name, shard.sid, len(shard.members)
         )
         return answer
 
@@ -1418,7 +1419,7 @@ class MergeService:
         shard.snapshot = snapshot = ComponentSnapshot(
             sid=shard.sid,
             generation=shard.generation,
-            schemas=len(shard.schemas),
+            schemas=len(shard.members),
             dense=merged._dense,
         )
         return snapshot
@@ -1436,7 +1437,7 @@ class MergeService:
         return {
             shard.sid: {
                 "classes": len(shard.builder.classes),
-                "schemas": len(shard.schemas),
+                "schemas": len(shard.members),
                 "generation": shard.generation,
             }
             for shard in sorted(
@@ -1446,7 +1447,7 @@ class MergeService:
 
     def component_schemas(self, component: ComponentRef) -> Tuple[Schema, ...]:
         """The registered schemas that make up one component."""
-        return tuple(self._resolve(component).schemas)
+        return tuple(m.schema for m in self._resolve(component).members)
 
     def service_stats(self) -> Dict[str, Any]:
         """Operational counters: components, generation, memo hit rates.

@@ -34,6 +34,7 @@ from repro.core.schema import Schema
 from repro.perf.closure import ClosureBuilder
 from repro.service.api_types import QueryResult
 from repro.service.snapshots import ComponentSnapshot
+from repro.service.storage import _Member
 
 __all__ = ["Shard", "UnionFind", "plan_groups"]
 
@@ -86,15 +87,16 @@ class Shard:
     *answers* and *bodies* only hold names the shard contains, so memo
     memory is bounded by the registry.
 
-    *schemas* is any immutable-after-handoff sequence: commits build
-    plain lists, but a snapshot-led recovery hands over a sequence of
-    document references that decode only when a retire, a fold into
-    another component or introspection reads them; a register into
-    the component extends it by reference.
+    *members* is a tuple of the component's held schemas
+    (:class:`~repro.service.storage._Member`), each shared with the log
+    record that registered it and with the lifecycle table.  A member
+    restored from a snapshot cut decodes only when a retire, a fold into
+    another component or introspection reads its ``schema``; a register
+    into the component concatenates tuples and reads none.
     """
 
     __slots__ = (
-        "sid", "builder", "schemas", "generation",
+        "sid", "builder", "members", "generation",
         "view", "answers", "snapshot", "bodies",
     )
 
@@ -102,12 +104,12 @@ class Shard:
         self,
         sid: int,
         builder: ClosureBuilder,
-        schemas: Sequence[Schema],
+        members: Tuple[_Member, ...],
         generation: int,
     ) -> None:
         self.sid = sid  # frozen-after-init
         self.builder = builder  # frozen-after-init
-        self.schemas = schemas  # frozen-after-init
+        self.members = members  # frozen-after-init
         self.generation = generation  # frozen-after-init
         self.view: Optional[Schema] = None
         self.answers: Dict[ClassName, QueryResult] = {}
@@ -116,7 +118,7 @@ class Shard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
-            f"Shard(sid={self.sid}, schemas={len(self.schemas)}, "
+            f"Shard(sid={self.sid}, schemas={len(self.members)}, "
             f"generation={self.generation})"
         )
 

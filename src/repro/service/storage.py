@@ -19,11 +19,12 @@ one :class:`StorageBackend` protocol:
   so a cut is *incremental*: it writes only the pairs the previous
   manifest does not already reference, and keeps the rest by reference.
   Schema documents are stored once per file under a content digest and
-  shared by reference, so the lifecycle table re-encodes nothing its
-  component files already carry.  Recovery restores components from the
-  newest durable cut, with members and lifecycle versions left as
-  references into its documents until something reads them, and
-  replays only the log *suffix*.  The manifest
+  shared by reference, so the lifecycle table repeats nothing its
+  component files already carry.  Each member holds its document,
+  encoded once for the log, and every cut writes that document.
+  Recovery restores components from the newest durable cut, with
+  members and lifecycle versions left as documents until something
+  reads them, and replays only the log *suffix*.  The manifest
   is renamed into place only after every new file is durable, and the
   files it stops referencing are deleted only after it is durable, so a
   crash at any point of a cut leaves the previous cut intact.
@@ -87,7 +88,7 @@ import json
 import os
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -99,7 +100,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     Union,
 )
@@ -132,7 +132,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "FileBackend",
-    "join_members",
 ]
 
 FORMAT_LOG = "repro.log/1"
@@ -167,12 +166,16 @@ class RegistrationEntry:
     one past the name's highest existing version, *lifecycle* to
     ``"recommended"`` (demoting the previous recommended version to
     ``"supported"`` — the supersede chain).
+
+    *member* is the entry's held form, made from *schema*: the log
+    record, the component's members and the lifecycle table share it.
     """
 
     schema: Schema
     name: Optional[str] = None
     version: Optional[int] = None
     lifecycle: Optional[str] = None
+    member: "_Member" = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.name is not None and not isinstance(self.name, str):
@@ -199,6 +202,8 @@ class RegistrationEntry:
                 f"unknown lifecycle {self.lifecycle!r}; "
                 f"expected one of {LIFECYCLES}"
             )
+        if self.member is None:
+            object.__setattr__(self, "member", _Member(self.schema))
 
 
 @dataclass(frozen=True)
@@ -227,97 +232,92 @@ class LogRecord:
     versions: Tuple[int, ...] = ()
 
 
-class _DocTable:
-    """The schema documents of one loaded cut, each decoded at most once.
+class _Member:
+    """One member schema as it is held: the schema, its document, or both.
 
-    Component files and the manifest store each schema document once,
-    keyed by its content digest, and refer to it by that digest.  The
-    table gathers them all, so a schema that is a member of a component
-    *and* a version in the lifecycle table decodes once per recovery,
-    whichever asks first.
+    A component's members and the lifecycle table's versions are
+    members.  A registered schema starts from its
+    :class:`~repro.core.schema.Schema`, a replayed one from the schema
+    and the log's ``repro.schema/1`` document, a restored one from its
+    cut's document alone.  Each half, and the document's content
+    :attr:`digest`, is filled on first use and memoized here:
+    :attr:`schema` decodes the document, :attr:`doc` encodes the schema.
+    So a schema is encoded at most once per process, for its log append
+    and every later cut alike, and a schema no one reads is never
+    decoded.  Racing first uses compute equal values, and one of them is
+    kept.
+
+    A restored document sits inside a checksummed file, so byte
+    corruption is caught at load time; a document that is CRC-clean yet
+    undecodable raises :class:`~repro.exceptions.CorruptSnapshotError`
+    on its first :attr:`schema` read, naming the file it came from.
     """
 
-    __slots__ = ("_docs", "_schemas", "_lock")
+    __slots__ = ("_schema", "_doc", "_digest", "_origin")
 
-    def __init__(self, docs: Mapping[str, Mapping[str, Any]]) -> None:
-        self._docs = docs  # frozen-after-init
-        self._schemas: Dict[str, Schema] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def doc(self, digest: str) -> Mapping[str, Any]:
-        return self._docs[digest]
-
-    def schema(self, digest: str, origin: str) -> Schema:
-        """The schema under *digest*, decoded on its first read."""
-        with self._lock:
-            schema = self._schemas.get(digest)
-            if schema is None:
-                try:
-                    schema = schema_from_dict(dict(self._docs[digest]))
-                except (
-                    SerializationError,
-                    AttributeError,
-                    KeyError,
-                    TypeError,
-                    ValueError,
-                ) as exc:
-                    raise CorruptSnapshotError(
-                        f"{origin} schema {digest!r} does not decode: {exc}"
-                    ) from exc
-                self._schemas[digest] = schema
-            return schema
-
-
-#: One encoded schema: its content digest and its ``repro.schema/1`` document.
-_Encoded = Tuple[str, Mapping[str, Any]]
-
-
-class _DocRef:
-    """One schema document of a loaded cut, by reference.
-
-    Recovery hands references out instead of schemas: :meth:`schema`
-    decodes through the cut's :class:`_DocTable` on first read, and a
-    later cut writes :meth:`encoded`, the digest and document as they
-    were loaded, without decoding or re-encoding anything.
-    """
-
-    __slots__ = ("digest", "_table", "_origin")
-
-    def __init__(self, digest: str, table: _DocTable, origin: str) -> None:
-        self.digest = digest  # frozen-after-init
-        self._table = table  # frozen-after-init
+    def __init__(
+        self,
+        schema: Optional[Schema] = None,
+        doc: Optional[Mapping[str, Any]] = None,
+        digest: Optional[str] = None,
+        origin: str = "",
+    ) -> None:
+        self._schema = schema
+        self._doc = doc
+        self._digest = digest
         self._origin = origin  # frozen-after-init
 
+    @property
     def schema(self) -> Schema:
-        return self._table.schema(self.digest, self._origin)
+        schema = self._schema
+        if schema is None:
+            try:
+                schema = schema_from_dict(dict(self._doc))  # type: ignore[arg-type]
+            except (
+                SerializationError,
+                AttributeError,
+                KeyError,
+                TypeError,
+                ValueError,
+            ) as exc:
+                raise CorruptSnapshotError(
+                    f"{self._origin} schema {self._digest!r} does not decode: {exc}"
+                ) from exc
+            self._schema = schema
+        return schema
 
-    def encoded(self) -> _Encoded:
-        return self.digest, self._table.doc(self.digest)
+    @property
+    def doc(self) -> Mapping[str, Any]:
+        doc = self._doc
+        if doc is None:
+            doc = self._doc = schema_to_dict(self._schema)  # type: ignore[arg-type]
+        return doc
 
-
-#: A member or version as a backend holds it: a schema, or a reference.
-_Held = Union[Schema, _DocRef]
+    @property
+    def digest(self) -> str:
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = _digest(self.doc)
+        return digest
 
 
 @dataclass(frozen=True)
 class VersionState:
     """One version of a named schema in the lifecycle table.
 
-    *source* is the version's schema or, for a version restored from a
-    snapshot cut, a reference to its document, decoded on the first
-    :attr:`schema` read.  ``dataclasses.replace`` copies *source* as it
-    is, so demoting or retiring a restored version decodes nothing.
+    *member* is the version's held schema, shared with the component
+    that holds it; ``dataclasses.replace`` copies it as it is, so
+    demoting or retiring a restored version decodes nothing.
     """
 
     version: int
     lifecycle: str
     retired: bool
-    source: _Held
+    member: _Member
 
     @property
     def schema(self) -> Schema:
-        source = self.source
-        return source if isinstance(source, Schema) else source.schema()
+        return self.member.schema
 
 
 @dataclass(frozen=True)
@@ -327,72 +327,7 @@ class ComponentState:
     sid: int
     generation: int
     dense: DenseClosure
-    members: Sequence[Schema]
-
-
-class _LazyMembers(Sequence[Schema]):
-    """Member schemas of a component restored from a cut, decoded on first use.
-
-    A snapshot-led recovery serves views and queries from the dense
-    closure alone; the member list matters only to *later* mutations
-    (a retire refolding the shard, a merge folding it in as a secondary)
-    and to introspection.  So a restored component's members stay
-    :class:`_DocRef` references: ``len`` counts them, any content access
-    hydrates the whole tuple through the cut's :class:`_DocTable`, and
-    :func:`join_members` grows the sequence (a register into the
-    component) without hydrating it.  A published sequence never
-    changes: growing makes a new object.  The documents sit inside a
-    checksummed snapshot, so byte corruption is caught at load time; a
-    document that is CRC-clean yet undecodable raises
-    :class:`~repro.exceptions.CorruptSnapshotError` on first read.
-    """
-
-    __slots__ = ("_items", "_decoded")
-
-    def __init__(self, items: Sequence[_Held]) -> None:
-        self._items: Tuple[_Held, ...] = tuple(items)  # frozen-after-init
-        # Racing hydrations store equal tuples: the table decodes each
-        # document once, under its own lock.
-        self._decoded: Optional[Tuple[Schema, ...]] = None
-
-    def _hydrate(self) -> Tuple[Schema, ...]:
-        decoded = self._decoded
-        if decoded is None:
-            decoded = self._decoded = tuple(
-                item if isinstance(item, Schema) else item.schema()
-                for item in self._items
-            )
-        return decoded
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return self._hydrate()[index]
-
-    def __iter__(self) -> Iterator[Schema]:
-        return iter(self._hydrate())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        state = "decoded" if self._decoded is not None else "raw"
-        return f"_LazyMembers({len(self._items)} schemas, {state})"
-
-
-def _held(members: Sequence[Schema]) -> Sequence[_Held]:
-    """*members* as held: a restored sequence's references stay references."""
-    return members._items if isinstance(members, _LazyMembers) else members
-
-
-def join_members(parts: Sequence[Sequence[Schema]]) -> Sequence[Schema]:
-    """The members of *parts*, in order, as one new sequence.
-
-    Parts restored from a cut are joined by reference, not decoded, so a
-    register into a restored component leaves it unhydrated and the next
-    cut writes its documents as they were loaded.
-    """
-    if any(isinstance(part, _LazyMembers) for part in parts):
-        return _LazyMembers([item for part in parts for item in _held(part)])
-    return [schema for part in parts for schema in part]
+    members: Tuple[_Member, ...]
 
 
 @dataclass(frozen=True)
@@ -508,22 +443,28 @@ def _unseal(text: str, error: "type[StorageError]") -> Dict[str, Any]:
 
 
 def entry_to_dict(entry: RegistrationEntry) -> Dict[str, Any]:
-    """Encode one registration entry (schema via ``repro.schema/1``)."""
+    """Encode one registration entry (its member's ``repro.schema/1`` document)."""
     return {
         "name": entry.name,
         "version": entry.version,
         "lifecycle": entry.lifecycle,
-        "schema": schema_to_dict(entry.schema),
+        "schema": entry.member.doc,
     }
 
 
 def entry_from_dict(doc: Mapping[str, Any]) -> RegistrationEntry:
-    """Decode one registration entry (validates like a fresh submission)."""
+    """Decode one registration entry (validates like a fresh submission).
+
+    Its member keeps the log's document, so no later cut re-encodes it.
+    """
+    schema_doc = doc["schema"]
+    member = _Member(schema_from_dict(dict(schema_doc)), schema_doc)
     return RegistrationEntry(
-        schema=schema_from_dict(dict(doc["schema"])),
+        schema=member.schema,
         name=doc.get("name"),
         version=doc.get("version"),
         lifecycle=doc.get("lifecycle"),
+        member=member,
     )
 
 
@@ -669,15 +610,15 @@ class FileBackend:
     directory (the new names are durable), then the manifest, and the
     directory again.  Only then are the files the new manifest no longer
     references deleted.  A crash at any point leaves the previous
-    manifest and every file it references whole.  Each schema document
-    is encoded once per cut: the previous cut's documents are reused for
-    every schema a file or the lifecycle table still references.
+    manifest and every file it references whole.  A cut encodes no
+    schema itself: it writes each member's memoized document and digest
+    (:class:`_Member`), which the member's log append already encoded.
 
     :meth:`load_state` decodes no schema document.  It verifies every
-    file's seal and re-validates every component's closure, but hands
-    members and lifecycle versions back as references into the cut's
-    documents (:class:`_DocRef`), decoded on first read.  A cut writes a
-    reference's document as it was loaded, so a restored schema that no
+    file's seal and re-validates every component's closure, and hands
+    members and lifecycle versions back as one :class:`_Member` per
+    distinct document, decoded on first read.  A cut writes a restored
+    member's document as it was loaded, so a restored schema that no
     one reads is never decoded or re-encoded.
     """
 
@@ -703,9 +644,6 @@ class FileBackend:
         #: The previous manifest's component files, each with the
         #: digests of the schema documents it carries.
         self._files: Dict[Tuple[int, int], FrozenSet[str]] = {}  # guarded-by: _cut_lock
-        #: The previous cut's encoded schemas, by schema (references
-        #: carry their own documents).
-        self._encoded: Dict[Schema, _Encoded] = {}  # guarded-by: _cut_lock
         log = self._dir / self.LOG_NAME
         try:
             try:
@@ -841,12 +779,16 @@ class FileBackend:
             next_sid = int(manifest["next_sid"])
             pairs = [(int(sid), int(gen)) for sid, gen in manifest["files"]]
             series_doc = manifest["series"]
-            docs: Dict[str, Mapping[str, Any]] = dict(manifest["schemas"])
+            origin = "manifest lifecycle table"
+            held = {
+                digest: _Member(doc=doc, digest=digest, origin=origin)
+                for digest, doc in dict(manifest["schemas"]).items()
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"manifest is missing or mistypes a field: {exc}"
             ) from exc
-        loaded: List[Tuple[int, int, DenseClosure, List[str], str]] = []
+        loaded: List[Tuple[int, int, DenseClosure, List[str]]] = []
         files: Dict[Tuple[int, int], FrozenSet[str]] = {}
         for sid, gen in pairs:
             name = self._snap_name(sid, gen)
@@ -871,7 +813,7 @@ class FileBackend:
                 # snapshot_from_dict re-validates the closure invariants
                 # — the decoder never trusts persisted relations.  The
                 # member docs (only needed by later mutations) decode
-                # lazily, through the cut's shared document table.
+                # lazily, each once, through one member per digest.
                 dense = snapshot_from_dict(dict(doc["snapshot"]))
                 carried = doc["schemas"]
                 members = doc["members"]
@@ -884,34 +826,31 @@ class FileBackend:
                 raise CorruptSnapshotError(
                     f"snapshot {name} does not decode: {exc}"
                 ) from exc
-            docs.update(carried)
+            for digest, carried_doc in carried.items():
+                if digest not in held:
+                    held[digest] = _Member(
+                        doc=carried_doc, digest=digest, origin=f"snapshot {name}"
+                    )
             files[(sid, gen)] = frozenset(carried)
-            loaded.append((sid, gen, dense, members, f"snapshot {name}"))
-        table = _DocTable(docs)
+            loaded.append((sid, gen, dense, members))
         components = tuple(
-            ComponentState(
-                sid,
-                gen,
-                dense,
-                _LazyMembers([_DocRef(digest, table, origin) for digest in members]),
-            )
-            for sid, gen, dense, members, origin in loaded
+            ComponentState(sid, gen, dense, tuple(held[d] for d in members))
+            for sid, gen, dense, members in loaded
         )
         series: Dict[str, Tuple[VersionState, ...]] = {}
-        origin = "manifest lifecycle table"
         try:
             for schema_name, versions in series_doc.items():
                 states: List[VersionState] = []
                 for v in versions:
                     digest = v["schema"]
-                    if digest not in docs:
+                    if digest not in held:
                         raise KeyError(f"version schema {digest!r} has no document")
                     states.append(
                         VersionState(
                             version=int(v["version"]),
                             lifecycle=str(v["lifecycle"]),
                             retired=bool(v["retired"]),
-                            source=_DocRef(digest, table, origin),
+                            member=held[digest],
                         )
                     )
                 series[schema_name] = tuple(states)
@@ -922,7 +861,6 @@ class FileBackend:
         with self._cut_lock:
             # The next cut keeps these files by reference.
             self._files = files
-            self._encoded = {}
         return ServiceState(
             seq=seq,
             generation=generation,
@@ -936,21 +874,6 @@ class FileBackend:
             self._save_state(state)
 
     def _save_state(self, state: ServiceState) -> None:  # requires-lock: _cut_lock
-        previous = self._encoded
-        encoded: Dict[Schema, _Encoded] = {}
-
-        def encode(schema: _Held) -> _Encoded:
-            if isinstance(schema, _DocRef):
-                return schema.encoded()
-            entry = encoded.get(schema)
-            if entry is None:
-                entry = previous.get(schema)
-                if entry is None:
-                    doc = schema_to_dict(schema)
-                    entry = (_digest(doc), doc)
-                encoded[schema] = entry
-            return entry
-
         files: Dict[Tuple[int, int], FrozenSet[str]] = {}
         written = 0
         for component in state.components:
@@ -959,8 +882,7 @@ class FileBackend:
             if kept is not None:
                 files[pair] = kept
                 continue
-            entries = [encode(schema) for schema in _held(component.members)]
-            carried = dict(entries)
+            carried = {m.digest: m.doc for m in component.members}
             self._write_file(
                 self._dir / self._snap_name(*pair),
                 _seal({
@@ -968,25 +890,22 @@ class FileBackend:
                     "sid": component.sid,
                     "generation": component.generation,
                     "snapshot": snapshot_to_dict(component.dense),
-                    "members": [digest for digest, _doc in entries],
+                    "members": [m.digest for m in component.members],
                     "schemas": carried,
                 }),
             )
             files[pair] = frozenset(carried)
             written += 1
         in_files: FrozenSet[str] = frozenset().union(*files.values())
-        for schema, entry in previous.items():
-            if entry[0] in in_files:  # still carried by a kept file
-                encoded.setdefault(schema, entry)
         series: Dict[str, List[Dict[str, Any]]] = {}
         extra: Dict[str, Mapping[str, Any]] = {}
         for schema_name, versions in state.series.items():
             rows: List[Dict[str, Any]] = []
             series[schema_name] = rows
             for v in versions:
-                digest, doc = encode(v.source)
+                digest = v.member.digest
                 if digest not in in_files:
-                    extra[digest] = doc  # e.g. a retired version's schema
+                    extra[digest] = v.member.doc  # e.g. a retired version's schema
                 rows.append({
                     "version": v.version,
                     "lifecycle": v.lifecycle,
@@ -1008,7 +927,6 @@ class FileBackend:
         if self._fsync:
             _fsync_dir(self._dir)
         self._files = files
-        self._encoded = encoded
         SNAPSHOT_WRITES.inc(written)
         CUT_FILES_WRITTEN.inc(written + 1)
         CUT_FILES_REUSED.inc(len(files) - written)

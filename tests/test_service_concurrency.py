@@ -766,11 +766,11 @@ class TestMemosUnderWrites:
         for sid, shard in service._registry.shards.items():
             classes = shard.builder.classes
             assert set(shard.answers) <= classes
-            expected = join_all(list(shard.schemas))
+            expected = join_all(service.component_schemas(sid))
             assert service.merged_view(sid) == expected
             for cls in classes:
                 assert service.query(cls) == QueryResult.from_component(
-                    expected, cls, sid, len(shard.schemas)
+                    expected, cls, sid, len(shard.members)
                 )
         for p in range(pods):
             assert service.component_of(f"Pod{p}_Only") is None

@@ -1079,11 +1079,11 @@ class TestCutCost:
         try:
             state = backend.load_state()
             assert calls == []  # loading decodes nothing
-            hydrated = [g for c in state.components for g in c.members]
+            hydrated = [m.schema for c in state.components for m in c.members]
             restored = {
                 name: [v.schema for v in vs] for name, vs in state.series.items()
             }
-            again = [g for c in state.components for g in c.members]
+            again = [m.schema for c in state.components for m in c.members]
             again += [v.schema for vs in state.series.values() for v in vs]
         finally:
             backend.close()
@@ -1113,7 +1113,35 @@ class TestCutCost:
         )
         service.save()
         service.close()
-        assert calls == [linked]
+        assert calls == []  # the append already encoded ``linked``
+
+    def test_each_registered_schema_is_encoded_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "registry"
+        calls = []
+        encode = storage_module.schema_to_dict
+        monkeypatch.setattr(
+            storage_module, "schema_to_dict",
+            lambda schema: calls.append(schema) or encode(schema),
+        )
+        service = MergeService.open(data, fsync=False)
+        first = [RegistrationEntry(pets(), name="pets"), court()]
+        second = [bridge(), fresh(0), pets()]  # an anonymous twin of "pets"
+        service.register(first)
+        service.save()
+        service.register(second)
+        service.retire("pets")
+        service.save()
+        service.close()
+        assert len(calls) == len(first) + len(second)
+
+        calls.clear()
+        (data / FileBackend.MANIFEST_NAME).unlink()
+        replayed = MergeService.open(data, fsync=False)  # log replay only
+        try:
+            assert replayed.save() == 3
+        finally:
+            replayed.close()
+        assert calls == []
 
     def test_records_unseal_only_the_suffix(self, tmp_path, monkeypatch):
         data = TestLogFaults().make_dir(tmp_path)
