@@ -1,6 +1,6 @@
 """ABLATE — ablations of design choices the paper leaves open.
 
-Three choices in the implementation are not forced by the paper's
+Two choices in the implementation are not forced by the paper's
 text, and each earns its keep measurably:
 
 * **stripping derived classes** (upper merge): re-deriving implicit
@@ -10,16 +10,12 @@ text, and each earns its keep measurably:
   leaves stale intermediate classes behind.
 * **origin-recording names** (vs the naive baseline's anonymous
   classes): the other half of the associativity story.
-* **import_specializations** (lower merge): importing foreign ISA edges
-  during class completion preserves cross-schema hierarchy information
-  the default (isolated) completion must drop.
 """
 
 import pytest
 
 from repro.baselines.naive import naive_merge_sequence
 from repro.core.implicit import properize
-from repro.core.lower import AnnotatedSchema, lower_merge
 from repro.core.merge import upper_merge, weak_merge
 from repro.core.names import ImplicitName
 from repro.exceptions import SchemaValidationError
@@ -67,27 +63,6 @@ def test_ablate_origin_names_vs_anonymous(benchmark):
     ours, naive = benchmark(both_mergers)
     assert len(ours) == 1
     assert len(naive) >= 2
-
-
-def test_ablate_import_specializations(benchmark):
-    one = AnnotatedSchema.build(
-        arrows=[("Guide-dog", "name", "Str")],
-        spec=[("Guide-dog", "Dog")],
-    )
-    two = AnnotatedSchema.build(arrows=[("Dog", "name", "Str")])
-
-    def both_modes():
-        default = lower_merge(one, two)
-        imported = lower_merge(one, two, import_specializations=True)
-        return default, imported
-
-    default, imported = benchmark(both_modes)
-    # The ISA edge survives only with importing enabled.
-    assert not default.is_spec("Guide-dog", "Dog")
-    assert imported.is_spec("Guide-dog", "Dog")
-    # With the hierarchy intact, the required name-arrow of Dog
-    # propagates down to Guide-dog in the imported variant.
-    assert imported.present_arrows() >= default.present_arrows()
 
 
 def test_ablate_properization_share_of_merge_cost(benchmark):

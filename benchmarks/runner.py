@@ -469,9 +469,12 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
     lower = run_lower(repeat, count=10 if args.smoke else 30)
     records += lower
     print("properization:")
-    properize_records = run_properize(PROPERIZE_ACCEPTANCE, 1 if args.smoke else 3)
+    # Best of 7 (and of 3 on the larger input): one noisy stretch of the
+    # host must not set the committed figure.  Each record's timing
+    # carries its repeat.
+    properize_records = run_properize(PROPERIZE_ACCEPTANCE, 1 if args.smoke else 7)
     if not args.smoke:
-        properize_records += run_properize("views-large", 1)
+        properize_records += run_properize("views-large", 3)
     records += properize_records
     if not args.smoke and not args.skip_pytest_suite:
         print("pytest suites:")

@@ -72,7 +72,6 @@ from repro.tools.session import IntegrationSession
 from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
-    IncompatibleSchemaError,
     IncompatibleSchemasError,
     InconsistentSchemasError,
     KeyConstraintError,
@@ -103,7 +102,6 @@ __all__ = [
     "CorruptSnapshotError",
     "GenName",
     "ImplicitName",
-    "IncompatibleSchemaError",
     "IncompatibleSchemasError",
     "InconsistentSchemasError",
     "IntegrationSession",

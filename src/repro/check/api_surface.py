@@ -229,22 +229,12 @@ def _module_checks(
 
 
 def _exception_classes(tree: ast.Module) -> Dict[str, List[str]]:
-    """``class name → base names`` for every top-level class, plus aliases."""
-    classes: Dict[str, List[str]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
-            classes[node.name] = bases
-        elif isinstance(node, ast.Assign):
-            # `IncompatibleSchemaError = IncompatibleSchemasError` aliases.
-            if (
-                len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in classes
-            ):
-                classes[node.targets[0].id] = [node.value.id]
-    return classes
+    """``class name → base names`` for every top-level class."""
+    return {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
 
 
 def _class_lines(tree: ast.Module) -> Dict[str, int]:

@@ -49,16 +49,6 @@ optional arrow to it licenses exactly what the alternatives did.  Two
 instead.  Member sets are canonical (expanded, maximal), so equal
 denotations give one class and the derived order stays antisymmetric.
 
-**Importing specializations.**  With ``import_specializations`` each
-input adopts the other inputs' edges touching classes it lacked.  An
-instance of the input satisfies the completed input when each imported
-class gets the union of the extents of the input's own classes below
-it, provided the import adds no edge *between* two of the input's own
-classes (a path through a foreign class can, and nothing checks it).
-With empty extents for imported classes, as
-:func:`repro.instances.merging.federate` gives them, an own class
-placed below an imported one fails as soon as it is populated.
-
 **Licensing.**  :func:`repro.instances.satisfaction.violations_annotated`
 reads absence as "may not", existentially across an object's classes:
 a value is licensed when *some* class of the object has a present
@@ -410,18 +400,6 @@ class AnnotatedSchema:
             _moved(self, self._optional, order),
         )
 
-    def with_spec_edges(
-        self, edges: Iterable[Tuple[NameLike, NameLike]]
-    ) -> "AnnotatedSchema":
-        """Add specialization edges (closures recomputed)."""
-        return AnnotatedSchema.build(
-            classes=self.classes,
-            arrows=[
-                (s, a, t, v) for (s, a, t), v in self.participation_table().items()
-            ],
-            spec=set(self.spec) | {(name(a), name(b)) for a, b in edges},
-        )
-
 
 def forbidden_arrow(
     left: AnnotatedSchema, right: AnnotatedSchema
@@ -488,43 +466,19 @@ def annotated_meet(*schemas: AnnotatedSchema) -> AnnotatedSchema:
     return AnnotatedSchema._make(required, present)
 
 
-def complete_classes(
-    schemas: Sequence[AnnotatedSchema],
-    import_specializations: bool = False,
-) -> List[AnnotatedSchema]:
+def complete_classes(schemas: Sequence[AnnotatedSchema]) -> List[AnnotatedSchema]:
     """Give every schema the union class set (section 6's preparation).
 
-    By default foreign classes arrive isolated.  With
-    *import_specializations* each schema also adopts the other schemas'
-    specialization edges that touch classes it lacked (when that is
-    sound: "Importing specializations" in :mod:`repro.core.lower`).  Raises
-    :class:`~repro.exceptions.IncompatibleSchemasError` if importing
-    creates a specialization cycle.
+    Foreign classes arrive isolated: no schema adopts another's
+    specialization edges.
     """
     all_classes: Set[ClassName] = set()
     for schema in schemas:
         all_classes |= schema.classes
-    completed = []
-    for schema in schemas:
-        extended = schema.with_classes(all_classes)
-        if import_specializations:
-            foreign: Set[SpecEdge] = set()
-            for other in schemas:
-                if other is schema:
-                    continue
-                for sub, sup in other.spec:
-                    if sub not in schema.classes or sup not in schema.classes:
-                        foreign.add((sub, sup))
-            if foreign:
-                extended = extended.with_spec_edges(foreign)
-        completed.append(extended)
-    return completed
+    return [schema.with_classes(all_classes) for schema in schemas]
 
 
-def lower_merge(
-    *schemas: AnnotatedSchema,
-    import_specializations: bool = False,
-) -> AnnotatedSchema:
+def lower_merge(*schemas: AnnotatedSchema) -> AnnotatedSchema:
     """The weak lower merge of section 6 — a greatest lower bound.
 
     After class completion, the merged specialization relation is the
@@ -536,7 +490,7 @@ def lower_merge(
     """
     if not schemas:
         return AnnotatedSchema.empty()
-    return annotated_meet(*complete_classes(list(schemas), import_specializations))
+    return annotated_meet(*complete_classes(list(schemas)))
 
 
 def lower_properness_violations(

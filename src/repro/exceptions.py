@@ -218,8 +218,3 @@ class CorruptSnapshotError(StorageError):
     log replay.
     """
 
-
-#: The service-facing singular alias: a *single* schema failing to fold
-#: into the registry raises the same condition the pairwise algebra
-#: reports for a whole family.
-IncompatibleSchemaError = IncompatibleSchemasError

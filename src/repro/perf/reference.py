@@ -277,14 +277,11 @@ def reference_annotated_leq(
     return True
 
 
-def reference_lower_merge(
-    *schemas: AnnotatedSchema,
-    import_specializations: bool = False,
-) -> AnnotatedSchema:
+def reference_lower_merge(*schemas: AnnotatedSchema) -> AnnotatedSchema:
     """The pre-engine lower merge: per-arrow method-call GLB lookups."""
     if not schemas:
         return AnnotatedSchema.empty()
-    completed = complete_classes(list(schemas), import_specializations)
+    completed = complete_classes(list(schemas))
     merged_classes = completed[0].classes
     merged_spec = frozenset.intersection(*(s.spec for s in completed))
     all_arrows: Set[Arrow] = set()

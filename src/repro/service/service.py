@@ -988,8 +988,8 @@ class MergeService:
                 if group.replaced:
                     # Grow the largest member in place (on a clone) and
                     # fold the others' schemas in.  The primary's members
-                    # are joined, not read: a restored component's stay
-                    # undecoded.
+                    # are concatenated, not read: a restored component's
+                    # stay undecoded.
                     primary = max(
                         group.replaced, key=lambda shard: len(shard.members)
                     )

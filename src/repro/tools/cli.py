@@ -181,11 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lower.add_argument("schemas", nargs="+", help="JSON schema files")
     lower.add_argument("-o", "--output", help="write merged schema JSON here")
-    lower.add_argument(
-        "--import-spec",
-        action="store_true",
-        help="import foreign specialization edges during class completion",
-    )
 
     diff_cmd = commands.add_parser("diff", help="structural diff")
     diff_cmd.add_argument("left", help="JSON schema file")
@@ -459,11 +454,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "lower":
         annotated = [_load_annotated(path) for path in args.schemas]
-        merged = lower_properize(
-            lower_merge(
-                *annotated, import_specializations=args.import_spec
-            )
-        )
+        merged = lower_properize(lower_merge(*annotated))
         print(render_annotated(merged, "lower merge"))
         if args.output:
             Path(args.output).write_text(json_io.dumps(merged) + "\n")

@@ -169,12 +169,6 @@ class TestCompleteClasses:
         completed = complete_classes([one, two])
         assert not completed[0].is_spec("B", "C")
 
-    def test_import_specializations(self):
-        one = AnnotatedSchema.build(classes=["A"])
-        two = AnnotatedSchema.build(spec=[("B", "C")])
-        completed = complete_classes([one, two], import_specializations=True)
-        assert completed[0].is_spec("B", "C")
-
 
 class TestLowerMerge:
     def test_agreement_preserved(self):
@@ -224,12 +218,6 @@ class TestLowerMerge:
         merged = lower_merge(one, two)
         assert merged.is_spec("A", "B")
         assert not merged.is_spec("C", "D")
-
-    def test_import_spec_keeps_foreign_hierarchy(self):
-        one = AnnotatedSchema.build(spec=[("Guide-dog", "Dog")])
-        two = AnnotatedSchema.build(classes=["Dog"])
-        merged = lower_merge(one, two, import_specializations=True)
-        assert merged.is_spec("Guide-dog", "Dog")
 
 
 class TestLowerProperize:

@@ -202,27 +202,16 @@ class TestLowerEquivalence:
             for i in range(3)
         ]
         assert lower_merge(*inputs) == reference_lower_merge(*inputs)
-        assert lower_merge(
-            *inputs, import_specializations=True
-        ) == reference_lower_merge(*inputs, import_specializations=True)
 
     @RELAXED
-    @given(annotated_schemas(), annotated_schemas(), st.booleans())
+    @given(annotated_schemas(), annotated_schemas())
     def test_lower_merge_and_leq_match_reference_on_mixed_classes(
-        self, left, right, import_specs
+        self, left, right
     ):
         # Drawn class sets differ, so completion widens the id tables.
-        try:
-            expected = reference_lower_merge(
-                left, right, import_specializations=import_specs
-            )
-        except IncompatibleSchemasError:
-            with pytest.raises(IncompatibleSchemasError):
-                lower_merge(left, right, import_specializations=import_specs)
-            return
-        merged = lower_merge(left, right, import_specializations=import_specs)
-        assert merged == expected
-        for other in [left, right, *complete_classes([left, right], import_specs)]:
+        merged = lower_merge(left, right)
+        assert merged == reference_lower_merge(left, right)
+        for other in [left, right, *complete_classes([left, right])]:
             for a, b in [(merged, other), (other, merged)]:
                 assert annotated_leq(a, b) == reference_annotated_leq(a, b)
 
