@@ -239,8 +239,9 @@ class _Member:
     members.  A registered schema starts from its
     :class:`~repro.core.schema.Schema`, a replayed one from the schema
     and the log's ``repro.schema/1`` document, a restored one from its
-    cut's document alone.  Each half, and the document's content
-    :attr:`digest`, is filled on first use and memoized here:
+    cut's document alone; none starts empty.  Each half, and the
+    document's content :attr:`digest`, is filled on first use and
+    memoized here:
     :attr:`schema` decodes the document, :attr:`doc` encodes the schema.
     So a schema is encoded at most once per process, for its log append
     and every later cut alike, and a schema no one reads is never
@@ -272,7 +273,7 @@ class _Member:
         schema = self._schema
         if schema is None:
             try:
-                schema = schema_from_dict(dict(self._doc))  # type: ignore[arg-type]
+                schema = schema_from_dict(dict(self.doc))
             except (
                 SerializationError,
                 AttributeError,
@@ -290,7 +291,7 @@ class _Member:
     def doc(self) -> Mapping[str, Any]:
         doc = self._doc
         if doc is None:
-            doc = self._doc = schema_to_dict(self._schema)  # type: ignore[arg-type]
+            doc = self._doc = schema_to_dict(self.schema)
         return doc
 
     @property
