@@ -13,8 +13,12 @@ service acceptance family (the ``service-sharded-200`` workload):
   itself and the no-snapshot full-log-replay restart are reported as
   informational records, and so are the snapshot-led recovery's layers
   (``recovery_load_state``, ``recovery_replay``, ``recovery_prewarm``,
-  timed in separate instrumented opens) and the number of schema
-  documents it decodes (``recovery_schema_decodes``).
+  timed in separate instrumented opens), the number of schema
+  documents it decodes (``recovery_schema_decodes``) and the number of
+  single-schema closures (``Schema.build`` calls) it runs
+  (``recovery_schema_closures``), which must be 0: recovery folds each
+  member's generator form into its component and closes no document
+  on its own.
 * **log-append overhead** — the write path of the *operating* service:
   the stream's register requests each cost one sealed JSONL append.
   The append's software cost (encode + buffered write + flush) is
@@ -116,14 +120,16 @@ _RECOVERY_LAYERS: Tuple[Tuple[str, type, str], ...] = (
 def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
     """Where a snapshot-led ``MergeService.open`` spends its time.
 
-    Wraps each layer's method (and the storage module's
-    ``schema_from_dict``) for the duration of *repeat* opens, so these
-    opens are not the ones the ``recovery`` record times.  Returns one
-    timing per layer, the schema documents decoded per open and the log
-    records replayed per open.
+    Wraps each layer's method, the storage module's two schema decoders
+    (``schema_from_dict``, ``generators_from_dict``) and
+    ``Schema.build`` for the duration of *repeat* opens, so these opens
+    are not the ones the ``recovery`` record times.  Returns one timing
+    per layer and, per open, the schema documents decoded, the
+    single-schema closures run and the log records replayed.
     """
     spent: Dict[str, float] = {}
     decodes = [0]
+    closures = [0]
 
     def timed(layer: str, fn: Callable[..., Any]) -> Callable[..., Any]:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -135,18 +141,31 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
 
         return wrapper
 
-    def counted(doc: Dict[str, Any]) -> Schema:
-        decodes[0] += 1
-        return decode(doc)
+    def counted(decoder: Callable[[Dict[str, Any]], Any]) -> Callable[..., Any]:
+        def wrapper(doc: Dict[str, Any]) -> Any:
+            decodes[0] += 1
+            return decoder(doc)
 
-    decode = storage.schema_from_dict
+        return wrapper
+
+    def closing(cls: type, *args: Any, **kwargs: Any) -> Schema:
+        closures[0] += 1
+        return build(cls, *args, **kwargs)
+
+    decoders = {
+        name: getattr(storage, name)
+        for name in ("schema_from_dict", "generators_from_dict")
+    }
+    build = Schema.build.__func__  # type: ignore[attr-defined]
     runs: Dict[str, List[float]] = {layer: [] for layer, _o, _a in _RECOVERY_LAYERS}
     replayed = REGISTRY.value("storage.replays") or 0
     originals = [(owner, attr, getattr(owner, attr)) for _l, owner, attr in _RECOVERY_LAYERS]
     try:
         for layer, owner, attr in _RECOVERY_LAYERS:
             setattr(owner, attr, timed(layer, getattr(owner, attr)))
-        storage.schema_from_dict = counted
+        for name, decoder in decoders.items():
+            setattr(storage, name, counted(decoder))
+        Schema.build = classmethod(closing)  # type: ignore[method-assign, assignment]
         for _ in range(repeat):
             clear_caches()
             spent.update(dict.fromkeys(runs, 0.0))
@@ -154,13 +173,16 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
             for layer, layer_runs in runs.items():
                 layer_runs.append(spent[layer])
     finally:
-        storage.schema_from_dict = decode
+        Schema.build = classmethod(build)  # type: ignore[method-assign, assignment]
+        for name, decoder in decoders.items():
+            setattr(storage, name, decoder)
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
     replayed = (REGISTRY.value("storage.replays") or 0) - replayed
     return {
         "timings": {f"recovery_{layer}": _timing(r) for layer, r in runs.items()},
         "decodes": decodes[0] / repeat,
+        "closures": closures[0] / repeat,
         "replayed": replayed / repeat,
     }
 
@@ -277,6 +299,8 @@ def run_persistence_bench(smoke: bool = False, repeat: int = 5) -> Dict[str, Any
         "restart_speedup_vs_cold_join_all": restart_speedup,
         "recovery_wall_s": recovery["best_s"],
         "recovery_schema_decodes": layers["decodes"],
+        "recovery_schema_closures": layers["closures"],
+        "recovery_closures_ok": layers["closures"] == 0,
         "recovery_replayed_records": layers["replayed"],
         "replay_recovery_wall_s": replay_recovery["best_s"],
         "min_restart_speedup": MIN_RESTART_SPEEDUP,

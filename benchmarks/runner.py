@@ -643,7 +643,8 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
     log appends (encode + write + flush; fsync priced separately as
     durability rent) stays within 10% of the in-memory stream replay
     wall.  Restored-view equality with the pre-restart service is
-    asserted in every mode.
+    asserted in every mode, and so is a recovery that closes no single
+    schema (``recovery_schema_closures`` is 0).
     """
     from bench_persistence import run_persistence_bench
 
@@ -666,6 +667,7 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
             for layer in ("load_state", "replay", "prewarm")
         )
         + f"; {summary['recovery_schema_decodes']:.0f} schema decodes, "
+        f"{summary['recovery_schema_closures']:.0f} schema closures, "
         f"{summary['recovery_replayed_records']:.0f} records replayed per open"
     )
     print(
@@ -694,7 +696,9 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
         for name in sorted(timings)
     ]
     summary["acceptance_pass"] = bool(
-        summary["append_overhead_ok"] and summary["restart_ok"]
+        summary["append_overhead_ok"]
+        and summary["restart_ok"]
+        and summary["recovery_closures_ok"]
     )
     if not summary["acceptance_pass"]:
         print(
@@ -702,7 +706,9 @@ def persistence_suite(args: argparse.Namespace) -> SuiteResult:
             f"{summary['restart_speedup_vs_cold_join_all']:.1f}x "
             f"(need ≥ {summary['min_restart_speedup']}x), append overhead "
             f"{summary['stream_overhead_soft'] * 100:.1f}% "
-            f"(budget {summary['append_overhead_budget'] * 100:.0f}%)",
+            f"(budget {summary['append_overhead_budget'] * 100:.0f}%), "
+            f"{summary['recovery_schema_closures']:.0f} schema closures "
+            f"per recovery (need 0)",
             file=sys.stderr,
         )
     return records, {"summary": summary}

@@ -57,6 +57,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -80,7 +81,7 @@ from repro.core.names import (
 from repro.exceptions import SchemaValidationError
 from repro.perf.interning import InternTable
 
-__all__ = ["Arrow", "SpecEdge", "Schema", "DenseClosure"]
+__all__ = ["Arrow", "SpecEdge", "Schema", "DenseClosure", "Foldable"]
 
 
 Arrow = Tuple[ClassName, Label, ClassName]
@@ -93,6 +94,31 @@ SpecLike = Tuple[NameLike, NameLike]
 #: Closed arrow rows on dense ids: ``(source_id, label) → bitset of
 #: target ids`` — the arrow relation as :class:`DenseClosure` holds it.
 RowTable = Dict[Tuple[int, Label], int]
+
+#: A generating view as positions into its id table (see
+#: :meth:`Schema._fold_layout`): the table, the spec groups
+#: ``(sub, first_sup, rest)`` and the arrow rows
+#: ``(source, label, first_target, rest)``.
+FoldLayout = Tuple[
+    Tuple[ClassName, ...],
+    Tuple[Tuple[int, int, Optional[Tuple[int, ...]]], ...],
+    Tuple[Tuple[int, Label, int, Optional[Tuple[int, ...]]], ...],
+]
+
+
+class Foldable(Protocol):
+    """What :meth:`ClosureBuilder.add_schemas
+    <repro.perf.closure.ClosureBuilder.add_schemas>` folds: a class set
+    and a generating layout of it.  A :class:`Schema` is one; so is a
+    schema document's generator form
+    (:class:`repro.io.json_io.SchemaGenerators`), which is not closed.
+    """
+
+    @property
+    def classes(self) -> FrozenSet[ClassName]: ...
+
+    def _fold_layout(self) -> FoldLayout: ...
+
 
 # Hash-consing table (see repro.perf).  Every schema is interned on its
 # masks, so structurally equal schemas built from name-level data are
@@ -570,13 +596,7 @@ class Schema:
         """The specialization pairs with distinct endpoints."""
         return frozenset((p, q) for p, q in self.spec if p != q)
 
-    def _fold_layout(
-        self,
-    ) -> Tuple[
-        Tuple[ClassName, ...],
-        Tuple[Tuple[int, int, Optional[Tuple[int, ...]]], ...],
-        Tuple[Tuple[int, Label, int, Optional[Tuple[int, ...]]], ...],
-    ]:
+    def _fold_layout(self) -> FoldLayout:
         """A *generating* view of the schema as positions into its id table.
 
         ``ClosureBuilder`` folds schemas repeatedly; resolving each

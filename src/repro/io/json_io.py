@@ -10,6 +10,18 @@ Class names need care: implicit and generalization names are structured
 values, encoded recursively as ``{"implicit": [...]}`` /
 ``{"gen": [...]}``; base names are plain strings.
 
+A ``repro.schema/1`` document decodes two ways.
+:func:`schema_from_dict` closes it into a :class:`~repro.core.schema.Schema`.
+:func:`generators_from_dict` does not close it: it returns the
+document's *canonical generator form*
+(:class:`SchemaGenerators`) — every class it names, in ``sort_key``
+order, and its own arrow and spec edges, deduplicated and sorted.
+That form is what :class:`~repro.perf.closure.ClosureBuilder` folds,
+so a reader that folds documents into a larger closure (the merge
+service) closes each one once, in the fold.  Like the paper's figures,
+a generator document may omit every edge the closure implies; a closed
+document is a generator document too, and is its own canonical form.
+
 Component snapshots (``repro.snapshot/1``) are the exception to the
 "walk the object graph" rule: they encode a
 :class:`~repro.core.schema.DenseClosure` directly — the id table
@@ -22,7 +34,7 @@ trusting a document (see :func:`snapshot_from_dict`).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.keys import KeyFamily, KeyedSchema
 from repro.core.lower import AnnotatedSchema
@@ -31,11 +43,12 @@ from repro.core.names import (
     ClassName,
     GenName,
     ImplicitName,
+    check_label,
     sort_key,
 )
 from repro.core.participation import Participation
 from repro.core.relations import iter_bits
-from repro.core.schema import DenseClosure, Schema
+from repro.core.schema import DenseClosure, FoldLayout, Schema, SpecEdge
 from repro.exceptions import SerializationError
 from repro.instances.instance import Instance
 from repro.models.er import ERAttribute, ERDiagram, EREntity, ERRelationship
@@ -46,6 +59,9 @@ __all__ = [
     "name_from_json",
     "schema_to_dict",
     "schema_from_dict",
+    "SchemaGenerators",
+    "generators_from_dict",
+    "generators_to_dict",
     "snapshot_to_dict",
     "snapshot_from_dict",
     "keyed_to_dict",
@@ -153,6 +169,134 @@ def schema_from_dict(doc: Dict[str, Any]) -> Schema:
         )
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed schema document: {exc}") from exc
+
+
+class SchemaGenerators:
+    """A schema document's canonical generator form — not closed.
+
+    *classes* is every class the document names; :meth:`_fold_layout`
+    is the triple :meth:`ClosureBuilder.add_schemas
+    <repro.perf.closure.ClosureBuilder.add_schemas>` folds, read off the
+    document's own edges: the id table (*classes* in ``sort_key``
+    order), the spec edges grouped per subclass and the arrows grouped
+    per ``(source, label)`` row, all sorted by position, with
+    duplicates and reflexive spec pairs dropped.  The fold closes it;
+    nothing here does, so a document whose own spec edges form a
+    cycle decodes, and the fold refuses it.
+    """
+
+    __slots__ = ("classes", "_layout")
+
+    def __init__(self, layout: FoldLayout) -> None:
+        self.classes = frozenset(layout[0])
+        self._layout = layout
+
+    def _fold_layout(self) -> FoldLayout:
+        return self._layout
+
+    @property
+    def spec(self) -> FrozenSet[SpecEdge]:
+        """The document's own strict specialization edges."""
+        order, groups, _rows = self._layout
+        return frozenset(
+            (order[i], order[j])
+            for i, first, rest in groups
+            for j in (first, *(rest or ()))
+        )
+
+
+def generators_from_dict(doc: Dict[str, Any]) -> SchemaGenerators:
+    """Decode a schema document to its canonical generator form.
+
+    Validates exactly like :func:`schema_from_dict` — the format tag,
+    each name, the edge shapes, then the labels — and raises the same
+    exception for a malformed document, but closes nothing.
+
+    >>> gens = generators_from_dict({"format": "repro.schema/1",
+    ...     "spec": [["Puppy", "Dog"], ["Puppy", "Dog"], ["Dog", "Dog"]]})
+    >>> sorted(str(c) for c in gens.classes), generators_to_dict(gens)["spec"]
+    (['Dog', 'Puppy'], [['Puppy', 'Dog']])
+    """
+    if doc.get("format") != FORMAT_SCHEMA:
+        raise SerializationError(
+            f"expected format {FORMAT_SCHEMA!r}, got {doc.get('format')!r}"
+        )
+    # Names get provisional ids in first-appearance order, so the edges
+    # are int tuples from the start; a JSON string is decoded once.
+    by_text: Dict[str, int] = {}
+    by_name: Dict[ClassName, int] = {}
+    table: List[ClassName] = []
+
+    def decode(c: Any) -> int:
+        if type(c) is str:
+            i = by_text.get(c)
+            if i is not None:
+                return i
+        cls = name_from_json(c)
+        i = by_name.get(cls)
+        if i is None:
+            i = by_name[cls] = len(table)
+            table.append(cls)
+        if type(c) is str:
+            by_text[c] = i
+        return i
+
+    try:
+        for c in doc.get("classes", []):
+            decode(c)
+        arrows = [
+            (decode(s), label, decode(t)) for s, label, t in doc.get("arrows", [])
+        ]
+        spec = [(decode(a), decode(b)) for a, b in doc.get("spec", [])]
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed schema document: {exc}") from exc
+    for _s, label, _t in arrows:
+        if type(label) is not str or not label:
+            check_label(label)
+    ranked = sorted(range(len(table)), key=lambda i: sort_key(table[i]))
+    pos = [0] * len(table)
+    for rank, i in enumerate(ranked):
+        pos[i] = rank
+    sups: Dict[int, List[int]] = {}
+    for i, j in sorted({(pos[a], pos[b]) for a, b in spec if a != b}):
+        sups.setdefault(i, []).append(j)
+    targets: Dict[Tuple[int, str], List[int]] = {}
+    for s, label, t in sorted({(pos[s], label, pos[t]) for s, label, t in arrows}):
+        targets.setdefault((s, label), []).append(t)
+    order = tuple(table[i] for i in ranked)
+    return SchemaGenerators((
+        order,
+        tuple((i, js[0], tuple(js[1:]) or None) for i, js in sups.items()),
+        tuple(
+            (s, label, ts[0], tuple(ts[1:]) or None)
+            for (s, label), ts in targets.items()
+        ),
+    ))
+
+
+def generators_to_dict(gens: SchemaGenerators) -> Dict[str, Any]:
+    """Encode a generator form as its canonical ``repro.schema/1`` document.
+
+    Each name is encoded once; classes, arrows and spec come out in the
+    order :func:`schema_to_dict` writes them, so a closed document
+    decodes and re-encodes to itself.
+    """
+    order, groups, rows = gens._fold_layout()
+    encoded = [name_to_json(c) for c in order]
+    return {
+        "format": FORMAT_SCHEMA,
+        "classes": encoded,
+        "arrows": [
+            [encoded[s], label, encoded[t]]
+            for s, label, first, rest in rows
+            for t in (first, *(rest or ()))
+        ],
+        "spec": [
+            [encoded[i], encoded[j]]
+            for i, first, rest in groups
+            for j in (first, *(rest or ()))
+        ],
+    }
 
 
 def snapshot_to_dict(

@@ -48,6 +48,7 @@ from repro.core.names import ClassName, Label, name
 from repro.core.schema import (
     Arrow,
     DenseClosure,
+    Foldable,
     RowTable,
     Schema,
     SpecEdge,
@@ -57,7 +58,7 @@ from repro.exceptions import IncompatibleSchemasError
 from repro.obs.metrics import REGISTRY
 from repro.perf.namespace import NameSpace
 
-__all__ = ["ClosureBuilder", "DenseClosure"]
+__all__ = ["ClosureBuilder", "DenseClosure", "cycle_error"]
 
 _INSERTS = REGISTRY.counter("closure.inserts")
 _ARROWS_SWEPT = REGISTRY.counter("closure.arrows_swept")
@@ -68,6 +69,15 @@ _REBUILDS = REGISTRY.counter("closure.components_rebuilt")
 #: hashes one small int per source and one label string per row — no
 #: tuple keys on the per-row path.
 RawRows = Dict[int, Dict[Label, int]]
+
+
+def cycle_error(cycle: Tuple[ClassName, ...]) -> IncompatibleSchemasError:
+    """The error for specialization edges that close *cycle*."""
+    return IncompatibleSchemasError(
+        "specialization edges form a cycle: "
+        + " ==> ".join(str(c) for c in cycle),
+        cycle=cycle,
+    )
 
 
 class ClosureBuilder:
@@ -87,7 +97,7 @@ class ClosureBuilder:
 
     __slots__ = ("_ns", "_succ", "_pred", "_rows")
 
-    def __init__(self, schemas: Iterable[Schema] = ()):
+    def __init__(self, schemas: Iterable[Foldable] = ()):
         self._ns = NameSpace()
         self._succ: List[int] = []
         self._pred: List[int] = []
@@ -123,11 +133,8 @@ class ClosureBuilder:
             relations.closure_insert_bits(self._succ, self._pred, sub, sup)
         except ValueError:
             ns = self._ns
-            cycle = (ns.name_of(sub), ns.name_of(sup), ns.name_of(sub))
-            raise IncompatibleSchemasError(
-                "specialization edges form a cycle: "
-                + " ==> ".join(str(c) for c in cycle),
-                cycle=cycle,
+            raise cycle_error(
+                (ns.name_of(sub), ns.name_of(sup), ns.name_of(sub))
             ) from None
 
     def add_spec_edge(self, sub: ClassName, sup: ClassName) -> "ClosureBuilder":
@@ -164,8 +171,8 @@ class ClosureBuilder:
         self._add_row(self._rows, arrow[0], arrow[1], arrow[2])
         return self
 
-    def add_schema(self, schema: Schema) -> "ClosureBuilder":
-        """Fold a whole (closed) schema into the accumulator — atomically.
+    def add_schema(self, schema: Foldable) -> "ClosureBuilder":
+        """Fold a whole schema into the accumulator — atomically.
 
         Equivalent to ``add_schemas((schema,))`` — see there for the
         rollback contract and the dense fold mechanics.
@@ -194,16 +201,12 @@ class ClosureBuilder:
             del succ[base:]
             del pred[base:]
         ns.truncate(base)
-        return IncompatibleSchemasError(
-            "specialization edges form a cycle: "
-            + " ==> ".join(str(c) for c in cycle),
-            cycle=cycle,
-        )
+        return cycle_error(cycle)
 
     def add_schemas(
-        self, schemas: Iterable[Schema], *, _spec_only: bool = False
+        self, schemas: Iterable[Foldable], *, _spec_only: bool = False
     ) -> "ClosureBuilder":
-        """Fold many (closed) schemas — each one atomically, in order.
+        """Fold many schemas — each one atomically, in order.
 
         On :class:`~repro.exceptions.IncompatibleSchemasError` the
         accumulator is rolled back to its state before the *offending
@@ -227,10 +230,12 @@ class ClosureBuilder:
         strict spec pairs and the reach rows then walk as plain index
         tuples — no class-name hashing anywhere in the per-element
         loops.  The layout is a *generating* view (spec covers, minimal
-        non-inherited reach rows — see ``Schema._fold_layout``): the
-        builder's own rectangle updates and build-time sweep regenerate
-        everything the layout omits, so the fold does strictly less
-        work for the identical closure.  Each generator row encodes
+        non-inherited reach rows — see ``Schema._fold_layout``; or a
+        schema document's own edges, unclosed — see
+        :class:`repro.io.json_io.SchemaGenerators`): the builder's own
+        rectangle updates and build-time sweep regenerate everything
+        the layout omits, so the fold does strictly less work for the
+        identical closure.  Each generator row encodes
         positionally through the translation and is OR'd into the raw
         row table under its ``(source_id, label)`` key — closure is
         deferred to the build-time sweep.  ``_spec_only`` (set only by
@@ -344,12 +349,7 @@ class ClosureBuilder:
             for sub, sup in spec:
                 builder._insert_edge(ids[sub], ids[sup])
         except IncompatibleSchemasError:
-            cycle = relations.find_cycle(frozenset(spec)) or ()
-            raise IncompatibleSchemasError(
-                "specialization edges form a cycle: "
-                + " ==> ".join(str(c) for c in cycle),
-                cycle=cycle,
-            ) from None
+            raise cycle_error(relations.find_cycle(frozenset(spec)) or ()) from None
         rows = builder._rows
         for source, label, target in arrows:
             builder._add_row(rows, source, label, target)

@@ -9,9 +9,12 @@ For views and queries the memo holds the encoded response body itself
 warm ``GET`` is one dictionary lookup plus one socket write, with no
 ``schema_to_dict`` and no ``json.dumps``.
 Writes (``POST /v1/schemas``) are dispatched to a small thread pool,
-so the loop keeps streaming read responses while a register folds
-closures under the service's writer lock — the service's "reads never
-block behind writers" guarantee carries through to the wire.
+body and all: the pool thread parses the JSON, decodes each schema
+document to its generator form and registers the batch, so the loop
+keeps streaming read responses while a big batch decodes and a
+register folds closures under the service's writer lock — the
+service's "reads never block behind writers" guarantee carries through
+to the wire.
 
 **Routes** (wire format ``repro.api/1``; schemas travel as
 ``repro.schema/1`` documents from :mod:`repro.io.json_io`):
@@ -87,11 +90,13 @@ from repro.exceptions import (
     UnknownClassError,
     UnknownSchemaError,
 )
-# ``schema_to_dict`` stays importable here because perfbench traces the
-# codec under the names this module imports; the service encodes views.
+# ``schema_from_dict`` and ``schema_to_dict`` stay importable here because
+# perfbench traces the codec under the names this module imports; the
+# service encodes views, and POSTs decode through
+# ``RegistrationEntry.from_doc``.
 from repro.io.json_io import schema_from_dict, schema_to_dict  # noqa: F401
 from repro.obs import prometheus_text
-from repro.service.api_types import API_FORMAT
+from repro.service.api_types import API_FORMAT, RegisterReceipt
 from repro.service.service import MergeService
 from repro.service.storage import RegistrationEntry
 
@@ -453,6 +458,16 @@ class HttpFrontend:
     async def _post_schemas(
         self, body: bytes
     ) -> Tuple[int, Dict[str, Any], str]:
+        loop = asyncio.get_running_loop()
+        receipt = await loop.run_in_executor(
+            self._pool, self._register_body, body
+        )
+        payload = {"format": API_FORMAT}
+        payload.update(receipt.to_dict())
+        return 200, payload, "application/json"
+
+    def _register_body(self, body: bytes) -> RegisterReceipt:
+        """Parse, decode and register one POST body (on the write pool)."""
         try:
             doc = json.loads(body)
         except (ValueError, UnicodeDecodeError) as exc:
@@ -464,14 +479,7 @@ class HttpFrontend:
         docs = doc.get("schemas")
         if not isinstance(docs, list):
             raise InvalidRequestError("'schemas' must be a list")
-        entries = [self._decode_entry(d) for d in docs]
-        loop = asyncio.get_running_loop()
-        receipt = await loop.run_in_executor(
-            self._pool, self._service.register, entries
-        )
-        payload = {"format": API_FORMAT}
-        payload.update(receipt.to_dict())
-        return 200, payload, "application/json"
+        return self._service.register([self._decode_entry(d) for d in docs])
 
     @staticmethod
     def _decode_entry(doc: Any) -> RegistrationEntry:
@@ -481,13 +489,13 @@ class HttpFrontend:
                 raise InvalidRequestError(
                     "a named entry needs a non-empty string 'name'"
                 )
-            return RegistrationEntry(
-                schema_from_dict(doc["schema"]),
+            return RegistrationEntry.from_doc(
+                doc["schema"],
                 name=doc["name"],
                 version=doc.get("version"),
                 lifecycle=doc.get("lifecycle"),
             )
-        return RegistrationEntry(schema_from_dict(doc))
+        return RegistrationEntry.from_doc(doc)
 
     def _get_schema(self, name: str) -> Tuple[int, Dict[str, Any], str]:
         payload: Dict[str, Any] = {"format": API_FORMAT}

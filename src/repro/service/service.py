@@ -88,6 +88,7 @@ from repro.core.names import ClassName, name
 from repro.core.schema import DenseClosure, Schema
 from repro.exceptions import (
     CorruptLogError,
+    IncompatibleSchemasError,
     InvalidRequestError,
     RetiredSchemaError,
     ServiceShutdownError,
@@ -98,7 +99,7 @@ from repro.io.json_io import schema_to_dict
 from repro.obs import _state as _obs_state
 from repro.obs.metrics import Counter, Gauge, Histogram, REGISTRY
 from repro.obs.tracing import span
-from repro.perf.closure import ClosureBuilder
+from repro.perf.closure import ClosureBuilder, cycle_error
 from repro.service.api_types import API_FORMAT, QueryResult, RegisterReceipt, RetireReceipt
 from repro.service.shards import Shard, plan_groups
 from repro.service.snapshots import ComponentSnapshot
@@ -758,14 +759,13 @@ class MergeService:
         """:meth:`register`, with replay's recorded component *sids*."""
         incoming = [self._coerce_entry(item) for item in schemas]
         # Empty schemas assert nothing and belong to no component.
-        entries = [e for e in incoming if not e.schema.is_empty()]
-        batch = [e.schema for e in entries]
+        entries = [e for e in incoming if e.member.classes]
         members = [e.member for e in entries]
         tel = self._telemetry
         with span("service.register", schemas=len(incoming)) as root:
             self._check_open()
             tel.calls.inc()
-            if not batch:
+            if not members:
                 registry = self._registry
                 return RegisterReceipt(
                     accepted=len(incoming),
@@ -782,8 +782,8 @@ class MergeService:
 
             generation, components, _key = self._write(
                 root,
-                lambda: (self._plan_register(batch), None),
-                batch,
+                lambda: (self._plan_register(members), None),
+                members,
                 lambda groups, _key: self._rebuild(groups, members),
                 delta,
                 sids,
@@ -810,7 +810,7 @@ class MergeService:
                 "register() accepts Schema or RegistrationEntry items, "
                 f"got {type(item).__name__}"
             )
-        if entry.name is not None and entry.schema.is_empty():
+        if entry.name is not None and not entry.member.classes:
             raise InvalidRequestError(
                 f"named registration {entry.name!r} must assert at least "
                 "one class (empty schemas have no component to retire)"
@@ -871,12 +871,15 @@ class MergeService:
             update[entry.name] = tuple(versions)
             logged.append(
                 RegistrationEntry(
-                    entry.schema, entry.name, version, lifecycle, entry.member
+                    name=entry.name,
+                    version=version,
+                    lifecycle=lifecycle,
+                    member=entry.member,
                 )
             )
         return update, tuple(logged)
 
-    def _plan_register(self, batch: List[Schema]) -> _Plan:  # requires-lock: _writer
+    def _plan_register(self, batch: List[_Member]) -> _Plan:  # requires-lock: _writer
         """Register's plan: the batch over the committed layout."""
         return plan_groups(batch, self._registry.class_to_sid)
 
@@ -884,7 +887,7 @@ class MergeService:
         self,
         root: Any,
         plan: Callable[[], Tuple[_Plan, Any]],
-        batch: List[Schema],
+        batch: List[_Member],
         stage: Callable[[List[_Group], Any], None],
         delta: Callable[[int, List[_Group], Any], _Delta],
         sids: Optional[Tuple[int, ...]],
@@ -977,7 +980,21 @@ class MergeService:
         """Register's stage: fold each group on clones.
 
         Raises :class:`IncompatibleSchemasError` with nothing published.
+        The fold is the only closure a registered document gets, so it
+        also meets a document whose own spec edges form a cycle; that
+        refusal names the document's cycle, found once the fold fails.
         """
+        try:
+            self._fold_groups(groups, batch)
+        except IncompatibleSchemasError:
+            for member in batch:
+                cycle = member.own_cycle()
+                if cycle is not None:
+                    raise cycle_error(cycle) from None
+            raise
+
+    @staticmethod
+    def _fold_groups(groups: List[_Group], batch: List[_Member]) -> None:
         for group in groups:
             with span(
                 "service.rebuild",
@@ -999,13 +1016,13 @@ class MergeService:
                         if shard is primary:
                             continue
                         for member in shard.members:
-                            builder.add_schema(member.schema)
+                            builder.add_schema(member)
                         members += shard.members
                 else:
                     builder = ClosureBuilder()
                 added = tuple(batch[index] for index in group.indices)
                 for member in added:
-                    builder.add_schema(member.schema)
+                    builder.add_schema(member)
             group.builder = builder
             group.members = members + added
 
@@ -1109,7 +1126,7 @@ class MergeService:
             self._live_versions(registry.series, schema_name)
         )
         sid: Optional[int] = None
-        for cls in preferred.schema.classes:
+        for cls in preferred.member.classes:
             sid = registry.class_to_sid.get(cls)
             if sid is not None:
                 break
@@ -1122,7 +1139,7 @@ class MergeService:
                     "version": v.version,
                     "lifecycle": v.lifecycle,
                     "retired": v.retired,
-                    "classes": len(v.schema.classes),
+                    "classes": len(v.member.classes),
                 }
                 for v in registry.series[schema_name]
             ],
@@ -1193,23 +1210,21 @@ class MergeService:
         live = self._live_versions(registry.series, schema_name)
         if versions is not None:
             live = [v for v in live if v.version in versions]
-        owners = {registry.class_to_sid.get(cls) for v in live for cls in v.schema.classes}
+        owners = {registry.class_to_sid.get(cls) for v in live for cls in v.member.classes}
         return [({sid}, []) for sid in sorted(o for o in owners if o is not None)], live
 
     @staticmethod
     def _rebuild_without(groups: List[_Group], live: List[VersionState]) -> None:
         """Retire's stage: rebuild each owning component from the members
-        left once one occurrence of each retired version is dropped."""
+        left once each retired version's own member is dropped."""
         for group in groups:
             (shard,) = group.replaced
             remaining = list(shard.members)
-            schemas = [member.schema for member in remaining]
             for v in live:
-                if v.schema in schemas:
-                    index = schemas.index(v.schema)
-                    del schemas[index], remaining[index]
+                if v.member in remaining:  # by identity
+                    remaining.remove(v.member)
             with span("service.rebuild", component=group.sid, schemas=len(remaining)):
-                group.builder = ClosureBuilder(schemas) if schemas else None
+                group.builder = ClosureBuilder(remaining) if remaining else None
             group.members = tuple(remaining)
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.names import ClassName
-from repro.core.schema import Schema
+from repro.core.schema import Foldable, Schema
 from repro.perf.closure import ClosureBuilder
 from repro.service.api_types import QueryResult
 from repro.service.snapshots import ComponentSnapshot
@@ -90,9 +90,10 @@ class Shard:
     *members* is a tuple of the component's held schemas
     (:class:`~repro.service.storage._Member`), each shared with the log
     record that registered it and with the lifecycle table.  A member
-    restored from a snapshot cut decodes only when a retire, a fold into
-    another component or introspection reads its ``schema``; a register
-    into the component concatenates tuples and reads none.
+    restored from a snapshot cut decodes, to its generator form and
+    never closed, only when a retire, a fold into another component or
+    a lifecycle card reads it; a register into the component
+    concatenates tuples and reads none.
     """
 
     __slots__ = (
@@ -124,11 +125,12 @@ class Shard:
 
 
 def plan_groups(
-    batch: Sequence[Schema],
+    batch: Sequence[Foldable],
     class_to_sid: Dict[ClassName, int],
 ) -> List[Tuple[Set[int], List[int]]]:
     """Plan how a batch folds into the existing shard layout (pure).
 
+    *batch* holds schemas or members; only their classes are read.
     Returns one ``(existing_sids, batch_indices)`` tuple per group that
     contains at least one batch schema, in first-touch order: the shards
     the group absorbs (possibly none) and the batch members that land in

@@ -20,8 +20,10 @@ one :class:`StorageBackend` protocol:
   manifest does not already reference, and keeps the rest by reference.
   Schema documents are stored once per file under a content digest and
   shared by reference, so the lifecycle table repeats nothing its
-  component files already carry.  Each member holds its document,
-  encoded once for the log, and every cut writes that document.
+  component files already carry.  Each member holds its document —
+  for a schema registered as a document, its canonical generator form
+  (:func:`~repro.io.json_io.generators_from_dict`), never closed —
+  made once for the log, and every cut writes that document.
   Recovery restores components from the newest durable cut, with
   members and lifecycle versions left as documents until something
   reads them, and replays only the log *suffix*.  The manifest
@@ -92,6 +94,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     IO,
@@ -101,10 +104,13 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
+    TypeVar,
     Union,
 )
 
-from repro.core.schema import DenseClosure, Schema
+from repro.core.names import ClassName
+from repro.core.relations import find_cycle
+from repro.core.schema import DenseClosure, Foldable, FoldLayout, Schema
 from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
@@ -114,7 +120,10 @@ from repro.exceptions import (
     StorageLockedError,
 )
 from repro.io.json_io import (
+    SchemaGenerators,
     canonical_dumps,
+    generators_from_dict,
+    generators_to_dict,
     schema_from_dict,
     schema_to_dict,
     snapshot_from_dict,
@@ -140,6 +149,8 @@ FORMAT_MANIFEST = "repro.service.manifest/2"
 #: The per-seq file layout: its cut is not read, recovery replays the log.
 FORMAT_MANIFEST_V1 = "repro.service.manifest/1"
 
+_T = TypeVar("_T")
+
 #: The schema-lifecycle vocabulary, in descending preference order:
 #: name resolution picks the highest ``recommended`` version, falls
 #: back to ``supported``, and never resolves to ``obsolete`` unless
@@ -156,7 +167,7 @@ CUT_FAILURES = REGISTRY.counter("storage.cut_failures")
 CUT_DURATION = REGISTRY.histogram("storage.cut.duration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RegistrationEntry:
     """One schema as submitted to ``register()`` — optionally named.
 
@@ -167,43 +178,85 @@ class RegistrationEntry:
     ``"recommended"`` (demoting the previous recommended version to
     ``"supported"`` — the supersede chain).
 
-    *member* is the entry's held form, made from *schema*: the log
-    record, the component's members and the lifecycle table share it.
+    *member* is the entry's held form: the log record, the component's
+    members and the lifecycle table share it.  It is made from *schema*,
+    or given, as :meth:`from_doc` gives it for a ``repro.schema/1``
+    document that no one closes; :attr:`schema` reads it.
     """
 
-    schema: Schema
+    member: "_Member" = field(repr=False)
     name: Optional[str] = None
     version: Optional[int] = None
     lifecycle: Optional[str] = None
-    member: "_Member" = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.name is not None and not isinstance(self.name, str):
+    def __init__(
+        self,
+        schema: Optional[Schema] = None,
+        name: Optional[str] = None,
+        version: Optional[int] = None,
+        lifecycle: Optional[str] = None,
+        *,
+        member: Optional["_Member"] = None,
+    ) -> None:
+        if name is not None and not isinstance(name, str):
             raise InvalidRequestError(
-                f"schema names must be strings, got {self.name!r}"
+                f"schema names must be strings, got {name!r}"
             )
-        if self.name is None and (
-            self.version is not None or self.lifecycle is not None
-        ):
+        if name is None and (version is not None or lifecycle is not None):
             raise InvalidRequestError(
                 "anonymous registrations cannot carry a version or lifecycle"
             )
-        if self.version is not None and (
-            not isinstance(self.version, int)
-            or isinstance(self.version, bool)
-            or self.version < 1
+        if version is not None and (
+            not isinstance(version, int)
+            or isinstance(version, bool)
+            or version < 1
         ):
             raise InvalidRequestError(
                 f"schema versions are integers starting at 1, "
-                f"got {self.version!r}"
+                f"got {version!r}"
             )
-        if self.lifecycle is not None and self.lifecycle not in LIFECYCLES:
+        if lifecycle is not None and lifecycle not in LIFECYCLES:
             raise InvalidRequestError(
-                f"unknown lifecycle {self.lifecycle!r}; "
+                f"unknown lifecycle {lifecycle!r}; "
                 f"expected one of {LIFECYCLES}"
             )
-        if self.member is None:
-            object.__setattr__(self, "member", _Member(self.schema))
+        if member is None:
+            if schema is None:
+                raise TypeError("a registration entry needs a schema")
+            member = _Member(schema)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "lifecycle", lifecycle)
+
+    @classmethod
+    def from_doc(
+        cls,
+        doc: Dict[str, Any],
+        name: Optional[str] = None,
+        version: Optional[int] = None,
+        lifecycle: Optional[str] = None,
+    ) -> "RegistrationEntry":
+        """An entry for a ``repro.schema/1`` document, decoded to its
+        generator form and never closed (see
+        :func:`~repro.io.json_io.generators_from_dict`)."""
+        member = _Member(gens=generators_from_dict(doc))
+        return cls(name=name, version=version, lifecycle=lifecycle, member=member)
+
+    @property
+    def schema(self) -> Schema:
+        return self.member.schema
+
+    def _key(self) -> Tuple[Schema, Optional[str], Optional[int], Optional[str]]:
+        return (self.schema, self.name, self.version, self.lifecycle)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegistrationEntry):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -233,28 +286,34 @@ class LogRecord:
 
 
 class _Member:
-    """One member schema as it is held: the schema, its document, or both.
+    """One member schema as it is held: a schema, a document, or both.
 
     A component's members and the lifecycle table's versions are
-    members.  A registered schema starts from its
-    :class:`~repro.core.schema.Schema`, a replayed one from the schema
-    and the log's ``repro.schema/1`` document, a restored one from its
-    cut's document alone; none starts empty.  Each half, and the
-    document's content :attr:`digest`, is filled on first use and
-    memoized here:
-    :attr:`schema` decodes the document, :attr:`doc` encodes the schema.
-    So a schema is encoded at most once per process, for its log append
-    and every later cut alike, and a schema no one reads is never
-    decoded.  Racing first uses compute equal values, and one of them is
-    kept.
+    members.  A schema registered as a
+    :class:`~repro.core.schema.Schema` starts from it; one registered as
+    a document starts from its generator form
+    (:class:`~repro.io.json_io.SchemaGenerators`); a replayed one from
+    that form and the log's ``repro.schema/1`` document; a restored one
+    from its cut's document alone.
+
+    The service reads :attr:`classes` and folds :meth:`_fold_layout`;
+    both come off the schema when the member holds one, and off the
+    generator form otherwise, decoded from the document once and never
+    closed: the component fold is the one closure.  :attr:`doc` is the
+    canonical generator document (or, for a held schema, its closed
+    document), made once for the log append and reused by every cut.
+    :attr:`schema` is for introspection only: it decodes the document
+    on first use.  Every half, and the document's content
+    :attr:`digest`, is memoized here; racing first uses compute equal
+    values, and one of them is kept.
 
     A restored document sits inside a checksummed file, so byte
     corruption is caught at load time; a document that is CRC-clean yet
     undecodable raises :class:`~repro.exceptions.CorruptSnapshotError`
-    on its first :attr:`schema` read, naming the file it came from.
+    on its first read, naming the file it came from.
     """
 
-    __slots__ = ("_schema", "_doc", "_digest", "_origin")
+    __slots__ = ("_schema", "_gens", "_doc", "_digest", "_origin")
 
     def __init__(
         self,
@@ -262,36 +321,65 @@ class _Member:
         doc: Optional[Mapping[str, Any]] = None,
         digest: Optional[str] = None,
         origin: str = "",
+        gens: Optional[SchemaGenerators] = None,
     ) -> None:
         self._schema = schema
+        self._gens = gens
         self._doc = doc
         self._digest = digest
         self._origin = origin  # frozen-after-init
+
+    def _decode(self, decode: Callable[[Dict[str, Any]], _T]) -> _T:
+        try:
+            return decode(dict(self.doc))
+        except (
+            SerializationError,
+            AttributeError,
+            KeyError,
+            TypeError,
+            ValueError,
+        ) as exc:
+            raise CorruptSnapshotError(
+                f"{self._origin} schema {self._digest!r} does not decode: {exc}"
+            ) from exc
+
+    def _source(self) -> Foldable:
+        """What the fold reads: the held schema, else the generator form."""
+        source: Optional[Foldable] = self._schema
+        if source is None:
+            source = self._gens
+            if source is None:
+                source = self._gens = self._decode(generators_from_dict)
+        return source
+
+    @property
+    def classes(self) -> FrozenSet[ClassName]:
+        return self._source().classes
+
+    def _fold_layout(self) -> FoldLayout:
+        return self._source()._fold_layout()
+
+    def own_cycle(self) -> Optional[Tuple[ClassName, ...]]:
+        """A cycle of the document's own spec edges (a held schema has none)."""
+        source = self._source()
+        return find_cycle(source.spec) if isinstance(source, SchemaGenerators) else None
 
     @property
     def schema(self) -> Schema:
         schema = self._schema
         if schema is None:
-            try:
-                schema = schema_from_dict(dict(self.doc))
-            except (
-                SerializationError,
-                AttributeError,
-                KeyError,
-                TypeError,
-                ValueError,
-            ) as exc:
-                raise CorruptSnapshotError(
-                    f"{self._origin} schema {self._digest!r} does not decode: {exc}"
-                ) from exc
-            self._schema = schema
+            schema = self._schema = self._decode(schema_from_dict)
         return schema
 
     @property
     def doc(self) -> Mapping[str, Any]:
         doc = self._doc
         if doc is None:
-            doc = self._doc = schema_to_dict(self.schema)
+            gens = self._gens
+            doc = self._doc = (
+                generators_to_dict(gens) if gens is not None
+                else schema_to_dict(self.schema)
+            )
         return doc
 
     @property
@@ -456,12 +544,12 @@ def entry_to_dict(entry: RegistrationEntry) -> Dict[str, Any]:
 def entry_from_dict(doc: Mapping[str, Any]) -> RegistrationEntry:
     """Decode one registration entry (validates like a fresh submission).
 
-    Its member keeps the log's document, so no later cut re-encodes it.
+    Its member is the document's generator form, not closed, and keeps
+    the log's document, so no later cut re-encodes it.
     """
     schema_doc = doc["schema"]
-    member = _Member(schema_from_dict(dict(schema_doc)), schema_doc)
+    member = _Member(doc=schema_doc, gens=generators_from_dict(dict(schema_doc)))
     return RegistrationEntry(
-        schema=member.schema,
         name=doc.get("name"),
         version=doc.get("version"),
         lifecycle=doc.get("lifecycle"),
@@ -713,7 +801,7 @@ class FileBackend:
                 fh = self._fh = open(
                     self._dir / self.LOG_NAME, "a", encoding="utf-8"
                 )
-            size = os.fstat(fh.fileno()).st_size
+            size = self._end
             try:
                 fh.write(line)
                 fh.flush()

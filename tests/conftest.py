@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.lower import AnnotatedSchema
 from repro.core.participation import Participation
 from repro.core.schema import Schema
+from repro.io.json_io import name_to_json, schema_to_dict
 
 CLASS_UNIVERSE = [f"K{i}" for i in range(8)]
 LABEL_UNIVERSE = ["a", "b", "c"]
@@ -66,6 +67,49 @@ def schemas(
         )
     ) if arrow_candidates else []
     return Schema.build(classes=chosen, arrows=arrows, spec=spec)
+
+
+@st.composite
+def schema_docs(draw, max_classes: int = 6):
+    """A :func:`schemas` draw and a ``repro.schema/1`` document of it.
+
+    The document comes in one of three forms: closed
+    (``schema_to_dict``); its generators (spec covers and non-inherited
+    arrows) shuffled, with duplicate edges and reflexive spec pairs;
+    or its closed edges shuffled with only the classes no edge names
+    listed, so every other class is named by its edges alone.
+    """
+    schema = draw(schemas(max_classes=max_classes))
+    closed = schema_to_dict(schema)
+    form = draw(st.sampled_from(("closed", "generators", "edge-only")))
+    if form == "closed":
+        return schema, closed
+
+    def shuffled(edges: list) -> list:
+        if not edges:
+            return []
+        return draw(st.permutations(
+            edges + draw(st.lists(st.sampled_from(edges), max_size=3))
+        ))
+
+    if form == "generators":
+        arrows = [
+            [name_to_json(s), label, name_to_json(t)]
+            for s, label, t in schema.own_arrows()
+        ]
+        spec = [[name_to_json(a), name_to_json(b)] for a, b in schema.spec_covers()]
+        spec += [[c, c] for c in closed["classes"][:draw(st.integers(0, 2))]]
+        classes = closed["classes"]
+    else:
+        arrows, spec = closed["arrows"], closed["spec"]
+        on_edges = {c for edge in arrows + spec for c in (edge[0], edge[-1])}
+        classes = [c for c in closed["classes"] if c not in on_edges]
+    return schema, {
+        "format": "repro.schema/1",
+        "classes": classes,
+        "arrows": shuffled(arrows),
+        "spec": shuffled(spec),
+    }
 
 
 @st.composite

@@ -3,12 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.lower import AnnotatedSchema
 from repro.core.merge import upper_merge
 from repro.core.names import BaseName, GenName, ImplicitName
 from repro.core.participation import Participation
-from repro.exceptions import SerializationError
+from repro.exceptions import IncompatibleSchemasError, SerializationError
 from repro.figures import (
     figure1_er_diagram,
     figure2_schema,
@@ -22,6 +23,8 @@ from repro.io.json_io import (
     dumps,
     er_from_dict,
     er_to_dict,
+    generators_from_dict,
+    generators_to_dict,
     instance_from_dict,
     instance_to_dict,
     keyed_from_dict,
@@ -32,6 +35,8 @@ from repro.io.json_io import (
     schema_from_dict,
     schema_to_dict,
 )
+from repro.perf.closure import ClosureBuilder
+from tests.conftest import schema_docs, schemas
 
 
 class TestNames:
@@ -219,3 +224,94 @@ class TestLoadsErrors:
     def test_unsupported_type(self):
         with pytest.raises(SerializationError):
             dumps(42)
+
+
+#: Malformed schema documents, each a change to a valid one.  Both
+#: decoders must refuse each with the same exception type.
+MALFORMED = [
+    lambda d: {**d, "format": "repro.schema/2"},
+    lambda d: {k: v for k, v in d.items() if k != "format"},
+    lambda d: [d],
+    lambda d: {**d, "classes": 7},
+    lambda d: {**d, "classes": None},
+    lambda d: {**d, "classes": [""]},
+    lambda d: {**d, "classes": [5]},
+    lambda d: {**d, "classes": [{"mystery": []}]},
+    lambda d: {**d, "arrows": 7},
+    lambda d: {**d, "arrows": "abc"},
+    lambda d: {**d, "arrows": [["K0", "a"]]},
+    lambda d: {**d, "arrows": [[None, "a", "K1"]]},
+    lambda d: {**d, "arrows": [["K0", "", "K1"]]},
+    lambda d: {**d, "arrows": [["K0", 5, "K1"]]},
+    lambda d: {**d, "arrows": [["K0", ["a"], "K1"]]},
+    lambda d: {**d, "spec": 5},
+    lambda d: {**d, "spec": [["K0"]]},
+    lambda d: {**d, "spec": [["K0", "K1", "K2"]]},
+    lambda d: {**d, "spec": [["K0", {"gen": 5}]]},
+    # A bad name in spec is reported before a bad label in arrows.
+    lambda d: {**d, "arrows": [["K0", "", "K1"]], "spec": [["K0", 7]]},
+]
+
+
+def _refusal(decode, doc):
+    try:
+        decode(doc)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+class TestGenerators:
+    """``generators_from_dict``: a document's own edges, never closed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(schema_docs(), schemas())
+    def test_folding_the_generator_form_builds_the_closed_schema(
+        self, drawn, other
+    ):
+        schema, doc = drawn
+        gens = generators_from_dict(doc)
+        assert gens.classes == schema.classes
+        assert ClosureBuilder().add_schema(gens).build() == schema
+        assert schema_from_dict(doc) == schema
+        assert (
+            ClosureBuilder([other, gens]).build()
+            == ClosureBuilder([other, schema_from_dict(doc)]).build()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(schema_docs())
+    def test_the_canonical_document_is_a_fixed_point(self, drawn):
+        schema, doc = drawn
+        canonical = generators_to_dict(generators_from_dict(doc))
+        assert generators_to_dict(generators_from_dict(canonical)) == canonical
+        assert schema_from_dict(canonical) == schema
+        closed = schema_to_dict(schema)  # its own canonical form
+        assert generators_to_dict(generators_from_dict(closed)) == closed
+
+    def test_composite_names_decode_to_the_same_schema(self):
+        merged = upper_merge(*figure3_schemas())
+        closed = schema_to_dict(merged)
+        gens = generators_from_dict(closed)
+        assert ClosureBuilder().add_schema(gens).build() == merged
+        assert generators_to_dict(gens) == closed
+
+    @settings(max_examples=10, deadline=None)
+    @given(schemas())
+    @pytest.mark.parametrize("mutate", MALFORMED)
+    def test_malformed_documents_raise_what_schema_from_dict_raises(
+        self, mutate, schema
+    ):
+        doc = mutate(schema_to_dict(schema))
+        refused = _refusal(schema_from_dict, doc)
+        assert refused is not None
+        assert _refusal(generators_from_dict, doc) is refused
+
+    def test_a_cyclic_document_decodes_and_the_fold_refuses_it(self):
+        doc = {"format": "repro.schema/1", "spec": [["A", "B"], ["B", "A"]]}
+        with pytest.raises(IncompatibleSchemasError):
+            schema_from_dict(doc)
+        gens = generators_from_dict(doc)
+        assert gens.spec == {(BaseName("A"), BaseName("B")), (BaseName("B"), BaseName("A"))}
+        with pytest.raises(IncompatibleSchemasError):
+            ClosureBuilder().add_schema(gens)

@@ -319,6 +319,45 @@ class TestStatusMapping:
         assert service.service_stats()["generation"] == generation
         assert service.component_of("X") is None
 
+    def test_a_cyclic_document_is_409_with_its_own_witness(self, tmp_path):
+        # Decoding no longer closes a document; the fold refuses it with
+        # the witness Schema.build gives, and nothing reaches the log.
+        cyclic = {
+            "format": "repro.schema/1",
+            "spec": [["A", "B"], ["B", "C"], ["C", "A"]],
+        }
+        with pytest.raises(IncompatibleSchemasError) as closed:
+            schema_from_dict(cyclic)
+        pets = Schema.build(arrows=[("Dog", "owner", "Person")])
+        service = MergeService.open(tmp_path / "data")
+        log = tmp_path / "data" / "registry.log"
+        try:
+            with HttpFrontend(service, port=0) as server:
+                connection = http.client.HTTPConnection(*server.address, timeout=10)
+                try:
+                    body = {"format": API_FORMAT, "schemas": [schema_doc(pets)]}
+                    assert post(connection, "/v1/schemas", body)[0] == 200
+                    logged = log.read_bytes()
+                    for batch in (
+                        [cyclic],
+                        [schema_doc(Schema.build(spec=[("Person", "A")])), cyclic],
+                        [{"name": "loop", "schema": cyclic}],
+                    ):
+                        status, doc = post(
+                            connection,
+                            "/v1/schemas",
+                            {"format": API_FORMAT, "schemas": batch},
+                        )
+                        assert status == 409
+                        assert doc["type"] == "IncompatibleSchemasError"
+                        assert doc["error"] == str(closed.value)
+                finally:
+                    connection.close()
+            assert log.read_bytes() == logged
+            assert service.service_stats()["generation"] == 1
+        finally:
+            service.close()
+
     def test_unknown_route_is_404(self, conn):
         status, doc = get(conn, "/v2/anything")
         assert status == 404

@@ -2,8 +2,9 @@
 
 A ``hypothesis`` state machine drives one ``MergeService.open`` data
 directory through arbitrary histories of batch registers (anonymous or
-named, compatible or not), retires, ``save()`` cuts and close/reopen
-cycles.  The model is the multiset of live schemas plus the lifecycle
+named, compatible or not; as ``Schema`` values or as wire documents
+decoded by the HTTP front end, in closed form, generator form or with
+reordered edges), retires, ``save()`` cuts and close/reopen cycles.  The model is the multiset of live schemas plus the lifecycle
 table of each name; after every step the service must agree with it:
 
 * ``merged_view()`` is ``join_all`` of the live schemas (Prop. 4.1:
@@ -36,16 +37,17 @@ from hypothesis.stateful import (
 
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
+from repro.io.json_io import schema_to_dict
 from repro.exceptions import (
     IncompatibleSchemasError,
     InvalidRequestError,
     RetiredSchemaError,
     UnknownSchemaError,
 )
-from repro.service import MergeService
+from repro.service import HttpFrontend, MergeService
 from repro.service.storage import RegistrationEntry
 
-from tests.conftest import CLASS_UNIVERSE, schemas
+from tests.conftest import CLASS_UNIVERSE, schema_docs, schemas
 
 NAMES = ("alpha", "beta", "gamma")
 
@@ -57,6 +59,15 @@ edges = st.lists(
 
 entries = st.tuples(
     st.one_of(schemas(max_classes=4), edges),
+    st.one_of(st.none(), st.sampled_from(NAMES)),
+)
+
+#: The same draws as (schema, document) pairs, for the wire rule.
+documents = st.tuples(
+    st.one_of(
+        schema_docs(max_classes=4),
+        edges.map(lambda schema: (schema, schema_to_dict(schema))),
+    ),
     st.one_of(st.none(), st.sampled_from(NAMES)),
 )
 
@@ -100,12 +111,27 @@ class ServiceModel(RuleBasedStateMachine):
 
     @rule(batch=st.lists(entries, min_size=1, max_size=3))
     def register(self, batch) -> None:
-        failure = self.expected_failure(batch)
-        before = self.observed()
-        items = [
+        self.apply(batch, [
             schema if name is None else RegistrationEntry(schema, name=name)
             for schema, name in batch
-        ]
+        ])
+
+    @rule(batch=st.lists(documents, min_size=1, max_size=3))
+    def register_documents(self, batch) -> None:
+        self.apply(
+            [(schema, name) for (schema, _doc), name in batch],
+            [
+                HttpFrontend._decode_entry(
+                    doc if name is None else {"name": name, "schema": doc}
+                )
+                for (_schema, doc), name in batch
+            ],
+        )
+
+    def apply(self, batch, items) -> None:
+        """Register *items*, the entries of *batch*'s (schema, name) pairs."""
+        failure = self.expected_failure(batch)
+        before = self.observed()
         try:
             self.service.register(items)
         except (IncompatibleSchemasError, InvalidRequestError) as exc:

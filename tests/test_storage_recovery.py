@@ -66,7 +66,7 @@ from repro.service import (
     RegistrationEntry,
 )
 from repro.service.service import _Cutter
-from repro.io.json_io import canonical_dumps
+from repro.io.json_io import canonical_dumps, schema_to_dict
 from repro.service.storage import (
     LogRecord,
     _checksum,
@@ -678,14 +678,21 @@ class TestFailedAppend:
                 raise OSError(errno.EIO, "injected fsync failure")
             return real_fsync(fd)
 
+        def no_fstat(fd):
+            raise AssertionError("an append reads no file size")
+
         monkeypatch.setattr(storage_module.os, "fsync", failing_once)
         with pytest.raises(OSError):
             service.register([court()])
         assert log_path(data).stat().st_size == size
         assert observable_state(service) == before
+        monkeypatch.setattr(storage_module.os, "fstat", no_fstat)
         service.register([court()])
         service.register([bridge()])
         monkeypatch.undo()
+        records = list(service._storage.records())
+        assert [seq for seq, _record in records] == [1, 2, 3]
+        assert [r.entries[0].schema for _s, r in records] == [pets(), court(), bridge()]
         service.close()
 
         reopened = MergeService.open(data)
@@ -1143,6 +1150,51 @@ class TestCutCost:
             replayed.close()
         assert calls == []
 
+    def test_a_posted_document_is_never_closed_or_encoded(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.io import json_io
+        from repro.service import service as service_module
+        from repro.service.http import HttpFrontend
+
+        docs = [
+            schema_to_dict(pets()),
+            {"name": "court", "schema": schema_to_dict(court())},
+            {"format": "repro.schema/1", "arrows": [["Person", "sued-in", "Case"]]},
+        ]
+        data = tmp_path / "registry"
+        calls = []
+        build = Schema.build.__func__
+        monkeypatch.setattr(
+            Schema, "build",
+            classmethod(lambda cls, *a, **k: calls.append("build") or build(cls, *a, **k)),
+        )
+        for module in (json_io, storage_module, service_module):
+            encode = module.schema_to_dict
+            monkeypatch.setattr(
+                module, "schema_to_dict",
+                lambda schema, encode=encode: calls.append("encode") or encode(schema),
+            )
+        service = MergeService.open(data, fsync=False)
+        service.register([HttpFrontend._decode_entry(doc) for doc in docs[:2]])
+        service.register([HttpFrontend._decode_entry(docs[2])])  # a bridge
+        service.retire("court")
+        service.save()
+        service.close()
+        reopened = MergeService.open(data, fsync=False)  # cut, then a fold
+        reopened.register([HttpFrontend._decode_entry(docs[1])])
+        reopened.close()
+        (data / FileBackend.MANIFEST_NAME).unlink()
+        replayed = MergeService.open(data, fsync=False)  # log replay only
+        assert calls == []
+        monkeypatch.undo()
+        try:
+            assert replayed.merged_view() == reference_join_all(
+                [pets(), bridge(), court()]
+            )
+        finally:
+            replayed.close()
+
     def test_records_unseal_only_the_suffix(self, tmp_path, monkeypatch):
         data = TestLogFaults().make_dir(tmp_path)
         unsealed = []
@@ -1458,3 +1510,63 @@ class TestDirectoryLock:
             MergeService(list(incompatible_pair()), storage=backend)
         assert backend._lock_fd is None
         assert open_in_child(data) == "opened"
+
+
+# ----------------------------------------------------------------------
+# Data written before members were held in generator form
+# ----------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def opened_state(service: MergeService) -> dict:
+    """Merged view, components, lifecycle cards and member schemas, as JSON."""
+    cards = {}
+    for schema_name in sorted(service._registry.series):
+        try:
+            cards[schema_name] = service.schema_info(schema_name)
+        except RetiredSchemaError as exc:
+            cards[schema_name] = type(exc).__name__
+    return json.loads(json.dumps({
+        "view": schema_to_dict(service.merged_view()),
+        "components": {str(k): v for k, v in service.components().items()},
+        "cards": cards,
+        "members": {
+            str(sid): sorted(
+                json.dumps(schema_to_dict(g), sort_keys=True)
+                for g in service.component_schemas(sid)
+            )
+            for sid in service.components()
+        },
+        "generation": service.service_stats()["generation"],
+    }, sort_keys=True))
+
+
+class TestClosedDocumentData:
+    """A directory whose log and cut hold closed schema documents.
+
+    ``fixtures/closed-docs-data-dir`` was written by the code before
+    this layout, which logged every schema as its closed document, and
+    left as a kill leaves it: a cut after four registers, then five
+    more records (registers that fold restored components, a retire
+    that rebuilds from restored members).  The expected state is what
+    that code opened it to.
+    """
+
+    def test_it_opens_to_the_same_state(self, tmp_path):
+        data = tmp_path / "registry"
+        shutil.copytree(FIXTURES / "closed-docs-data-dir", data)
+        expected = json.loads(
+            (FIXTURES / "closed-docs-data-dir.expected.json").read_text()
+        )
+        service, replayed = replays_on_open(data)
+        try:
+            assert replayed == 5
+            assert opened_state(service) == expected
+        finally:
+            service.close()
+        cold = full_replay_of(data, tmp_path / "cold")
+        try:
+            assert opened_state(cold) == expected
+        finally:
+            cold.close()
