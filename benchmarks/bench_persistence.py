@@ -15,7 +15,8 @@ service acceptance family (the ``service-sharded-200`` workload):
   (``recovery_load_state``, ``recovery_replay``, ``recovery_prewarm``,
   timed in separate instrumented opens), the number of schema
   documents it decodes (``recovery_schema_decodes``) and the number of
-  single-schema closures (``Schema.build`` calls) it runs
+  single-schema closures (``ClosureBuilder.close`` calls, which
+  ``Schema.build`` and ``schema_from_dict`` both make) it runs
   (``recovery_schema_closures``), which must be 0: recovery folds each
   member's generator form into its component and closes no document
   on its own.
@@ -50,6 +51,7 @@ from repro.core.schema import Schema
 from repro.generators.workloads import get_request_stream, replay
 from repro.obs.metrics import REGISTRY
 from repro.perf import clear_caches
+from repro.perf.closure import ClosureBuilder
 from repro.service import storage
 from repro.service.service import MergeService
 from repro.service.storage import (
@@ -122,7 +124,8 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
 
     Wraps each layer's method, the storage module's two schema decoders
     (``schema_from_dict``, ``generators_from_dict``) and
-    ``Schema.build`` for the duration of *repeat* opens, so these opens
+    ``ClosureBuilder.close`` (every single-schema closure) for the
+    duration of *repeat* opens, so these opens
     are not the ones the ``recovery`` record times.  Returns one timing
     per layer and, per open, the schema documents decoded, the
     single-schema closures run and the log records replayed.
@@ -150,13 +153,13 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
 
     def closing(cls: type, *args: Any, **kwargs: Any) -> Schema:
         closures[0] += 1
-        return build(cls, *args, **kwargs)
+        return close(cls, *args, **kwargs)
 
     decoders = {
         name: getattr(storage, name)
         for name in ("schema_from_dict", "generators_from_dict")
     }
-    build = Schema.build.__func__  # type: ignore[attr-defined]
+    close = ClosureBuilder.close.__func__  # type: ignore[attr-defined]
     runs: Dict[str, List[float]] = {layer: [] for layer, _o, _a in _RECOVERY_LAYERS}
     replayed = REGISTRY.value("storage.replays") or 0
     originals = [(owner, attr, getattr(owner, attr)) for _l, owner, attr in _RECOVERY_LAYERS]
@@ -165,7 +168,7 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
             setattr(owner, attr, timed(layer, getattr(owner, attr)))
         for name, decoder in decoders.items():
             setattr(storage, name, counted(decoder))
-        Schema.build = classmethod(closing)  # type: ignore[method-assign, assignment]
+        ClosureBuilder.close = classmethod(closing)  # type: ignore[method-assign, assignment]
         for _ in range(repeat):
             clear_caches()
             spent.update(dict.fromkeys(runs, 0.0))
@@ -173,7 +176,7 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
             for layer, layer_runs in runs.items():
                 layer_runs.append(spent[layer])
     finally:
-        Schema.build = classmethod(build)  # type: ignore[method-assign, assignment]
+        ClosureBuilder.close = classmethod(close)  # type: ignore[method-assign, assignment]
         for name, decoder in decoders.items():
             setattr(storage, name, decoder)
         for owner, attr, fn in originals:

@@ -81,7 +81,7 @@ from repro.core.names import (
 from repro.exceptions import SchemaValidationError
 from repro.perf.interning import InternTable
 
-__all__ = ["Arrow", "SpecEdge", "Schema", "DenseClosure", "Foldable"]
+__all__ = ["Arrow", "SpecEdge", "Schema", "DenseClosure", "Foldable", "SchemaGenerators"]
 
 
 Arrow = Tuple[ClassName, Label, ClassName]
@@ -110,14 +110,55 @@ class Foldable(Protocol):
     """What :meth:`ClosureBuilder.add_schemas
     <repro.perf.closure.ClosureBuilder.add_schemas>` folds: a class set
     and a generating layout of it.  A :class:`Schema` is one; so is a
-    schema document's generator form
-    (:class:`repro.io.json_io.SchemaGenerators`), which is not closed.
+    :class:`SchemaGenerators`, which is not closed.
     """
 
     @property
     def classes(self) -> FrozenSet[ClassName]: ...
 
     def _fold_layout(self) -> FoldLayout: ...
+
+
+def _layout_spec(layout: FoldLayout) -> FrozenSet[SpecEdge]:
+    """The strict spec edges a layout's groups list, as name pairs."""
+    order, groups, _rows = layout
+    return frozenset(
+        (order[i], order[j])
+        for i, first, rest in groups
+        for j in (first, *(rest or ()))
+        if i != j
+    )
+
+
+class SchemaGenerators:
+    """A generating layout that is not closed — a schema's raw edges.
+
+    *classes* is every class the layout names; :meth:`_fold_layout`
+    is the triple :meth:`ClosureBuilder.add_schemas
+    <repro.perf.closure.ClosureBuilder.add_schemas>` folds: the id
+    table, the spec edges grouped per subclass and the arrows grouped
+    per ``(source, label)`` row, as positions into the table.
+    :meth:`Schema.build` lays its coerced edges out this way, one group
+    per edge, and :func:`repro.io.json_io.generators_from_dict` a
+    document's own edges in canonical form.  Nothing here closes the
+    layout, so one whose spec edges form a cycle exists, and
+    :meth:`ClosureBuilder.close <repro.perf.closure.ClosureBuilder.close>`
+    or a fold refuses it.
+    """
+
+    __slots__ = ("classes", "_layout")
+
+    def __init__(self, layout: FoldLayout) -> None:
+        self.classes = frozenset(layout[0])
+        self._layout = layout
+
+    def _fold_layout(self) -> FoldLayout:
+        return self._layout
+
+    @property
+    def spec(self) -> FrozenSet[SpecEdge]:
+        """The layout's own strict specialization edges."""
+        return _layout_spec(self._layout)
 
 
 # Hash-consing table (see repro.perf).  Every schema is interned on its
@@ -453,10 +494,10 @@ class Schema:
 
         This mirrors how the paper draws schemas: "edges in E implied by
         constraint 2 will be omitted" — the reader (here: the builder)
-        restores them.  The closure is one
-        :class:`~repro.perf.closure.ClosureBuilder` sweep with ids in
-        canonical ``sort_key`` order, so equal inputs intern as one
-        object.
+        restores them.  The edges are laid out as positions in canonical
+        ``sort_key`` order and closed by
+        :meth:`~repro.perf.closure.ClosureBuilder.close`, so equal
+        inputs — and a schema document of them — intern as one object.
         """
         from repro.perf.closure import ClosureBuilder  # imports this module
 
@@ -469,8 +510,13 @@ class Schema:
         for sub, sup in spec_list:
             class_set.add(sub)
             class_set.add(sup)
-        order = sorted(class_set, key=sort_key)
-        return cls._from_dense(ClosureBuilder.close(order, arrow_list, spec_list))
+        order = tuple(sorted(class_set, key=sort_key))
+        pos = {c: i for i, c in enumerate(order)}
+        return ClosureBuilder.close(SchemaGenerators((
+            order,
+            tuple((pos[sub], pos[sup], None) for sub, sup in spec_list),
+            tuple((pos[s], label, pos[t], None) for s, label, t in arrow_list),
+        )))
 
     @classmethod
     def empty(cls) -> "Schema":
@@ -664,12 +710,7 @@ class Schema:
         Decoded from the cover groups of :meth:`_fold_layout`, so
         rendering and folding share one cover computation.
         """
-        table, groups, _rows = self._fold_layout()
-        return frozenset(
-            (table[i], table[j])
-            for i, first, rest in groups
-            for j in (first, *(rest or ()))
-        )
+        return _layout_spec(self._fold_layout())
 
     def labels(self) -> FrozenSet[Label]:
         """Every arrow label used in the schema."""

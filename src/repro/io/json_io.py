@@ -10,17 +10,18 @@ Class names need care: implicit and generalization names are structured
 values, encoded recursively as ``{"implicit": [...]}`` /
 ``{"gen": [...]}``; base names are plain strings.
 
-A ``repro.schema/1`` document decodes two ways.
-:func:`schema_from_dict` closes it into a :class:`~repro.core.schema.Schema`.
-:func:`generators_from_dict` does not close it: it returns the
-document's *canonical generator form*
-(:class:`SchemaGenerators`) — every class it names, in ``sort_key``
-order, and its own arrow and spec edges, deduplicated and sorted.
-That form is what :class:`~repro.perf.closure.ClosureBuilder` folds,
-so a reader that folds documents into a larger closure (the merge
-service) closes each one once, in the fold.  Like the paper's figures,
-a generator document may omit every edge the closure implies; a closed
-document is a generator document too, and is its own canonical form.
+A ``repro.schema/1`` document has one reader,
+:func:`generators_from_dict`.  It returns the document's *canonical
+generator form* (:class:`SchemaGenerators`) — every class it names, in
+``sort_key`` order, and its own arrow and spec edges, deduplicated and
+sorted — and closes nothing.  That form is what
+:class:`~repro.perf.closure.ClosureBuilder` folds:
+:func:`schema_from_dict` is :meth:`ClosureBuilder.close
+<repro.perf.closure.ClosureBuilder.close>` of it, and a reader that
+folds documents into a larger closure (the merge service) closes each
+one once, in the fold.  Like the paper's figures, a generator document
+may omit every edge the closure implies; a closed document is a
+generator document too, and is its own canonical form.
 
 Component snapshots (``repro.snapshot/1``) are the exception to the
 "walk the object graph" rule: they encode a
@@ -34,7 +35,7 @@ trusting a document (see :func:`snapshot_from_dict`).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.keys import KeyFamily, KeyedSchema
 from repro.core.lower import AnnotatedSchema
@@ -48,11 +49,12 @@ from repro.core.names import (
 )
 from repro.core.participation import Participation
 from repro.core.relations import iter_bits
-from repro.core.schema import DenseClosure, FoldLayout, Schema, SpecEdge
+from repro.core.schema import DenseClosure, Schema, SchemaGenerators
 from repro.exceptions import SerializationError
 from repro.instances.instance import Instance
 from repro.models.er import ERAttribute, ERDiagram, EREntity, ERRelationship
 from repro.models.oo import OOAttribute, OOClass, OODiagram
+from repro.perf.closure import ClosureBuilder
 
 __all__ = [
     "name_to_json",
@@ -150,67 +152,22 @@ def schema_to_dict(schema: Schema) -> Dict[str, Any]:
 
 
 def schema_from_dict(doc: Dict[str, Any]) -> Schema:
-    """Decode a schema (closures recomputed, so hand-written JSON works)."""
-    if doc.get("format") != FORMAT_SCHEMA:
-        raise SerializationError(
-            f"expected format {FORMAT_SCHEMA!r}, got {doc.get('format')!r}"
-        )
-    try:
-        return Schema.build(
-            classes=[name_from_json(c) for c in doc.get("classes", [])],
-            arrows=[
-                (name_from_json(s), label, name_from_json(t))
-                for s, label, t in doc.get("arrows", [])
-            ],
-            spec=[
-                (name_from_json(a), name_from_json(b))
-                for a, b in doc.get("spec", [])
-            ],
-        )
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed schema document: {exc}") from exc
+    """Decode a schema: close the document's generator form.
 
-
-class SchemaGenerators:
-    """A schema document's canonical generator form — not closed.
-
-    *classes* is every class the document names; :meth:`_fold_layout`
-    is the triple :meth:`ClosureBuilder.add_schemas
-    <repro.perf.closure.ClosureBuilder.add_schemas>` folds, read off the
-    document's own edges: the id table (*classes* in ``sort_key``
-    order), the spec edges grouped per subclass and the arrows grouped
-    per ``(source, label)`` row, all sorted by position, with
-    duplicates and reflexive spec pairs dropped.  The fold closes it;
-    nothing here does, so a document whose own spec edges form a
-    cycle decodes, and the fold refuses it.
+    Hand-written JSON works — the closure restores every edge the
+    document omits — and the result is the very object
+    ``Schema.build`` interns for the document's names and edges.
     """
-
-    __slots__ = ("classes", "_layout")
-
-    def __init__(self, layout: FoldLayout) -> None:
-        self.classes = frozenset(layout[0])
-        self._layout = layout
-
-    def _fold_layout(self) -> FoldLayout:
-        return self._layout
-
-    @property
-    def spec(self) -> FrozenSet[SpecEdge]:
-        """The document's own strict specialization edges."""
-        order, groups, _rows = self._layout
-        return frozenset(
-            (order[i], order[j])
-            for i, first, rest in groups
-            for j in (first, *(rest or ()))
-        )
+    return ClosureBuilder.close(generators_from_dict(doc))
 
 
 def generators_from_dict(doc: Dict[str, Any]) -> SchemaGenerators:
     """Decode a schema document to its canonical generator form.
 
-    Validates exactly like :func:`schema_from_dict` — the format tag,
-    each name, the edge shapes, then the labels — and raises the same
-    exception for a malformed document, but closes nothing.
+    The one schema-document reader: it validates the format tag, each
+    name, the edge shapes, then the labels, and closes nothing, so a
+    document whose own spec edges form a cycle decodes (the closure
+    refuses it).
 
     >>> gens = generators_from_dict({"format": "repro.schema/1",
     ...     "spec": [["Puppy", "Dog"], ["Puppy", "Dog"], ["Dog", "Dog"]]})

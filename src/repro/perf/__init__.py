@@ -37,7 +37,7 @@ without a cycle.
 >>> engine_stats()["intern"]["schema.schemas"]["size"]
 0
 >>> builder = ClosureBuilder().add_spec_edge("Puppy", "Dog")
->>> builder.is_spec("Puppy", "Dog")
+>>> builder.build().is_spec("Puppy", "Dog")
 True
 """
 

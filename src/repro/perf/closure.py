@@ -20,12 +20,14 @@ Bulk int OR/AND is *word-parallel*: CPython operates on the limbs of a
 big int in C, so a 60-class component's whole row updates in a couple
 of machine words instead of ~60 hash-and-probe set operations.
 
-Entry points: ``Schema.build`` is the one-shot :meth:`ClosureBuilder.close`
-(ids in canonical ``sort_key`` order); ``join_all`` folds whole
-families through one builder (:meth:`ClosureBuilder.add_schemas`,
-reading each schema's generating layout straight off its masks);
-``Schema.with_*`` and the service's warm restart revive a closed value
-as a builder (:meth:`ClosureBuilder.from_dense`).  The builder is also
+Entry points: :meth:`ClosureBuilder.close` is the one closure of a
+single schema — ``Schema.build``'s raw edges (ids in canonical
+``sort_key`` order) and a schema document's generator form both fold
+through it; ``join_all`` folds whole families through one builder
+(:meth:`ClosureBuilder.add_schemas`, reading each schema's generating
+layout straight off its masks); ``Schema.with_*`` and the service's
+warm restart revive a closed value as a builder
+(:meth:`ClosureBuilder.from_dense`).  The builder is also
 public API for callers that accumulate schemas over time (sessions,
 streaming merges): add schemas as they arrive, ``build()`` when a
 closed value is needed, keep adding afterwards.
@@ -41,18 +43,17 @@ the per-lookup hot paths.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core import relations
 from repro.core.names import ClassName, Label, name
 from repro.core.schema import (
-    Arrow,
     DenseClosure,
     Foldable,
     RowTable,
     Schema,
-    SpecEdge,
     _coerce_arrow,
+    _layout_spec,
 )
 from repro.exceptions import IncompatibleSchemasError
 from repro.obs.metrics import REGISTRY
@@ -84,7 +85,7 @@ class ClosureBuilder:
     """A mutable accumulator whose ``build()`` is the LUB of everything added.
 
     Invariants: the per-component :class:`NameSpace` assigns dense ids
-    in first-appearance order (in the given order for :meth:`close`);
+    in first-appearance order (for :meth:`close`, the layout's own order);
     ``_succ[i]``/``_pred[i]`` always hold the reflexive-transitive
     closure of the specialization edges seen so far as bitsets (every
     registered node's own bit is set), and
@@ -121,54 +122,35 @@ class ClosureBuilder:
         self._intern(name(cls))
         return self
 
-    def _insert_edge(self, sub: int, sup: int) -> None:
-        """closure_insert_bits with the domain error mapped on.
-
-        Serves the single-edge entry point (which needs no undo log:
-        the kernel checks for a cycle before mutating anything); the
-        bulk fold inlines the kernel call.  Counter discipline:
-        callers account ``closure.inserts``.
-        """
-        try:
-            relations.closure_insert_bits(self._succ, self._pred, sub, sup)
-        except ValueError:
-            ns = self._ns
-            raise cycle_error(
-                (ns.name_of(sub), ns.name_of(sup), ns.name_of(sub))
-            ) from None
-
     def add_spec_edge(self, sub: ClassName, sup: ClassName) -> "ClosureBuilder":
         """Add ``sub ==> sup``, delta-updating the closure.
 
         Raises :class:`~repro.exceptions.IncompatibleSchemasError` the
-        moment an edge closes a cycle — no separate compatibility pass.
+        moment an edge closes a cycle — no separate compatibility pass
+        (and no undo log: the kernel checks for a cycle before mutating
+        anything).
         """
-        self._insert_edge(self._intern(name(sub)), self._intern(name(sup)))
+        i = self._intern(name(sub))
+        j = self._intern(name(sup))
+        try:
+            relations.closure_insert_bits(self._succ, self._pred, i, j)
+        except ValueError:
+            ns = self._ns
+            raise cycle_error(
+                (ns.name_of(i), ns.name_of(j), ns.name_of(i))
+            ) from None
         _INSERTS.inc()
         return self
-
-    def _add_row(
-        self,
-        rows: RawRows,
-        source: ClassName,
-        label: Label,
-        target: ClassName,
-    ) -> None:
-        sid = self._intern(source)
-        bit = 1 << self._intern(target)
-        table = rows.get(sid)
-        if table is None:
-            rows[sid] = {label: bit}
-        else:
-            prev = table.get(label)
-            table[label] = bit if prev is None else prev | bit
 
     def add_arrow(
         self, source: ClassName, label: Label, target: ClassName
     ) -> "ClosureBuilder":
         """Add one raw arrow (closed at build time)."""
-        arrow = _coerce_arrow((source, label, target))
-        self._add_row(self._rows, arrow[0], arrow[1], arrow[2])
+        source, label, target = _coerce_arrow((source, label, target))
+        sid = self._intern(source)
+        bit = 1 << self._intern(target)
+        table = self._rows.setdefault(sid, {})
+        table[label] = table.get(label, 0) | bit
         return self
 
     def add_schema(self, schema: Foldable) -> "ClosureBuilder":
@@ -204,7 +186,11 @@ class ClosureBuilder:
         return cycle_error(cycle)
 
     def add_schemas(
-        self, schemas: Iterable[Foldable], *, _spec_only: bool = False
+        self,
+        schemas: Iterable[Foldable],
+        *,
+        _spec_only: bool = False,
+        _counted: bool = True,
     ) -> "ClosureBuilder":
         """Fold many schemas — each one atomically, in order.
 
@@ -232,7 +218,7 @@ class ClosureBuilder:
         loops.  The layout is a *generating* view (spec covers, minimal
         non-inherited reach rows — see ``Schema._fold_layout``; or a
         schema document's own edges, unclosed — see
-        :class:`repro.io.json_io.SchemaGenerators`): the builder's own
+        :class:`repro.core.schema.SchemaGenerators`): the builder's own
         rectangle updates and build-time sweep regenerate everything
         the layout omits, so the fold does strictly less work for the
         identical closure.  Each generator row encodes
@@ -240,7 +226,8 @@ class ClosureBuilder:
         row table under its ``(source_id, label)`` key — closure is
         deferred to the build-time sweep.  ``_spec_only`` (set only by
         the compatibility check, which discards the builder) skips the
-        rows: only the specialization fold can fail.
+        rows: only the specialization fold can fail.  ``_counted``
+        (cleared only by :meth:`close`) leaves ``closure.inserts`` alone.
         """
         ns = self._ns
         ids = ns._ids
@@ -318,42 +305,38 @@ class ClosureBuilder:
                     else:
                         table[label] = table.get(label, 0) | acc
         finally:
-            if inserts:
+            if inserts and _counted:
                 _INSERTS.inc(inserts)
         return self
 
     @classmethod
-    def close(
-        cls,
-        order: Sequence[ClassName],
-        arrows: Iterable[Arrow],
-        spec: Sequence[SpecEdge],
-    ) -> DenseClosure:
-        """The one-shot closure behind ``Schema.build``, ids in *order*.
+    def close(cls, source: Foldable) -> Schema:
+        """The one closure of a single schema: fold *source*, then sweep.
 
-        *order* lists every class exactly once and fixes the id table
-        (``Schema.build`` passes canonical ``sort_key`` order, so equal
-        inputs close to identical masks); *arrows* and *spec* are
-        coerced edges between those classes.  Spec edges insert as
-        rectangle updates, arrows OR into raw rows, and one sweep
-        closes them.  A cycle raises
+        *source* is one generating layout — the raw edges
+        ``Schema.build`` lays out in canonical ``sort_key`` order, a
+        schema document's generator form
+        (``json_io.schema_from_dict``), or a service member.  It folds
+        through :meth:`add_schemas` into a builder whose id table is
+        the layout's own order, so equal inputs close to identical
+        masks, interning as one object.  A cycle raises
         :class:`~repro.exceptions.IncompatibleSchemasError` whose
-        witness is a chain of the given *spec* edges.  Work counters
-        are left alone: they account component folds and rebuilds.
+        witness is a chain of the layout's own spec edges.  Work
+        counters are left alone: they account component folds and
+        rebuilds.
         """
-        builder = cls.from_dense(
-            DenseClosure(tuple(order), tuple(1 << i for i in range(len(order))), {})
-        )
-        ids = builder._ns._ids
+        order = source._fold_layout()[0]
+        builder = cls.__new__(cls)
+        builder._ns = NameSpace(order)
+        builder._succ = [1 << i for i in range(len(order))]
+        builder._pred = builder._succ[:]
+        builder._rows = {}
         try:
-            for sub, sup in spec:
-                builder._insert_edge(ids[sub], ids[sup])
+            builder.add_schemas((source,), _counted=False)
         except IncompatibleSchemasError:
-            raise cycle_error(relations.find_cycle(frozenset(spec)) or ()) from None
-        rows = builder._rows
-        for source, label, target in arrows:
-            builder._add_row(rows, source, label, target)
-        return builder.dense_state()
+            spec = _layout_spec(source._fold_layout())
+            raise cycle_error(relations.find_cycle(spec) or ()) from None
+        return Schema._from_dense(builder.dense_state())
 
     @classmethod
     def from_dense(cls, dense: DenseClosure) -> "ClosureBuilder":
@@ -378,7 +361,8 @@ class ClosureBuilder:
         >>> revived = ClosureBuilder.from_dense(state)
         >>> revived.dense_state() == state
         True
-        >>> revived.add_spec_edge("Dog", "Animal").is_spec("Puppy", "Animal")
+        >>> _ = revived.add_spec_edge("Dog", "Animal")
+        >>> revived.build().is_spec("Puppy", "Animal")
         True
         """
         builder = cls()
@@ -422,8 +406,8 @@ class ClosureBuilder:
         >>> original = ClosureBuilder().add_spec_edge("Puppy", "Dog")
         >>> twin = original.clone()
         >>> _ = twin.add_spec_edge("Dog", "Animal")
-        >>> original.is_spec("Dog", "Animal"), twin.is_spec("Dog", "Animal")
-        (False, True)
+        >>> [b.build().is_spec("Dog", "Animal") for b in (original, twin)]
+        [False, True]
         """
         twin = ClosureBuilder()
         twin._ns = self._ns.clone()
@@ -431,22 +415,6 @@ class ClosureBuilder:
         twin._pred = list(self._pred)
         twin._rows = {sid: dict(t) for sid, t in self._rows.items()}
         return twin
-
-    def is_spec(self, sub: ClassName, sup: ClassName) -> bool:
-        """Does ``sub ==> sup`` hold in the accumulated closure?"""
-        sub, sup = name(sub), name(sup)
-        if sub == sup:
-            return True
-        ns = self._ns
-        i = ns.id_of(sub)
-        j = ns.id_of(sup)
-        if i is None or j is None:
-            return False
-        return bool((self._succ[i] >> j) & 1)
-
-    def spec_pairs(self) -> FrozenSet[SpecEdge]:
-        """The current reflexive-transitive specialization closure."""
-        return DenseClosure(self._ns.names(), tuple(self._succ), {}).decode_spec()
 
     def _fold_sweep(
         self,
@@ -552,40 +520,16 @@ class ClosureBuilder:
         out, _swept = self._fold_sweep(self._succ, self._rows)
         return DenseClosure(self._ns.names(), tuple(self._succ), out)
 
-    def build(
-        self,
-        extra_arrows: Iterable[Arrow] = (),
-    ) -> Schema:
+    def build(self) -> Schema:
         """Close the accumulated components into an (interned) Schema.
 
         The builder stays usable afterwards — ``build`` is a snapshot,
-        not a terminal operation; *extra_arrows* participate in this
-        snapshot only (coerced and validated like every other input,
-        with unseen endpoints appearing as isolated classes).
-
-        The returned schema is backed by the dense closure directly:
-        its flat arrow relation and structural hash materialize lazily,
-        on first use.
+        not a terminal operation.  The returned schema is backed by the
+        dense closure directly: its flat arrow relation and structural
+        hash materialize lazily, on first use.
         """
-        ns = self._ns
         succ = self._succ
-        rows = self._rows
-        extra = [_coerce_arrow(edge) for edge in extra_arrows]
-        if extra:
-            # Work on copies: build() must not mutate the accumulator.
-            saved = (self._ns, self._succ, self._pred, self._rows)
-            self._ns = ns = ns.clone()
-            self._succ = succ = list(succ)
-            self._pred = list(self._pred)
-            self._rows = rows = {sid: dict(t) for sid, t in rows.items()}
-            try:
-                for source, label, target in extra:
-                    self._add_row(rows, source, label, target)
-                out, swept = self._fold_sweep(succ, rows)
-            finally:
-                self._ns, self._succ, self._pred, self._rows = saved
-        else:
-            out, swept = self._fold_sweep(succ, rows)
+        out, swept = self._fold_sweep(succ, self._rows)
         _REBUILDS.inc()
         _ARROWS_SWEPT.inc(swept)
-        return Schema._from_dense(DenseClosure(ns.names(), tuple(succ), out))
+        return Schema._from_dense(DenseClosure(self._ns.names(), tuple(succ), out))

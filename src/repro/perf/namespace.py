@@ -60,10 +60,11 @@ class NameSpace:
     __slots__ = ("_ids", "_names")
 
     def __init__(self, names: Iterable[ClassName] = ()) -> None:
-        self._ids: Dict[ClassName, int] = {}
-        self._names: List[ClassName] = []
-        for cls in names:
-            self.intern(cls)
+        """A table of *names*, which must be distinct, with ids in order."""
+        self._names: List[ClassName] = list(names)
+        self._ids: Dict[ClassName, int] = dict(
+            zip(self._names, range(len(self._names)))
+        )
 
     def intern(self, cls: ClassName) -> int:
         """The dense id of *cls*, assigning the next free id if new."""

@@ -99,7 +99,7 @@ from repro.io.json_io import schema_to_dict
 from repro.obs import _state as _obs_state
 from repro.obs.metrics import Counter, Gauge, Histogram, REGISTRY
 from repro.obs.tracing import span
-from repro.perf.closure import ClosureBuilder, cycle_error
+from repro.perf.closure import ClosureBuilder
 from repro.service.api_types import API_FORMAT, QueryResult, RegisterReceipt, RetireReceipt
 from repro.service.shards import Shard, plan_groups
 from repro.service.snapshots import ComponentSnapshot
@@ -918,7 +918,7 @@ class MergeService:
                 stage(groups, key)
                 with span("service.snapshot"):
                     generation, components = self._commit(
-                        groups, lambda g: delta(g, groups, key)
+                        groups, batch, lambda g: delta(g, groups, key)
                     )
             except BaseException:
                 self._telemetry.rollbacks.inc()
@@ -981,16 +981,15 @@ class MergeService:
 
         Raises :class:`IncompatibleSchemasError` with nothing published.
         The fold is the only closure a registered document gets, so it
-        also meets a document whose own spec edges form a cycle; that
-        refusal names the document's cycle, found once the fold fails.
+        also meets a document whose own spec edges form a cycle.  Once
+        the fold fails, each batch member is closed on its own, and the
+        first that cannot be raises with its own cycle as the witness.
         """
         try:
             self._fold_groups(groups, batch)
         except IncompatibleSchemasError:
             for member in batch:
-                cycle = member.own_cycle()
-                if cycle is not None:
-                    raise cycle_error(cycle) from None
+                ClosureBuilder.close(member)
             raise
 
     @staticmethod
@@ -1029,6 +1028,7 @@ class MergeService:
     def _commit(  # requires-lock: _writer
         self,
         groups: List[_Group],
+        batch: List[_Member],
         delta: Callable[[int], _Delta],
     ) -> Tuple[int, int]:
         """Log a staged write, then publish it.  Writer lock held.
@@ -1044,8 +1044,12 @@ class MergeService:
 
         The next shard table and class map are built on copies (an
         O(classes) dict copy per write) and published as one new
-        :class:`_Registry` with a single reference store.  Returns the
-        new generation and the component count.
+        :class:`_Registry` with a single reference store.  Only classes
+        whose owner changed are mapped: a register group (one with batch
+        *indices*) never drops a class, so it maps its batch members'
+        classes and those of the shards it absorbs to its sid; only a
+        retire group computes the classes it drops.  Returns the new
+        generation and the component count.
         """
         current = self._registry
         generation = current.generation + 1
@@ -1056,17 +1060,20 @@ class MergeService:
         shards = current.shards.copy()
         class_to_sid = current.class_to_sid.copy()
         for group in groups:
-            kept = group.builder.classes if group.builder is not None else frozenset()
+            sid, builder = group.sid, group.builder
             for shard in group.replaced:
-                if shard.sid != group.sid or group.builder is None:
+                if shard.sid != sid or builder is None:
                     shards.pop(shard.sid, None)
-                for cls in shard.builder.classes - kept:
-                    class_to_sid.pop(cls, None)
-            if group.builder is not None:
-                shards[group.sid] = Shard(
-                    group.sid, group.builder, group.members, generation
-                )
-                class_to_sid.update(dict.fromkeys(kept, group.sid))
+                if not group.indices:  # a retire: unmap what it dropped
+                    kept = builder.classes if builder is not None else ()
+                    for cls in shard.builder.classes.difference(kept):
+                        class_to_sid.pop(cls, None)
+                elif shard.sid != sid:  # absorbed by the group
+                    class_to_sid.update(dict.fromkeys(shard.builder.classes, sid))
+            for index in group.indices:
+                class_to_sid.update(dict.fromkeys(batch[index].classes, sid))
+            if builder is not None:
+                shards[sid] = Shard(sid, builder, group.members, generation)
         self._registry = _Registry(
             shards, class_to_sid, {**current.series, **series}, generation
         )
@@ -1216,13 +1223,24 @@ class MergeService:
     @staticmethod
     def _rebuild_without(groups: List[_Group], live: List[VersionState]) -> None:
         """Retire's stage: rebuild each owning component from the members
-        left once each retired version's own member is dropped."""
+        left once each retired version's member is dropped.
+
+        The member dropped is the first one holding the version's
+        document: a restored component shares one member per document
+        digest, so dropping by identity would leave its members in a
+        different order after a restart than before it.
+        """
         for group in groups:
             (shard,) = group.replaced
             remaining = list(shard.members)
             for v in live:
-                if v.member in remaining:  # by identity
-                    remaining.remove(v.member)
+                own = v.member
+                for k, member in enumerate(remaining):
+                    if member is own or (
+                        member.classes == own.classes and member.digest == own.digest
+                    ):
+                        del remaining[k]
+                        break
             with span("service.rebuild", component=group.sid, schemas=len(remaining)):
                 group.builder = ClosureBuilder(remaining) if remaining else None
             group.members = tuple(remaining)

@@ -109,8 +109,7 @@ from typing import (
 )
 
 from repro.core.names import ClassName
-from repro.core.relations import find_cycle
-from repro.core.schema import DenseClosure, Foldable, FoldLayout, Schema
+from repro.core.schema import DenseClosure, Foldable, FoldLayout, Schema, SchemaGenerators
 from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
@@ -120,7 +119,6 @@ from repro.exceptions import (
     StorageLockedError,
 )
 from repro.io.json_io import (
-    SchemaGenerators,
     canonical_dumps,
     generators_from_dict,
     generators_to_dict,
@@ -292,7 +290,7 @@ class _Member:
     members.  A schema registered as a
     :class:`~repro.core.schema.Schema` starts from it; one registered as
     a document starts from its generator form
-    (:class:`~repro.io.json_io.SchemaGenerators`); a replayed one from
+    (:class:`~repro.core.schema.SchemaGenerators`); a replayed one from
     that form and the log's ``repro.schema/1`` document; a restored one
     from its cut's document alone.
 
@@ -358,11 +356,6 @@ class _Member:
 
     def _fold_layout(self) -> FoldLayout:
         return self._source()._fold_layout()
-
-    def own_cycle(self) -> Optional[Tuple[ClassName, ...]]:
-        """A cycle of the document's own spec edges (a held schema has none)."""
-        source = self._source()
-        return find_cycle(source.spec) if isinstance(source, SchemaGenerators) else None
 
     @property
     def schema(self) -> Schema:

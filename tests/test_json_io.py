@@ -4,11 +4,14 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lower import AnnotatedSchema
 from repro.core.merge import upper_merge
 from repro.core.names import BaseName, GenName, ImplicitName
 from repro.core.participation import Participation
+from repro.core.relations import find_cycle
+from repro.core.schema import Schema
 from repro.exceptions import IncompatibleSchemasError, SerializationError
 from repro.figures import (
     figure1_er_diagram,
@@ -306,6 +309,33 @@ class TestGenerators:
         refused = _refusal(schema_from_dict, doc)
         assert refused is not None
         assert _refusal(generators_from_dict, doc) is refused
+
+    @settings(max_examples=150, deadline=None)
+    @given(schema_docs())
+    def test_a_document_closes_to_the_object_build_interns(self, drawn):
+        _schema, doc = drawn
+        built = Schema.build(
+            classes=[name_from_json(c) for c in doc["classes"]],
+            arrows=[
+                (name_from_json(s), label, name_from_json(t))
+                for s, label, t in doc["arrows"]
+            ],
+            spec=[(name_from_json(a), name_from_json(b)) for a, b in doc["spec"]],
+        )
+        assert schema_from_dict(doc) is built
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"))))
+    def test_a_cyclic_document_is_refused_with_its_own_cycle(self, pairs):
+        doc = {"format": "repro.schema/1", "spec": [list(p) for p in pairs]}
+        cycle = find_cycle({(BaseName(a), BaseName(b)) for a, b in pairs if a != b})
+        if cycle is None:
+            assert schema_from_dict(doc) is Schema.build(spec=pairs)
+            return
+        for close in (schema_from_dict, lambda _doc: Schema.build(spec=pairs)):
+            with pytest.raises(IncompatibleSchemasError) as err:
+                close(doc)
+            assert err.value.cycle == cycle
 
     def test_a_cyclic_document_decodes_and_the_fold_refuses_it(self):
         doc = {"format": "repro.schema/1", "spec": [["A", "B"], ["B", "A"]]}

@@ -177,7 +177,8 @@ class TestJoinEquivalence:
             ClosureBuilder()
             .add_class("A")
             .add_arrow("A", "f", "B")
-            .build(extra_arrows=[("X", "g", "Y")])
+            .add_arrow("X", "g", "Y")
+            .build()
         )
         # Raw strings are coerced to names and endpoints join C, so the
         # result passes the validating public constructor (cache cleared
@@ -188,7 +189,7 @@ class TestJoinEquivalence:
         with pytest.raises(SchemaValidationError):
             ClosureBuilder().add_arrow("A", 123, "B")
         with pytest.raises(SchemaValidationError):
-            ClosureBuilder().build(extra_arrows=[("A", "", "B")])
+            ClosureBuilder().add_arrow("A", "", "B")
 
 
 class TestLowerEquivalence:

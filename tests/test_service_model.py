@@ -14,14 +14,17 @@ table of each name; after every step the service must agree with it:
   no class lies in two components (a retire rebuilds a component from
   its remaining members without splitting it, so a component may hold
   several connected components of the class-sharing graph);
-* each name resolves to its newest live version;
-* a rejected batch changes nothing, and a reopen (cut plus log suffix)
-  restores exactly the state the closed service held — same log, same
-  state.
+* each name resolves to its newest live version, and the class map
+  sends every class to the component holding it;
+* a rejected batch changes nothing — also one whose log append fails,
+  since the append precedes publication — and a reopen (cut plus log
+  suffix) restores exactly the state the closed service held — same
+  log, same state.
 """
 
 from __future__ import annotations
 
+import errno
 import shutil
 import tempfile
 from collections import Counter
@@ -109,12 +112,16 @@ class ServiceModel(RuleBasedStateMachine):
             return IncompatibleSchemasError
         return None
 
-    @rule(batch=st.lists(entries, min_size=1, max_size=3))
-    def register(self, batch) -> None:
-        self.apply(batch, [
+    @staticmethod
+    def wrapped(batch) -> list:
+        return [
             schema if name is None else RegistrationEntry(schema, name=name)
             for schema, name in batch
-        ])
+        ]
+
+    @rule(batch=st.lists(entries, min_size=1, max_size=3))
+    def register(self, batch) -> None:
+        self.apply(batch, self.wrapped(batch))
 
     @rule(batch=st.lists(documents, min_size=1, max_size=3))
     def register_documents(self, batch) -> None:
@@ -128,13 +135,31 @@ class ServiceModel(RuleBasedStateMachine):
             ],
         )
 
-    def apply(self, batch, items) -> None:
+    @rule(batch=st.lists(entries, min_size=1, max_size=3))
+    def register_with_a_failed_append(self, batch) -> None:
+        """The batch's log append raises ``OSError``, as a full disk would."""
+        storage = self.service._storage
+
+        def failing(record):
+            raise OSError(errno.EIO, "injected append failure")
+
+        storage.append = failing  # shadows the backend's method
+        try:
+            self.apply(batch, self.wrapped(batch), append_fails=True)
+        finally:
+            del storage.append
+
+    def apply(self, batch, items, append_fails: bool = False) -> None:
         """Register *items*, the entries of *batch*'s (schema, name) pairs."""
         failure = self.expected_failure(batch)
+        if failure is None and append_fails and not all(
+            schema.is_empty() for schema, _name in batch
+        ):
+            failure = OSError
         before = self.observed()
         try:
             self.service.register(items)
-        except (IncompatibleSchemasError, InvalidRequestError) as exc:
+        except (IncompatibleSchemasError, InvalidRequestError, OSError) as exc:
             assert type(exc) is failure, exc
             assert self.observed() == before  # a rejected batch changes nothing
             return
@@ -193,6 +218,15 @@ class ServiceModel(RuleBasedStateMachine):
             seen |= view.classes
             held.update(members)
         assert held == Counter(self.live)
+
+    @invariant()
+    def class_map_follows_the_shards(self) -> None:
+        registry = self.service._registry
+        assert registry.class_to_sid == {
+            cls: sid
+            for sid, shard in registry.shards.items()
+            for cls in shard.builder.classes
+        }
 
     @invariant()
     def names_resolve_to_their_newest_live_version(self) -> None:

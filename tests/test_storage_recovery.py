@@ -57,6 +57,7 @@ from repro.exceptions import (
     StorageLockedError,
     UnknownSchemaError,
 )
+from repro.perf.closure import ClosureBuilder
 from repro.perf.reference import reference_join_all
 from repro.service import storage as storage_module
 from repro.service import (
@@ -522,6 +523,26 @@ class TestRestartEquivalence:
         try:
             assert after.schema_info("pets") == info
             assert after.resolve_schema("pets") == pets()
+        finally:
+            after.close()
+
+    def test_retiring_one_of_two_equal_members_survives_a_cut(self, tmp_path):
+        # A cut stores one document per digest, so the restored component
+        # holds one member object for both twins; the retire must drop the
+        # same position live and after the restart.
+        data = tmp_path / "registry"
+        twin = Schema.build(spec=[("K0", "K1")])
+        before = MergeService.open(data, fsync=False)
+        before.register([
+            twin, Schema.build(spec=[("K0", "K2")]), RegistrationEntry(twin, name="beta"),
+        ])
+        before.save()
+        before.retire("beta")
+        members = before.component_schemas(before.component_of("K0"))
+        before.close()
+        after = MergeService.open(data, fsync=False)
+        try:
+            assert after.component_schemas(after.component_of("K0")) == members
         finally:
             after.close()
 
@@ -1164,10 +1185,11 @@ class TestCutCost:
         ]
         data = tmp_path / "registry"
         calls = []
-        build = Schema.build.__func__
+        # Every single-schema closure, Schema.build included, is one close.
+        close = ClosureBuilder.close.__func__
         monkeypatch.setattr(
-            Schema, "build",
-            classmethod(lambda cls, *a, **k: calls.append("build") or build(cls, *a, **k)),
+            ClosureBuilder, "close",
+            classmethod(lambda cls, *a, **k: calls.append("close") or close(cls, *a, **k)),
         )
         for module in (json_io, storage_module, service_module):
             encode = module.schema_to_dict
