@@ -122,8 +122,8 @@ _RECOVERY_LAYERS: Tuple[Tuple[str, type, str], ...] = (
 def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
     """Where a snapshot-led ``MergeService.open`` spends its time.
 
-    Wraps each layer's method, the storage module's two schema decoders
-    (``schema_from_dict``, ``generators_from_dict``) and
+    Wraps each layer's method, the storage module's one schema decoder
+    (``generators_from_dict``) and
     ``ClosureBuilder.close`` (every single-schema closure) for the
     duration of *repeat* opens, so these opens
     are not the ones the ``recovery`` record times.  Returns one timing
@@ -157,7 +157,7 @@ def _measure_recovery_layers(data_dir: str, repeat: int) -> Dict[str, Any]:
 
     decoders = {
         name: getattr(storage, name)
-        for name in ("schema_from_dict", "generators_from_dict")
+        for name in ("generators_from_dict",)
     }
     close = ClosureBuilder.close.__func__  # type: ignore[attr-defined]
     runs: Dict[str, List[float]] = {layer: [] for layer, _o, _a in _RECOVERY_LAYERS}

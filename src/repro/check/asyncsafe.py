@@ -1,9 +1,9 @@
 """Async-safety analyzer: no blocking calls inline on the event loop.
 
-The HTTP front end (:mod:`repro.service.http`) runs coroutines on an
-asyncio event loop and pushes every blocking service call into a thread
-pool via ``loop.run_in_executor``.  A blocking call that slips into a
-coroutine body *inline* — a lock ``.acquire()``, a synchronous
+The HTTP front end (:mod:`repro.service.http`) serves its connections
+from an asyncio event loop and pushes every blocking service call into
+a thread pool.  A blocking call that slips into code the loop runs
+*inline* — a lock ``.acquire()``, a synchronous
 ``MergeService`` write, file or socket I/O, ``time.sleep`` — stalls the
 whole loop, which under load turns one slow merge into a full-service
 outage.  That failure mode is invisible to unit tests (a single request
@@ -11,11 +11,16 @@ never notices) and to type checkers, so it gets its own analyzer.
 
 The rule (``async-blocking``):
 
-* the *roots* are every ``async def`` in the module;
+* the *roots* are every ``async def`` in the module, and the
+  synchronous code the loop calls back: the ``connection_made`` /
+  ``data_received`` / ``eof_received`` / ``connection_lost`` methods of
+  ``asyncio.Protocol`` subclasses, and every function passed by
+  reference to ``call_soon``, ``call_soon_threadsafe`` or
+  ``call_later``;
 * the *reachable set* is the roots plus every synchronous function in
   the same module transitively called from a root by bare name or as a
-  ``self.<name>(...)`` method — those helpers run inline on the loop
-  too;
+  ``<object>.<name>(...)`` method — those helpers run inline on the
+  loop too;
 * within the reachable set, flag
 
   - ``<anything>.acquire(...)`` calls — lock acquisition;
@@ -28,8 +33,9 @@ The rule (``async-blocking``):
 
 * **awaited calls are exempt** — ``await self._stop.wait()`` suspends,
   it does not block — and so are function *references* (passing
-  ``self._service.register`` to ``run_in_executor`` is the sanctioned
-  escape hatch; the analyzer only flags *calls*).
+  ``self._service.register`` to ``run_in_executor`` or a pool's
+  ``submit`` is the sanctioned escape hatch; the analyzer only flags
+  *calls*).
 
 Nested function definitions and lambdas are not treated as running
 inline (they are typically executor thunks), but calling one by name
@@ -78,6 +84,15 @@ BLOCKING_NAME_CALLS = frozenset({"open", "input"})
 #: ``module.func`` calls that block.
 BLOCKING_DOTTED_CALLS = frozenset({("time", "sleep"), ("socket", "create_connection")})
 
+#: Protocol base classes, and the callbacks of theirs the loop calls.
+_PROTOCOL_BASES = frozenset({"BaseProtocol", "Protocol", "BufferedProtocol"})
+_PROTOCOL_CALLBACKS = frozenset(
+    {"connection_made", "data_received", "eof_received", "connection_lost"}
+)
+
+#: Loop methods whose function argument later runs on the loop.
+_SCHEDULERS = frozenset({"call_soon", "call_soon_threadsafe", "call_later"})
+
 _LOCKISH = re.compile(r"(^|_)(lock|mutex)s?($|_)|^_writer$|^_planner$")
 
 
@@ -107,37 +122,48 @@ def _own_nodes(func: FunctionNode) -> List[ast.AST]:
     return out
 
 
+def _ref_name(node: ast.AST) -> Optional[str]:
+    """The function a bare name or ``<object>.<name>`` refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def _called_names(func: FunctionNode) -> Set[str]:
-    """Bare-name and ``self.<name>`` call targets in *func*'s own body."""
-    names: Set[str] = set()
-    for node in _own_nodes(func):
-        if not isinstance(node, ast.Call):
-            continue
-        target = node.func
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
+    """Bare-name and ``<object>.<name>`` call targets in *func*'s own body."""
+    calls = (node.func for node in _own_nodes(func) if isinstance(node, ast.Call))
+    return set(filter(None, map(_ref_name, calls)))
+
+
+def _callback_roots(tree: ast.Module) -> Set[str]:
+    """Synchronous functions the event loop itself calls back."""
+    roots: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            _ref_name(base) in _PROTOCOL_BASES for base in node.bases
         ):
-            names.add(target.attr)
-    return names
+            roots.update(_PROTOCOL_CALLBACKS & {getattr(i, "name", "") for i in node.body})
+        elif isinstance(node, ast.Call) and _ref_name(node.func) in _SCHEDULERS:
+            roots.update(filter(None, map(_ref_name, node.args)))
+    return roots
 
 
 def _reachable_sync(
-    defs: Dict[str, FunctionNode],
+    defs: Dict[str, FunctionNode], callbacks: Set[str]
 ) -> Dict[str, Tuple[FunctionNode, str]]:
     """``name → (def, root)`` for code that runs inline on the loop.
 
-    Roots are the async defs (their *root* is themselves); synchronous
-    defs enter the map when reachable from a root, tagged with the
-    coroutine that pulls them in (for the diagnostic message).
+    Roots are the async defs and the loop *callbacks* (their *root* is
+    themselves); other defs enter the map when reachable from a root,
+    tagged with the root that pulls them in (for the diagnostic
+    message).
     """
     reachable: Dict[str, Tuple[FunctionNode, str]] = {}
     queue: List[Tuple[str, str]] = []
     for name, node in defs.items():
-        if isinstance(node, ast.AsyncFunctionDef):
+        if isinstance(node, ast.AsyncFunctionDef) or name in callbacks:
             reachable[name] = (node, name)
             queue.append((name, name))
     while queue:
@@ -146,8 +172,6 @@ def _reachable_sync(
             if callee in reachable or callee not in defs:
                 continue
             node = defs[callee]
-            if isinstance(node, ast.AsyncFunctionDef):
-                continue  # already a root
             reachable[callee] = (node, root)
             queue.append((callee, root))
     return reachable
@@ -199,16 +223,17 @@ def _lockish_with_reason(item: ast.withitem) -> Optional[str]:
 def check_async_safety(sf: SourceFile) -> List[Diagnostic]:
     """Run the ``async-blocking`` rule over one source file."""
     defs = _function_defs(sf.tree)
-    reachable = _reachable_sync(defs)
+    reachable = _reachable_sync(defs, _callback_roots(sf.tree))
     diagnostics: List[Diagnostic] = []
 
     def report(line: int, reason: str, name: str, root: str) -> None:
         if sf.suppressed(line, "async-blocking"):
             return
+        kind = "coroutine" if isinstance(defs[root], ast.AsyncFunctionDef) else "loop callback"
         if name == root:
-            where = f"in coroutine {root}()"
+            where = f"in {kind} {root}()"
         else:
-            where = f"in {name}(), reachable from coroutine {root}()"
+            where = f"in {name}(), reachable from {kind} {root}()"
         diagnostics.append(
             Diagnostic(
                 path=sf.path,

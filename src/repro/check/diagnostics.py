@@ -64,7 +64,7 @@ ALL_RULES: Dict[str, str] = {
     ),
     "async-blocking": (
         "a blocking call (lock acquire, file/socket I/O, service write) "
-        "is reachable from a coroutine running inline on the event loop"
+        "is reachable from a coroutine or callback running on the event loop"
     ),
     "http-status-map": (
         "an exception class has no HTTP status mapping in _STATUS_MAP"

@@ -1,20 +1,21 @@
 """Asyncio HTTP front end for the merge service — stdlib only.
 
-One event loop serves every connection.  Reads (``GET``) are answered
-inline on the loop: views, queries, schema info and stats each load the
-service's published registry value without a lock, so a read is just a
-memo lookup and never waits on a writer, not even on its log append.
-For views and queries the memo holds the encoded response body itself
-(:meth:`MergeService.view_body`, :meth:`MergeService.query_body`): a
-warm ``GET`` is one dictionary lookup plus one socket write, with no
-``schema_to_dict`` and no ``json.dumps``.
-Writes (``POST /v1/schemas``) are dispatched to a small thread pool,
+One event loop serves every connection, each one an
+:class:`asyncio.Protocol` over a byte buffer.  A read (``GET``) is
+answered inside ``data_received``: views, queries, schema info and
+stats each load the service's published registry value without a lock,
+so a read is just a memo lookup and never waits on a writer, not even
+on its log append.  For views and queries the memo holds the encoded
+response body itself (:meth:`MergeService.view_body`,
+:meth:`MergeService.query_body`): a warm ``GET`` is one dictionary
+lookup plus one ``transport.write``, with no ``json.dumps``.
+Writes (``POST``, ``DELETE``) are dispatched to a small thread pool,
 body and all: the pool thread parses the JSON, decodes each schema
 document to its generator form and registers the batch, so the loop
 keeps streaming read responses while a big batch decodes and a
-register folds closures under the service's writer lock — the
-service's "reads never block behind writers" guarantee carries through
-to the wire.
+register folds closures under the service's writer lock.  The
+connection stops reading until its write is answered, so a pipelined
+connection is answered in request order.
 
 **Routes** (wire format ``repro.api/1``; schemas travel as
 ``repro.schema/1`` documents from :mod:`repro.io.json_io`):
@@ -46,12 +47,14 @@ withdrawn, as opposed to never registered),
 :class:`~repro.exceptions.StorageError` → 500 (persistence trouble is
 the server's problem, never the client's request),
 :class:`~repro.exceptions.ServiceShutdownError` → 503.  A request
-head that cannot be parsed is answered 400, one declaring a body over
-:data:`MAX_BODY_BYTES` is answered 413
-(:class:`~repro.exceptions.BodyTooLargeError`), and a body that does
-not arrive within :data:`BODY_TIMEOUT_S` is answered 408
-(:class:`~repro.exceptions.BodyTimeoutError`); all three close the
-connection.
+head that cannot be parsed or is over 64 KiB is answered 400, one
+declaring a body over :data:`MAX_BODY_BYTES` is answered 413
+(:class:`~repro.exceptions.BodyTooLargeError`), and a head or body that
+does not arrive within :data:`HEAD_TIMEOUT_S` or :data:`BODY_TIMEOUT_S`
+is answered 408 (:class:`~repro.exceptions.BodyTimeoutError`); all of
+these close the connection, as does :data:`IDLE_TIMEOUT_S` of silence
+between requests.  One sweep per front end checks these deadlines, so a
+request arms no timer.
 
 >>> import http.client, json
 >>> from repro.service import MergeService
@@ -74,8 +77,11 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import suppress
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
+from urllib.parse import unquote
 
 from repro.exceptions import (
     BodyTimeoutError,
@@ -107,10 +113,20 @@ __all__ = ["HttpFrontend", "serve_http", "status_for"]
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Seconds a client has to deliver the body its ``Content-Length``
-#: declared.  A short body is answered 408 and the connection closed,
-#: so it cannot hold the connection forever.  Request heads carry no
-#: deadline: a per-read timer would cost every ``GET``.
+#: declared, from the end of its head; then it is answered 408.
 BODY_TIMEOUT_S = 10.0
+
+#: Seconds a client has to deliver a request head (from its first
+#: byte), and that a keep-alive connection may idle before it closes.
+HEAD_TIMEOUT_S = 10.0
+IDLE_TIMEOUT_S = 60.0
+
+#: The longest request head, and the seconds between deadline sweeps.
+_MAX_HEAD_BYTES = 64 * 1024
+_SWEEP_S = 0.5
+
+#: An answer: status, payload, content type.
+_Answer = Tuple[int, Union[Dict[str, Any], str, bytes], str]
 
 #: Exception → HTTP status, checked in order (most specific first).
 #: The terminal ``SchemaError`` entry is the taxonomy-wide fallback:
@@ -190,8 +206,8 @@ class HttpFrontend:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        #: Open connections: handler task → its writer.
-        self._connections: Dict[Any, asyncio.StreamWriter] = {}
+        self._connections: Set[_Connection] = set()
+        self._serving = False  # new connections are served, not closed
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -210,13 +226,16 @@ class HttpFrontend:
         ready: Optional[threading.Event] = None,
         announce: Optional[Callable[[str, int], None]] = None,
     ) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
+        self._pool = pool = ThreadPoolExecutor(
             max_workers=self._max_workers,
             thread_name_prefix="repro-http-write",
         )
-        server = await asyncio.start_server(self._handle, self._host, self._port)
+        self._serving = True
+        server = await loop.create_server(
+            lambda: _Connection(self, loop, pool), self._host, self._port
+        )
         try:
             host, port = server.sockets[0].getsockname()[:2]
             self._address = (host, port)
@@ -225,17 +244,33 @@ class HttpFrontend:
             if ready is not None:
                 ready.set()
             async with server:
+                sweeper = loop.create_task(self._sweep(loop))
                 await self._stop.wait()
-                # Unpark keep-alive handlers (their readline sees EOF) and
-                # let them finish, so none is left for asyncio.run to cancel.
-                for writer in list(self._connections.values()):
-                    writer.close()
-                if self._connections:
-                    await asyncio.wait(list(self._connections), timeout=10)
+                self._serving = False
+                server.close()
+                # Idle connections close now; one with a write in flight
+                # answers it first.  None is left for asyncio.run.
+                for connection in list(self._connections):
+                    connection.shut()
+                for _ in range(1000):  # 10 s at most
+                    if not self._connections:
+                        break
+                    await asyncio.sleep(0.01)
+                sweeper.cancel()
         finally:
+            for connection in list(self._connections):
+                connection.abort()  # cancelled, or still writing after 10 s
             self._pool.shutdown(wait=False)
             if ready is not None:
                 ready.set()  # never leave a starter waiting on a crash
+
+    async def _sweep(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Hold every connection to its deadline, every ``_SWEEP_S``."""
+        while True:
+            await asyncio.sleep(_SWEEP_S)
+            now = loop.time()
+            for connection in list(self._connections):
+                connection.expire(now)
 
     def serve_forever(
         self, announce: Optional[Callable[[str, int], None]] = None
@@ -277,160 +312,28 @@ class HttpFrontend:
         self.stop()
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        loop = asyncio.get_running_loop()
-        self._connections[task] = writer
-        # asyncio reads through a 256 KiB recv() buffer.  glibc serves a
-        # block that size with mmap until its threshold happens to adapt,
-        # which costs every request a page fault and an mmap/munmap pair;
-        # a 64 KiB buffer always comes from the heap.
-        writer.transport.max_size = 64 * 1024
-        try:
-            while True:
-                # readline raises ValueError past the reader's line limit.
-                try:
-                    request_line = await reader.readline()
-                    if not request_line:
-                        break
-                    method, target, version = (
-                        request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-                    )
-                    headers: Dict[str, str] = {}
-                    while True:
-                        line = await reader.readline()
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                        key, _, value = line.decode("latin-1").partition(":")
-                        headers[key.strip().lower()] = value.strip()
-                    length = int(headers.get("content-length") or 0)
-                    if length < 0:
-                        raise ValueError(f"negative Content-Length {length}")
-                except ValueError as exc:
-                    await self._refuse(
-                        writer, InvalidRequestError(f"malformed request head: {exc}")
-                    )
-                    break
-                if length > MAX_BODY_BYTES:
-                    await self._refuse(
-                        writer,
-                        BodyTooLargeError(
-                            f"request body of {length} bytes exceeds the "
-                            f"{MAX_BODY_BYTES}-byte limit"
-                        ),
-                    )
-                    break
-                body = b""
-                if length:
-                    # A timer that ends the stream, not ``wait_for``: no
-                    # extra task, so a body already buffered costs nothing.
-                    deadline = loop.call_later(BODY_TIMEOUT_S, reader.feed_eof)
-                    try:
-                        body = await reader.readexactly(length)
-                    except asyncio.IncompleteReadError:
-                        await self._refuse(
-                            writer,
-                            BodyTimeoutError(
-                                f"request body of {length} bytes did not "
-                                f"arrive within {BODY_TIMEOUT_S:g} s"
-                            ),
-                        )
-                        break
-                    finally:
-                        deadline.cancel()
-                keep_alive = (
-                    version == "HTTP/1.1"
-                    and headers.get("connection", "").lower() != "close"
-                )
-                status, payload, content_type = await self._dispatch(
-                    method, target, body
-                )
-                writer.write(
-                    self._encode(status, payload, content_type, keep_alive)
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _refuse(
-        self, writer: asyncio.StreamWriter, exc: InvalidRequestError
-    ) -> None:
-        """Answer a request whose body will not be read (the caller closes).
-
-        The status and the document's ``type`` both come from *exc*.
-        """
-        error = {"error": str(exc), "type": type(exc).__name__}
-        writer.write(self._encode(status_for(exc), error, "application/json", False))
-        await writer.drain()
-
-    @staticmethod
-    def _encode(
-        status: int,
-        payload: Union[Dict[str, Any], str, bytes],
-        content_type: str,
-        keep_alive: bool,
-    ) -> bytes:
-        if isinstance(payload, bytes):
-            body = payload
-        elif isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        return head.encode("latin-1") + body
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
-    async def _dispatch(
+    def _dispatch(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, Union[Dict[str, Any], str, bytes], str]:
+    ) -> Union[_Answer, Callable[[], RegisterReceipt]]:
+        """A read's answer, or the write for the pool to run."""
         path, _, query = target.partition("?")
         try:
             if path == "/v1/schemas":
                 if method != "POST":
                     return 405, {"error": "POST required"}, "application/json"
-                return await self._post_schemas(body)
+                return partial(self._register_body, body)
             if path.startswith("/v1/schemas/"):
-                from urllib.parse import unquote
-
                 name = unquote(path[len("/v1/schemas/"):])
                 if not name:
                     raise InvalidRequestError("empty schema name")
                 if method == "GET":
                     return self._get_schema(name)
                 if method == "DELETE":
-                    return await self._delete_schema(name)
-                return (
-                    405,
-                    {"error": "GET or DELETE required"},
-                    "application/json",
-                )
+                    return partial(self._service.retire, name)
+                return 405, {"error": "GET or DELETE required"}, "application/json"
             if method != "GET":
                 return 405, {"error": "GET required"}, "application/json"
             if path.startswith("/v1/components/") and path.endswith("/view"):
@@ -439,32 +342,20 @@ class HttpFrontend:
                 return self._get_query(path[len("/v1/query/"):])
             if path == "/v1/stats":
                 return self._get_stats(query)
-            return (
-                404,
-                {"error": f"no route for {method} {path}"},
-                "application/json",
-            )
+            return 404, {"error": f"no route for {method} {path}"}, "application/json"
         except Exception as exc:  # taxonomy-mapped error document
-            return (
-                status_for(exc),
-                {
-                    "format": API_FORMAT,
-                    "error": str(exc),
-                    "type": type(exc).__name__,
-                },
-                "application/json",
-            )
+            return _error(exc)
 
-    async def _post_schemas(
-        self, body: bytes
-    ) -> Tuple[int, Dict[str, Any], str]:
-        loop = asyncio.get_running_loop()
-        receipt = await loop.run_in_executor(
-            self._pool, self._register_body, body
-        )
-        payload = {"format": API_FORMAT}
-        payload.update(receipt.to_dict())
-        return 200, payload, "application/json"
+    @staticmethod
+    def _write(write: Callable[[], RegisterReceipt]) -> _Answer:
+        """Run one write on the pool, and encode its answer there too."""
+        try:
+            payload: Dict[str, Any] = {"format": API_FORMAT}
+            payload.update(write().to_dict())
+            status = 200
+        except Exception as exc:  # taxonomy-mapped error document
+            status, payload, _ = _error(exc)
+        return status, json.dumps(payload).encode("utf-8"), "application/json"
 
     def _register_body(self, body: bytes) -> RegisterReceipt:
         """Parse, decode and register one POST body (on the write pool)."""
@@ -502,17 +393,6 @@ class HttpFrontend:
         payload.update(self._service.schema_info(name))
         return 200, payload, "application/json"
 
-    async def _delete_schema(
-        self, name: str
-    ) -> Tuple[int, Dict[str, Any], str]:
-        loop = asyncio.get_running_loop()
-        receipt = await loop.run_in_executor(
-            self._pool, self._service.retire, name
-        )
-        payload = {"format": API_FORMAT}
-        payload.update(receipt.to_dict())
-        return 200, payload, "application/json"
-
     def _get_view(self, raw_sid: str) -> Tuple[int, bytes, str]:
         try:
             sid = int(raw_sid)
@@ -521,8 +401,6 @@ class HttpFrontend:
         return 200, self._service.view_body(sid), "application/json"
 
     def _get_query(self, raw_cls: str) -> Tuple[int, bytes, str]:
-        from urllib.parse import unquote
-
         cls = unquote(raw_cls)
         if not cls:
             raise InvalidRequestError("empty class name")
@@ -538,6 +416,208 @@ class HttpFrontend:
                 "application/json",
             )
         return 200, prometheus_text(), "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _error(exc: BaseException) -> Tuple[int, Dict[str, Any], str]:
+    doc = {"format": API_FORMAT, "error": str(exc), "type": type(exc).__name__}
+    return status_for(exc), doc, "application/json"
+
+
+def _encode(
+    status: int,
+    payload: Union[Dict[str, Any], str, bytes],
+    content_type: str,
+    keep_alive: bool,
+) -> bytes:
+    if isinstance(payload, bytes):
+        body = payload
+    elif isinstance(payload, str):
+        body = payload.encode("utf-8")
+    else:
+        body = json.dumps(payload).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
+    """Method, target, keep-alive and body length; ``ValueError`` if bad."""
+    request_line, *lines = head.decode("latin-1").split("\r\n")
+    method, target, version = request_line.split(" ", 2)
+    keep_alive, length = version == "HTTP/1.1", 0
+    for line in lines:
+        key, _, value = line.partition(":")
+        key = key.strip().lower()
+        if key == "content-length":
+            length = int(value.strip() or 0)
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+        elif key == "connection" and value.strip().lower() == "close":
+            keep_alive = False
+    return method, target, keep_alive, length
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, answered from its byte buffer in order.
+
+    While ``_busy`` a write runs on the pool, reading is paused and any
+    buffered requests wait for its answer.  ``_stamp`` is the loop time
+    the current wait began — for a head, a body (``_head`` is parsed)
+    or, with an empty buffer, the next request — and the front end's
+    sweep holds it to that wait's deadline.
+    """
+
+    def __init__(
+        self,
+        frontend: HttpFrontend,
+        loop: asyncio.AbstractEventLoop,
+        pool: ThreadPoolExecutor,
+    ) -> None:
+        self._frontend = frontend
+        self._loop = loop
+        self._pool = pool
+        self._transport: Any = None
+        self._buffer = bytearray()
+        self._head: Optional[Tuple[str, str, bool, int]] = None
+        self._busy = False
+        self._backlogged = False  # the client is not reading its answers
+        self._closing = False  # close once the write in flight is answered
+        self._stamp = loop.time()
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+        # asyncio reads through a 256 KiB recv() buffer.  glibc serves a
+        # block that size with mmap until its threshold happens to adapt,
+        # which costs every request a page fault and an mmap/munmap pair;
+        # a 64 KiB buffer always comes from the heap.
+        transport.max_size = 64 * 1024
+        if self._frontend._serving:
+            self._frontend._connections.add(self)
+        else:  # accepted as the front end stopped
+            transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._frontend._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        now = self._loop.time()
+        if not self._buffer and self._head is None:
+            self._stamp = now  # a new request begins
+        self._buffer += data
+        if not self._busy:
+            self._serve(now)
+
+    def pause_writing(self) -> None:
+        self._backlogged = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._backlogged = False
+        if not self._busy:
+            self._transport.resume_reading()
+
+    def _serve(self, now: float) -> None:
+        """Answer complete buffered requests until one goes to the pool."""
+        buffer = self._buffer
+        while True:
+            head = self._head
+            if head is None:
+                end = buffer.find(b"\r\n\r\n")
+                if end < 0 and len(buffer) <= _MAX_HEAD_BYTES:
+                    return
+                try:
+                    if not 0 <= end <= _MAX_HEAD_BYTES:
+                        raise ValueError(f"over {_MAX_HEAD_BYTES} bytes")
+                    head = _parse_head(bytes(buffer[:end]))
+                except ValueError as exc:
+                    return self._refuse(
+                        InvalidRequestError(f"malformed request head: {exc}")
+                    )
+                del buffer[:end + 4]
+                if head[3] > MAX_BODY_BYTES:
+                    return self._refuse(BodyTooLargeError(
+                        f"request body of {head[3]} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit"
+                    ))
+                self._head, self._stamp = head, now  # the body's wait begins
+            method, target, keep_alive, length = head
+            if len(buffer) < length:
+                return
+            body = bytes(buffer[:length])
+            del buffer[:length]
+            self._head, self._stamp = None, now
+            answer = self._frontend._dispatch(method, target, body)
+            if callable(answer):
+                return self._submit(answer, keep_alive)
+            self._send(answer, keep_alive)
+            if not keep_alive:
+                return
+
+    def _send(self, answer: _Answer, keep_alive: bool) -> None:
+        self._transport.write(_encode(*answer, keep_alive))
+        if not keep_alive:
+            self._transport.close()
+
+    def _refuse(self, exc: InvalidRequestError) -> None:
+        """Answer a request whose body will not be read, and close."""
+        error = {"error": str(exc), "type": type(exc).__name__}
+        self._send((status_for(exc), error, "application/json"), False)
+
+    def _submit(
+        self, write: Callable[[], RegisterReceipt], keep_alive: bool
+    ) -> None:
+        self._busy = True
+        self._transport.pause_reading()
+        future = self._pool.submit(self._frontend._write, write)
+        future.add_done_callback(partial(self._hand_back, keep_alive))
+
+    def _hand_back(self, keep_alive: bool, future: "Future[_Answer]") -> None:
+        """The pool's done-callback: take the answer over to the loop."""
+        with suppress(RuntimeError):  # a closed loop has nobody to answer
+            self._loop.call_soon_threadsafe(self._written, future.result(), keep_alive)
+
+    def _written(self, answer: _Answer, keep_alive: bool) -> None:
+        """Answer the write in flight, then serve what is buffered."""
+        self._busy = False
+        if self._transport.is_closing():
+            return  # the client left, or stop() gave up on it
+        keep_alive = keep_alive and not self._closing
+        self._send(answer, keep_alive)
+        if keep_alive:
+            now = self._loop.time()
+            self._stamp = now
+            self._serve(now)
+            if not self._busy and not self._backlogged:
+                self._transport.resume_reading()
+
+    def expire(self, now: float) -> None:
+        """Close the connection if its current wait is past its deadline."""
+        if self._busy or self._transport.is_closing():
+            return
+        if self._head is not None:
+            what, limit = f"request body of {self._head[3]} bytes", BODY_TIMEOUT_S
+        elif self._buffer:
+            what, limit = "request head", HEAD_TIMEOUT_S
+        elif now - self._stamp > IDLE_TIMEOUT_S:
+            return self._transport.close()
+        else:
+            return
+        if now - self._stamp > limit:
+            self._refuse(BodyTimeoutError(f"{what} did not arrive within {limit:g} s"))
+
+    def shut(self) -> None:
+        """Close now if idle, else once the write in flight is answered."""
+        self._closing = True
+        if not self._busy:
+            self._transport.close()
+
+    def abort(self) -> None:
+        self._transport.abort()
 
 
 def serve_http(

@@ -122,12 +122,12 @@ from repro.io.json_io import (
     canonical_dumps,
     generators_from_dict,
     generators_to_dict,
-    schema_from_dict,
     schema_to_dict,
     snapshot_from_dict,
     snapshot_to_dict,
 )
 from repro.obs.metrics import REGISTRY
+from repro.perf.closure import ClosureBuilder
 
 __all__ = [
     "LIFECYCLES",
@@ -300,8 +300,8 @@ class _Member:
     closed: the component fold is the one closure.  :attr:`doc` is the
     canonical generator document (or, for a held schema, its closed
     document), made once for the log append and reused by every cut.
-    :attr:`schema` is for introspection only: it decodes the document
-    on first use.  Every half, and the document's content
+    :attr:`schema` is for introspection only: it closes the generator
+    form on first use.  Every half, and the document's content
     :attr:`digest`, is memoized here; racing first uses compute equal
     values, and one of them is kept.
 
@@ -361,7 +361,7 @@ class _Member:
     def schema(self) -> Schema:
         schema = self._schema
         if schema is None:
-            schema = self._schema = self._decode(schema_from_dict)
+            schema = self._schema = ClosureBuilder.close(self._source())
         return schema
 
     @property

@@ -50,6 +50,7 @@ class TestCorpus:
             "bad_lock_nesting.py",
             "bad_frozen.py",
             "bad_async_blocking.py",
+            "bad_async_protocol.py",
         ],
     )
     def test_bad_file_matches_markers(self, name):

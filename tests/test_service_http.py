@@ -650,3 +650,199 @@ class TestWarmBodies:
             assert tel.query_duration.count == 3
         finally:
             _state.set_enabled(was_enabled)
+
+
+def read_answers(sock, count):
+    """Read *count* HTTP responses off a raw socket: (status, headers, doc)."""
+    answers, pending = [], b""
+    while len(answers) < count:
+        head, sep, rest = pending.partition(b"\r\n\r\n")
+        if sep:
+            status_line, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            length = int(headers["Content-Length"])
+            if len(rest) >= length:
+                answers.append(
+                    (int(status_line.split()[1]), headers, json.loads(rest[:length]))
+                )
+                pending = rest[length:]
+                continue
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed after {len(answers)} answers"
+        pending += chunk
+    return answers
+
+
+def raw_request(method, path, payload=None):
+    body = json.dumps(payload).encode() if payload is not None else b""
+    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+class TestPipelining:
+    """Answers leave in request order, even when a write is slow."""
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        backend = _GatedBackend()
+        service = MergeService(
+            [Schema.build(arrows=[("Dog", "owner", "Person")])], storage=backend
+        )
+        backend.gated = True
+        walks = {
+            "name": "walks",
+            "schema": schema_doc(Schema.build(arrows=[("Dog", "walks", "Park")])),
+        }
+        pipeline = b"".join([
+            raw_request("GET", "/v1/query/Dog"),
+            raw_request("POST", "/v1/schemas", {"format": API_FORMAT, "schemas": [walks]}),
+            raw_request("GET", "/v1/query/Park"),
+            raw_request("DELETE", "/v1/schemas/walks"),
+        ])
+        with HttpFrontend(service, port=0) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                try:
+                    sock.sendall(pipeline)
+                    assert backend.entered.wait(timeout=10)
+                    [(status, _, first)] = read_answers(sock, 1)
+                    assert (status, first["class"]) == (200, "Dog")
+                    sock.settimeout(0.3)
+                    with pytest.raises(socket.timeout):
+                        sock.recv(1)  # the read behind the write waits for it
+                    sock.settimeout(10)
+                finally:
+                    backend.release.set()
+                answers = read_answers(sock, 3)
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        receipt, park, retired = (doc for _, _, doc in answers)
+        assert receipt["accepted"] == 1
+        assert park["class"] == "Park"  # the read saw the write before it
+        assert (retired["name"], retired["versions"]) == ("walks", [1])
+
+    def test_a_body_over_one_read_buffer_arrives_whole(self, conn, service):
+        big = Schema.build(arrows=[("Dog", f"trait{i}", "Trait") for i in range(3000)])
+        doc = {"format": API_FORMAT, "schemas": [schema_doc(big)]}
+        assert len(json.dumps(doc)) > 64 * 1024
+        status, receipt = post(conn, "/v1/schemas", doc)
+        assert status == 200 and receipt["accepted"] == 1
+        assert get(conn, "/v1/query/Trait")[0] == 200
+
+
+class TestDeadlines:
+    """Head and idle deadlines, enforced by one sweep per front end."""
+
+    def test_a_half_sent_head_is_408_and_closes(self, frontend, monkeypatch):
+        monkeypatch.setattr(http_module, "HEAD_TIMEOUT_S", 0.3)
+        with socket.create_connection(frontend.address, timeout=10) as sock:
+            for piece in (b"GET /v1/query/Dog HTTP/1.1\r\n", b"Host: x\r\n", b"X: y"):
+                sock.sendall(piece)  # bytes keep arriving; the head never ends
+                threading.Event().wait(0.15)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 408 Request Timeout"
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert b"Connection: close" in headers
+        doc = json.loads(body)
+        assert doc["type"] == "BodyTimeoutError"
+        assert "request head" in doc["error"]
+
+    def test_an_idle_connection_is_closed_without_an_answer(
+        self, frontend, monkeypatch
+    ):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.3)
+        with socket.create_connection(frontend.address, timeout=10) as sock:
+            sock.sendall(raw_request("GET", "/v1/query/Dog"))
+            assert read_answers(sock, 1)[0][0] == 200
+            assert sock.recv(65536) == b""  # closed, and nothing was sent
+
+    def test_a_busy_connection_is_never_cut(self, frontend, monkeypatch):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(http_module, "HEAD_TIMEOUT_S", 0.3)
+        connection = http.client.HTTPConnection(*frontend.address, timeout=10)
+        try:
+            connection.connect()
+            sock = connection.sock
+            for _ in range(25):  # ~1.25 s: several sweeps, each gap < 0.3 s
+                assert get(connection, "/v1/query/Dog")[0] == 200
+                threading.Event().wait(0.05)
+            assert connection.sock is sock
+        finally:
+            connection.close()
+
+
+class TestShutdownAndDisconnects:
+    def gated(self):
+        backend = _GatedBackend()
+        service = MergeService(
+            [Schema.build(arrows=[("Dog", "owner", "Person")])], storage=backend
+        )
+        backend.gated = True
+        body = {
+            "format": API_FORMAT,
+            "schemas": [schema_doc(Schema.build(arrows=[("Person", "argues", "Case")]))],
+        }
+        return backend, service, body
+
+    def test_a_client_gone_mid_post_leaves_no_warning(self, caplog):
+        backend, service, body = self.gated()
+        server = HttpFrontend(service, port=0).start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                with socket.create_connection(server.address, timeout=10) as sock:
+                    sock.sendall(raw_request("POST", "/v1/schemas", body))
+                    assert backend.entered.wait(timeout=10)
+                backend.release.set()  # the client has closed
+                for _ in range(200):
+                    if service.service_stats()["generation"] == 2:
+                        break
+                    threading.Event().wait(0.05)
+                connection = http.client.HTTPConnection(*server.address, timeout=10)
+                assert get(connection, "/v1/query/Case")[0] == 200
+                connection.close()
+                server.stop()
+        finally:
+            backend.release.set()
+            server.stop()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        # The register committed whole: one generation, both classes joined.
+        assert service.service_stats()["generation"] == 2
+        assert service.component_of("Case") == service.component_of("Dog")
+
+    def test_stop_answers_the_write_in_flight_before_closing(self):
+        backend, service, body = self.gated()
+        server = HttpFrontend(service, port=0).start()
+        address = server.address
+        posted = []
+
+        def write():
+            writer = http.client.HTTPConnection(*address, timeout=30)
+            try:
+                writer.request("POST", "/v1/schemas", json.dumps(body))
+                response = writer.getresponse()
+                posted.append(
+                    (response.status, response.getheader("Connection"),
+                     json.loads(response.read()))
+                )
+            finally:
+                writer.close()
+
+        writing = threading.Thread(target=write, daemon=True)
+        writing.start()
+        stopping = threading.Thread(target=server.stop, daemon=True)
+        try:
+            assert backend.entered.wait(timeout=10)
+            stopping.start()
+            for _ in range(200):
+                if not server._serving:  # stop() has begun
+                    break
+                threading.Event().wait(0.05)
+            assert posted == []
+        finally:
+            backend.release.set()
+            writing.join(timeout=30)
+            stopping.join(timeout=30)
+        [(status, connection, receipt)] = posted
+        assert (status, connection, receipt["generation"]) == (200, "close", 2)
+        assert not stopping.is_alive()
+        assert service.component_of("Case") == service.component_of("Dog")

@@ -1098,9 +1098,9 @@ class TestCutCost:
         service.close()
 
         calls = []
-        decode = storage_module.schema_from_dict
+        decode = storage_module.generators_from_dict
         monkeypatch.setattr(
-            storage_module, "schema_from_dict",
+            storage_module, "generators_from_dict",
             lambda doc: calls.append(doc) or decode(doc),
         )
         backend = FileBackend(data)
@@ -1249,11 +1249,11 @@ class TestCutCost:
 
 
 def count_decodes(monkeypatch) -> list:
-    """Record every storage-side ``schema_from_dict`` call from now on."""
+    """Record every storage-side ``generators_from_dict`` call from now on."""
     calls: list = []
-    decode = storage_module.schema_from_dict
+    decode = storage_module.generators_from_dict
     monkeypatch.setattr(
-        storage_module, "schema_from_dict",
+        storage_module, "generators_from_dict",
         lambda doc: calls.append(doc) or decode(doc),
     )
     return calls
