@@ -3,8 +3,9 @@
 The instrumented service promises that turning telemetry on costs a
 warm ``merged_view`` burst less than 5% (docs/OBSERVABILITY.md): the
 counters it always pays are plain integer adds, and duration sampling
-fires only 1-in-``telemetry_sample_every`` requests via a phase compare
-that executes identically in both modes.  This suite times the same
+fires only 1-in-``telemetry_sample_every`` requests: a mask test that
+runs identically in both modes, with the global switch read only on the
+request it selects.  This suite times the same
 warm burst with the global switch off and on and fails if the ratio
 blows the budget.
 

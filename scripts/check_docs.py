@@ -64,7 +64,6 @@ DOCTEST_MODULES = [
     "repro.perf",
     "repro.perf.interning",
     "repro.perf.closure",
-    "repro.perf.namespace",
     "repro.perf.reference",
     "repro.service",
     "repro.service.api_types",

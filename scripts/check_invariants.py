@@ -33,7 +33,6 @@ MYPY_TARGETS = [
     str(ROOT / "src" / "repro" / "service"),
     str(ROOT / "src" / "repro" / "obs"),
     str(ROOT / "src" / "repro" / "check"),
-    str(ROOT / "src" / "repro" / "perf" / "namespace.py"),
 ]
 
 

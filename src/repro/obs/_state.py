@@ -1,12 +1,13 @@
 """The process-global telemetry switch.
 
 One boolean, read on hot paths (``_state.enabled``) and flipped through
-:func:`set_enabled` so that subscribers — code that pre-computes a
-derived value from the switch, like the merge service's sampling phase
-— are notified on every transition.  The switch gates *allocation-
-bearing* telemetry only (tracing spans, duration timing); plain
-counters are always live because they cost an integer increment and
-the compatibility ``stats()`` views depend on them.
+:func:`set_enabled`.  Code that derives something from the switch reads
+it when it needs it — the merge service's read path reads it only on
+the 1-in-N request its sampling mask selects — so a flip needs no
+notification.  The switch gates *allocation-bearing* telemetry only
+(tracing spans, duration timing); plain counters are always live
+because they cost an integer increment and the compatibility
+``stats()`` views depend on them.
 
 Kept in its own tiny module (rather than ``repro.obs.__init__``) so
 :mod:`repro.obs.tracing` can read the flag without importing the
@@ -15,39 +16,14 @@ package ``__init__`` it is itself imported by.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List
-
-__all__ = ["enabled", "set_enabled", "subscribe"]
+__all__ = ["enabled", "set_enabled"]
 
 #: The switch itself.  Read directly on hot paths; write via
-#: :func:`set_enabled` only, so subscribers stay in sync.
-enabled = False  # guarded-by(writes): _lock
-
-_lock = threading.Lock()
-_listeners: List[Callable[[bool], None]] = []  # guarded-by: _lock
+#: :func:`set_enabled`.
+enabled = False
 
 
 def set_enabled(flag: bool) -> None:
-    """Flip the global switch and notify every subscriber."""
+    """Flip the global switch."""
     global enabled
-    with _lock:
-        enabled = bool(flag)
-        listeners = list(_listeners)
-    for listener in listeners:
-        listener(enabled)
-
-
-def subscribe(listener: Callable[[bool], None]) -> Callable[[bool], None]:
-    """Register *listener* for switch transitions (called immediately too).
-
-    The immediate call lets subscribers initialise their derived state
-    from the current value with no separate bootstrap step.  Listeners
-    are module-level functions in practice, so the registry holds
-    strong references and is append-only.
-    """
-    with _lock:
-        _listeners.append(listener)
-        current = enabled
-    listener(current)
-    return listener
+    enabled = bool(flag)

@@ -15,11 +15,11 @@ preserved cold-path reference implementations in
   through one mutable specialization index and closes arrows once at
   the end, instead of n full re-closures; ``Schema.build`` and
   ``Schema.with_*`` close through it too;
-* **dense-id bitset kernels** (:mod:`repro.perf.namespace` +
-  :mod:`repro.perf.closure`) — each component's interned names map to
-  dense integer ids, class sets become Python-int bitmasks, and the
-  closure kernels run as bulk word-parallel OR/AND.  Every ``Schema``
-  is such a mask table (``repro.core.schema.DenseClosure``).
+* **dense-id bitset kernels** (:mod:`repro.perf.closure`) — each
+  builder maps its interned names to dense integer ids, class sets
+  become Python-int bitmasks, and the closure kernels run as bulk
+  word-parallel OR/AND.  Every ``Schema`` is such a mask table
+  (``repro.core.schema.DenseClosure``).
 
 ``engine_stats()`` / ``clear_caches()`` are the operational surface:
 benchmarks report the former, tests use the latter to force cold paths.
@@ -53,7 +53,6 @@ from repro.perf.interning import (
 
 __all__ = [
     "InternTable",
-    "NameSpace",
     "ClosureBuilder",
     "DenseClosure",
     "intern_stats",
@@ -84,8 +83,4 @@ def __getattr__(attr: str) -> Any:
         from repro.perf import closure
 
         return getattr(closure, attr)
-    if attr == "NameSpace":
-        from repro.perf.namespace import NameSpace
-
-        return NameSpace
     raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")

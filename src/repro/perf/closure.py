@@ -4,9 +4,9 @@ Every :class:`~repro.core.schema.Schema` is a
 :class:`~repro.core.schema.DenseClosure` (an id table, one up-set mask
 per class, one target mask per ``(source_id, label)`` row), and every
 closure in the library is computed here.  A :class:`ClosureBuilder`
-holds the same three things mutably, over a per-component
-:class:`repro.perf.namespace.NameSpace`, and closes them with two
-kernels:
+holds the same three things mutably — its own id table maps each class
+name to a dense id in first-appearance order, so any set of classes is
+one Python ``int`` bitset — and closes them with two kernels:
 
 * **edge insertion** (:func:`repro.core.relations.closure_insert_bits`)
   delta-updates the ``down(sub) × up(sup)`` rectangle with one ``|``
@@ -57,7 +57,6 @@ from repro.core.schema import (
 )
 from repro.exceptions import IncompatibleSchemasError
 from repro.obs.metrics import REGISTRY
-from repro.perf.namespace import NameSpace
 
 __all__ = ["ClosureBuilder", "DenseClosure", "cycle_error"]
 
@@ -84,8 +83,10 @@ def cycle_error(cycle: Tuple[ClassName, ...]) -> IncompatibleSchemasError:
 class ClosureBuilder:
     """A mutable accumulator whose ``build()`` is the LUB of everything added.
 
-    Invariants: the per-component :class:`NameSpace` assigns dense ids
-    in first-appearance order (for :meth:`close`, the layout's own order);
+    Invariants: the id table (``_names`` by id, ``_ids`` by name) assigns
+    dense ids in first-appearance order (for :meth:`close`, the layout's
+    own order) and only ever grows, except that a failed fold drops the
+    tail it interned;
     ``_succ[i]``/``_pred[i]`` always hold the reflexive-transitive
     closure of the specialization edges seen so far as bitsets (every
     registered node's own bit is set), and
@@ -96,10 +97,11 @@ class ClosureBuilder:
     does in one pass.
     """
 
-    __slots__ = ("_ns", "_succ", "_pred", "_rows")
+    __slots__ = ("_names", "_ids", "_succ", "_pred", "_rows")
 
     def __init__(self, schemas: Iterable[Foldable] = ()):
-        self._ns = NameSpace()
+        self._names: List[ClassName] = []
+        self._ids: Dict[ClassName, int] = {}
         self._succ: List[int] = []
         self._pred: List[int] = []
         self._rows: RawRows = {}
@@ -108,10 +110,10 @@ class ClosureBuilder:
 
     def _intern(self, cls: ClassName) -> int:
         """The dense id of *cls*, registering it (with its self-bit) if new."""
-        ns = self._ns
-        size = len(ns)
-        idx = ns.intern(cls)
-        if idx == size:
+        idx = self._ids.get(cls)
+        if idx is None:
+            idx = self._ids[cls] = len(self._names)
+            self._names.append(cls)
             bit = 1 << idx
             self._succ.append(bit)
             self._pred.append(bit)
@@ -135,10 +137,8 @@ class ClosureBuilder:
         try:
             relations.closure_insert_bits(self._succ, self._pred, i, j)
         except ValueError:
-            ns = self._ns
-            raise cycle_error(
-                (ns.name_of(i), ns.name_of(j), ns.name_of(i))
-            ) from None
+            names = self._names
+            raise cycle_error((names[i], names[j], names[i])) from None
         _INSERTS.inc()
         return self
 
@@ -173,16 +173,18 @@ class ClosureBuilder:
         taken) both clears gained bits and truncates the mask tables,
         otherwise only the untouched fresh tail needs dropping.
         """
-        ns = self._ns
-        cycle = (ns.name_of(a), ns.name_of(b), ns.name_of(a))
+        names = self._names
+        cycle = (names[a], names[b], names[a])
         succ = self._succ
         pred = self._pred
         if snap is not None:
             succ[:], pred[:] = snap
-        elif len(ns) != base:
+        elif len(names) != base:
             del succ[base:]
             del pred[base:]
-        ns.truncate(base)
+        for cls in names[base:]:
+            del self._ids[cls]
+        del names[base:]
         return cycle_error(cycle)
 
     def add_schemas(
@@ -229,8 +231,7 @@ class ClosureBuilder:
         rows: only the specialization fold can fail.  ``_counted``
         (cleared only by :meth:`close`) leaves ``closure.inserts`` alone.
         """
-        ns = self._ns
-        ids = ns._ids
+        ids = self._ids
         ids_get = ids.get
         intern = self._intern
         succ = self._succ
@@ -327,7 +328,8 @@ class ClosureBuilder:
         """
         order = source._fold_layout()[0]
         builder = cls.__new__(cls)
-        builder._ns = NameSpace(order)
+        builder._names = list(order)
+        builder._ids = dict(zip(order, range(len(order))))
         builder._succ = [1 << i for i in range(len(order))]
         builder._pred = builder._succ[:]
         builder._rows = {}
@@ -366,7 +368,8 @@ class ClosureBuilder:
         True
         """
         builder = cls()
-        builder._ns = NameSpace(dense.names)
+        builder._names = list(dense.names)
+        builder._ids = dict(zip(dense.names, range(len(dense.names))))
         succ = list(dense.succ)
         builder._succ = succ
         pred = [0] * len(succ)
@@ -390,7 +393,7 @@ class ClosureBuilder:
     @property
     def classes(self) -> FrozenSet[ClassName]:
         """Every class registered so far (a snapshot, not a live view)."""
-        return frozenset(self._ns.names())
+        return frozenset(self._names)
 
     def clone(self) -> "ClosureBuilder":
         """An independent copy sharing no mutable state with the original.
@@ -410,7 +413,8 @@ class ClosureBuilder:
         [False, True]
         """
         twin = ClosureBuilder()
-        twin._ns = self._ns.clone()
+        twin._names = list(self._names)
+        twin._ids = dict(self._ids)
         twin._succ = list(self._succ)
         twin._pred = list(self._pred)
         twin._rows = {sid: dict(t) for sid, t in self._rows.items()}
@@ -518,7 +522,7 @@ class ClosureBuilder:
         builder is not mutated.
         """
         out, _swept = self._fold_sweep(self._succ, self._rows)
-        return DenseClosure(self._ns.names(), tuple(self._succ), out)
+        return DenseClosure(tuple(self._names), tuple(self._succ), out)
 
     def build(self) -> Schema:
         """Close the accumulated components into an (interned) Schema.
@@ -532,4 +536,4 @@ class ClosureBuilder:
         out, swept = self._fold_sweep(succ, self._rows)
         _REBUILDS.inc()
         _ARROWS_SWEPT.inc(swept)
-        return Schema._from_dense(DenseClosure(self._ns.names(), tuple(succ), out))
+        return Schema._from_dense(DenseClosure(tuple(self._names), tuple(succ), out))

@@ -112,6 +112,10 @@ __all__ = ["HttpFrontend", "serve_http", "status_for"]
 #: ``Content-Length`` is answered 413 before any body byte is buffered.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: The write pool's threads: the most registers and retires in flight
+#: at once.  Reads are not pooled (they run on the event loop).
+MAX_WRITE_WORKERS = 4
+
 #: Seconds a client has to deliver the body its ``Content-Length``
 #: declared, from the end of its head; then it is answered 408.
 BODY_TIMEOUT_S = 10.0
@@ -186,8 +190,8 @@ class HttpFrontend:
         with HttpFrontend(service, port=0) as frontend:
             host, port = frontend.address   # port=0 picked a free one
 
-    *max_workers* bounds concurrent in-flight registers; reads are not
-    pooled (they run on the event loop and never block).
+    At most :data:`MAX_WRITE_WORKERS` writes are in flight at once;
+    reads are not pooled (they run on the event loop and never block).
     """
 
     def __init__(
@@ -195,13 +199,10 @@ class HttpFrontend:
         service: MergeService,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        max_workers: int = 4,
     ) -> None:
         self._service = service
         self._host = host
         self._port = port
-        self._max_workers = max_workers
         self._address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -229,7 +230,7 @@ class HttpFrontend:
         self._loop = loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._pool = pool = ThreadPoolExecutor(
-            max_workers=self._max_workers,
+            max_workers=MAX_WRITE_WORKERS,
             thread_name_prefix="repro-http-write",
         )
         self._serving = True
@@ -565,8 +566,7 @@ class _Connection(asyncio.Protocol):
 
     def _refuse(self, exc: InvalidRequestError) -> None:
         """Answer a request whose body will not be read, and close."""
-        error = {"error": str(exc), "type": type(exc).__name__}
-        self._send((status_for(exc), error, "application/json"), False)
+        self._send(_error(exc), False)
 
     def _submit(
         self, write: Callable[[], RegisterReceipt], keep_alive: bool
@@ -625,15 +625,13 @@ def serve_http(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    max_workers: int = 4,
     announce: Optional[Callable[[str, int], None]] = None,
 ) -> None:
     """Serve *service* over HTTP on the calling thread (Ctrl-C to stop).
 
-    The blocking entry point behind ``repro serve --http PORT``.  For a
-    background server (tests, benchmarks) use :class:`HttpFrontend` as a
-    context manager instead.
+    The blocking entry point behind ``repro serve --http PORT``; writes
+    run on :data:`MAX_WRITE_WORKERS` pool threads.  For a background
+    server (tests, benchmarks) use :class:`HttpFrontend` as a context
+    manager instead.
     """
-    HttpFrontend(
-        service, host=host, port=port, max_workers=max_workers
-    ).serve_forever(announce=announce)
+    HttpFrontend(service, host=host, port=port).serve_forever(announce=announce)

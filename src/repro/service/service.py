@@ -30,7 +30,7 @@ a write.
 **Snapshot cuts run off the write path.**  A write that makes a cut
 due hands a capture of the published value to one background cutter
 thread and returns; the cut's file writes hold no service lock
-(see :meth:`MergeService._write` and :meth:`MergeService.save`).
+(see :meth:`MergeService._cut_if_due` and :meth:`MergeService.save`).
 
 **Telemetry.** Every instance reports into the global
 :data:`repro.obs.metrics.REGISTRY` (last-wins, so the registry always
@@ -43,12 +43,12 @@ and component snapshots), plus ``service.components`` /
 ``service.generation`` / ``service.requests`` callback gauges.
 Counters are always live; spans and duration histograms engage only
 after :func:`repro.obs.enable`, and the read paths *sample* their
-timing 1-in-``telemetry_sample_every`` requests.  The sample test is a
-phase compare — ``(requests & mask) == phase`` where the phase is
-unreachable while telemetry is off — so the disabled hot path executes
-the very same instructions and the enabled-mode overhead on a warm
-``merged_view`` is just the occasional sampled clock pair (measured
-well under the 5% budget by ``benchmarks/bench_obs_overhead.py``).
+timing 1-in-``telemetry_sample_every`` requests.  A request tests
+``requests & mask`` first and reads the global switch only when the
+mask selects it, so the other requests run the same instructions in
+either mode, and the enabled-mode overhead on a warm ``merged_view`` is
+just the occasional sampled clock pair (measured well under the 5%
+budget by ``benchmarks/bench_obs_overhead.py``).
 
 >>> from repro.core.schema import Schema
 >>> service = MergeService()
@@ -75,9 +75,11 @@ import json
 import queue
 import threading
 import weakref
+from contextlib import contextmanager
 from time import perf_counter
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar,
+    Union,
 )
 
 from dataclasses import replace as _dc_replace
@@ -215,19 +217,6 @@ class _ServiceTelemetry:
         ]
 
 
-#: Live services, so flipping the global telemetry switch re-phases
-#: every instance's read-path sampling in one pass.
-_SERVICES: "weakref.WeakSet[MergeService]" = weakref.WeakSet()
-
-
-def _sync_sampling(enabled: bool) -> None:
-    for service in list(_SERVICES):
-        service._sample_on = 0 if enabled else service._sample_mask + 1
-
-
-_obs_state.subscribe(_sync_sampling)
-
-
 class _Registry:
     """One published registry state: the whole of it, as one value.
 
@@ -261,25 +250,19 @@ class _Group:
     """One component a write touches: planned, then staged, then committed.
 
     *sid* is the component the group commits as, *replaced* the
-    committed shards it supersedes (none for a fresh sid), *indices*
-    the batch members landing in it.  Staging sets *builder* (``None``
-    drops the component) and *members*.
+    committed shards it supersedes (none for a fresh sid), *added* the
+    batch members landing in it (none for a retire).  Staging sets
+    *builder* (``None`` drops the component) and *members*.
     """
 
-    __slots__ = ("sid", "replaced", "indices", "builder", "members")
+    __slots__ = ("sid", "replaced", "added", "builder", "members")
 
-    def __init__(self, sid: int, replaced: List[Shard], indices: List[int]) -> None:
+    def __init__(self, sid: int, replaced: List[Shard], added: List[_Member]) -> None:
         self.sid = sid
         self.replaced = replaced
-        self.indices = indices
+        self.added = added
         self.builder: Optional[ClosureBuilder] = None
         self.members: Tuple[_Member, ...] = ()
-
-
-#: ``plan_groups`` output: per group, the shard ids it replaces and its batch indices.
-_Plan = List[Tuple[Set[int], List[int]]]
-#: A write's lifecycle-table delta plus the log record describing it.
-_Delta = Tuple[Dict[str, Tuple[VersionState, ...]], LogRecord]
 
 
 def _encode(payload: Dict[str, Any]) -> bytes:
@@ -470,11 +453,6 @@ class MergeService:
         self._requests = 0
         self._ticker = itertools.count(1)  # frozen-after-init
         self._sample_mask = telemetry_sample_every - 1  # frozen-after-init
-        # The phase trick: sampling tests `(requests & mask) == _sample_on`.
-        # Enabled sets the phase to 0 (1-in-N requests match); disabled
-        # sets it past the mask so no request ever matches — the compare
-        # itself runs either way, keeping both modes instruction-identical.
-        self._sample_on = 0 if _obs_state.enabled else self._sample_mask + 1
         self._telemetry = _ServiceTelemetry(self)  # frozen-after-init
         #: The binding never changes after construction; the *object* is
         #: mutated (``append``) only under the writer lock, which is
@@ -493,7 +471,6 @@ class MergeService:
         #: True only while single-threaded recovery replays the log —
         #: suppresses re-appending and snapshot cuts.
         self._replaying = False
-        _SERVICES.add(self)
         # A constructor that raises hands no instance back to close, so
         # every failure here releases the storage (its directory lock).
         try:
@@ -694,7 +671,7 @@ class MergeService:
         committed before the call, and perhaps a few committed while it
         waited.  The capture is taken under the writer lock, so the cut
         is consistent; the cut itself runs on the cutter thread (see
-        :meth:`_write`) while writers and readers carry on.  Raises the
+        :meth:`_cut_if_due`) while writers and readers carry on.  Raises the
         backend's error if no durable cut covers the capture.
         """
         with self._writer:
@@ -774,20 +751,26 @@ class MergeService:
                 )
             timing = _obs_state.enabled
             start = perf_counter() if timing else 0.0
-
-            def delta(generation: int, groups: List[_Group], _key: Any) -> _Delta:
-                update, logged = self._stage_series(entries)
-                committed = tuple(group.sid for group in groups)
-                return update, LogRecord("register", generation, logged, committed)
-
-            generation, components, _key = self._write(
-                root,
-                lambda: (self._plan_register(members), None),
-                members,
-                lambda groups, _key: self._rebuild(groups, members),
-                delta,
-                sids,
-            )
+            with self._writer:
+                self._check_open()
+                with span("service.plan", batch=len(members)):
+                    plans = plan_groups(members, self._registry.class_to_sid)
+                    groups = self._groups(
+                        [(old, [members[i] for i in idx]) for old, idx in plans],
+                        sids,
+                    )
+                with self._rollback(root):
+                    self._rebuild(groups, members)
+                    with span("service.snapshot"):
+                        update, logged = self._stage_series(entries)
+                        record = LogRecord(
+                            "register",
+                            self._registry.generation + 1,
+                            logged,
+                            tuple(group.sid for group in groups),
+                        )
+                        generation, components = self._commit(groups, update, record)
+                self._cut_if_due()
             if timing:
                 tel.register_duration.observe(perf_counter() - start)
             root.set(components=components, generation=generation)
@@ -879,64 +862,44 @@ class MergeService:
             )
         return update, tuple(logged)
 
-    def _plan_register(self, batch: List[_Member]) -> _Plan:  # requires-lock: _writer
-        """Register's plan: the batch over the committed layout."""
-        return plan_groups(batch, self._registry.class_to_sid)
+    @contextmanager
+    def _rollback(self, root: Any) -> Iterator[None]:
+        """Count a write's failed stage or commit, then let it raise.
 
-    def _write(
-        self,
-        root: Any,
-        plan: Callable[[], Tuple[_Plan, Any]],
-        batch: List[_Member],
-        stage: Callable[[List[_Group], Any], None],
-        delta: Callable[[int, List[_Group], Any], _Delta],
-        sids: Optional[Tuple[int, ...]],
-    ) -> Tuple[int, int, Any]:
-        """The one write path: plan → stage → commit, under the writer lock.
-
-        :meth:`register` and :meth:`retire` both edit the member
-        multisets of some components and re-close them (the merge is
-        associative and commutative, so members determine the view).
-        They differ only in *plan* (the touched components plus a key
-        handed on to the other two), *stage* (the closure work) and
-        *delta* (the lifecycle-table change and the log record; runs in
-        the commit).  Returns the generation, the component count at
-        the commit, and the plan key.  A failed stage or commit is
-        counted in ``service.register.rollbacks`` and publishes nothing.
-        When the log has grown *snapshot_every* records past the last
-        capture, the write hands a capture of the new registry to the
-        cutter thread (O(1): one queue put) and returns; the cut is
-        written off the write path, and its outcome never fails a write
-        that has committed.
+        A failure here publishes nothing (see :meth:`_commit`); it is
+        counted in ``service.register.rollbacks`` and marked on the
+        write's *root* span.  A refused plan is not a rollback.
         """
-        with self._writer:
-            self._check_open()
-            with span("service.plan", batch=len(batch)):
-                plans, key = plan()
-                groups = self._groups(plans, sids)
-            try:
-                stage(groups, key)
-                with span("service.snapshot"):
-                    generation, components = self._commit(
-                        groups, batch, lambda g: delta(g, groups, key)
-                    )
-            except BaseException:
-                self._telemetry.rollbacks.inc()
-                root.set(rolled_back=True)
-                raise
-            every = self._snapshot_every
-            if (
-                every is not None
-                and not self._replaying
-                and self._log_seq - self._captured_seq >= every
-            ):
-                self._hand_off()
-        return generation, components, key
+        try:
+            yield
+        except BaseException:
+            self._telemetry.rollbacks.inc()
+            root.set(rolled_back=True)
+            raise
+
+    def _cut_if_due(self) -> None:  # requires-lock: _writer
+        """Hand the cutter a capture once the log has grown
+        *snapshot_every* records past the last one.  Writer lock held.
+
+        The hand-off is O(1), one queue put: the cut is written off the
+        write path, and its outcome never fails a write that has
+        committed.  Replay cuts nothing.
+        """
+        every = self._snapshot_every
+        if (
+            every is not None
+            and not self._replaying
+            and self._log_seq - self._captured_seq >= every
+        ):
+            self._hand_off()
 
     def _groups(  # requires-lock: _writer
-        self, plans: _Plan, forced: Optional[Tuple[int, ...]]
+        self,
+        plans: List[Tuple[Set[int], List[_Member]]],
+        forced: Optional[Tuple[int, ...]],
     ) -> List[_Group]:
-        """Give each planned group the sid it commits as.  Writer lock held.
+        """Give each planned group — the shard ids it replaces and the
+        members it adds — the sid it commits as.  Writer lock held.
 
         A group that absorbs committed shards keeps the smallest of
         their sids; a fresh group gets a new sid or, during replay, the
@@ -950,7 +913,7 @@ class MergeService:
                 f"but the batch plans {len(plans)} — the log and the "
                 f"registry have diverged"
             )
-        for group_index, (existing_sids, indices) in enumerate(plans):
+        for group_index, (existing_sids, added) in enumerate(plans):
             replaced_sids = sorted(existing_sids)
             if replaced_sids:
                 sid = replaced_sids[0]
@@ -972,71 +935,66 @@ class MergeService:
                 sid = self._next_sid
                 self._next_sid += 1
             groups.append(
-                _Group(sid, [registry.shards[old] for old in replaced_sids], indices)
+                _Group(sid, [registry.shards[old] for old in replaced_sids], added)
             )
         return groups
 
-    def _rebuild(self, groups: List[_Group], batch: List[_Member]) -> None:
+    @staticmethod
+    def _rebuild(groups: List[_Group], batch: List[_Member]) -> None:
         """Register's stage: fold each group on clones.
 
         Raises :class:`IncompatibleSchemasError` with nothing published.
         The fold is the only closure a registered document gets, so it
         also meets a document whose own spec edges form a cycle.  Once
-        the fold fails, each batch member is closed on its own, and the
-        first that cannot be raises with its own cycle as the witness.
+        the fold fails, each *batch* member is closed on its own, in
+        batch order, and the first that cannot be raises with its own
+        cycle as the witness.
         """
         try:
-            self._fold_groups(groups, batch)
+            for group in groups:
+                with span(
+                    "service.rebuild", component=group.sid, schemas=len(group.added)
+                ):
+                    members: Tuple[_Member, ...] = ()
+                    if group.replaced:
+                        # Grow the largest member in place (on a clone)
+                        # and fold the others' schemas in.  The primary's
+                        # members are concatenated, not read: a restored
+                        # component's stay undecoded.
+                        primary = max(
+                            group.replaced, key=lambda shard: len(shard.members)
+                        )
+                        builder = primary.builder.clone()
+                        members = primary.members
+                        for shard in group.replaced:
+                            if shard is primary:
+                                continue
+                            for member in shard.members:
+                                builder.add_schema(member)
+                            members += shard.members
+                    else:
+                        builder = ClosureBuilder()
+                    for member in group.added:
+                        builder.add_schema(member)
+                group.builder = builder
+                group.members = members + tuple(group.added)
         except IncompatibleSchemasError:
             for member in batch:
                 ClosureBuilder.close(member)
             raise
 
-    @staticmethod
-    def _fold_groups(groups: List[_Group], batch: List[_Member]) -> None:
-        for group in groups:
-            with span(
-                "service.rebuild",
-                component=group.sid,
-                schemas=len(group.indices),
-            ):
-                members: Tuple[_Member, ...] = ()
-                if group.replaced:
-                    # Grow the largest member in place (on a clone) and
-                    # fold the others' schemas in.  The primary's members
-                    # are concatenated, not read: a restored component's
-                    # stay undecoded.
-                    primary = max(
-                        group.replaced, key=lambda shard: len(shard.members)
-                    )
-                    builder = primary.builder.clone()
-                    members = primary.members
-                    for shard in group.replaced:
-                        if shard is primary:
-                            continue
-                        for member in shard.members:
-                            builder.add_schema(member)
-                        members += shard.members
-                else:
-                    builder = ClosureBuilder()
-                added = tuple(batch[index] for index in group.indices)
-                for member in added:
-                    builder.add_schema(member)
-            group.builder = builder
-            group.members = members + added
-
     def _commit(  # requires-lock: _writer
         self,
         groups: List[_Group],
-        batch: List[_Member],
-        delta: Callable[[int], _Delta],
+        series: Dict[str, Tuple[VersionState, ...]],
+        record: LogRecord,
     ) -> Tuple[int, int]:
         """Log a staged write, then publish it.  Writer lock held.
 
-        *delta* validates the lifecycle-table change and builds the log
-        record for the new generation; the record is appended (and
+        *record* describes the write at the next generation and *series*
+        is its lifecycle-table change.  The record is appended (and
         fsync'd) *before* anything is published, so no reader can ever
-        observe a state the log does not describe.  If either step
+        observe a state the log does not describe.  If the append
         raises, nothing has been published and the write rolls back.
         Appending under the writer lock makes log order commit order
         (deterministic replay); readers never take that lock, so only
@@ -1045,15 +1003,14 @@ class MergeService:
         The next shard table and class map are built on copies (an
         O(classes) dict copy per write) and published as one new
         :class:`_Registry` with a single reference store.  Only classes
-        whose owner changed are mapped: a register group (one with batch
-        *indices*) never drops a class, so it maps its batch members'
-        classes and those of the shards it absorbs to its sid; only a
-        retire group computes the classes it drops.  Returns the new
+        whose owner changed are mapped: a register group (one with
+        *added* members) never drops a class, so it maps its added
+        members' classes and those of the shards it absorbs to its sid;
+        only a retire group computes the classes it drops.  Returns the new
         generation and the component count.
         """
         current = self._registry
-        generation = current.generation + 1
-        series, record = delta(generation)
+        generation = record.generation
         if not self._replaying:
             self._log_seq = self._storage.append(record)
         # The record is durable: nothing below may raise.
@@ -1064,14 +1021,14 @@ class MergeService:
             for shard in group.replaced:
                 if shard.sid != sid or builder is None:
                     shards.pop(shard.sid, None)
-                if not group.indices:  # a retire: unmap what it dropped
+                if not group.added:  # a retire: unmap what it dropped
                     kept = builder.classes if builder is not None else ()
                     for cls in shard.builder.classes.difference(kept):
                         class_to_sid.pop(cls, None)
                 elif shard.sid != sid:  # absorbed by the group
                     class_to_sid.update(dict.fromkeys(shard.builder.classes, sid))
-            for index in group.indices:
-                class_to_sid.update(dict.fromkeys(batch[index].classes, sid))
+            for member in group.added:
+                class_to_sid.update(dict.fromkeys(member.classes, sid))
             if builder is not None:
                 shards[sid] = Shard(sid, builder, group.members, generation)
         self._registry = _Registry(
@@ -1178,47 +1135,51 @@ class MergeService:
     ) -> RetireReceipt:
         """:meth:`retire`, or during replay exactly the logged *versions*."""
         with span("service.retire", schema=schema_name) as root:
-
-            def delta(generation: int, _groups: List[_Group], live: Any) -> _Delta:
+            with self._writer:
+                self._check_open()
+                with span("service.plan", batch=0):
+                    # One group per component owning a withdrawn version.
+                    registry = self._registry
+                    live = self._live_versions(registry.series, schema_name)
+                    if versions is not None:
+                        live = [v for v in live if v.version in versions]
+                    class_to_sid = registry.class_to_sid
+                    owners = {
+                        class_to_sid[cls]
+                        for v in live
+                        for cls in v.member.classes
+                        if cls in class_to_sid
+                    }
+                    groups = self._groups(
+                        [({sid}, []) for sid in sorted(owners)], None
+                    )
                 retired = tuple(v.version for v in live)
-                series = tuple(
-                    _dc_replace(v, lifecycle="obsolete", retired=True)
-                    if v.version in retired
-                    else v
-                    for v in self._registry.series[schema_name]
-                )
-                record = LogRecord(
-                    "retire", generation, name=schema_name, versions=retired
-                )
-                return {schema_name: series}, record
-
-            generation, components, live = self._write(
-                root,
-                lambda: self._plan_retire(schema_name, versions),
-                [],
-                self._rebuild_without,
-                delta,
-                None,
-            )
+                with self._rollback(root):
+                    self._rebuild_without(groups, live)
+                    with span("service.snapshot"):
+                        series = tuple(
+                            _dc_replace(v, lifecycle="obsolete", retired=True)
+                            if v.version in retired
+                            else v
+                            for v in registry.series[schema_name]
+                        )
+                        record = LogRecord(
+                            "retire",
+                            registry.generation + 1,
+                            name=schema_name,
+                            versions=retired,
+                        )
+                        generation, components = self._commit(
+                            groups, {schema_name: series}, record
+                        )
+                self._cut_if_due()
             root.set(generation=generation)
             return RetireReceipt(
                 name=schema_name,
-                versions=tuple(v.version for v in live),
+                versions=retired,
                 components=components,
                 generation=generation,
             )
-
-    def _plan_retire(  # requires-lock: _writer
-        self, schema_name: str, versions: Optional[Tuple[int, ...]]
-    ) -> Tuple[_Plan, List[VersionState]]:
-        """Retire's plan: one group per owning component, keyed by the
-        live versions it withdraws."""
-        registry = self._registry
-        live = self._live_versions(registry.series, schema_name)
-        if versions is not None:
-            live = [v for v in live if v.version in versions]
-        owners = {registry.class_to_sid.get(cls) for v in live for cls in v.member.classes}
-        return [({sid}, []) for sid in sorted(o for o in owners if o is not None)], live
 
     @staticmethod
     def _rebuild_without(groups: List[_Group], live: List[VersionState]) -> None:
@@ -1323,7 +1284,8 @@ class MergeService:
         ``telemetry_sample_every`` into *duration* (enabled mode only)."""
         self._check_open()
         self._requests = requests = next(self._ticker)
-        if (requests & self._sample_mask) != self._sample_on:
+        # Only the 1-in-N request the mask selects reads the switch.
+        if requests & self._sample_mask or not _obs_state.enabled:
             return answer(key)
         # Read paths record durations only: a span per read would cost
         # more than the read itself (spans live on the write path).

@@ -18,8 +18,8 @@ class ComponentSnapshot(NamedTuple):
     """One component's merged view, frozen in dense id-table form.
 
     The payload is the component shard's :class:`DenseClosure` — its
-    :class:`~repro.perf.namespace.NameSpace` id table plus the bitmask
-    closure arrays — so a snapshot serializes without re-walking any
+    id table (names in dense-id order) plus the bitmask closure
+    arrays — so a snapshot serializes without re-walking any
     schema object graph: each class name is written exactly once (at
     its id position) and every relation row is integers.  ``sid`` /
     ``generation`` identify which shard state the snapshot captured;

@@ -13,12 +13,21 @@ from __future__ import annotations
 from typing import Tuple
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.lower import AnnotatedSchema
 from repro.core.participation import Participation
 from repro.core.schema import Schema
 from repro.io.json_io import name_to_json, schema_to_dict
+
+#: The long run of the service model check
+#: (``pytest --hypothesis-profile=model-check-long
+#: tests/test_service_model.py``, the CI ``model-check`` job).  Pytest
+#: loads a profile before it imports any test module, so it is
+#: registered here.
+MODEL_CHECK_LONG = "model-check-long"
+settings.register_profile(MODEL_CHECK_LONG, max_examples=1000, stateful_step_count=40)
 
 CLASS_UNIVERSE = [f"K{i}" for i in range(8)]
 LABEL_UNIVERSE = ["a", "b", "c"]

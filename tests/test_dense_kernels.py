@@ -1,6 +1,6 @@
 """Property tests for the dense-id bitset kernels.
 
-The dense representation (``repro.perf.namespace`` ids + Python-int
+The dense representation (``ClosureBuilder`` dense ids + Python-int
 bitmask kernels in ``repro.perf.closure``) must be observationally
 identical to the cold pre-engine reference (:mod:`repro.perf.reference`).
 Every test here drives the same workload through both implementations

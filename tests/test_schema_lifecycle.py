@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.schema import Schema
 from repro.exceptions import (
+    IncompatibleSchemasError,
     InvalidRequestError,
     RetiredSchemaError,
     UnknownClassError,
@@ -97,6 +98,7 @@ class TestNamedRegistration:
             [RegistrationEntry(pets_v1(), name="pets", version=1)]
         )
         generation = service.service_stats()["generation"]
+        rollbacks = service.telemetry.rollbacks
         with pytest.raises(InvalidRequestError, match="version"):
             service.register(
                 [
@@ -106,6 +108,22 @@ class TestNamedRegistration:
             )
         assert service.service_stats()["generation"] == generation
         assert service.component_of("Case") is None
+        assert rollbacks.value == 1
+        # The fold runs before the version check: a batch that is both
+        # cyclic and a duplicate version is refused for its cycle.
+        with pytest.raises(IncompatibleSchemasError):
+            service.register(
+                [
+                    RegistrationEntry(Schema.build(spec=[("Puppy", "Dog")])),
+                    RegistrationEntry(
+                        Schema.build(spec=[("Dog", "Puppy")]),
+                        name="pets",
+                        version=1,
+                    ),
+                ]
+            )
+        assert service.service_stats()["generation"] == generation
+        assert rollbacks.value == 2
 
     def test_named_empty_schema_is_rejected(self):
         service = MergeService()

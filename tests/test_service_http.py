@@ -249,6 +249,7 @@ class TestStatusMapping:
         assert status_line.startswith(b"HTTP/1.1 400 ")
         _, _, body = rest.partition(b"\r\n\r\n")
         doc = json.loads(body)
+        assert doc["format"] == "repro.api/1"
         assert doc["type"] == "InvalidRequestError"
         assert doc["error"].startswith("malformed request head")
 
@@ -267,6 +268,7 @@ class TestStatusMapping:
         assert status_line.startswith(b"HTTP/1.1 413 ")
         doc = json.loads(rest.partition(b"\r\n\r\n")[2])
         assert str(MAX_BODY_BYTES) in doc["error"]
+        assert doc["format"] == "repro.api/1"
         assert doc["type"] == "BodyTooLargeError"
         assert service.service_stats()["generation"] == generation
 
@@ -284,6 +286,7 @@ class TestStatusMapping:
         headers, _, body = rest.partition(b"\r\n\r\n")
         assert b"Connection: close" in headers
         doc = json.loads(body)
+        assert doc["format"] == "repro.api/1"
         assert "100 bytes" in doc["error"]
         assert doc["type"] == "BodyTimeoutError"
         assert service.service_stats()["generation"] == generation
@@ -744,6 +747,7 @@ class TestDeadlines:
         headers, _, body = rest.partition(b"\r\n\r\n")
         assert b"Connection: close" in headers
         doc = json.loads(body)
+        assert doc["format"] == "repro.api/1"
         assert doc["type"] == "BodyTimeoutError"
         assert "request head" in doc["error"]
 

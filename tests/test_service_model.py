@@ -50,7 +50,12 @@ from repro.exceptions import (
 from repro.service import HttpFrontend, MergeService
 from repro.service.storage import RegistrationEntry
 
-from tests.conftest import CLASS_UNIVERSE, schema_docs, schemas
+from tests.conftest import (
+    CLASS_UNIVERSE,
+    MODEL_CHECK_LONG,
+    schema_docs,
+    schemas,
+)
 
 NAMES = ("alpha", "beta", "gamma")
 
@@ -242,10 +247,14 @@ class ServiceModel(RuleBasedStateMachine):
             raise AssertionError(f"{name!r} resolves after its retirement")
 
 
+#: Tier-1's budget: 100 histories of at most 20 steps.  Under the
+#: ``model-check-long`` profile that profile's budget stands instead.
+_BUDGET = (
+    {}
+    if settings.get_current_profile_name() == MODEL_CHECK_LONG
+    else {"max_examples": 100, "stateful_step_count": 20}
+)
 ServiceModel.TestCase.settings = settings(
-    max_examples=100,
-    stateful_step_count=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None, suppress_health_check=[HealthCheck.too_slow], **_BUDGET
 )
 TestServiceModel = ServiceModel.TestCase

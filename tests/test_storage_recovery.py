@@ -677,6 +677,11 @@ class TestFailedAppend:
             service.retire("pets")
         assert observable_state(service) == before
         assert service.resolve_schema("pets") == pets()
+        assert service.telemetry.rollbacks.value == 1
+        # A refused plan is not a rollback: nothing was staged.
+        with pytest.raises(UnknownSchemaError):
+            service.retire("no-such-schema")
+        assert service.telemetry.rollbacks.value == 1
 
         receipt = service.retire("pets")
         assert receipt.versions == (1,)
